@@ -1,178 +1,53 @@
-"""Hot numeric kernels: numba-compiled where numba imports, else pure numpy.
+"""Hot numeric kernels, one implementation each.
 
-The path is chosen once, at import.  The compiled path runs exactly when
-``CHAINREC_NUMBA`` is not set to off (``0``, ``false``, ``off`` or ``no``)
-and ``numba`` imports; otherwise the pure-numpy fallback runs.  So the
-fallback is selected both by ``CHAINREC_NUMBA=0`` and, with no flag set,
-wherever numba is not installed.  ``numba_enabled()`` reports which path is
-active.  Both paths compute identical values; the numba path is much faster
-on graphs with more than a few thousand edges.  See
-``benchmarks/bench_kernels.py`` for a side-by-side timing.
-
-All kernels accumulate in a fixed order, so results are reproducible for a
-given backend.  The row-parallel kernels write each output row from exactly
-one thread and therefore stay bit-stable for any worker count.
+``spmm`` is scipy's CSR product; the other kernels are plain numpy.  All of
+them accumulate in a fixed order, so results are reproducible run to run.
 """
 
-import os
-import warnings
-
 import numpy as np
-
-_env = os.environ.get("CHAINREC_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _env not in ("0", "false", "off", "no")
-
-try:
-    if _WANT_NUMBA:
-        from numba import njit, prange, set_num_threads
-        # harmless threading-layer version notice; numba falls back cleanly
-        warnings.filterwarnings("ignore", message=".*TBB threading layer.*")
-    else:  # pragma: no cover - exercised via subprocess in tests
-        raise ImportError("numba disabled via CHAINREC_NUMBA")
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+import scipy.sparse as sp
 
 
 def numba_enabled() -> bool:
-    """True when the compiled kernel path is active.
-
-    False when ``CHAINREC_NUMBA`` switched it off or numba could not be
-    imported; the pure-numpy fallback runs then.
-    """
-    return NUMBA_ENABLED
+    """False: chainrec has no compiled kernel path."""
+    # kept because perfbench/run.py reads it to report the kernel path
+    return False
 
 
 def set_workers(n: int) -> None:
-    """Pin compiled-kernel and BLAS thread counts.
+    """Limit BLAS threads to ``n`` where ``threadpoolctl`` imports.
 
-    The workloads here are many small kernels; oversubscribing cores costs
-    far more than parallelism gains, so worker count 1 (the default) is
-    also the fastest configuration on desktop-class machines unless the
-    graph is large.
+    Where it does not import, this does nothing.  scipy's CSR product is
+    single-threaded either way, so ``n`` never changes ``spmm``; it only
+    bounds the dense BLAS calls (matmul) when ``threadpoolctl`` is present.
     """
     if n < 1:
         return
-    if NUMBA_ENABLED:
-        set_num_threads(n)
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n, user_api="blas")
-    except ImportError:  # pragma: no cover - threadpoolctl ships with scipy
-        pass
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _spmm_numpy(indptr, cols, vals, x):
-    """CSR sparse @ dense.  Rows are contiguous segments of (cols, vals)."""
-    n = indptr.shape[0] - 1
-    out = np.zeros((n, x.shape[1]), dtype=x.dtype)
-    if cols.shape[0] == 0:
-        return out
-    prod = vals[:, None] * x[cols]
-    starts = indptr[:-1]
-    nonempty = indptr[1:] > starts
-    # reduceat over the starts of nonempty rows sums exactly each row's segment
-    out[nonempty] = np.add.reduceat(prod, starts[nonempty], axis=0)
-    return out
+    except ImportError:
+        return
+    threadpoolctl.threadpool_limits(limits=n, user_api="blas")
 
 
-def _spmm_grad_vals_numpy(rows, cols, g, x):
+def spmm(indptr, cols, vals, x):
+    """y[i] = sum over CSR row i of vals[k] * x[cols[k]], in ``x.dtype``."""
+    a = sp.csr_matrix((vals, cols, indptr), shape=(indptr.shape[0] - 1, x.shape[0]))
+    return (a @ x).astype(x.dtype, copy=False)
+
+
+def spmm_grad_vals(rows, cols, g, x):
+    """Per-edge gradient of spmm w.r.t. vals: dot(g[rows[k]], x[cols[k]])."""
     return np.einsum("ij,ij->i", g[rows], x[cols])
 
 
-def _scatter_add_rows_numpy(idx, g, n):
+def scatter_add_rows(idx, g, n):
+    """out[idx[k]] += g[k] into an (n, d) zero matrix; duplicate ids accumulate."""
     out = np.zeros((n, g.shape[1]), dtype=g.dtype)
     np.add.at(out, idx, g)
     return out
 
 
-def _segment_sum_numpy(idx, vals, n):
-    return np.bincount(idx, weights=vals, minlength=n).astype(vals.dtype)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _spmm_numba(indptr, cols, vals, x):
-        n = indptr.shape[0] - 1
-        d = x.shape[1]
-        out = np.zeros((n, d), dtype=x.dtype)
-        for i in prange(n):
-            for k in range(indptr[i], indptr[i + 1]):
-                j = cols[k]
-                v = vals[k]
-                for c in range(d):
-                    out[i, c] += v * x[j, c]
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _spmm_grad_vals_numba(rows, cols, g, x):
-        nnz = rows.shape[0]
-        d = g.shape[1]
-        out = np.empty(nnz, dtype=g.dtype)
-        for k in prange(nnz):
-            acc = 0.0
-            i = rows[k]
-            j = cols[k]
-            for c in range(d):
-                acc += g[i, c] * x[j, c]
-            out[k] = acc
-        return out
-
-    @njit(cache=True)
-    def _scatter_add_rows_numba(idx, g, n):
-        d = g.shape[1]
-        out = np.zeros((n, d), dtype=g.dtype)
-        for k in range(idx.shape[0]):
-            i = idx[k]
-            for c in range(d):
-                out[i, c] += g[k, c]
-        return out
-
-    @njit(cache=True)
-    def _segment_sum_numba(idx, vals, n):
-        out = np.zeros(n, dtype=vals.dtype)
-        for k in range(idx.shape[0]):
-            out[idx[k]] += vals[k]
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def spmm(indptr, cols, vals, x):
-    """y[i] = sum over CSR row i of vals[k] * x[cols[k]]."""
-    if NUMBA_ENABLED:
-        return _spmm_numba(indptr, cols, vals, x)
-    return _spmm_numpy(indptr, cols, vals, x)
-
-
-def spmm_grad_vals(rows, cols, g, x):
-    """Per-edge gradient of spmm w.r.t. vals: dot(g[rows[k]], x[cols[k]])."""
-    if NUMBA_ENABLED:
-        return _spmm_grad_vals_numba(rows, cols, g, x)
-    return _spmm_grad_vals_numpy(rows, cols, g, x)
-
-
-def scatter_add_rows(idx, g, n):
-    """out[idx[k]] += g[k] into an (n, d) zero matrix; duplicate ids accumulate."""
-    if NUMBA_ENABLED:
-        return _scatter_add_rows_numba(idx, g, n)
-    return _scatter_add_rows_numpy(idx, g, n)
-
-
 def segment_sum(idx, vals, n):
     """out[idx[k]] += vals[k] into a length-n zero vector."""
-    if NUMBA_ENABLED:
-        return _segment_sum_numba(idx, vals, n)
-    return _segment_sum_numpy(idx, vals, n)
+    return np.bincount(idx, weights=vals, minlength=n).astype(vals.dtype)

@@ -57,8 +57,8 @@ class RunConfig:
     chain_order: tuple = ()         # study override; may place target mid-chain
 
     # runtime
-    workers: int = 1
-    dtype: str = "float64"      # float32 roughly halves step time on big graphs
+    workers: int = 1            # BLAS thread cap, applied only if threadpoolctl imports
+    dtype: str = "float64"
     checkpoint: str = ""
     resume: str = ""
 
