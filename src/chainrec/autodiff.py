@@ -73,6 +73,21 @@ def _is_var(*xs):
     return any(isinstance(x, Var) for x in xs)
 
 
+class RowGrad:
+    """Row-sparse gradient of an (n, d) table: ``rows[k]`` adds to row ``idx[k]``.
+
+    A gather's backward returns one instead of a dense (n, d) table;
+    :func:`backward` joins every such contribution to a node and densifies
+    them with one scatter when the node is reached.
+    """
+
+    __slots__ = ("idx", "rows")
+
+    def __init__(self, idx, rows):
+        self.idx = idx
+        self.rows = rows
+
+
 def backward(out: Var):
     """Backpropagate d(out)/d(leaf) through the tape; seeds with ones.
 
@@ -96,8 +111,19 @@ def backward(out: Var):
                 stack.append((p, False))
 
     grads = {id(out): np.ones_like(out.value)}
+    row_grads = {}
+    # Ids whose pending dense gradient this function allocated. Only those
+    # are accumulated in place: a VJP may hand back its own ``g`` (add,
+    # reshape), which is then another node's ``.grad`` as well.
+    owned = set()
     for node in reversed(order):
         g = grads.pop(id(node), None)
+        parts = row_grads.pop(id(node), None)
+        if parts:
+            idx = np.concatenate([p.idx for p in parts])
+            rows = np.concatenate([p.rows for p in parts])
+            dense = backend.scatter_add_rows(idx, rows, node.value.shape[0])
+            g = dense if g is None else _accumulate(dense, g, True)
         node.grad = g
         if g is None or node._vjp is None:
             continue
@@ -105,8 +131,23 @@ def backward(out: Var):
         for p, pg in zip(node._parents, parent_grads):
             if not isinstance(p, Var) or pg is None:
                 continue
+            if isinstance(pg, RowGrad):
+                row_grads.setdefault(id(p), []).append(pg)
+                continue
             acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
+            if acc is None:
+                grads[id(p)] = pg
+            else:
+                grads[id(p)] = _accumulate(acc, pg, id(p) in owned)
+                owned.add(id(p))
+
+
+def _accumulate(acc, pg, in_place):
+    """acc + pg, written into acc when allowed and the sum keeps acc's dtype."""
+    if in_place and acc.dtype == np.result_type(acc, pg):
+        acc += pg
+        return acc
+    return acc + pg
 
 
 def _unbroadcast(g, shape):
@@ -256,7 +297,7 @@ def gather(a, idx):
     def vjp(g):
         if av.ndim == 1:
             return (backend.segment_sum(idx, np.ascontiguousarray(g), n),)
-        return (backend.scatter_add_rows(idx, np.ascontiguousarray(g), n),)
+        return (RowGrad(idx.reshape(-1), g.reshape(-1, av.shape[1])),)
 
     return Var(out, (a,), vjp)
 

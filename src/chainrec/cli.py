@@ -2,7 +2,9 @@
 
 Every RunConfig key is exposed as a same-named flag (dashes for
 underscores); a flag wins over the config file. Exit codes: 0 success,
-1 usage/config error, 2 runtime abort.
+1 usage, config or data error (including data with no target edges, a
+split with no test edge, and a user with no item left to sample as a
+negative), 2 runtime abort.
 """
 
 import argparse
@@ -18,12 +20,12 @@ from .chains import enumerate_chains
 from .config import (ConfigError, RunConfig, make_config, parse_config_text,
                      save_config)
 from .evaluation import sparsity_groups
-from .graph import (ParseError, SchemaError, load_interactions, make_schema,
-                    split_train_test, training_graph)
+from .graph import (ParseError, SchemaError, SplitError, load_interactions,
+                    make_schema, split_train_test, training_graph)
 from .model import DualChannelModel, TrainingAbort
 from .patterns import build_all_bbps, pattern_count_matrix
 from .synth import write_synthetic
-from .training import evaluate_model
+from .training import NegativeSamplingError, evaluate_model
 from .training import train as run_training
 
 EXIT_OK = 0
@@ -67,6 +69,16 @@ def _load_graph(cfg: RunConfig):
                              attributes_path=cfg.attributes or None)
 
 
+def _split(cfg: RunConfig, graph):
+    """The run's train/test split; refuses one that holds out no edge."""
+    split = split_train_test(graph, cfg.ratio, cfg.seed)
+    if split.test_edges[0].shape[0] == 0:
+        raise UsageError(f"ratio {cfg.ratio} holds out none of the "
+                         f"{graph.edge_count(cfg.target)} target edges, so "
+                         f"there are no test users; lower ratio")
+    return split
+
+
 def _config_text(cfg: RunConfig) -> str:
     lines = []
     for f in fields(RunConfig):
@@ -105,7 +117,7 @@ def _write_metrics_csv(history, path):
 def cmd_train(args) -> int:
     cfg = _make_config(args)
     graph = _load_graph(cfg)
-    split = split_train_test(graph, cfg.ratio, cfg.seed)
+    split = _split(cfg, graph)
     out_dir = cfg.out_dir()
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.txt"))
@@ -165,7 +177,7 @@ def cmd_evaluate(args) -> int:
     if diff:
         sys.stderr.write("checkpoint/config mismatch:\n  " + "\n  ".join(diff) + "\n")
         return EXIT_USAGE
-    split = split_train_test(graph, cfg.ratio, cfg.seed)
+    split = _split(cfg, graph)
 
     backend.set_workers(cfg.workers)
     model = DualChannelModel(training_graph(graph, split), cfg)
@@ -242,8 +254,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ConfigError, SchemaError, ParseError, CheckpointError,
-            FileNotFoundError) as exc:
+    except (UsageError, ConfigError, SchemaError, ParseError, SplitError,
+            NegativeSamplingError, CheckpointError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except TrainingAbort as exc:

@@ -34,6 +34,10 @@ class SchemaError(ValueError):
     """Relation schema violation (unknown relation, bad ordering, ...)."""
 
 
+class SplitError(ValueError):
+    """The target relation has no edges to split into train and test."""
+
+
 @dataclass(frozen=True)
 class RelationSchema:
     """The relation vocabulary, the prediction target, and the chain order."""
@@ -290,7 +294,8 @@ def split_train_test(graph: MultiplexBipartiteGraph, ratio: float,
     u, v = graph.edges[target]
     m = u.shape[0]
     if m == 0:
-        raise ValueError("graph has no target-relation edges to split")
+        raise SplitError(f"graph has no target-relation edges to split "
+                         f"(no {target!r} lines)")
     rng = stream_rng(seed, "split")
     perm = rng.permutation(m)
     n_train = int(round(ratio * m))

@@ -171,6 +171,94 @@ class TestSpmm:
         np.testing.assert_allclose(dense_t, dense.T)
 
 
+class TestAccumulation:
+    """Row-sparse gather gradients and in-place accumulation in backward."""
+
+    IDX = ([0, 2, 2, 5], [2, 3, 0], [5, 5, 1, 2, 0])
+
+    def _three_gathers_and_dense(self, table, coeffs, dense_coeff):
+        out = ad.asum(ad.mul(table, dense_coeff))
+        for idx, c in zip(self.IDX, coeffs):
+            out = ad.add(ad.asum(ad.mul(ad.gather(table, idx), c)), out)
+        return out
+
+    def test_repeated_gathers_match_fd_and_add_at(self):
+        x = RNG.normal(size=(6, 3))
+        coeffs = [RNG.normal(size=(len(i), 3)) for i in self.IDX]
+        dense_coeff = RNG.normal(size=(6, 3))
+        expected = dense_coeff.copy()
+        for idx, c in zip(self.IDX, coeffs):
+            np.add.at(expected, idx, c)
+        var = ad.Var(x.copy())
+        ad.backward(self._three_gathers_and_dense(var, coeffs, dense_coeff))
+        np.testing.assert_allclose(var.grad, expected, rtol=0, atol=1e-12)
+        check_op(lambda v: self._three_gathers_and_dense(v, coeffs, dense_coeff), x)
+        # gathered from an intermediate node, the joined rows flow on
+        scale = RNG.normal(size=(6, 3))
+        var = ad.Var(x.copy())
+        ad.backward(self._three_gathers_and_dense(ad.mul(var, scale), coeffs,
+                                                  dense_coeff))
+        np.testing.assert_allclose(var.grad, expected * scale, rtol=0, atol=1e-12)
+        # gathers only: the leaf's gradient is the scatter alone
+        var = ad.Var(x.copy())
+        ad.backward(self._three_gathers_and_dense(var, coeffs, np.zeros((6, 3))))
+        np.testing.assert_allclose(var.grad, expected - dense_coeff,
+                                   rtol=0, atol=1e-12)
+
+    def test_add_of_a_node_with_itself(self):
+        x = ad.Var(RNG.normal(size=(2, 3)))
+        c = RNG.normal(size=(2, 3))
+        s = ad.add(x, x)
+        ad.backward(ad.asum(ad.mul(s, c)))
+        np.testing.assert_array_equal(s.grad, c)
+        np.testing.assert_array_equal(x.grad, c + c)
+
+    def test_add_of_a_reshape_and_its_source(self):
+        x = ad.Var(RNG.normal(size=(3,)))
+        c = RNG.normal(size=(1, 3))
+        d = RNG.normal(size=(3,))
+        s = ad.add(ad.reshape(x, (1, 3)), x)
+        out = ad.add(ad.asum(ad.mul(s, c)), ad.asum(ad.mul(x, d)))
+        ad.backward(out)
+        np.testing.assert_array_equal(s.grad, c)
+        np.testing.assert_allclose(x.grad, 2 * c[0] + d, rtol=0, atol=1e-15)
+
+    def test_passed_through_gradient_is_not_written(self):
+        # add hands its own g to both parents; x then gets two more
+        # contributions, none of which may land in z's or y's gradient
+        x = ad.Var(RNG.normal(size=(4,)))
+        c = RNG.normal(size=(4,))
+        d = RNG.normal(size=(4,))
+        y = ad.add(x, x)
+        z = ad.add(y, x)
+        ad.backward(ad.add(ad.asum(ad.mul(z, c)), ad.asum(ad.mul(y, d))))
+        np.testing.assert_array_equal(z.grad, c)
+        np.testing.assert_allclose(y.grad, c + d, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(x.grad, 3 * c + 2 * d, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("use_rows", [False, True])
+    @pytest.mark.parametrize("f32_first", [False, True])
+    @pytest.mark.parametrize("dense_dtype", [np.float32, np.float64])
+    def test_float32_gradients_keep_numpy_promotion(self, use_rows, f32_first,
+                                                    dense_dtype):
+        # take_diag's backward casts to its input's dtype, so a float32
+        # table gets float32 contributions through it even under a float64
+        # seed; with one float64 contribution numpy promotes the sum
+        t = ad.Var(RNG.normal(size=(6, 3)).astype(np.float32))
+        part = ad.gather(t, [0, 2, 2, 5]) if use_rows else t
+        f32_branch = ad.asum(ad.mul(ad.take_diag(ad.matmul(part, ad.transpose(part))),
+                                    np.ones(ad.val(part).shape[0], np.float32)))
+        dense_branch = ad.asum(ad.mul(t, np.ones((6, 3), dense_dtype)))
+        out = (ad.add(f32_branch, dense_branch) if f32_first
+               else ad.add(dense_branch, f32_branch))
+        ad.backward(out)
+        assert t.grad.dtype == dense_dtype
+        w = ad.Var(RNG.normal(size=(6,)).astype(np.float32))  # 1-D gather
+        ad.backward(ad.asum(ad.mul(ad.gather(w, [1, 1, 4]),
+                                   np.ones(3, dtype=dense_dtype))))
+        assert w.grad.dtype == dense_dtype
+
+
 def test_backward_accumulates_shared_nodes():
     x = ad.Var(np.asarray([2.0, 3.0]))
     y = ad.mul(x, x)          # x^2

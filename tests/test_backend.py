@@ -66,6 +66,27 @@ def test_grad_and_scatter_paths_agree():
                                rtol=1e-13, atol=1e-13)
 
 
+B = backend.GRAD_VALS_BLOCK
+
+
+@pytest.mark.parametrize("nnz", [0, 5, B, B + 1, 3 * B + 17])
+@pytest.mark.parametrize("g_dtype,x_dtype", [(np.float64, np.float64),
+                                             (np.float32, np.float32),
+                                             (np.float32, np.float64)])
+def test_spmm_grad_vals_blocks_match_one_einsum(nnz, g_dtype, x_dtype):
+    # the blocked kernel is bit-equal to one einsum over every edge, on
+    # either side of each block boundary, in the promoted dtype
+    rng = np.random.default_rng(nnz)
+    n, d = 300, 64
+    rows = np.sort(rng.integers(0, n, size=nnz))
+    cols = rng.integers(0, n, size=nnz)
+    g = rng.normal(size=(n, d)).astype(g_dtype)
+    x = rng.normal(size=(n, d)).astype(x_dtype)
+    out = backend.spmm_grad_vals(rows, cols, g, x)
+    assert out.dtype == np.result_type(g, x)
+    np.testing.assert_array_equal(out, np.einsum("ij,ij->i", g[rows], x[cols]))
+
+
 def test_spmm_handles_empty_rows_and_matrix():
     # trailing and interior empty rows, then a matrix with no entries at all
     struct = build_struct(6, np.asarray([0]), np.asarray([3]))

@@ -153,6 +153,60 @@ class TestTrain:
                        "--out", str(tmp_path / "x")) == 2
 
 
+def write_tsv(path, lines):
+    path.write_text("".join("\t".join(line.split()) + "\n" for line in lines))
+    return path
+
+
+# 3 buy edges: ratio 0.9 keeps round(2.7) = 3 for training, holds out none
+THREE_BUYS = ["u0 i0 view", "u0 i1 view", "u1 i1 view", "u1 i2 view",
+              "u2 i0 view", "u0 i0 cart", "u1 i1 cart",
+              "u0 i0 buy", "u1 i1 buy", "u2 i2 buy"]
+
+
+class TestDataErrors:
+    """Data the run cannot use ends with a one-line message and an exit code."""
+
+    def one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_no_target_edges_exits_one(self, tmp_path, capsys):
+        data = write_tsv(tmp_path / "d.tsv", ["u0 i0 view", "u1 i1 cart"])
+        assert run_cli("train", "--data", str(data),
+                       "--out", str(tmp_path / "x")) == 1
+        assert "no target-relation edges" in self.one_line_error(capsys)
+
+    def test_user_with_every_item_exits_one(self, tmp_path, capsys):
+        # with seed 0 the held-out buy edge is not u0's, so u0's training
+        # positives cover both items and no negative exists for u0
+        data = write_tsv(tmp_path / "d.tsv",
+                         ["u0 i0 view", "u0 i1 view", "u0 i0 buy", "u0 i1 buy",
+                          "u1 i0 buy", "u2 i1 buy"])
+        assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "x"),
+                       "--dim", "4", "--epochs", "1", "--ratio", "0.75",
+                       "--seed", "0") == 1
+        assert "no negative item" in self.one_line_error(capsys)
+
+    def test_split_with_no_test_users_exits_one(self, tmp_path, capsys):
+        data = write_tsv(tmp_path / "d.tsv", THREE_BUYS)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", str(data), "--out", str(out),
+                       "--ratio", "0.9", "--dim", "4", "--epochs", "1") == 1
+        err = self.one_line_error(capsys)
+        assert "ratio 0.9" in err and "3 target edges" in err
+        assert not (out / "metrics.jsonl").exists()
+        # evaluate refuses the same split of a checkpoint trained at 0.5
+        assert run_cli("train", "--data", str(data), "--out", str(out),
+                       "--ratio", "0.5", "--dim", "4", "--epochs", "1") == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(data), "--ratio", "0.9",
+                       "--checkpoint", str(out / "best.npz")) == 1
+        err = self.one_line_error(capsys)
+        assert "ratio 0.9" in err and "3 target edges" in err
+
+
 class TestEvaluate:
     @pytest.fixture
     def run_dir(self, synth_file, tmp_path):

@@ -132,6 +132,41 @@ class TestAdam:
         for k in a.tensors:
             np.testing.assert_array_equal(a.tensors[k], b.tensors[k])
 
+    def test_matches_textbook_update_bitwise(self):
+        # every step equals Adam written out in the order of its formulas,
+        # for a matrix spanning several row blocks, a 0-d parameter (like
+        # enc_chain.b) and a float32 parameter whose gradient is float64
+        from chainrec.model import ModelParams
+        from chainrec.training import ADAM_BLOCK_ROWS
+        rng = np.random.default_rng(11)
+        rows = 2 * ADAM_BLOCK_ROWS + 3
+        start = {"w": rng.normal(size=(rows, 3)), "b": np.asarray(0.4),
+                 "h": rng.normal(size=(4,)).astype(np.float32)}
+        params = ModelParams({k: v.copy() for k, v in start.items()})
+        state = AdamState.init(params)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        ref = {k: v.copy() for k, v in start.items()}
+        m = {k: np.zeros_like(v) for k, v in start.items()}
+        v = {k: np.zeros_like(x) for k, x in start.items()}
+        for t in range(1, 5):
+            grads = {"w": rng.normal(size=(rows, 3)),
+                     "b": np.asarray(rng.normal()) if t % 2 else np.float64(rng.normal()),
+                     "h": rng.normal(size=(4,))}
+            adam_step(params, grads, state, lr)
+            for k, g in grads.items():
+                dtype = ref[k].dtype
+                m[k] = (b1 * m[k] + (1.0 - b1) * g).astype(dtype)
+                v[k] = (b2 * v[k] + (1.0 - b2) * g * g).astype(dtype)
+                m_hat = m[k] / (1.0 - b1 ** t)
+                v_hat = v[k] / (1.0 - b2 ** t)
+                ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert state.t == t
+            for k in ref:
+                assert params.tensors[k].dtype == ref[k].dtype
+                np.testing.assert_array_equal(params.tensors[k], ref[k])
+                np.testing.assert_array_equal(state.m[k], m[k])
+                np.testing.assert_array_equal(state.v[k], v[k])
+
     def test_nonfinite_gradient_aborts(self, tiny_setup):
         _, _, model, params, _, _ = tiny_setup
         grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
