@@ -14,22 +14,6 @@ def numba_enabled() -> bool:
     return False
 
 
-def set_workers(n: int) -> None:
-    """Limit BLAS threads to ``n`` where ``threadpoolctl`` imports.
-
-    Where it does not import, this does nothing.  scipy's CSR product is
-    single-threaded either way, so ``n`` never changes ``spmm``; it only
-    bounds the dense BLAS calls (matmul) when ``threadpoolctl`` is present.
-    """
-    if n < 1:
-        return
-    try:
-        import threadpoolctl
-    except ImportError:
-        return
-    threadpoolctl.threadpool_limits(limits=n, user_api="blas")
-
-
 def spmm(indptr, cols, vals, x):
     """y[i] = sum over CSR row i of vals[k] * x[cols[k]], in ``x.dtype``."""
     a = sp.csr_matrix((vals, cols, indptr), shape=(indptr.shape[0] - 1, x.shape[0]))

@@ -24,10 +24,6 @@ class RelationChain:
     source_mask: PatternMask
 
     @property
-    def length(self) -> int:
-        return len(self.relations)
-
-    @property
     def num_steps(self) -> int:
         """Transforms per side: one per adjacent relation pair."""
         return len(self.relations) - 1
@@ -65,7 +61,7 @@ def chain_forward(chain: RelationChain, first_relation_table,
 
     Step 1 is the relation-specific table of the chain's first relation;
     step j+1 applies the j-th user/item transforms rowwise. Returns the
-    list of all ``chain.length`` step tables.
+    list of all ``len(chain.relations)`` step tables.
     """
     if len(w_user) != chain.num_steps or len(w_item) != chain.num_steps:
         raise ValueError(f"chain {chain.label()} needs {chain.num_steps} "

@@ -2,9 +2,9 @@
 
 Every RunConfig key is exposed as a same-named flag (dashes for
 underscores); a flag wins over the config file. Exit codes: 0 success,
-1 usage, config or data error (including data with no target edges, a
-split with no test edge, and a user with no item left to sample as a
-negative), 2 runtime abort.
+1 usage, config or data error (including an unknown flag, data with no
+target edges, a split with no test edge, and a user with no item left to
+sample as a negative), 2 runtime abort.
 """
 
 import argparse
@@ -13,7 +13,6 @@ import os
 import sys
 from dataclasses import fields
 
-from . import backend
 from .checkpoint import (CheckpointError, compatibility_diff, load_checkpoint,
                          save_checkpoint)
 from .chains import enumerate_chains
@@ -31,6 +30,10 @@ from .training import train as run_training
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+
+# keys that configs embedded in older checkpoints carry but that no longer
+# exist; evaluate drops them so those checkpoints stay usable
+RETIRED_KEYS = ("attributes", "workers")
 
 
 class UsageError(Exception):
@@ -65,8 +68,7 @@ def _load_graph(cfg: RunConfig):
     if not os.path.exists(cfg.data):
         raise UsageError(f"dataset file not found: {cfg.data}")
     schema = make_schema(cfg.relations, cfg.target, cfg.schema_order)
-    return load_interactions(cfg.data, schema,
-                             attributes_path=cfg.attributes or None)
+    return load_interactions(cfg.data, schema)
 
 
 def _split(cfg: RunConfig, graph):
@@ -170,7 +172,9 @@ def cmd_evaluate(args) -> int:
     if not pre.checkpoint:
         raise UsageError("evaluate needs --checkpoint")
     ckpt = load_checkpoint(pre.checkpoint)
-    base_values = parse_config_text(ckpt["config_text"], origin="<checkpoint>")
+    kept = [line for line in ckpt["config_text"].splitlines()
+            if line.partition("=")[0].strip() not in RETIRED_KEYS]
+    base_values = parse_config_text("\n".join(kept), origin="<checkpoint>")
     cfg = _make_config(args, base_values=base_values)
     graph = _load_graph(cfg)
     diff = compatibility_diff(ckpt["meta"], _checkpoint_meta(cfg, graph))
@@ -179,7 +183,6 @@ def cmd_evaluate(args) -> int:
         return EXIT_USAGE
     split = _split(cfg, graph)
 
-    backend.set_workers(cfg.workers)
     model = DualChannelModel(training_graph(graph, split), cfg)
     result = evaluate_model(model, ckpt["params"], graph, split, cfg.ks)
     groups = sparsity_groups(result, model.graph, split)
@@ -251,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.fn(args)
     except (UsageError, ConfigError, SchemaError, ParseError, SplitError,
             NegativeSamplingError, CheckpointError, FileNotFoundError) as exc:

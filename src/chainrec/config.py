@@ -18,7 +18,6 @@ class ConfigError(ValueError):
 class RunConfig:
     # data / schema
     data: str = ""
-    attributes: str = ""
     relations: tuple = ("view", "cart", "buy")
     target: str = "buy"
     order: tuple = ()          # canonical chain order; empty = aux order + target
@@ -57,7 +56,6 @@ class RunConfig:
     chain_order: tuple = ()         # study override; may place target mid-chain
 
     # runtime
-    workers: int = 1            # BLAS thread cap, applied only if threadpoolctl imports
     dtype: str = "float64"
     checkpoint: str = ""
     resume: str = ""

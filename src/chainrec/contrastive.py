@@ -15,26 +15,13 @@ from .chains import RelationChain
 
 log = logging.getLogger(__name__)
 
-# rows with zero norm are scored as similarity 0; occurrences are counted
-# here so callers can detect degenerate embeddings
-_zero_norm_events = 0
-
-
-def zero_norm_count() -> int:
-    return _zero_norm_events
-
-
-def reset_zero_norm_count() -> None:
-    global _zero_norm_events
-    _zero_norm_events = 0
-
 
 def _note_zero_rows(rows) -> None:
-    global _zero_norm_events
+    """Warn with the count of zero-norm rows, which are scored as
+    similarity 0, so degenerate embeddings show in the log."""
     v = ad.val(rows)
     n_zero = int(np.count_nonzero(np.einsum("ij,ij->i", v, v) == 0.0))
     if n_zero:
-        _zero_norm_events += n_zero
         log.warning("contrastive batch contains %d zero-norm embedding rows "
                     "(scored as similarity 0)", n_zero)
 
@@ -59,11 +46,6 @@ def infonce_terms(anchor_table, other_table, users, tau: float):
     return ad.add(ad.logsumexp_rows(sims), ad.mul(ad.take_diag(sims), -1.0))
 
 
-def infonce_loss(anchor_table, other_table, users, tau: float):
-    """Batch-summed InfoNCE between two relation-specific tables."""
-    return ad.asum(infonce_terms(anchor_table, other_table, users, tau))
-
-
 def chain_knowledge(chain: RelationChain, rcl_losses: dict, e_c_rows,
                     e_final_rows, mu: float, target: str):
     """Per-user chain feature: the chain's auxiliary contrastive losses
@@ -76,11 +58,7 @@ def chain_knowledge(chain: RelationChain, rcl_losses: dict, e_c_rows,
         if r not in rcl_losses:
             raise KeyError(f"missing contrastive loss for auxiliary relation {r!r}")
         total = rcl_losses[r] if total is None else ad.add(total, rcl_losses[r])
-    shape = ad.val(e_c_rows).shape
-    if total is None:  # chain of target only cannot occur (length >= 2)
-        block = np.zeros(shape)
-    else:
-        block = ad.fill(ad.mul(total, mu), shape)
+    block = ad.fill(ad.mul(total, mu), ad.val(e_c_rows).shape)
     return ad.concat([block, e_c_rows, e_final_rows], axis=1)
 
 

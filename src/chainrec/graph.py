@@ -66,9 +66,6 @@ class RelationSchema:
     def num_relations(self) -> int:
         return len(self.relations)
 
-    def index(self, relation: str) -> int:
-        return self.relations.index(relation)
-
     @property
     def target_index(self) -> int:
         return self.relations.index(self.target)
@@ -99,7 +96,6 @@ class MultiplexBipartiteGraph:
     edges: dict
     user_ids: list = field(default_factory=list)
     item_ids: list = field(default_factory=list)
-    node_attributes: object = None  # accepted on load, unused by the model
     _adj_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -132,13 +128,6 @@ class MultiplexBipartiteGraph:
             self._adj_cache[relation] = build_struct(self.num_nodes, u, v)
         return self._adj_cache[relation]
 
-    def degree(self, relation: str, node: int) -> int:
-        """Number of neighbors of a node (user or item) under one relation."""
-        u, v = self.edges[relation]
-        if node < self.num_users:
-            return int(np.count_nonzero(u == node))
-        return int(np.count_nonzero(v == node))
-
 
 def _empty_edges():
     return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -152,12 +141,7 @@ def _canonical_edges(pairs) -> tuple:
     return arr[:, 0], arr[:, 1]
 
 
-def degree(graph: MultiplexBipartiteGraph, relation: str, node: int) -> int:
-    return graph.degree(relation, node)
-
-
-def load_interactions(path, schema: RelationSchema,
-                      attributes_path=None) -> MultiplexBipartiteGraph:
+def load_interactions(path, schema: RelationSchema) -> MultiplexBipartiteGraph:
     """Parse a TSV interaction file into a multiplex bipartite graph.
 
     Line format: ``user_id<TAB>item_id<TAB>relation_name``; extra trailing
@@ -194,26 +178,9 @@ def load_interactions(path, schema: RelationSchema,
         u, v = _canonical_edges(raw[r])
         edges[r] = (u, v + num_users)
 
-    attrs = None
-    if attributes_path is not None and os.path.exists(attributes_path):
-        attrs = _load_attributes(attributes_path)
-
     return MultiplexBipartiteGraph(schema=schema, num_users=num_users,
                                    num_items=num_items, edges=edges,
-                                   user_ids=user_ids, item_ids=item_ids,
-                                   node_attributes=attrs)
-
-
-def _load_attributes(path):
-    """Optional per-node attribute vectors; parsed but never consumed."""
-    table = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 2:
-                continue
-            table[parts[0]] = np.asarray([float(x) for x in parts[1:]])
-    return table
+                                   user_ids=user_ids, item_ids=item_ids)
 
 
 def save_graph(graph: MultiplexBipartiteGraph, out_dir) -> None:

@@ -16,7 +16,7 @@ from .chains import (chain_embedding, chain_forward, enumerate_chains,
                      final_embedding)
 from .config import RunConfig
 from .graph import MultiplexBipartiteGraph, stream_rng
-from .sparse import sym_norm_values
+from .sparse import SparseMatrix, sym_norm_values
 
 
 class TrainingAbort(RuntimeError):
@@ -32,9 +32,6 @@ class ModelParams:
     """Every learnable tensor, keyed by name; optimizer state mirrors keys."""
 
     tensors: dict
-
-    def names(self):
-        return list(self.tensors.keys())
 
     def as_vars(self) -> dict:
         return {k: ad.Var(v) for k, v in self.tensors.items()}
@@ -54,6 +51,19 @@ def xavier(rng, shape) -> np.ndarray:
     fan_out = shape[1] if len(shape) > 1 else 1
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
+
+
+def bpr(table, users, pos, neg, per_user_w=None):
+    """BPR ranking loss: the sum over triples of -ln sigmoid(y_up - y_un),
+    scores being row dot products in ``table``; ``per_user_w`` weights each
+    triple's term."""
+    yu = ad.gather(table, users)
+    yp = ad.rowdot(yu, ad.gather(table, pos))
+    yn = ad.rowdot(yu, ad.gather(table, neg))
+    terms = ad.softplus(ad.add(yn, ad.mul(yp, -1.0)))
+    if per_user_w is not None:
+        terms = ad.mul(terms, per_user_w)
+    return ad.asum(terms)
 
 
 @dataclass
@@ -84,8 +94,9 @@ class DualChannelModel:
         self.counts = patterns.pattern_count_matrix(self.bbps).astype(self.dtype)
         self.chains = enumerate_chains(self.schema,
                                        cfg.chain_order if cfg.chain_order else None)
-        self.rel_adj = {r: (graph.adjacency(r),
-                            sym_norm_values(graph.adjacency(r), dtype=self.dtype))
+        self.rel_adj = {r: SparseMatrix(graph.adjacency(r),
+                                        sym_norm_values(graph.adjacency(r),
+                                                        dtype=self.dtype))
                         for r in self.schema.relations}
 
     # ------------------------------------------------------------------
@@ -144,16 +155,9 @@ class DualChannelModel:
         h_glo = patterns.propagate_global_factored(b_mat, self._base(p, "global"),
                                                    cfg.layers, mode=cfg.glo_norm)
 
-        rel_tables = {}
         base_rel = self._base(p, "relation")
-        for r in self.schema.relations:
-            struct, vals = self.rel_adj[r]
-            h = base_rel
-            acc = base_rel
-            for _ in range(cfg.layers):
-                h = ad.spmm(struct, vals, h)
-                acc = ad.add(acc, h)
-            rel_tables[r] = acc
+        rel_tables = {r: relations.lightgcn_propagate(adj, base_rel, cfg.layers)
+                      for r, adj in self.rel_adj.items()}
 
         if rows is None:
             n_user_rows = self.num_users
@@ -195,15 +199,6 @@ class DualChannelModel:
     # ------------------------------------------------------------------
     # loss
     # ------------------------------------------------------------------
-
-    def _bpr_core(self, table, users, pos, neg, per_user_w=None):
-        yu = ad.gather(table, users)
-        yp = ad.rowdot(yu, ad.gather(table, pos))
-        yn = ad.rowdot(yu, ad.gather(table, neg))
-        terms = ad.softplus(ad.add(yn, ad.mul(yp, -1.0)))  # -ln sigmoid(yp - yn)
-        if per_user_w is not None:
-            terms = ad.mul(terms, per_user_w)
-        return ad.asum(terms)
 
     def _reg(self, p, users, pos, neg, extra=()):
         """lambda * ||theta||^2 over the batch's base rows + extra tensors."""
@@ -264,7 +259,7 @@ class DualChannelModel:
                                                     cfg.mu_scale, target)
                 raw = contrastive.encode_weight(feats, p["enc_chain.w"],
                                                 p["enc_chain.b"], cfg.leaky_slope)
-                core = self._bpr_core(table, cu_c, cp_c, cn_c, per_user_w=raw)
+                core = bpr(table, cu_c, cp_c, cn_c, per_user_w=raw)
                 chain_losses.append(ad.add(core, reg))
             else:
                 feats = contrastive.chain_knowledge(chain, rcl_losses, e_c_rows,
@@ -272,8 +267,7 @@ class DualChannelModel:
                 raw = contrastive.encode_weight(feats, p["enc_chain.w"],
                                                 p["enc_chain.b"], cfg.leaky_slope)
                 chain_raw_w.append(ad.amean(raw))
-                chain_losses.append(ad.add(self._bpr_core(table, cu_c, cp_c, cn_c),
-                                           reg))
+                chain_losses.append(ad.add(bpr(table, cu_c, cp_c, cn_c), reg))
 
         loss_chains = None
         if chain_losses:
@@ -310,8 +304,7 @@ class DualChannelModel:
                 loss_rcl = ad.asum(ad.mul(w_rel, ad.stack_scalars(rel_losses)))
 
         # final ranking loss on the fused table
-        loss_final = ad.add(self._bpr_core(emb["final"], bu_c, at(batch.pos),
-                                           at(batch.neg)),
+        loss_final = ad.add(bpr(emb["final"], bu_c, at(batch.pos), at(batch.neg)),
                             self._reg(p, bu, batch.pos, batch.neg))
 
         total = ad.mul(loss_final, cfg.mu2)

@@ -31,9 +31,6 @@ class PatternMask:
     def signature(self) -> int:
         return sum(b << r for r, b in enumerate(self.bits))
 
-    def label(self, schema: RelationSchema) -> str:
-        return "&".join(rel for rel, b in zip(schema.relations, self.bits) if b)
-
     def relations(self, schema: RelationSchema) -> tuple:
         return tuple(rel for rel, b in zip(schema.relations, self.bits) if b)
 
@@ -60,14 +57,6 @@ class BehaviorPatternMatrix:
     def edge_count(self) -> int:
         return int(self.u.shape[0])
 
-    def keys(self) -> np.ndarray:
-        return self.u * np.int64(self.num_nodes) + self.v
-
-    def contains(self, u: int, v: int) -> bool:
-        key = u * np.int64(self.num_nodes) + v
-        i = np.searchsorted(self.keys(), key)
-        return bool(i < self.edge_count and self.keys()[i] == key)
-
 
 def build_bbp_matrix(graph: MultiplexBipartiteGraph,
                      mask: PatternMask) -> BehaviorPatternMatrix:
@@ -89,33 +78,6 @@ def build_bbp_matrix(graph: MultiplexBipartiteGraph,
 
 def build_all_bbps(graph: MultiplexBipartiteGraph):
     return [build_bbp_matrix(graph, m) for m in enumerate_patterns(graph.schema)]
-
-
-@dataclass
-class PatternWeights:
-    """Learnable per-pattern logits: softmax(local) weights the pattern
-    adjacencies, softplus(global) scales the pattern-count columns."""
-
-    local_logits: np.ndarray
-    global_logits: np.ndarray
-
-    def __post_init__(self):
-        self.local_logits = np.asarray(self.local_logits)
-        self.global_logits = np.asarray(self.global_logits)
-        if self.local_logits.shape != self.global_logits.shape:
-            raise ValueError("local and global logits must have one entry "
-                             "per pattern")
-        if not (np.all(np.isfinite(self.local_logits))
-                and np.all(np.isfinite(self.global_logits))):
-            raise ValueError("pattern logits must be finite")
-
-
-def _local_logits(weights):
-    return weights.local_logits if isinstance(weights, PatternWeights) else weights
-
-
-def _global_logits(weights):
-    return weights.global_logits if isinstance(weights, PatternWeights) else weights
 
 
 @dataclass(frozen=True)
@@ -149,13 +111,13 @@ def pattern_union(bbps) -> PatternUnion:
     return PatternUnion(struct, edge_pid)
 
 
-def local_adjacency(union: PatternUnion, weights,
+def local_adjacency(union: PatternUnion, logits,
                     normalize=True) -> SparseMatrix:
     """Per-edge weights softmax(logits)[owning pattern], then symmetric
     degree normalization (skipped when ``normalize`` is False, the literal
     unnormalized form). Zero-degree rows stay zero."""
     struct = union.struct
-    w = ad.softmax(_local_logits(weights))
+    w = ad.softmax(logits)
     edge_w = ad.gather(w, union.edge_pattern)
     if not normalize:
         return SparseMatrix(struct, edge_w)
@@ -164,12 +126,6 @@ def local_adjacency(union: PatternUnion, weights,
     vals = ad.mul(ad.mul(edge_w, ad.gather(inv, struct.rows)),
                   ad.gather(inv, struct.cols))
     return SparseMatrix(struct, vals)
-
-
-def aggregate_local(bbps, weights, normalize=True) -> SparseMatrix:
-    """Softmax-weighted sum of the pattern matrices as one sparse matrix
-    (each interacting pair carries its unique pattern's weight)."""
-    return local_adjacency(pattern_union(bbps), weights, normalize)
 
 
 def propagate_local(adj: SparseMatrix, base, num_layers: int):
@@ -197,55 +153,12 @@ def pattern_count_matrix(bbps) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def build_global_matrix(bbps, weights):
-    """Pattern-count matrix with softplus-positive learnable column scales."""
-    counts = pattern_count_matrix(bbps)
-    return ad.mul(counts, ad.softplus(_global_logits(weights)))
-
-
-def build_global_similarity(b_matrix, mode="row", top_k=None):
-    """Dense pattern-similarity matrix norm(B B^T).
-
-    ``mode='row'`` divides each row by its sum (rows of zeros stay zero);
-    ``mode='sym'`` applies 1/sqrt(rowsum) on both sides. ``top_k`` keeps
-    only the k largest entries per row before normalizing (ndarray path
-    only; for explicit similarity matrices on large graphs).
-    """
-    s = ad.matmul(b_matrix, ad.transpose(b_matrix))
-    if top_k is not None:
-        if isinstance(s, ad.Var):
-            raise ValueError("top_k sparsification is not differentiable")
-        n = s.shape[0]
-        if top_k < n:
-            drop = np.argpartition(-s, top_k - 1, axis=1)[:, top_k:]
-            s = s.copy()
-            np.put_along_axis(s, drop, 0.0, axis=1)
-    if mode == "row":
-        rowsum = ad.asum(s, axis=1)
-        inv = ad.reshape(ad.reciprocal_safe(rowsum), (-1, 1))
-        return ad.mul(s, inv)
-    if mode == "sym":
-        rowsum = ad.asum(s, axis=1)
-        inv = ad.rsqrt_safe(rowsum)
-        return ad.mul(ad.mul(s, ad.reshape(inv, (-1, 1))), inv)
-    raise ValueError(f"unknown normalization mode {mode!r}")
-
-
-def propagate_global(adj_glo, base, num_layers: int):
-    """L rounds of dense similarity propagation; returns the final layer only."""
-    if num_layers < 1:
-        raise ValueError("need at least one propagation layer")
-    h = base
-    for _ in range(num_layers):
-        h = ad.matmul(adj_glo, h)
-    return h
-
-
 def propagate_global_factored(b_matrix, base, num_layers: int, mode="row"):
-    """Same result as propagate_global(build_global_similarity(B), ...)
-    computed as B (B^T h) per layer, so the N x N similarity matrix is
-    never materialized. The normalizer is folded into a pre-scaled copy of
-    B once per call rather than rescaling the N x d table every layer."""
+    """L rounds of propagation through norm(B B^T), row-normalized
+    (``mode='row'``) or 1/sqrt(rowsum) on both sides (``'sym'``); zero rows
+    stay zero and the final layer is returned. Each layer is B (B^T h), so
+    the N x N similarity matrix is never materialized, and the normalizer
+    is folded into a pre-scaled copy of B once per call."""
     if num_layers < 1:
         raise ValueError("need at least one propagation layer")
     col_tot = ad.asum(b_matrix, axis=0)

@@ -7,27 +7,19 @@ included), and the multi-relation table is the sum over relations.
 """
 
 from . import autodiff as ad
-from .graph import MultiplexBipartiteGraph
-from .sparse import sym_norm_values
+from .sparse import SparseMatrix
 
 
-def normalized_adjacency(graph: MultiplexBipartiteGraph, relation: str):
-    """Constant CSR structure + 1/sqrt(deg_u deg_v) edge values."""
-    struct = graph.adjacency(relation)
-    return struct, sym_norm_values(struct)
-
-
-def lightgcn_propagate(graph: MultiplexBipartiteGraph, relation: str,
-                       base, num_layers: int):
-    """Sum of layers 0..L of degree-normalized propagation under one
-    relation. Isolated nodes keep their layer-0 row."""
+def lightgcn_propagate(adj: SparseMatrix, base, num_layers: int):
+    """Sum of layers 0..L of propagation through ``adj``, one relation's
+    CSR structure with its 1/sqrt(deg_u deg_v) edge values. Isolated nodes
+    keep their layer-0 row."""
     if num_layers < 1:
         raise ValueError("need at least one propagation layer")
-    struct, vals = normalized_adjacency(graph, relation)
     h = base
     acc = base
     for _ in range(num_layers):
-        h = ad.spmm(struct, vals, h)
+        h = ad.spmm(adj.struct, adj.values, h)
         acc = ad.add(acc, h)
     return acc
 

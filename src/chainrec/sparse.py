@@ -59,11 +59,3 @@ class SparseMatrix:
 
     struct: CSRStruct
     values: object
-
-    def toarray(self) -> np.ndarray:
-        """Dense copy; for tests and small graphs only."""
-        from .autodiff import val
-
-        out = np.zeros((self.struct.n, self.struct.n))
-        out[self.struct.rows, self.struct.cols] = val(self.values)
-        return out

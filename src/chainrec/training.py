@@ -1,6 +1,6 @@
-"""Joint optimization: negative sampling, ranking loss, exact gradients via
-the tape, Adam updates, and the epoch loop with scheduled evaluation and
-early stopping.
+"""Joint optimization: negative sampling, exact gradients of the model's
+objective via the tape, Adam updates, and the epoch loop with scheduled
+evaluation and early stopping.
 """
 
 import logging
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import backend, evaluation
+from . import evaluation
 from .config import RunConfig
 from .graph import (DatasetSplit, MultiplexBipartiteGraph, stream_rng,
                     training_graph)
@@ -42,32 +42,6 @@ def _draw_negative(positives: set, num_users: int, num_items: int,
                            np.asarray(sorted(positives), dtype=np.int64),
                            assume_unique=True)
     return int(allowed[rng.integers(allowed.shape[0])])
-
-
-def sample_negatives(graph: MultiplexBipartiteGraph, split: DatasetSplit,
-                     user: int, context, rng: np.random.Generator,
-                     cap: int = 100) -> int:
-    """One negative item for (user, context).
-
-    ``context`` is either the target relation name (negatives w.r.t. the
-    target training edges) or a RelationChain (negatives w.r.t. the chain's
-    exact-pattern training edges). Convenience surface; the training loop
-    uses the precomputed :class:`TripleSampler`.
-    """
-    from .patterns import build_bbp_matrix
-
-    if isinstance(context, str):
-        if context != graph.schema.target:
-            raise ValueError(f"context relation must be the target, got {context!r}")
-        u, v = split.train_pairs(context)
-    else:
-        tg = training_graph(graph, split)
-        bbp = build_bbp_matrix(tg, context.source_mask)
-        u, v = bbp.u, bbp.v
-    positives = set(int(x) for x in v[u == user])
-    if not positives:
-        raise ValueError(f"user {user} has no positives in this context")
-    return _draw_negative(positives, graph.num_users, graph.num_items, rng, cap)
 
 
 class TripleSampler:
@@ -141,23 +115,8 @@ def _positives_by_user(u: np.ndarray, v: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# losses and gradients
+# gradients
 # ---------------------------------------------------------------------------
-
-def bpr_loss(scores_pos, scores_neg, reg_tensors=(), l2: float = 0.0):
-    """Sum of -ln sigmoid(pos - neg) plus l2 * sum of squared parameters."""
-    if ad.val(scores_pos).shape != ad.val(scores_neg).shape:
-        raise ValueError("score lists must have equal length")
-    out = ad.asum(ad.softplus(ad.add(scores_neg, ad.mul(scores_pos, -1.0))))
-    for t in reg_tensors:
-        out = ad.add(out, ad.mul(ad.sumsq(t), l2))
-    return out
-
-
-def total_loss(model: DualChannelModel, params: ModelParams, batch: TrainBatch):
-    """Objective value + per-term breakdown on the ndarray path."""
-    return model.total_loss(params.tensors, batch)
-
 
 def backward(model: DualChannelModel, params: ModelParams, batch: TrainBatch):
     """Exact gradients of the objective for every parameter tensor."""
@@ -262,7 +221,6 @@ def train(graph: MultiplexBipartiteGraph, split: DatasetSplit, cfg: RunConfig,
           sampler_rng_state: dict = None) -> TrainResult:
     """Run the full optimization; emits one record per epoch (loss
     breakdown) and per evaluation (metrics) through ``record_sink``."""
-    backend.set_workers(cfg.workers)
     model = DualChannelModel(training_graph(graph, split), cfg)
     if params is None:
         params = model.init_params(cfg.seed)

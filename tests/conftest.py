@@ -23,6 +23,11 @@ def random_multiplex_graph(num_users, num_items, relations, edge_prob, seed,
                                    item_ids=[f"i{i}" for i in range(num_items)])
 
 
+def relation_matrix(graph, relation):
+    """One relation's propagation matrix, as DualChannelModel builds it."""
+    return DualChannelModel(graph, RunConfig()).rel_adj[relation]
+
+
 def make_batch(model, split, rng, size=6):
     """Hand-rolled batch: fixed triples for every context, no sampler."""
     tu, tv = split.train_pairs(model.schema.target)

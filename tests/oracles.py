@@ -24,6 +24,63 @@ def sym_normalize(a):
     return a * inv[:, None] * inv[None, :]
 
 
+def dense_matrix(adj):
+    """Dense copy of a SparseMatrix whose values are an ndarray."""
+    out = np.zeros((adj.struct.n, adj.struct.n))
+    out[adj.struct.rows, adj.struct.cols] = adj.values
+    return out
+
+
+def relation_propagation(graph, relation, base, layers):
+    """Sum of layers 0..L of sym-normalized propagation under one relation."""
+    norm = sym_normalize(dense_adjacency(graph, relation))
+    h = base.copy()
+    acc = base.copy()
+    for _ in range(layers):
+        h = norm @ h
+        acc += h
+    return acc
+
+
+def local_propagation(bbps, logits, base, layers):
+    """Mean of layers 1..L through the sym-normalized softmax-weighted sum
+    of the dense pattern matrices."""
+    w = _softmax(logits)
+    m_loc = sym_normalize(sum(w[p] * bbps[p] for p in range(len(bbps))))
+    h = base.copy()
+    acc = np.zeros_like(base)
+    for _ in range(layers):
+        h = m_loc @ h
+        acc += h
+    return acc / layers
+
+
+def build_global_similarity(b_matrix, mode="row"):
+    """Dense pattern-similarity matrix norm(B B^T).
+
+    ``mode='row'`` divides each row by its sum, ``mode='sym'`` applies
+    1/sqrt(rowsum) on both sides; rows of zeros stay zero.
+    """
+    s = b_matrix @ b_matrix.T
+    rowsum = s.sum(axis=1)
+    inv = np.zeros_like(rowsum)
+    if mode == "row":
+        inv[rowsum != 0] = 1.0 / rowsum[rowsum != 0]
+        return s * inv[:, None]
+    if mode == "sym":
+        inv[rowsum > 0] = 1.0 / np.sqrt(rowsum[rowsum > 0])
+        return s * inv[:, None] * inv[None, :]
+    raise ValueError(f"unknown normalization mode {mode!r}")
+
+
+def propagate_global(sim, base, layers):
+    """L rounds of dense similarity propagation; the final layer only."""
+    h = base.copy()
+    for _ in range(layers):
+        h = sim @ h
+    return h
+
+
 def pair_signature(graph, u, v):
     """Bit r set iff relation r connects (u, v)."""
     sig = 0
@@ -90,7 +147,6 @@ def oracle_total_loss(train_graph, cfg, tensors, batch, chains_order=None):
     schema = train_graph.schema
     rels = schema.relations
     n_rel = len(rels)
-    n = train_graph.num_nodes
     n_users = train_graph.num_users
     base = tensors["base"]
     d = base.shape[1]
@@ -99,43 +155,17 @@ def oracle_total_loss(train_graph, cfg, tensors, batch, chains_order=None):
     bbps = dense_bbps(train_graph)
 
     # local channel
-    w = _softmax(tensors["local_logits"])
-    a_loc = sum(w[p] * bbps[p] for p in range(len(bbps)))
-    deg = a_loc.sum(axis=1)
-    inv = np.zeros_like(deg)
-    inv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    m_loc = a_loc * inv[:, None] * inv[None, :]
-    h = base.copy()
-    acc = np.zeros_like(base)
-    for _ in range(layers):
-        h = m_loc @ h
-        acc += h
-    h_loc = acc / layers
+    h_loc = local_propagation(bbps, tensors["local_logits"], base, layers)
 
     # global channel
     counts = np.stack([bbps[p].sum(axis=1) for p in range(len(bbps))], axis=1)
     b_mat = counts * _softplus(tensors["global_logits"])[None, :]
-    s = b_mat @ b_mat.T
-    rowsum = s.sum(axis=1)
-    invr = np.zeros_like(rowsum)
-    invr[rowsum != 0] = 1.0 / rowsum[rowsum != 0]
-    s_norm = s * invr[:, None]
-    h = base.copy()
-    for _ in range(layers):
-        h = s_norm @ h
-    h_glo = h
+    h_glo = propagate_global(build_global_similarity(b_mat), base, layers)
     h_ebp = 0.5 * (h_loc + h_glo)
 
     # per-relation propagation, layers 0..L summed
-    rel_emb = {}
-    for rel in rels:
-        norm = sym_normalize(dense_adjacency(train_graph, rel))
-        h = base.copy()
-        acc = base.copy()
-        for _ in range(layers):
-            h = norm @ h
-            acc += h
-        rel_emb[rel] = acc
+    rel_emb = {rel: relation_propagation(train_graph, rel, base, layers)
+               for rel in rels}
     e_r = sum(rel_emb[rel] for rel in rels)
 
     # chains from masks containing the target with >= 2 relations

@@ -121,7 +121,7 @@ class TestChannelSums:
         table = np.random.default_rng(3).normal(size=(4, 2))
         eye = [np.eye(2)] * 2
         steps = chain_forward(chain, table, eye, eye, 2)
-        np.testing.assert_allclose(chain_embedding([steps]), chain.length * table)
+        np.testing.assert_allclose(chain_embedding([steps]), len(chain.relations) * table)
 
     def test_final_embedding_mean_and_mismatch(self):
         a = np.asarray([[3.0, 0.0]])

@@ -135,6 +135,19 @@ class TestTrain:
         cfg_file.write_text("nonsense_key = 1\n")
         assert run_cli("train", "--config", str(cfg_file)) == 1
 
+    def test_retired_keys_exit_one_naming_the_key(self, synth_file, tmp_path,
+                                                  capsys):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text(f"data = {synth_file}\nworkers = 4\n")
+        cases = [("workers", ["--config", str(cfg_file)]),
+                 ("workers", ["--data", str(synth_file), "--workers", "1"]),
+                 ("attributes", ["--data", str(synth_file), "--attributes", "a.tsv"])]
+        for key, argv in cases:
+            assert run_cli("train", "--out", str(tmp_path / "x"), *argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert key in err
+
     def test_output_root_env_var(self, synth_file, tmp_path, monkeypatch):
         monkeypatch.setenv("CHAINREC_OUT", str(tmp_path / "root"))
         assert run_cli("train", "--data", str(synth_file), "--dim", "4",
@@ -246,6 +259,25 @@ class TestEvaluate:
 
     def test_missing_checkpoint_flag_exits_one(self, synth_file):
         assert run_cli("evaluate", "--data", str(synth_file)) == 1
+
+    def test_checkpoint_with_retired_keys_still_evaluates(self, run_dir, synth_file,
+                                                          tmp_path, capsys):
+        # checkpoints written before 'attributes' and 'workers' were removed
+        # embed both keys; evaluate drops them and scores as before
+        from chainrec.checkpoint import load_checkpoint, save_checkpoint
+        ckpt = load_checkpoint(run_dir / "best.npz")
+        lines = ckpt["config_text"].splitlines()
+        lines.insert(1, "attributes = ")
+        lines.insert(lines.index("dtype = float64"), "workers = 1")
+        old = tmp_path / "old.npz"
+        save_checkpoint(old, ckpt["params"], ckpt["state"], "\n".join(lines) + "\n",
+                        ckpt["meta"], ckpt["rng"])
+        assert run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(run_dir / "best.npz")) == 0
+        current = capsys.readouterr().out
+        assert run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(old)) == 0
+        assert capsys.readouterr().out == current
 
 
 class TestInspectPatterns:

@@ -1,5 +1,7 @@
 """Contrastive loss closed forms and the weighting encoder pieces."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,22 @@ from chainrec.graph import make_schema
 import oracles
 
 
+def infonce_loss(anchor_table, other_table, users, tau):
+    """Batch-summed InfoNCE, the sum of the per-user terms the model uses."""
+    return np.sum(contrastive.infonce_terms(anchor_table, other_table, users, tau))
+
+
 class TestInfoNCE:
     def test_identical_rows_give_n_log_n(self):
         n, d = 7, 5
         table = np.tile(np.asarray([1.0, -2.0, 0.5, 3.0, 1.0]), (n, 1))
-        loss = contrastive.infonce_loss(table, table, np.arange(n), tau=0.1)
+        loss = infonce_loss(table, table, np.arange(n), tau=0.1)
         assert abs(float(loss) - n * np.log(n)) < 1e-9
 
     def test_batch_of_one_is_zero(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        loss = contrastive.infonce_loss(a, b, np.asarray([1]), tau=0.5)
+        loss = infonce_loss(a, b, np.asarray([1]), tau=0.5)
         assert abs(float(loss)) < 1e-12
 
     def test_two_user_hand_case(self):
@@ -29,7 +36,7 @@ class TestInfoNCE:
         e_r = np.asarray([[1.0, 0.0], [0.0, 1.0]])
         e_r2 = np.asarray([[1.0, 1.0], [1.0, -1.0]])
         tau = 0.2
-        got = float(contrastive.infonce_loss(e_r, e_r2, np.asarray([0, 1]), tau))
+        got = float(infonce_loss(e_r, e_r2, np.asarray([0, 1]), tau))
         want = oracles.infonce_reference(e_r, e_r2, tau)
         assert abs(got - want) < 1e-12
         # same thing fully by hand: cos matrix is [[c,c],[c,-c]], c=cos(45deg)
@@ -42,31 +49,31 @@ class TestInfoNCE:
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
         users = np.arange(6)
-        base = float(contrastive.infonce_loss(a, b, users, 0.3))
-        scaled = float(contrastive.infonce_loss(137.0 * a, 0.02 * b, users, 0.3))
+        base = float(infonce_loss(a, b, users, 0.3))
+        scaled = float(infonce_loss(137.0 * a, 0.02 * b, users, 0.3))
         assert abs(base - scaled) < 1e-8
 
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-            assert float(contrastive.infonce_loss(a, b, np.arange(5), 0.7)) >= 0
+            assert float(infonce_loss(a, b, np.arange(5), 0.7)) >= 0
 
-    def test_zero_norm_rows_counted_and_scored_zero(self):
-        contrastive.reset_zero_norm_count()
+    def test_zero_norm_rows_counted_and_scored_zero(self, caplog):
         a = np.asarray([[0.0, 0.0], [1.0, 0.0]])
         b = np.asarray([[1.0, 0.0], [0.0, 1.0]])
-        loss = contrastive.infonce_loss(a, b, np.asarray([0, 1]), 1.0)
-        assert contrastive.zero_norm_count() == 1
+        with caplog.at_level(logging.WARNING, logger="chainrec.contrastive"):
+            loss = infonce_loss(a, b, np.asarray([0, 1]), 1.0)
+        assert [r.args for r in caplog.records] == [(1,)]
+        assert "1 zero-norm embedding rows" in caplog.text
         assert np.isfinite(float(loss))
-        contrastive.reset_zero_norm_count()
 
     def test_rejects_bad_inputs(self):
         a = np.ones((2, 2))
         with pytest.raises(ValueError):
-            contrastive.infonce_loss(a, a, np.empty(0, np.int64), 0.1)
+            infonce_loss(a, a, np.empty(0, np.int64), 0.1)
         with pytest.raises(ValueError):
-            contrastive.infonce_loss(a, a, np.asarray([0]), 0.0)
+            infonce_loss(a, a, np.asarray([0]), 0.0)
 
 
 class TestChainKnowledge:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chainrec.graph import (MultiplexBipartiteGraph, ParseError, SchemaError,
-                            degree, load_graph, load_interactions, make_schema,
+                            load_graph, load_interactions, make_schema,
                             save_graph, split_train_test, training_graph)
 
 from conftest import random_multiplex_graph
@@ -71,12 +71,6 @@ class TestLoadInteractions:
         g = load_interactions(write(tmp_path, "u\ti\tbuy\t0.5\t0.1\n"), SCHEMA)
         assert g.edge_count("buy") == 1
 
-    def test_optional_attributes_parsed_but_unused(self, tmp_path):
-        data = write(tmp_path, "u\ti\tbuy\n")
-        attrs = write(tmp_path, "u\t0.1\t0.2\n", name="attrs.tsv")
-        g = load_interactions(data, SCHEMA, attributes_path=attrs)
-        assert set(g.node_attributes) == {"u"}
-
 
 class TestInvariantsAndPersistence:
     def test_edges_are_user_item(self):
@@ -102,10 +96,14 @@ class TestInvariantsAndPersistence:
                  "buy": (np.asarray([1]), np.asarray([2]))}
         g = MultiplexBipartiteGraph(schema=make_schema(("view", "buy"), "buy"),
                                     num_users=2, num_items=5, edges=edges)
-        assert degree(g, "view", 0) == 5      # star center
-        assert degree(g, "buy", 1) == 1
-        assert degree(g, "buy", 2) == 1       # item side of a single edge
-        assert degree(g, "buy", 0) == 0       # isolated under buy
+        # node degrees are the adjacency's row lengths, which the
+        # relation channel's 1/sqrt(deg_u deg_v) normalization reads
+        view = np.diff(g.adjacency("view").indptr)
+        buy = np.diff(g.adjacency("buy").indptr)
+        assert view[0] == 5                   # star center
+        assert buy[1] == 1
+        assert buy[2] == 1                    # item side of a single edge
+        assert buy[0] == 0                    # isolated under buy
 
 
 class TestSplit:

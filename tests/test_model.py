@@ -8,7 +8,7 @@ from chainrec import autodiff as ad
 from chainrec.config import RunConfig
 from chainrec.graph import split_train_test, training_graph
 from chainrec.model import DualChannelModel, TrainBatch, TrainingAbort
-from chainrec.training import backward, bpr_loss, total_loss
+from chainrec.training import backward
 
 import oracles
 from conftest import make_batch, random_multiplex_graph
@@ -17,7 +17,7 @@ from conftest import make_batch, random_multiplex_graph
 class TestDualImplementation:
     def test_total_loss_matches_straight_line_oracle(self, tiny_setup):
         graph, split, model, params, batch, cfg = tiny_setup
-        got, _ = total_loss(model, params, batch)
+        got, _ = model.total_loss(params.tensors, batch)
         want = oracles.oracle_total_loss(model.graph, cfg, params.tensors, batch)
         assert abs(float(ad.val(got)) - want) < 1e-10 * max(1.0, abs(want))
 
@@ -32,7 +32,7 @@ class TestDualImplementation:
             params = model.init_params(seed)
             batch = make_batch(model, split, np.random.default_rng(seed + 50),
                                size=5)
-            got, _ = total_loss(model, params, batch)
+            got, _ = model.total_loss(params.tensors, batch)
             want = oracles.oracle_total_loss(model.graph, cfg, params.tensors,
                                              batch)
             assert abs(float(ad.val(got)) - want) < 1e-10 * max(1.0, abs(want))
@@ -111,7 +111,7 @@ class TestFeatureFlags:
 
     def test_separate_base_triples_base_tables(self):
         model, params, batch = self._setup(separate_base=True)
-        assert {"base_local", "base_global", "base_relation"} <= set(params.names())
+        assert {"base_local", "base_global", "base_relation"} <= set(params.tensors)
         loss, _ = model.total_loss(params.tensors, batch)
         assert np.isfinite(float(loss))
         grads, _ = backward(model, params, batch)

@@ -6,39 +6,29 @@ import pytest
 from chainrec.relations import aggregate_relations, lightgcn_propagate
 
 import oracles
-from conftest import random_multiplex_graph
+from conftest import random_multiplex_graph, relation_matrix
 from test_patterns import graph_from_pairs
-
-
-def dense_reference(graph, relation, base, layers):
-    norm = oracles.sym_normalize(oracles.dense_adjacency(graph, relation))
-    h = base.copy()
-    acc = base.copy()  # layer 0 included
-    for _ in range(layers):
-        h = norm @ h
-        acc += h
-    return acc
 
 
 class TestLightgcnPropagate:
     def test_single_edge_sums_both_rows(self):
         g = graph_from_pairs(1, 1, {"r": [(0, 0)]})
         base = np.asarray([[1.0, 2.0], [10.0, 20.0]])
-        out = lightgcn_propagate(g, "r", base, 1)
+        out = lightgcn_propagate(relation_matrix(g, "r"), base, 1)
         np.testing.assert_allclose(out[0], base[0] + base[1])
         np.testing.assert_allclose(out[1], base[1] + base[0])
 
     def test_isolated_node_keeps_layer0(self):
         g = graph_from_pairs(2, 2, {"r": [(0, 0)]})
         base = np.random.default_rng(0).normal(size=(4, 3))
-        out = lightgcn_propagate(g, "r", base, 3)
+        out = lightgcn_propagate(relation_matrix(g, "r"), base, 3)
         np.testing.assert_allclose(out[1], base[1])   # isolated user
         np.testing.assert_allclose(out[3], base[3])   # isolated item
 
     def test_star_normalization(self):
         g = graph_from_pairs(1, 4, {"r": [(0, 0), (0, 1), (0, 2), (0, 3)]})
         base = np.random.default_rng(1).normal(size=(5, 2))
-        out = lightgcn_propagate(g, "r", base, 1)
+        out = lightgcn_propagate(relation_matrix(g, "r"), base, 1)
         np.testing.assert_allclose(out[0], base[0] + base[1:].sum(axis=0) / 2.0)
 
     @pytest.mark.parametrize("layers", [1, 2, 3, 4])
@@ -46,19 +36,20 @@ class TestLightgcnPropagate:
         g = random_multiplex_graph(20, 25, ("a", "b"), 0.15, seed=layers)
         base = np.random.default_rng(layers).normal(size=(45, 6))
         for r in g.schema.relations:
-            got = lightgcn_propagate(g, r, base, layers)
-            want = dense_reference(g, r, base, layers)
+            got = lightgcn_propagate(relation_matrix(g, r), base, layers)
+            want = oracles.relation_propagation(g, r, base, layers)
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12)
 
     def test_linear_in_base(self):
         g = random_multiplex_graph(8, 8, ("a", "b"), 0.3, seed=9)
+        adj = relation_matrix(g, "a")
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(16, 4)), rng.normal(size=(16, 4))
-        fx = lightgcn_propagate(g, "a", x, 2)
-        fy = lightgcn_propagate(g, "a", y, 2)
-        np.testing.assert_allclose(lightgcn_propagate(g, "a", 3.0 * x, 2),
+        fx = lightgcn_propagate(adj, x, 2)
+        fy = lightgcn_propagate(adj, y, 2)
+        np.testing.assert_allclose(lightgcn_propagate(adj, 3.0 * x, 2),
                                    3.0 * fx, rtol=1e-9)
-        np.testing.assert_allclose(lightgcn_propagate(g, "a", x + y, 2),
+        np.testing.assert_allclose(lightgcn_propagate(adj, x + y, 2),
                                    fx + fy, rtol=1e-9, atol=1e-12)
 
 

@@ -6,70 +6,90 @@ import pytest
 from chainrec import autodiff as ad
 from chainrec.config import RunConfig
 from chainrec.graph import (load_interactions, make_schema, split_train_test,
-                            stream_rng, training_graph)
-from chainrec.model import DualChannelModel, TrainingAbort
+                            training_graph)
+from chainrec.model import DualChannelModel, TrainingAbort, bpr
 from chainrec.synth import write_synthetic
-from chainrec.training import (AdamState, TripleSampler, _draw_negative,
-                               adam_step, backward, bpr_loss, sample_negatives,
-                               total_loss, train)
+from chainrec.training import (AdamState, NegativeSamplingError, TripleSampler,
+                               _draw_negative, adam_step, backward, train)
 
-from conftest import make_batch, random_multiplex_graph
+from conftest import random_multiplex_graph
 from test_patterns import graph_from_pairs
+
+
+def score_table(pos, neg):
+    """A one-column table with a unit user row (row 0), so the BPR scores
+    of triple t are ``pos[t]`` and ``neg[t]``; returns bpr's arguments."""
+    n = len(pos)
+    table = np.concatenate([[1.0], pos, neg])[:, None]
+    return table, np.zeros(n, dtype=np.int64), 1 + np.arange(n), 1 + n + np.arange(n)
 
 
 class TestBprLoss:
     def test_zero_margin_is_ln2_per_triple(self):
         s = np.asarray([1.0, 2.0, -0.5])
-        assert float(bpr_loss(s, s)) == pytest.approx(3 * np.log(2.0), abs=1e-9)
+        assert float(bpr(*score_table(s, s))) == pytest.approx(3 * np.log(2.0),
+                                                               abs=1e-9)
 
     def test_saturated_margin_vanishes(self):
-        pos = np.asarray([20.0])
-        neg = np.asarray([0.0])
-        assert float(bpr_loss(pos, neg)) < 1e-8
+        assert float(bpr(*score_table([20.0], [0.0]))) < 1e-8
 
     def test_unit_margin_closed_form(self):
-        assert float(bpr_loss(np.asarray([1.0]), np.asarray([0.0]))) == \
+        assert float(bpr(*score_table([1.0], [0.0]))) == \
             pytest.approx(0.313262, abs=1e-6)
 
-    def test_l2_term_and_its_gradient(self):
-        theta = ad.Var(np.asarray([[1.0, -2.0], [0.5, 0.0]]))
-        lam = 0.3
-        loss = bpr_loss(np.asarray([50.0]), np.asarray([0.0]), (theta,), lam)
-        ad.backward(loss)
-        # ranking part saturates to ~0, so the gradient is exactly 2*lam*theta
-        np.testing.assert_allclose(theta.grad, 2 * lam * theta.value, atol=1e-12)
+    def test_l2_term_and_its_gradient(self, tiny_setup):
+        # the model's regularizer: l2 * squared norm of the batch's base rows
+        # (a repeated id counts per occurrence) plus the extra tensors
+        _, _, model, params, _, cfg = tiny_setup
+        p = params.as_vars()
+        users, pos, neg = np.asarray([0, 1]), np.asarray([5, 1]), np.asarray([7, 8])
+        w = p["chain0.user0"]
+        reg = model._reg(p, users, pos, neg, extra=(w,))
+        ad.backward(reg)
+        base = params.tensors["base"]
+        hits = np.bincount(np.concatenate([users, pos, neg]),
+                           minlength=base.shape[0])[:, None]
+        want = cfg.l2 * (float((hits * base ** 2).sum()) + float((w.value ** 2).sum()))
+        assert float(ad.val(reg)) == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(p["base"].grad, 2 * cfg.l2 * hits * base,
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(w.grad, 2 * cfg.l2 * w.value, rtol=1e-12)
 
     def test_length_mismatch(self):
+        table, users, pos, neg = score_table(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
-            bpr_loss(np.zeros(2), np.zeros(3))
+            bpr(table, users[:2], pos, neg)
+
+
+def sampler_for(graph, ratio=0.75, seed=0):
+    split = split_train_test(graph, ratio, seed=0)
+    model = DualChannelModel(training_graph(graph, split),
+                             RunConfig(dim=2, seed=0).validate())
+    return TripleSampler(model, split, seed), model
 
 
 class TestNegativeSampling:
     def test_two_items_forced_choice(self):
         g = graph_from_pairs(1, 2, {"buy": [(0, 0)]}, target="buy")
-        split = split_train_test(g, 0.9, seed=0)  # rounds to the single edge
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            assert sample_negatives(g, split, 0, "buy", rng) == g.num_users + 1
+        sampler, _ = sampler_for(g, ratio=0.9)  # rounds to the single edge
+        batch = sampler.batch_for(np.zeros(25, dtype=np.int64))
+        assert np.all(batch.neg == g.num_users + 1)
 
     def test_deterministic_sequence(self):
         g = random_multiplex_graph(4, 30, ("view", "buy"), 0.3, seed=0)
-        split = split_train_test(g, 0.75, seed=0)
-        a = [sample_negatives(g, split, 0, "buy", np.random.default_rng(5))
-             for _ in range(1)]
-        b = [sample_negatives(g, split, 0, "buy", np.random.default_rng(5))
-             for _ in range(1)]
-        assert a == b
+        idx = np.arange(5)
+        a = sampler_for(g, seed=5)[0].batch_for(idx)
+        b = sampler_for(g, seed=5)[0].batch_for(idx)
+        np.testing.assert_array_equal(a.neg, b.neg)
+        assert a.chain_triples.keys() == b.chain_triples.keys()
+        for i, triple in a.chain_triples.items():
+            for x, y in zip(triple, b.chain_triples[i]):
+                np.testing.assert_array_equal(x, y)
 
     def test_never_returns_a_positive(self):
         # 10k items, ~10 positives, 1e5 draws: zero hits on the positive set
         rng = np.random.default_rng(2)
         items = 3 + np.asarray(sorted(rng.choice(10_000, size=10, replace=False)))
-        edges = {"view": (np.empty(0, np.int64), np.empty(0, np.int64)),
-                 "buy": (np.zeros(10, dtype=np.int64), items)}
-        from chainrec.graph import MultiplexBipartiteGraph, make_schema
-        g = MultiplexBipartiteGraph(schema=make_schema(("view", "buy"), "buy"),
-                                    num_users=3, num_items=10_000, edges=edges)
         positives = set(items.tolist())
         draw_rng = np.random.default_rng(5)
         hits = 0
@@ -79,26 +99,24 @@ class TestNegativeSampling:
         assert hits == 0
 
     def test_chain_context_uses_pattern_edges(self):
+        # chain triples pair a pattern edge with a negative outside the
+        # user's exact-pattern positives
         g = random_multiplex_graph(6, 40, ("view", "cart", "buy"), 0.2, seed=3)
-        split = split_train_test(g, 0.75, seed=0)
-        cfg = RunConfig(dim=2, seed=0).validate()
-        model = DualChannelModel(training_graph(g, split), cfg)
-        chain = model.chains[0]
-        bbp = model.bbps[chain.source_mask.signature - 1]
-        users_with = np.unique(bbp.u)
-        if users_with.size == 0:
-            pytest.skip("random draw produced no pattern edges")
-        user = int(users_with[0])
-        pos = set(bbp.v[bbp.u == user].tolist())
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            assert sample_negatives(g, split, user, chain, rng) not in pos
+        sampler, model = sampler_for(g)
+        batch = sampler.batch_for(np.zeros(200, dtype=np.int64))
+        assert batch.chain_triples
+        for i, (cu, cp, cn) in batch.chain_triples.items():
+            bbp = model.bbps[model.chains[i].source_mask.signature - 1]
+            edges = set(zip(bbp.u.tolist(), bbp.v.tolist()))
+            for u, p, n in zip(cu.tolist(), cp.tolist(), cn.tolist()):
+                assert (u, p) in edges
+                assert (u, n) not in edges
 
     def test_exhausted_user_errors(self):
         g = graph_from_pairs(1, 1, {"buy": [(0, 0)]}, target="buy")
-        split = split_train_test(g, 0.9, seed=0)
-        with pytest.raises(ValueError):
-            sample_negatives(g, split, 0, "buy", np.random.default_rng(0))
+        sampler, _ = sampler_for(g, ratio=0.9)
+        with pytest.raises(NegativeSamplingError):
+            sampler.batch_for(np.zeros(1, dtype=np.int64))
 
 
 class TestAdam:
