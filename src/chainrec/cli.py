@@ -2,9 +2,9 @@
 
 Every RunConfig key is exposed as a same-named flag (dashes for
 underscores); a flag wins over the config file. Exit codes: 0 success,
-1 usage, config or data error (including an unknown flag, data with no
-target edges, a split with no test edge, and a user with no item left to
-sample as a negative), 2 runtime abort.
+1 usage, config or data error (including a malformed command line, an
+unknown flag, data with no target edges, a split with no test edge, and a
+user with no item left to sample as a negative), 2 runtime abort.
 """
 
 import argparse
@@ -38,6 +38,14 @@ RETIRED_KEYS = ("attributes", "workers")
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2; its
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _add_common_flags(parser):
@@ -237,7 +245,7 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainrec",
         description="Multi-behavior recommender over multiplex bipartite graphs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -254,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
     try:
+        args, unknown = build_parser().parse_known_args(argv)
         if unknown:
             raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.fn(args)

@@ -140,53 +140,45 @@ class DualChannelModel:
     def embeddings(self, p: dict, rows=None) -> dict:
         """All embedding tables from a name->tensor (or name->Var) mapping.
 
-        With ``rows`` (sorted unique node indices) the dense chain channel
-        and the fused tables are computed only at those rows; the returned
-        ``chain_steps``, ``e_c`` and ``final`` are then compact, indexed by
-        position in ``rows``. Graph propagation always runs on the full
-        node set (it is sparse and cheap); restricting the chain transforms
-        is what keeps a training step independent of catalog size.
+        With ``rows`` (sorted unique node indices) every returned table is
+        compact, indexed by position in ``rows``. The graph channels then
+        compute their last propagation layer only at those rows; earlier
+        layers still cover the whole graph, because the last one reads
+        them at the rows' neighbours. The dense chain channel and the
+        fused tables are computed only at the rows too, which keeps a
+        training step's dense work independent of catalog size.
         """
         cfg = self.cfg
         adj_loc = patterns.local_adjacency(self.union, p["local_logits"],
                                            normalize=not cfg.raw_local_adj)
-        h_loc = patterns.propagate_local(adj_loc, self._base(p, "local"), cfg.layers)
+        h_loc = patterns.propagate_local(adj_loc, self._base(p, "local"), cfg.layers,
+                                         rows=rows)
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
         h_glo = patterns.propagate_global_factored(b_mat, self._base(p, "global"),
-                                                   cfg.layers, mode=cfg.glo_norm)
+                                                   cfg.layers, mode=cfg.glo_norm,
+                                                   rows=rows)
 
         base_rel = self._base(p, "relation")
-        rel_tables = {r: relations.lightgcn_propagate(adj, base_rel, cfg.layers)
+        rel_tables = {r: relations.lightgcn_propagate(adj, base_rel, cfg.layers,
+                                                      rows=rows)
                       for r, adj in self.rel_adj.items()}
-
-        if rows is None:
-            n_user_rows = self.num_users
-            first = rel_tables
-            h_ebp = patterns.ebp_embeddings(h_loc, h_glo)
-            e_r = relations.aggregate_relations(rel_tables)
-            h_ebp_rows, e_r_rows = h_ebp, e_r
-        else:
-            # channel fusion only at the touched rows: full-table sums are
-            # never materialized on the training path
-            n_user_rows = int(np.searchsorted(rows, self.num_users))
-            first = {r: ad.gather(t, rows) for r, t in rel_tables.items()}
-            h_ebp = patterns.ebp_embeddings(ad.gather(h_loc, rows),
-                                            ad.gather(h_glo, rows))
-            e_r = relations.aggregate_relations(first)
-            h_ebp_rows, e_r_rows = h_ebp, e_r
+        h_ebp = patterns.ebp_embeddings(h_loc, h_glo)
+        e_r = relations.aggregate_relations(rel_tables)
+        n_user_rows = (self.num_users if rows is None
+                       else int(np.searchsorted(rows, self.num_users)))
 
         chain_steps = []
         for i, chain in enumerate(self.chains):
             w_u = [p[f"chain{i}.user{j}"] for j in range(chain.num_steps)]
             w_v = [p[f"chain{i}.item{j}"] for j in range(chain.num_steps)]
-            steps = chain_forward(chain, first[chain.relations[0]],
+            steps = chain_forward(chain, rel_tables[chain.relations[0]],
                                   w_u, w_v, n_user_rows)
             chain_steps.append(steps)
         if chain_steps:
             e_c = chain_embedding(chain_steps)
         else:  # single-relation schema: no chains, channel contributes zeros
-            e_c = np.zeros_like(ad.val(e_r_rows))
-        e_final = final_embedding(h_ebp_rows, e_r_rows, e_c)
+            e_c = np.zeros_like(ad.val(e_r))
+        e_final = final_embedding(h_ebp, e_r, e_c)
 
         return {"h_loc": h_loc, "h_glo": h_glo, "h_ebp": h_ebp,
                 "rel": rel_tables, "e_r": e_r, "rows": rows,
@@ -228,15 +220,15 @@ class DualChannelModel:
         def at(ids):
             return np.searchsorted(rows, ids)
 
+        bu_c = at(bu)
         # per-(auxiliary, target) contrastive losses over the batch users
         rcl_terms, rcl_losses = {}, {}
         for r in self.schema.auxiliaries:
             terms = contrastive.infonce_terms(emb["rel"][target], emb["rel"][r],
-                                              bu, cfg.tau)
+                                              bu_c, cfg.tau)
             rcl_terms[r] = terms
             rcl_losses[r] = ad.asum(terms)
 
-        bu_c = at(bu)
         e_c_rows = ad.gather(emb["e_c"], bu_c)
         e_final_rows = ad.gather(emb["final"], bu_c)
 
@@ -283,7 +275,7 @@ class DualChannelModel:
         rel_losses, rel_raw_w = [], []
         for r in self.schema.auxiliaries:
             feats = contrastive.relation_knowledge(r, rcl_losses[r],
-                                                   ad.gather(emb["rel"][r], bu),
+                                                   ad.gather(emb["rel"][r], bu_c),
                                                    e_final_rows, target)
             raw = contrastive.encode_weight(feats, p["enc_rel.w"],
                                             p["enc_rel.b"], cfg.leaky_slope)

@@ -128,15 +128,23 @@ def local_adjacency(union: PatternUnion, logits,
     return SparseMatrix(struct, vals)
 
 
-def propagate_local(adj: SparseMatrix, base, num_layers: int):
-    """Mean of the layer-1..L propagated tables (layer 0 excluded)."""
+def propagate_local(adj: SparseMatrix, base, num_layers: int, rows=None):
+    """Mean of the layer-1..L propagated tables (layer 0 excluded). With
+    ``rows`` (sorted unique node indices) only those rows are returned,
+    and the last layer is computed from their CSR rows alone."""
     if num_layers < 1:
         raise ValueError("need at least one propagation layer")
     h = base
     acc = None
-    for _ in range(num_layers):
+    for _ in range(num_layers - 1):
         h = ad.spmm(adj.struct, adj.values, h)
         acc = h if acc is None else ad.add(acc, h)
+    if rows is None:
+        h = ad.spmm(adj.struct, adj.values, h)
+    else:
+        h = ad.spmm_rows(adj.struct, adj.values, h, rows)
+        acc = None if acc is None else ad.gather(acc, rows)
+    acc = h if acc is None else ad.add(acc, h)
     return ad.mul(acc, 1.0 / num_layers)
 
 
@@ -153,30 +161,29 @@ def pattern_count_matrix(bbps) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def propagate_global_factored(b_matrix, base, num_layers: int, mode="row"):
+def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
+                              rows=None):
     """L rounds of propagation through norm(B B^T), row-normalized
     (``mode='row'``) or 1/sqrt(rowsum) on both sides (``'sym'``); zero rows
     stay zero and the final layer is returned. Each layer is B (B^T h), so
     the N x N similarity matrix is never materialized, and the normalizer
-    is folded into a pre-scaled copy of B once per call."""
+    is folded into a pre-scaled copy of B once per call. With ``rows``
+    (sorted unique node indices) the last layer is computed, and returned,
+    only at those rows."""
     if num_layers < 1:
         raise ValueError("need at least one propagation layer")
+    if mode not in ("row", "sym"):
+        raise ValueError(f"unknown normalization mode {mode!r}")
     col_tot = ad.asum(b_matrix, axis=0)
     rowsum = ad.matmul(b_matrix, col_tot)
+    inv = ad.reciprocal_safe(rowsum) if mode == "row" else ad.rsqrt_safe(rowsum)
+    scaled = ad.mul(b_matrix, ad.reshape(inv, (-1, 1)))
+    right = b_matrix if mode == "row" else scaled
     h = base
-    if mode == "row":
-        inv = ad.reshape(ad.reciprocal_safe(rowsum), (-1, 1))
-        scaled = ad.mul(b_matrix, inv)
-        for _ in range(num_layers):
-            h = ad.matmul(scaled, ad.matmul(ad.transpose(b_matrix), h))
-        return h
-    if mode == "sym":
-        inv = ad.reshape(ad.rsqrt_safe(rowsum), (-1, 1))
-        scaled = ad.mul(b_matrix, inv)
-        for _ in range(num_layers):
-            h = ad.matmul(scaled, ad.matmul(ad.transpose(scaled), h))
-        return h
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    for _ in range(num_layers - 1):
+        h = ad.matmul(scaled, ad.matmul(ad.transpose(right), h))
+    left = scaled if rows is None else ad.gather(scaled, rows)
+    return ad.matmul(left, ad.matmul(ad.transpose(right), h))
 
 
 def ebp_embeddings(h_loc, h_glo):

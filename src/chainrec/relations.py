@@ -10,18 +10,22 @@ from . import autodiff as ad
 from .sparse import SparseMatrix
 
 
-def lightgcn_propagate(adj: SparseMatrix, base, num_layers: int):
+def lightgcn_propagate(adj: SparseMatrix, base, num_layers: int, rows=None):
     """Sum of layers 0..L of propagation through ``adj``, one relation's
     CSR structure with its 1/sqrt(deg_u deg_v) edge values. Isolated nodes
-    keep their layer-0 row."""
+    keep their layer-0 row. With ``rows`` (sorted unique node indices) only
+    those rows are returned, and the last layer is computed from their CSR
+    rows alone."""
     if num_layers < 1:
         raise ValueError("need at least one propagation layer")
     h = base
     acc = base
-    for _ in range(num_layers):
+    for _ in range(num_layers - 1):
         h = ad.spmm(adj.struct, adj.values, h)
         acc = ad.add(acc, h)
-    return acc
+    if rows is None:
+        return ad.add(acc, ad.spmm(adj.struct, adj.values, h))
+    return ad.add(ad.gather(acc, rows), ad.spmm_rows(adj.struct, adj.values, h, rows))
 
 
 def aggregate_relations(per_relation):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
+from chainrec import backend
 from chainrec.sparse import build_struct, sym_norm_values
 
 
@@ -49,12 +50,6 @@ class TestElementwise:
         a = RNG.normal(size=(3, 2))
         s = np.asarray(1.7)
         check_op(lambda v: ad.asum(ad.mul(v, a)), s)
-
-    def test_operators(self):
-        a = ad.Var(np.asarray([1.0, 2.0]))
-        out = ad.asum((a * 2.0 - 1.0) + a / 2.0)
-        ad.backward(out)
-        np.testing.assert_allclose(a.grad, [2.5, 2.5])
 
     @pytest.mark.parametrize("op", [ad.softplus, lambda x: ad.leaky_relu(x, 0.01),
                                     ad.softmax])
@@ -171,6 +166,62 @@ class TestSpmm:
         np.testing.assert_allclose(dense_t, dense.T)
 
 
+class TestSpmmRows:
+    """spmm_rows against the full product: exact rows and exact adjoints."""
+
+    N = 30
+
+    def _fixture(self, dtype=np.float64):
+        # 12 users, 18 items; users 0-1 and items 28-29 have no edges
+        rng = np.random.default_rng(5)
+        u = rng.integers(2, 12, size=120)
+        v = rng.integers(12, 28, size=120)
+        keys = np.unique(u * self.N + v)
+        struct = build_struct(self.N, keys // self.N, keys % self.N)
+        vals = rng.normal(size=struct.nnz).astype(dtype)
+        x = rng.normal(size=(self.N, 4)).astype(dtype)
+        return struct, vals, x, rng
+
+    ROWS = {
+        "empty": [],
+        "single": [14],
+        "zero_degree": [0, 1, 28, 29],
+        "mixed": [0, 3, 7, 12, 13, 20, 29],
+        "all": list(range(N)),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_forward_and_adjoints_equal_the_full_products(self, name, dtype):
+        struct, vals, x, rng = self._fixture(dtype)
+        rows = np.asarray(self.ROWS[name], dtype=np.int64)
+        full = backend.spmm(struct.indptr, struct.cols, vals, x)
+        got = ad.spmm_rows(struct, vals, x, rows)
+        assert got.dtype == dtype and got.shape == (rows.shape[0], 4)
+        assert np.array_equal(got, full[rows])
+
+        g = rng.normal(size=(rows.shape[0], 4)).astype(dtype)
+        vv, xv = ad.Var(vals.copy()), ad.Var(x.copy())
+        ad.backward(ad.asum(ad.mul(ad.spmm_rows(struct, vv, xv, rows), g)))
+        g_full = np.zeros_like(x)
+        g_full[rows] = g
+        want_x = backend.spmm(struct.indptr, struct.cols, vals[struct.rev], g_full)
+        want_vals = backend.spmm_grad_vals(struct.rows, struct.cols, g_full, x)
+        assert xv.grad.dtype == dtype and vv.grad.dtype == dtype
+        assert np.array_equal(xv.grad, want_x)
+        assert np.array_equal(vv.grad, want_vals)
+
+    @pytest.mark.parametrize("name", ["single", "mixed", "all"])
+    def test_grads_match_finite_differences(self, name):
+        struct, vals, x, rng = self._fixture()
+        rows = np.asarray(self.ROWS[name], dtype=np.int64)
+        coeff = rng.normal(size=(rows.shape[0], 4))
+        check_op(lambda v: ad.asum(ad.mul(ad.spmm_rows(struct, v, x, rows), coeff)),
+                 vals)
+        check_op(lambda v: ad.asum(ad.mul(ad.spmm_rows(struct, vals, v, rows), coeff)),
+                 x)
+
+
 class TestAccumulation:
     """Row-sparse gather gradients and in-place accumulation in backward."""
 
@@ -205,36 +256,53 @@ class TestAccumulation:
         np.testing.assert_allclose(var.grad, expected - dense_coeff,
                                    rtol=0, atol=1e-12)
 
+    # Only leaves keep ``.grad``. Each test below gives a leaf ``w`` the
+    # same gradient buffer that add passes through to other nodes, so an
+    # in-place write into a buffer backward does not own shows in w.grad.
+
     def test_add_of_a_node_with_itself(self):
         x = ad.Var(RNG.normal(size=(2, 3)))
+        w = ad.Var(RNG.normal(size=(2, 3)))
         c = RNG.normal(size=(2, 3))
-        s = ad.add(x, x)
+        s = ad.add(ad.add(x, x), w)
         ad.backward(ad.asum(ad.mul(s, c)))
-        np.testing.assert_array_equal(s.grad, c)
+        np.testing.assert_array_equal(w.grad, c)
         np.testing.assert_array_equal(x.grad, c + c)
 
     def test_add_of_a_reshape_and_its_source(self):
         x = ad.Var(RNG.normal(size=(3,)))
+        w = ad.Var(RNG.normal(size=(1, 3)))
         c = RNG.normal(size=(1, 3))
         d = RNG.normal(size=(3,))
-        s = ad.add(ad.reshape(x, (1, 3)), x)
+        s = ad.add(ad.add(ad.reshape(x, (1, 3)), x), w)
         out = ad.add(ad.asum(ad.mul(s, c)), ad.asum(ad.mul(x, d)))
         ad.backward(out)
-        np.testing.assert_array_equal(s.grad, c)
+        np.testing.assert_array_equal(w.grad, c)
         np.testing.assert_allclose(x.grad, 2 * c[0] + d, rtol=0, atol=1e-15)
 
     def test_passed_through_gradient_is_not_written(self):
         # add hands its own g to both parents; x then gets two more
-        # contributions, none of which may land in z's or y's gradient
+        # contributions, none of which may land in z's or y's gradient,
+        # which the leaves wz and wy share
         x = ad.Var(RNG.normal(size=(4,)))
+        wy = ad.Var(RNG.normal(size=(4,)))
+        wz = ad.Var(RNG.normal(size=(4,)))
         c = RNG.normal(size=(4,))
         d = RNG.normal(size=(4,))
-        y = ad.add(x, x)
-        z = ad.add(y, x)
+        y = ad.add(ad.add(x, x), wy)
+        z = ad.add(ad.add(y, x), wz)
         ad.backward(ad.add(ad.asum(ad.mul(z, c)), ad.asum(ad.mul(y, d))))
-        np.testing.assert_array_equal(z.grad, c)
-        np.testing.assert_allclose(y.grad, c + d, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(wz.grad, c)
+        np.testing.assert_allclose(wy.grad, c + d, rtol=0, atol=1e-15)
         np.testing.assert_allclose(x.grad, 3 * c + 2 * d, rtol=0, atol=1e-14)
+
+    def test_only_leaves_keep_a_gradient(self):
+        x = ad.Var(RNG.normal(size=(3, 2)))
+        inner = ad.mul(x, 2.0)
+        out = ad.asum(ad.gather(inner, [0, 2, 2]))
+        ad.backward(out)
+        assert inner.grad is None and out.grad is None
+        np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0]])
 
     @pytest.mark.parametrize("use_rows", [False, True])
     @pytest.mark.parametrize("f32_first", [False, True])

@@ -328,3 +328,14 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             run_cli(cmd, "--help")
         assert exc.value.code == 0
+
+
+class TestMalformedCommandLine:
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["train", "--dim"], ["evaluate", "--checkpoint"],
+        ["inspect-patterns", "--data"], ["synth", "--seed"]])
+    def test_exits_one_with_one_line(self, argv, capsys):
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err

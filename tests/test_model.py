@@ -48,6 +48,46 @@ class TestDualImplementation:
         assert float(loss_nd) == pytest.approx(float(ad.val(loss_var)), abs=1e-12)
 
 
+class TestRowRestrictedEmbeddings:
+    """embeddings(p, rows) against the full tables read at those rows."""
+
+    KEYS = ("h_loc", "h_glo", "h_ebp", "e_r", "e_c", "final")
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("glo_norm", ["row", "sym"])
+    def test_tables_and_gradients_match_the_full_tables(self, layers, glo_norm):
+        graph = random_multiplex_graph(9, 14, ("view", "cart", "buy"), 0.3, seed=4)
+        cfg = RunConfig(dim=4, layers=layers, glo_norm=glo_norm, seed=2).validate()
+        model = DualChannelModel(graph, cfg)
+        params = model.init_params(cfg.seed)
+        rows = np.asarray([0, 3, 4, 8, 9, 15, 22])
+        full = model.embeddings(params.tensors)
+        part = model.embeddings(params.tensors, rows=rows)
+        for key in self.KEYS:
+            np.testing.assert_allclose(part[key], full[key][rows], rtol=1e-13,
+                                       atol=1e-15, err_msg=key)
+        # the sparse channels' last layers sum the same CSR rows in the same
+        # order as the full product
+        np.testing.assert_array_equal(part["h_loc"], full["h_loc"][rows])
+        for r, table in part["rel"].items():
+            np.testing.assert_array_equal(table, full["rel"][r][rows])
+
+        coeff = np.random.default_rng(layers).normal(size=(rows.shape[0], cfg.dim))
+        grads = []
+        for use_rows in (False, True):
+            pv = params.as_vars()
+            emb = model.embeddings(pv, rows=rows if use_rows else None)
+            final = emb["final"] if use_rows else ad.gather(emb["final"], rows)
+            ad.backward(ad.asum(ad.mul(final, coeff)))
+            grads.append({k: v.grad for k, v in pv.items()})
+        for name, want in grads[0].items():
+            if want is None:  # the encoders sit outside the embeddings
+                assert grads[1][name] is None, name
+                continue
+            np.testing.assert_allclose(grads[1][name], want, rtol=1e-10,
+                                       atol=1e-13, err_msg=name)
+
+
 class TestTermSwitchOff:
     def test_mu_zero_leaves_only_chain_terms(self, tiny_setup):
         graph, split, model, params, batch, cfg = tiny_setup

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
+from chainrec import backend
 from chainrec.config import RunConfig
 from chainrec.graph import (load_interactions, make_schema, split_train_test,
                             training_graph)
@@ -219,6 +220,34 @@ class TestGradients:
         grads, _ = backward(model, params, batch)
         for name, g in grads.items():
             assert np.any(g != 0.0), f"no gradient reached {name}"
+
+
+class TestFloat32:
+    def test_one_step_keeps_float32_everywhere(self, tiny_setup, monkeypatch):
+        graph, split, _, _, batch, cfg = tiny_setup
+        cfg32 = RunConfig(**{**cfg.__dict__, "dtype": "float32"}).validate()
+        model = DualChannelModel(training_graph(graph, split), cfg32)
+        params = model.init_params(cfg32.seed)
+        # record the kernels that build the row-sparse join and the sliced
+        # product's vals-gradient, so the step is known to have run them
+        seen = {}
+        for name in ("scatter_add_rows", "spmm_grad_vals"):
+            def spy(*args, _fn=getattr(backend, name), _name=name):
+                out = _fn(*args)
+                seen.setdefault(_name, set()).add(out.dtype)
+                return out
+            monkeypatch.setattr(backend, name, spy)
+        grads, _ = backward(model, params, batch)
+        assert seen == {"scatter_add_rows": {np.dtype(np.float32)},
+                        "spmm_grad_vals": {np.dtype(np.float32)}}
+        assert set(grads) == set(params.tensors)
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+        state = AdamState.init(params)
+        adam_step(params, grads, state, cfg32.lr)
+        for tensors in (params.tensors, state.m, state.v):
+            for name, t in tensors.items():
+                assert t.dtype == np.float32, name
 
 
 class TestTrainLoop:
