@@ -13,6 +13,7 @@ objective against central finite differences.
 import numpy as np
 
 from . import backend
+from .sparse import row_slice
 
 
 class Var:
@@ -483,22 +484,27 @@ def spmm(struct, vals, x):
     return Var(out, parents, vjp)
 
 
-def spmm_rows(struct, vals, x, rows):
+def spmm_rows(struct, vals, x, rows, x_rows=None):
     """``spmm(struct, vals, x)[rows]`` computed from those CSR rows only.
 
-    ``rows`` are sorted unique row indices. Each output row sums its edges
-    in the order the full product does, so it is bit-identical to that
-    row. The x-adjoint is a product with the transposed slice, whose rows
-    keep their entries in ascending source order as the full adjoint sums
-    them; the vals-gradient is zero off the slice's edges.
+    ``rows`` are sorted unique row indices. With ``x_rows`` (sorted unique,
+    covering every column of those rows) ``x`` is compact, row k holding
+    node ``x_rows[k]``, and so is the x-adjoint. Each output row sums its
+    edges in the order the full product does, so it is bit-identical to
+    that row. The x-adjoint is a product with the transposed slice, whose
+    rows keep their entries in ascending source order as the full adjoint
+    sums them; the vals-gradient is zero off the slice's edges.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    starts = struct.indptr[rows]
-    counts = struct.indptr[rows + 1] - starts
-    indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    edges = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    indptr, edges = row_slice(struct, rows)
     cols = struct.cols[edges]
+    if x_rows is not None:
+        pos = np.full(struct.n, -1, dtype=np.int64)
+        pos[x_rows] = np.arange(len(x_rows))
+        cols = pos[cols]
+        # scipy does not bounds-check column indices
+        if cols.size and cols.min() < 0:
+            raise ValueError("x_rows must cover every column of the rows")
     vv, xv = val(vals), val(x)
     out = backend.spmm(indptr, cols, vv[edges], xv)
     if not _is_var(vals, x):
@@ -507,7 +513,7 @@ def spmm_rows(struct, vals, x, rows):
 
     def vjp(g):
         g = np.ascontiguousarray(g)
-        local = np.repeat(np.arange(rows.shape[0]), counts)
+        local = np.repeat(np.arange(rows.shape[0]), np.diff(indptr))
         grads = []
         if isinstance(vals, Var):
             gv = backend.spmm_grad_vals(local, cols, g, xv)
@@ -518,8 +524,8 @@ def spmm_rows(struct, vals, x, rows):
             # reverse positions sort the slice's edges by (col, row): the
             # transposed slice in CSR order
             order = np.argsort(struct.rev[edges])
-            t_indptr = np.zeros(struct.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(cols, minlength=struct.n), out=t_indptr[1:])
+            t_indptr = np.zeros(xv.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(cols, minlength=xv.shape[0]), out=t_indptr[1:])
             grads.append(backend.spmm(t_indptr, local[order], vv[edges[order]], g))
         return tuple(grads)
 

@@ -1,7 +1,8 @@
 """Hot numeric kernels, one implementation each.
 
-``spmm`` is scipy's CSR product; the other kernels are plain numpy.  All of
-them accumulate in a fixed order, so results are reproducible run to run.
+``spmm`` and ``scatter_add_rows`` are scipy CSR products; the other kernels
+are plain numpy.  All of them accumulate in a fixed order, so results are
+reproducible run to run.
 """
 
 import numpy as np
@@ -36,10 +37,19 @@ def spmm_grad_vals(rows, cols, g, x):
 
 
 def scatter_add_rows(idx, g, n):
-    """out[idx[k]] += g[k] into an (n, d) zero matrix; duplicate ids accumulate."""
-    out = np.zeros((n, g.shape[1]), dtype=g.dtype)
-    np.add.at(out, idx, g)
-    return out
+    """out[idx[k]] += g[k] into an (n, d) zero matrix; duplicate ids accumulate.
+
+    One product with the (n, len(idx)) 0/1 selection matrix. A stable sort
+    keeps each row's entries in k order, so every row sums exactly as the
+    sequential add does. Built here rather than through ``spmm``, so that
+    ``spmm`` stays the propagation product alone.
+    """
+    order = np.argsort(idx, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
+    ones = np.ones(order.shape[0], dtype=g.dtype)
+    sel = sp.csr_matrix((ones, order, indptr), shape=(n, order.shape[0]))
+    return sel @ g
 
 
 def segment_sum(idx, vals, n):

@@ -67,6 +67,7 @@ class RunConfig:
     synth_views: int = 10
     synth_carts: int = 7
     synth_buys: int = 6
+    synth_zipf: float = 0.0        # Zipf exponent of item popularity per cluster
     cascade: float = 1.0
 
     def validate(self):
@@ -90,6 +91,8 @@ class RunConfig:
             raise ConfigError(f"dtype must be float64|float32, got {self.dtype!r}")
         if not 0 < self.leaky_slope < 1:
             raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
+        if self.synth_zipf < 0:
+            raise ConfigError(f"synth_zipf must be >= 0, got {self.synth_zipf}")
         if self.target not in self.relations:
             raise ConfigError(f"target {self.target!r} not in relations {self.relations}")
         return self

@@ -141,12 +141,14 @@ class DualChannelModel:
         """All embedding tables from a name->tensor (or name->Var) mapping.
 
         With ``rows`` (sorted unique node indices) every returned table is
-        compact, indexed by position in ``rows``. The graph channels then
-        compute their last propagation layer only at those rows; earlier
-        layers still cover the whole graph, because the last one reads
-        them at the rows' neighbours. The dense chain channel and the
-        fused tables are computed only at the rows too, which keeps a
-        training step's dense work independent of catalog size.
+        compact, indexed by position in ``rows``. The sparse channels then
+        compute each propagation layer only on its receptive field: the
+        last at the rows, each earlier one at the nodes the next one
+        reads. The global channel computes its last layer only at the
+        rows; its earlier layers are dense products over the whole graph.
+        The dense chain channel and the fused tables are computed only at
+        the rows too, which keeps a training step's dense work independent
+        of catalog size.
         """
         cfg = self.cfg
         adj_loc = patterns.local_adjacency(self.union, p["local_logits"],

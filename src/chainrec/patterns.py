@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import MultiplexBipartiteGraph, RelationSchema
+from .relations import propagate_layers
 from .sparse import CSRStruct, SparseMatrix, build_struct
 
 
@@ -130,21 +131,12 @@ def local_adjacency(union: PatternUnion, logits,
 
 def propagate_local(adj: SparseMatrix, base, num_layers: int, rows=None):
     """Mean of the layer-1..L propagated tables (layer 0 excluded). With
-    ``rows`` (sorted unique node indices) only those rows are returned,
-    and the last layer is computed from their CSR rows alone."""
-    if num_layers < 1:
-        raise ValueError("need at least one propagation layer")
-    h = base
-    acc = None
-    for _ in range(num_layers - 1):
-        h = ad.spmm(adj.struct, adj.values, h)
-        acc = h if acc is None else ad.add(acc, h)
-    if rows is None:
-        h = ad.spmm(adj.struct, adj.values, h)
-    else:
-        h = ad.spmm_rows(adj.struct, adj.values, h, rows)
-        acc = None if acc is None else ad.gather(acc, rows)
-    acc = h if acc is None else ad.add(acc, h)
+    ``rows`` (sorted unique node indices) only those rows are returned
+    (see :func:`relations.propagate_layers`)."""
+    layers = propagate_layers(adj, base, num_layers, rows)
+    acc = layers[0]
+    for h in layers[1:]:
+        acc = ad.add(acc, h)
     return ad.mul(acc, 1.0 / num_layers)
 
 

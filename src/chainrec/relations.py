@@ -6,26 +6,51 @@ nonlinearity. Relation-specific embeddings sum layers 0..L (layer 0
 included), and the multi-relation table is the sum over relations.
 """
 
+import numpy as np
+
 from . import autodiff as ad
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, receptive_fields
 
 
 def lightgcn_propagate(adj: SparseMatrix, base, num_layers: int, rows=None):
     """Sum of layers 0..L of propagation through ``adj``, one relation's
     CSR structure with its 1/sqrt(deg_u deg_v) edge values. Isolated nodes
     keep their layer-0 row. With ``rows`` (sorted unique node indices) only
-    those rows are returned, and the last layer is computed from their CSR
-    rows alone."""
+    those rows are returned (see :func:`propagate_layers`)."""
+    acc = base if rows is None else ad.gather(base, rows)
+    for h in propagate_layers(adj, base, num_layers, rows):
+        acc = ad.add(acc, h)
+    return acc
+
+
+def propagate_layers(adj: SparseMatrix, base, num_layers: int, rows=None) -> list:
+    """Layers 1..L of propagation through ``adj`` from layer 0 ``base``.
+
+    With ``rows`` (sorted unique node indices) each layer is returned at
+    those rows only, bit-identical to the full layer's rows, and computed
+    only where later layers read it: layer l on the receptive field R_l,
+    from layer l-1 on R_{l-1}, starting from ``base`` gathered on R_0
+    (or ``base`` itself when R_0 is every node).
+    """
     if num_layers < 1:
         raise ValueError("need at least one propagation layer")
-    h = base
-    acc = base
-    for _ in range(num_layers - 1):
-        h = ad.spmm(adj.struct, adj.values, h)
-        acc = ad.add(acc, h)
+    layers = []
     if rows is None:
-        return ad.add(acc, ad.spmm(adj.struct, adj.values, h))
-    return ad.add(ad.gather(acc, rows), ad.spmm_rows(adj.struct, adj.values, h, rows))
+        h = base
+        for _ in range(num_layers):
+            h = ad.spmm(adj.struct, adj.values, h)
+            layers.append(h)
+        return layers
+    fields = receptive_fields(adj.struct, rows, num_layers)
+    # a field that covers the graph reads ``base`` itself, not a copy
+    x_rows = None if fields[0].shape[0] == adj.struct.n else fields[0]
+    h = base if x_rows is None else ad.gather(base, x_rows)
+    for l in range(1, num_layers + 1):
+        h = ad.spmm_rows(adj.struct, adj.values, h, fields[l], x_rows=x_rows)
+        x_rows = fields[l]
+        layers.append(h if l == num_layers
+                      else ad.gather(h, np.searchsorted(fields[l], rows)))
+    return layers
 
 
 def aggregate_relations(per_relation):

@@ -6,6 +6,10 @@ subsets, target innermost), and the cascade strength controls how strictly
 target interactions stay inside the previous relation's subset. With
 strength 1.0 every target edge's item also carries every earlier relation,
 so auxiliary relations predict the target perfectly.
+
+Views are uniform inside a cluster by default. With ``synth_zipf`` s > 0
+the k-th item of a cluster is viewed with weight 1 / k^s, so a few items
+per cluster become hubs.
 """
 
 import json
@@ -31,6 +35,12 @@ def generate_synthetic(cfg: RunConfig) -> tuple:
     n_clusters = max(1, min(cfg.synth_clusters, n_items))
     item_perm = rng.permutation(n_items)
     pools = np.array_split(item_perm, n_clusters)
+    # Zipf view weights per pool size; none (uniform draws) at exponent 0
+    view_p = {}
+    if cfg.synth_zipf > 0:
+        for size in {pool.shape[0] for pool in pools}:
+            w = np.arange(1, size + 1, dtype=np.float64) ** -cfg.synth_zipf
+            view_p[size] = w / w.sum()
 
     manifest = {"users": n_users, "items": n_items, "cascade": cfg.cascade,
                 "relations": relations, "per_user": {}}
@@ -40,7 +50,8 @@ def generate_synthetic(cfg: RunConfig) -> tuple:
         pool = pools[u % n_clusters]
         n_view = min(cfg.synth_views, pool.shape[0])
         held = {}
-        viewed = rng.choice(pool, size=n_view, replace=False)
+        viewed = rng.choice(pool, size=n_view, replace=False,
+                            p=view_p.get(pool.shape[0]))
         held[relations[0]] = viewed
         current = viewed
         for rel in relations[1:-1]:

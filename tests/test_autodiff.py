@@ -5,7 +5,7 @@ import pytest
 
 from chainrec import autodiff as ad
 from chainrec import backend
-from chainrec.sparse import build_struct, sym_norm_values
+from chainrec.sparse import build_struct, receptive_fields, sym_norm_values
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -166,21 +166,25 @@ class TestSpmm:
         np.testing.assert_allclose(dense_t, dense.T)
 
 
+def _spmm_rows_fixture(n, dtype=np.float64):
+    # 12 users, n - 12 items; users 0-1 and items 28-29 have no edges
+    rng = np.random.default_rng(5)
+    u = rng.integers(2, 12, size=120)
+    v = rng.integers(12, 28, size=120)
+    keys = np.unique(u * n + v)
+    struct = build_struct(n, keys // n, keys % n)
+    vals = rng.normal(size=struct.nnz).astype(dtype)
+    x = rng.normal(size=(n, 4)).astype(dtype)
+    return struct, vals, x, rng
+
+
 class TestSpmmRows:
     """spmm_rows against the full product: exact rows and exact adjoints."""
 
     N = 30
 
     def _fixture(self, dtype=np.float64):
-        # 12 users, 18 items; users 0-1 and items 28-29 have no edges
-        rng = np.random.default_rng(5)
-        u = rng.integers(2, 12, size=120)
-        v = rng.integers(12, 28, size=120)
-        keys = np.unique(u * self.N + v)
-        struct = build_struct(self.N, keys // self.N, keys % self.N)
-        vals = rng.normal(size=struct.nnz).astype(dtype)
-        x = rng.normal(size=(self.N, 4)).astype(dtype)
-        return struct, vals, x, rng
+        return _spmm_rows_fixture(self.N, dtype)
 
     ROWS = {
         "empty": [],
@@ -220,6 +224,102 @@ class TestSpmmRows:
                  vals)
         check_op(lambda v: ad.asum(ad.mul(ad.spmm_rows(struct, vals, v, rows), coeff)),
                  x)
+
+
+class TestSpmmRowsCompactX:
+    """spmm_rows with ``x_rows``: x and its adjoint compact over x_rows."""
+
+    N = TestSpmmRows.N
+
+    def _fixture(self, rows, dtype=np.float64):
+        struct, vals, x, rng = _spmm_rows_fixture(self.N, dtype)
+        rows = np.asarray(rows, dtype=np.int64)
+        # the rows' neighbours plus a few extra nodes, as a wider field has
+        x_rows = receptive_fields(struct, rows, 1)[0]
+        x_rows = np.union1d(x_rows, [1, 12, 29])
+        return struct, vals, x, rng, rows, x_rows
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", sorted(TestSpmmRows.ROWS))
+    def test_forward_and_adjoints_equal_the_full_products(self, name, dtype):
+        struct, vals, x, rng, rows, x_rows = self._fixture(TestSpmmRows.ROWS[name], dtype)
+        full = backend.spmm(struct.indptr, struct.cols, vals, x)
+        got = ad.spmm_rows(struct, vals, x[x_rows], rows, x_rows=x_rows)
+        assert got.dtype == dtype and got.shape == (rows.shape[0], 4)
+        assert np.array_equal(got, full[rows])
+
+        g = rng.normal(size=(rows.shape[0], 4)).astype(dtype)
+        vv, xv = ad.Var(vals.copy()), ad.Var(x[x_rows])
+        ad.backward(ad.asum(ad.mul(ad.spmm_rows(struct, vv, xv, rows, x_rows=x_rows), g)))
+        g_full = np.zeros_like(x)
+        g_full[rows] = g
+        want_x = backend.spmm(struct.indptr, struct.cols, vals[struct.rev], g_full)
+        want_vals = backend.spmm_grad_vals(struct.rows, struct.cols, g_full, x)
+        assert xv.grad.shape == (x_rows.shape[0], 4) and xv.grad.dtype == dtype
+        assert np.array_equal(xv.grad, want_x[x_rows])
+        assert np.array_equal(vv.grad, want_vals)
+
+    @pytest.mark.parametrize("name", ["single", "mixed", "all"])
+    def test_grads_match_finite_differences(self, name):
+        struct, vals, x, rng, rows, x_rows = self._fixture(TestSpmmRows.ROWS[name])
+        coeff = rng.normal(size=(rows.shape[0], 4))
+        xc = x[x_rows]
+
+        def build(v, xs):
+            return ad.asum(ad.mul(ad.spmm_rows(struct, v, xs, rows, x_rows=x_rows), coeff))
+
+        check_op(lambda v: build(v, xc), vals)
+        check_op(lambda v: build(vals, v), xc)
+
+
+    def test_x_rows_missing_a_column_raises(self):
+        struct, vals, x, _, rows, x_rows = self._fixture(TestSpmmRows.ROWS["single"])
+        short = x_rows[x_rows != struct.cols[struct.indptr[14]]]
+        with pytest.raises(ValueError, match="x_rows"):
+            ad.spmm_rows(struct, vals, x[short], rows, x_rows=short)
+
+
+def _bfs_fields(struct, rows, num_layers):
+    """Receptive fields by an explicit breadth-first walk over neighbour sets."""
+    nbrs = [set() for _ in range(struct.n)]
+    for i, j in zip(struct.rows, struct.cols):
+        nbrs[i].add(int(j))
+    fields = [set(int(r) for r in rows)]
+    for _ in range(num_layers):
+        grown = set(fields[0])
+        for node in fields[0]:
+            grown |= nbrs[node]
+        fields.insert(0, grown)
+    return [np.asarray(sorted(f), dtype=np.int64) for f in fields]
+
+
+class TestReceptiveFields:
+    # two components: a path 0-1-2-3-4 and a star 6-{7, 8, 9}; node 5 is isolated
+    U = np.asarray([0, 1, 2, 3, 6, 6, 6])
+    V = np.asarray([1, 2, 3, 4, 7, 8, 9])
+    ROWS = {"empty": [], "isolated": [5], "path_end": [0], "star_leaf": [7],
+            "mixed": [2, 5, 9], "all": list(range(10))}
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_fields_match_a_bfs(self, name, layers):
+        struct = build_struct(10, self.U, self.V)
+        rows = np.asarray(self.ROWS[name], dtype=np.int64)
+        got = receptive_fields(struct, rows, layers)
+        want = _bfs_fields(struct, rows, layers)
+        assert len(got) == layers + 1
+        for field, expected in zip(got, want):
+            assert field.dtype == np.int64
+            np.testing.assert_array_equal(field, expected)
+        np.testing.assert_array_equal(got[-1], rows)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_fields_match_a_bfs_on_a_random_graph(self, layers):
+        struct, _, _, _ = _spmm_rows_fixture(TestSpmmRows.N)
+        rows = np.asarray(TestSpmmRows.ROWS["mixed"], dtype=np.int64)
+        got = receptive_fields(struct, rows, layers)
+        for field, expected in zip(got, _bfs_fields(struct, rows, layers)):
+            np.testing.assert_array_equal(field, expected)
 
 
 class TestAccumulation:

@@ -128,3 +128,58 @@ def test_kernels_bit_stable_run_to_run():
     g2 = backend.spmm_grad_vals(struct.rows, struct.cols, two, x)
     np.testing.assert_array_equal(one, two)
     np.testing.assert_array_equal(g1, g2)
+
+
+def _add_at(idx, g, n):
+    """The sequential reference: np.add.at adds g[k] into row idx[k] in k order."""
+    out = np.zeros((n, g.shape[1]), dtype=g.dtype)
+    np.add.at(out, idx, g)
+    return out
+
+
+SCATTER_IDS = {
+    "empty": [],
+    "sorted_unique": [0, 2, 5],
+    # unsorted with repeats; rows 1, 4 and 6-8 stay untouched
+    "unsorted_duplicates": [5, 0, 3, 5, 2, 0, 0, 9, 3, 5, 5],
+    "one_row_many_times": [7] * 40,
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", sorted(SCATTER_IDS))
+def test_scatter_add_rows_equals_sequential_add(name, dtype):
+    # bit-equal to the sequential add, not merely close: every row must sum
+    # its contributions in k order
+    rng = np.random.default_rng(len(name))
+    idx = np.asarray(SCATTER_IDS[name], dtype=np.int64)
+    # mixed magnitudes make a reordered sum differ in the last bits
+    g = (rng.normal(size=(idx.shape[0], 5))
+         * 10.0 ** rng.integers(-8, 8, size=(idx.shape[0], 1))).astype(dtype)
+    out = backend.scatter_add_rows(idx, g, 10)
+    want = _add_at(idx, g, 10)
+    assert out.dtype == dtype and out.shape == (10, 5)
+    assert np.array_equal(out, want)
+    untouched = np.setdiff1d(np.arange(10), idx)
+    assert not out[untouched].any()
+
+
+def test_scatter_add_rows_bit_equal_on_a_large_shuffle():
+    # many duplicates per row, as when four receptive-field gathers of one
+    # table are joined in the backward pass
+    rng = np.random.default_rng(11)
+    idx = rng.permutation(np.repeat(np.arange(500), 4))[:1700]
+    g = rng.normal(size=(idx.shape[0], 16)) * 10.0 ** rng.integers(-6, 6, size=(idx.shape[0], 1))
+    assert np.array_equal(backend.scatter_add_rows(idx, g, 600), _add_at(idx, g, 600))
+
+
+def test_scatter_add_rows_does_not_go_through_spmm(monkeypatch):
+    # the benchmark tracer counts backend.spmm calls as propagation
+    # products; the scatter must not add to that count
+    def fail(*args, **kwargs):
+        raise AssertionError("scatter_add_rows called backend.spmm")
+
+    monkeypatch.setattr(backend, "spmm", fail)
+    idx = np.asarray([3, 1, 3])
+    g = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(backend.scatter_add_rows(idx, g, 4), _add_at(idx, g, 4))

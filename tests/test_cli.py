@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, run-directory contents."""
 
+import hashlib
 import json
 import os
 
@@ -55,6 +56,45 @@ class TestSynth:
             assert run_cli("synth", "--data", str(path), "--synth-users", "15",
                            "--synth-items", "20", "--seed", "3") == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    # sha256 of the TSV and manifest that ``synth --seed 0`` wrote before
+    # the synth_zipf option existed; exponent 0 must keep every draw
+    DEFAULT_TSV_SHA256 = "7c03078c7f32f47ae273b2746c94869539700c99b9c7da38b849b83004d9d941"
+    DEFAULT_MANIFEST_SHA256 = "9c44b52e4a6f2e9600f0f889b705e8cf1506873abf24220a92800d67e635c657"
+
+    @pytest.mark.parametrize("extra", [(), ("--synth-zipf", "0")])
+    def test_default_output_is_unchanged(self, tmp_path, extra):
+        data = tmp_path / "default.tsv"
+        assert run_cli("synth", "--data", str(data), "--seed", "0", *extra) == 0
+        manifest = tmp_path / "default.tsv.manifest.json"
+        assert hashlib.sha256(data.read_bytes()).hexdigest() == self.DEFAULT_TSV_SHA256
+        assert (hashlib.sha256(manifest.read_bytes()).hexdigest()
+                == self.DEFAULT_MANIFEST_SHA256)
+
+    def test_zipf_concentrates_views_on_few_items(self, tmp_path):
+        top_share = {}
+        for zipf in ("0", "1.0"):
+            data = tmp_path / f"zipf{zipf}.tsv"
+            # pools of 50 items, 10 views per user
+            assert run_cli("synth", "--data", str(data), "--seed", "4",
+                           "--synth-clusters", "10", "--synth-zipf", zipf) == 0
+            held = {}
+            for line in data.read_text().splitlines():
+                u, i, r = line.split("\t")
+                held.setdefault(r, set()).add((u, i))
+            assert held["buy"] <= held["view"] and held["cart"] <= held["view"]
+            views = np.unique([i for _, i in held["view"]], return_counts=True)[1]
+            # share of all views that go to the 5% most viewed items
+            views = np.sort(views)[::-1]
+            top_share[zipf] = views[:25].sum() / views.sum()
+        assert top_share["1.0"] > 1.5 * top_share["0"]
+
+    def test_negative_zipf_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "bad.tsv"
+        assert run_cli("synth", "--data", str(data), "--synth-zipf", "-1") == 1
+        assert "synth_zipf" in capsys.readouterr().err
+        assert not data.exists()
 
 
 class TestTrain:

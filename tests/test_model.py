@@ -6,8 +6,9 @@ import pytest
 
 from chainrec import autodiff as ad
 from chainrec.config import RunConfig
-from chainrec.graph import split_train_test, training_graph
+from chainrec.graph import MultiplexBipartiteGraph, split_train_test, training_graph
 from chainrec.model import DualChannelModel, TrainBatch, TrainingAbort
+from chainrec.sparse import receptive_fields
 from chainrec.training import backward
 
 import oracles
@@ -48,6 +49,24 @@ class TestDualImplementation:
         assert float(loss_nd) == pytest.approx(float(ad.val(loss_var)), abs=1e-12)
 
 
+def _two_component_graph():
+    """Two random multiplex graphs side by side: users 0-8 with items 15-28,
+    and users 9-14 with items 29-36. No edge joins the two."""
+    rels = ("view", "cart", "buy")
+    a = random_multiplex_graph(9, 14, rels, 0.3, seed=4)
+    b = random_multiplex_graph(6, 8, rels, 0.35, seed=5)
+    edges = {}
+    for r in rels:
+        (ua, va), (ub, vb) = a.edges[r], b.edges[r]
+        # item node ids: users first, then A's items, then B's items
+        edges[r] = (np.concatenate([ua, ub + 9]),
+                    np.concatenate([va - 9 + 15, vb - 6 + 29]))
+    return MultiplexBipartiteGraph(schema=a.schema, num_users=15, num_items=22,
+                                   edges=edges,
+                                   user_ids=[f"u{i}" for i in range(15)],
+                                   item_ids=[f"i{i}" for i in range(22)])
+
+
 class TestRowRestrictedEmbeddings:
     """embeddings(p, rows) against the full tables read at those rows."""
 
@@ -56,18 +75,35 @@ class TestRowRestrictedEmbeddings:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("glo_norm", ["row", "sym"])
     def test_tables_and_gradients_match_the_full_tables(self, layers, glo_norm):
+        # connected: the rows' fields cover every node with an edge
         graph = random_multiplex_graph(9, 14, ("view", "cart", "buy"), 0.3, seed=4)
+        self._check(graph, np.asarray([0, 3, 4, 8, 9, 15, 22]), layers, glo_norm)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("glo_norm", ["row", "sym"])
+    def test_strict_fields_on_a_two_component_graph(self, layers, glo_norm):
+        # rows in the first component only, so every operator's widest
+        # field R_0 leaves out the whole second component
+        graph = _two_component_graph()
+        rows = np.asarray([0, 3, 4, 8, 15, 22, 28])
+        second = np.concatenate([np.arange(9, 15), np.arange(29, 37)])
+        model = DualChannelModel(graph, RunConfig(layers=layers).validate())
+        for struct in [model.union.struct] + [a.struct for a in model.rel_adj.values()]:
+            widest = receptive_fields(struct, rows, layers)[0]
+            assert not np.isin(second, widest).any()
+        self._check(graph, rows, layers, glo_norm)
+
+    def _check(self, graph, rows, layers, glo_norm):
         cfg = RunConfig(dim=4, layers=layers, glo_norm=glo_norm, seed=2).validate()
         model = DualChannelModel(graph, cfg)
         params = model.init_params(cfg.seed)
-        rows = np.asarray([0, 3, 4, 8, 9, 15, 22])
         full = model.embeddings(params.tensors)
         part = model.embeddings(params.tensors, rows=rows)
         for key in self.KEYS:
             np.testing.assert_allclose(part[key], full[key][rows], rtol=1e-13,
                                        atol=1e-15, err_msg=key)
-        # the sparse channels' last layers sum the same CSR rows in the same
-        # order as the full product
+        # every layer of the sparse channels sums the same CSR rows in the
+        # same order as the full product
         np.testing.assert_array_equal(part["h_loc"], full["h_loc"][rows])
         for r, table in part["rel"].items():
             np.testing.assert_array_equal(table, full["rel"][r][rows])
