@@ -32,8 +32,11 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 # keys that configs embedded in older checkpoints carry but that no longer
-# exist; evaluate drops them so those checkpoints stay usable
-RETIRED_KEYS = ("attributes", "workers")
+# exist, each with the one value under which the forward pass is unchanged
+# (None: any value, the key never reached it); evaluate drops them so those
+# checkpoints stay usable, and refuses one that set a key otherwise
+RETIRED_KEYS = {"attributes": None, "workers": None, "chain_score": None,
+                "per_user_weights": None, "raw_local_adj": "False"}
 
 
 class UsageError(Exception):
@@ -180,8 +183,14 @@ def cmd_evaluate(args) -> int:
     if not pre.checkpoint:
         raise UsageError("evaluate needs --checkpoint")
     ckpt = load_checkpoint(pre.checkpoint)
-    kept = [line for line in ckpt["config_text"].splitlines()
-            if line.partition("=")[0].strip() not in RETIRED_KEYS]
+    kept = []
+    for line in ckpt["config_text"].splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in RETIRED_KEYS:
+            kept.append(line)
+        elif RETIRED_KEYS[key] not in (None, value):
+            raise UsageError(f"checkpoint sets retired key {key!r} to {value}, "
+                             f"a forward pass this version no longer computes")
     base_values = parse_config_text("\n".join(kept), origin="<checkpoint>")
     cfg = _make_config(args, base_values=base_values)
     graph = _load_graph(cfg)

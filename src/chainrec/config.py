@@ -48,11 +48,8 @@ class RunConfig:
     ks: tuple = (5, 10, 20, 40)
     csv: bool = False
 
-    # feature flags
-    raw_local_adj: bool = False
-    separate_base: bool = False
-    chain_score: str = "laststep"   # 'laststep' | 'aggregated'
-    per_user_weights: bool = False
+    # model variant and relation-order study
+    separate_base: bool = False     # one base table per channel
     chain_order: tuple = ()         # study override; may place target mid-chain
 
     # runtime
@@ -81,10 +78,14 @@ class RunConfig:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        if self.eval_every < 1:
+            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        if not self.ks:
+            raise ConfigError("ks must list at least one cutoff")
+        if min(self.ks) < 1:
+            raise ConfigError(f"ks must all be >= 1, got {','.join(map(str, self.ks))}")
         if not 0 < self.ratio < 1:
             raise ConfigError(f"ratio must be in (0, 1), got {self.ratio}")
-        if self.chain_score not in ("laststep", "aggregated"):
-            raise ConfigError(f"chain_score must be laststep|aggregated, got {self.chain_score!r}")
         if self.glo_norm not in ("row", "sym"):
             raise ConfigError(f"glo_norm must be row|sym, got {self.glo_norm!r}")
         if self.dtype not in ("float64", "float32"):
@@ -113,15 +114,13 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _TUPLE_INT = {"ks"}
 _TUPLE_STR = {"relations", "order", "chain_order"}
-_BOOLS = {"csv", "raw_local_adj", "separate_base", "per_user_weights"}
+_BOOLS = {name for name, kind in _FIELD_TYPES.items() if kind is bool or kind == "bool"}
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key in _TUPLE_STR:
         return tuple(x.strip() for x in raw.split(",") if x.strip())
-    if key in _TUPLE_INT:
-        return tuple(int(x) for x in raw.split(",") if x.strip())
     if key in _BOOLS:
         low = raw.lower()
         if low in ("1", "true", "yes", "on"):
@@ -130,10 +129,17 @@ def _parse_value(key: str, raw: str):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     kind = _FIELD_TYPES[key]
-    if kind is int or kind == "int":
-        return int(raw)
-    if kind is float or kind == "float":
-        return float(raw)
+    try:
+        if key in _TUPLE_INT:
+            return tuple(int(x) for x in raw.split(",") if x.strip())
+        if kind is int or kind == "int":
+            return int(raw)
+        if kind is float or kind == "float":
+            return float(raw)
+    except ValueError:
+        what = ("integers" if key in _TUPLE_INT else
+                "an integer" if kind is int or kind == "int" else "a number")
+        raise ConfigError(f"{key}: expected {what}, got {raw!r}") from None
     return raw
 
 

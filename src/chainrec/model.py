@@ -53,17 +53,13 @@ def xavier(rng, shape) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
-def bpr(table, users, pos, neg, per_user_w=None):
+def bpr(table, users, pos, neg):
     """BPR ranking loss: the sum over triples of -ln sigmoid(y_up - y_un),
-    scores being row dot products in ``table``; ``per_user_w`` weights each
-    triple's term."""
+    scores being row dot products in ``table``."""
     yu = ad.gather(table, users)
     yp = ad.rowdot(yu, ad.gather(table, pos))
     yn = ad.rowdot(yu, ad.gather(table, neg))
-    terms = ad.softplus(ad.add(yn, ad.mul(yp, -1.0)))
-    if per_user_w is not None:
-        terms = ad.mul(terms, per_user_w)
-    return ad.asum(terms)
+    return ad.asum(ad.softplus(ad.add(yn, ad.mul(yp, -1.0))))
 
 
 @dataclass
@@ -151,8 +147,7 @@ class DualChannelModel:
         of catalog size.
         """
         cfg = self.cfg
-        adj_loc = patterns.local_adjacency(self.union, p["local_logits"],
-                                           normalize=not cfg.raw_local_adj)
+        adj_loc = patterns.local_adjacency(self.union, p["local_logits"])
         h_loc = patterns.propagate_local(adj_loc, self._base(p, "local"), cfg.layers,
                                          rows=rows)
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
@@ -224,12 +219,10 @@ class DualChannelModel:
 
         bu_c = at(bu)
         # per-(auxiliary, target) contrastive losses over the batch users
-        rcl_terms, rcl_losses = {}, {}
+        rcl_losses = {}
         for r in self.schema.auxiliaries:
-            terms = contrastive.infonce_terms(emb["rel"][target], emb["rel"][r],
-                                              bu_c, cfg.tau)
-            rcl_terms[r] = terms
-            rcl_losses[r] = ad.asum(terms)
+            rcl_losses[r] = ad.asum(contrastive.infonce_terms(
+                emb["rel"][target], emb["rel"][r], bu_c, cfg.tau))
 
         e_c_rows = ad.gather(emb["e_c"], bu_c)
         e_final_rows = ad.gather(emb["final"], bu_c)
@@ -241,37 +234,21 @@ class DualChannelModel:
             chain = self.chains[i]
             cu, cp, cn = batch.chain_triples[i]
             cu_c, cp_c, cn_c = at(cu), at(cp), at(cn)
-            table = emb["e_c"] if cfg.chain_score == "aggregated" else emb["chain_steps"][i][-1]
             w_u = [p[f"chain{i}.user{j}"] for j in range(chain.num_steps)]
             w_v = [p[f"chain{i}.item{j}"] for j in range(chain.num_steps)]
             reg = self._reg(p, cu, cp, cn, extra=w_u + w_v)
-            if cfg.per_user_weights:
-                # literal reading: each triple weighted by its own user's feature
-                feats = contrastive.chain_knowledge(chain, rcl_losses,
-                                                    ad.gather(emb["e_c"], cu_c),
-                                                    ad.gather(emb["final"], cu_c),
-                                                    cfg.mu_scale, target)
-                raw = contrastive.encode_weight(feats, p["enc_chain.w"],
-                                                p["enc_chain.b"], cfg.leaky_slope)
-                core = bpr(table, cu_c, cp_c, cn_c, per_user_w=raw)
-                chain_losses.append(ad.add(core, reg))
-            else:
-                feats = contrastive.chain_knowledge(chain, rcl_losses, e_c_rows,
-                                                    e_final_rows, cfg.mu_scale, target)
-                raw = contrastive.encode_weight(feats, p["enc_chain.w"],
-                                                p["enc_chain.b"], cfg.leaky_slope)
-                chain_raw_w.append(ad.amean(raw))
-                chain_losses.append(ad.add(bpr(table, cu_c, cp_c, cn_c), reg))
+            feats = contrastive.chain_knowledge(chain, rcl_losses, e_c_rows,
+                                                e_final_rows, cfg.mu_scale, target)
+            raw = contrastive.encode_weight(feats, p["enc_chain.w"],
+                                            p["enc_chain.b"], cfg.leaky_slope)
+            chain_raw_w.append(ad.amean(raw))
+            core = bpr(emb["chain_steps"][i][-1], cu_c, cp_c, cn_c)
+            chain_losses.append(ad.add(core, reg))
 
         loss_chains = None
         if chain_losses:
-            if cfg.per_user_weights:
-                loss_chains = chain_losses[0]
-                for loss_c in chain_losses[1:]:
-                    loss_chains = ad.add(loss_chains, loss_c)
-            else:
-                w_chain = contrastive.normalize_weights(chain_raw_w)
-                loss_chains = ad.asum(ad.mul(w_chain, ad.stack_scalars(chain_losses)))
+            w_chain = contrastive.normalize_weights(chain_raw_w)
+            loss_chains = ad.asum(ad.mul(w_chain, ad.stack_scalars(chain_losses)))
 
         # weighted contrastive term over auxiliary relations
         rel_losses, rel_raw_w = [], []
@@ -281,21 +258,13 @@ class DualChannelModel:
                                                    e_final_rows, target)
             raw = contrastive.encode_weight(feats, p["enc_rel.w"],
                                             p["enc_rel.b"], cfg.leaky_slope)
-            if cfg.per_user_weights:
-                rel_losses.append(ad.asum(ad.mul(rcl_terms[r], raw)))
-            else:
-                rel_losses.append(rcl_losses[r])
-                rel_raw_w.append(ad.amean(raw))
+            rel_losses.append(rcl_losses[r])
+            rel_raw_w.append(ad.amean(raw))
 
         loss_rcl = None
         if rel_losses:
-            if cfg.per_user_weights:
-                loss_rcl = rel_losses[0]
-                for loss_r in rel_losses[1:]:
-                    loss_rcl = ad.add(loss_rcl, loss_r)
-            else:
-                w_rel = contrastive.normalize_weights(rel_raw_w)
-                loss_rcl = ad.asum(ad.mul(w_rel, ad.stack_scalars(rel_losses)))
+            w_rel = contrastive.normalize_weights(rel_raw_w)
+            loss_rcl = ad.asum(ad.mul(w_rel, ad.stack_scalars(rel_losses)))
 
         # final ranking loss on the fused table
         loss_final = ad.add(bpr(emb["final"], bu_c, at(batch.pos), at(batch.neg)),

@@ -112,16 +112,12 @@ def pattern_union(bbps) -> PatternUnion:
     return PatternUnion(struct, edge_pid)
 
 
-def local_adjacency(union: PatternUnion, logits,
-                    normalize=True) -> SparseMatrix:
+def local_adjacency(union: PatternUnion, logits) -> SparseMatrix:
     """Per-edge weights softmax(logits)[owning pattern], then symmetric
-    degree normalization (skipped when ``normalize`` is False, the literal
-    unnormalized form). Zero-degree rows stay zero."""
+    degree normalization. Zero-degree rows stay zero."""
     struct = union.struct
     w = ad.softmax(logits)
     edge_w = ad.gather(w, union.edge_pattern)
-    if not normalize:
-        return SparseMatrix(struct, edge_w)
     deg = ad.segsum(edge_w, struct.rows, struct.n)
     inv = ad.rsqrt_safe(deg)
     vals = ad.mul(ad.mul(edge_w, ad.gather(inv, struct.rows)),

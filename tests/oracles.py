@@ -140,9 +140,9 @@ def infonce_reference(anchor_rows, other_rows, tau):
 def oracle_total_loss(train_graph, cfg, tensors, batch, chains_order=None):
     """Full forward + loss from raw parameter tensors, straight-line dense.
 
-    Default-mode semantics only (shared base, normalized local adjacency,
-    row-normalized global similarity, last-step chain scores, batch-mean
-    weights).
+    Default settings of the two remaining variants only: a shared base
+    table (``separate_base`` off) and row-normalized global similarity
+    (``glo_norm = row``).
     """
     schema = train_graph.schema
     rels = schema.relations

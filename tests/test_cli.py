@@ -170,6 +170,27 @@ class TestTrain:
         saved = (tmp_path / "byfile" / "config.txt").read_text()
         assert "epochs = 2" in saved  # flag wins over file
 
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--eval-every", "0", "eval_every"),
+        ("--eval-every", "-1", "eval_every"),
+        ("--ks", "0", "ks"),
+        ("--ks", "10,-5", "ks"),
+        ("--ks", ",", "ks"),
+        ("--ks", "a,b", "ks"),
+        ("--dim", "abc", "dim"),
+        ("--lr", "fast", "lr"),
+        ("--csv", "maybe", "csv"),
+        ("--separate-base", "2", "separate_base"),
+    ])
+    def test_bad_value_exits_one_before_training(self, synth_file, tmp_path,
+                                                 capsys, flag, value, key):
+        out = tmp_path / "run"
+        assert run_cli(*train_args(synth_file, out, extra=[flag, value])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_one(self, synth_file, tmp_path):
         cfg_file = tmp_path / "broken.cfg"
         cfg_file.write_text("nonsense_key = 1\n")
@@ -182,6 +203,13 @@ class TestTrain:
         cases = [("workers", ["--config", str(cfg_file)]),
                  ("workers", ["--data", str(synth_file), "--workers", "1"]),
                  ("attributes", ["--data", str(synth_file), "--attributes", "a.tsv"])]
+        for key, value in (("raw_local_adj", "false"), ("chain_score", "laststep"),
+                           ("per_user_weights", "false")):
+            old_flag = tmp_path / f"{key}.cfg"
+            old_flag.write_text(f"data = {synth_file}\n{key} = {value}\n")
+            dashed = key.replace("_", "-")
+            cases += [(key, ["--config", str(old_flag)]),
+                      (dashed, ["--data", str(synth_file), f"--{dashed}", value])]
         for key, argv in cases:
             assert run_cli("train", "--out", str(tmp_path / "x"), *argv) == 1
             err = capsys.readouterr().err
@@ -260,6 +288,19 @@ class TestDataErrors:
         assert "ratio 0.9" in err and "3 target edges" in err
 
 
+def with_config_lines(ckpt_path, out_path, extra_lines):
+    """Copy of a checkpoint whose embedded config also holds ``extra_lines``
+    (placed before ``dtype``, as an older version wrote them)."""
+    from chainrec.checkpoint import load_checkpoint, save_checkpoint
+    ckpt = load_checkpoint(ckpt_path)
+    lines = ckpt["config_text"].splitlines()
+    at = lines.index("dtype = float64")
+    lines[at:at] = extra_lines
+    save_checkpoint(out_path, ckpt["params"], ckpt["state"], "\n".join(lines) + "\n",
+                    ckpt["meta"], ckpt["rng"])
+    return out_path
+
+
 class TestEvaluate:
     @pytest.fixture
     def run_dir(self, synth_file, tmp_path):
@@ -302,22 +343,42 @@ class TestEvaluate:
 
     def test_checkpoint_with_retired_keys_still_evaluates(self, run_dir, synth_file,
                                                           tmp_path, capsys):
-        # checkpoints written before 'attributes' and 'workers' were removed
-        # embed both keys; evaluate drops them and scores as before
-        from chainrec.checkpoint import load_checkpoint, save_checkpoint
-        ckpt = load_checkpoint(run_dir / "best.npz")
-        lines = ckpt["config_text"].splitlines()
-        lines.insert(1, "attributes = ")
-        lines.insert(lines.index("dtype = float64"), "workers = 1")
-        old = tmp_path / "old.npz"
-        save_checkpoint(old, ckpt["params"], ckpt["state"], "\n".join(lines) + "\n",
-                        ckpt["meta"], ckpt["rng"])
+        # checkpoints written before a key was removed embed it; evaluate
+        # drops it and scores as before. The loss-only keys go whatever
+        # their value; raw_local_adj only at the value the forward pass kept
         assert run_cli("evaluate", "--data", str(synth_file),
                        "--checkpoint", str(run_dir / "best.npz")) == 0
         current = capsys.readouterr().out
+        for retired in (["raw_local_adj = False", "chain_score = laststep",
+                         "per_user_weights = False"],
+                        ["raw_local_adj = False", "chain_score = aggregated",
+                         "per_user_weights = True"]):
+            old = with_config_lines(run_dir / "best.npz", tmp_path / "old.npz",
+                                    ["attributes = ", "workers = 1", *retired])
+            assert run_cli("evaluate", "--data", str(synth_file),
+                           "--checkpoint", str(old)) == 0
+            assert capsys.readouterr().out == current
+
+    def test_checkpoint_with_raw_local_adj_exits_one(self, run_dir, synth_file,
+                                                    tmp_path, capsys):
+        # the unnormalized local adjacency is no longer computed, so such a
+        # checkpoint cannot be scored as it was trained
+        old = with_config_lines(run_dir / "best.npz", tmp_path / "old.npz",
+                                ["raw_local_adj = True"])
         assert run_cli("evaluate", "--data", str(synth_file),
-                       "--checkpoint", str(old)) == 0
-        assert capsys.readouterr().out == current
+                       "--checkpoint", str(old)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "raw_local_adj" in captured.err
+
+    def test_bad_ks_exits_one(self, run_dir, synth_file, capsys):
+        assert run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(run_dir / "best.npz"), "--ks", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "ks" in captured.err
 
 
 class TestInspectPatterns:

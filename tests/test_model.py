@@ -194,32 +194,6 @@ class TestFeatureFlags:
         for key in ("base_local", "base_global", "base_relation"):
             assert np.any(grads[key] != 0.0), key
 
-    def test_aggregated_chain_score_changes_loss(self):
-        model_a, params, batch = self._setup(chain_score="laststep")
-        model_b = DualChannelModel(model_a.graph,
-                                   RunConfig(**{**model_a.cfg.__dict__,
-                                                "chain_score": "aggregated"}).validate())
-        la, _ = model_a.total_loss(params.tensors, batch)
-        lb, _ = model_b.total_loss(params.tensors, batch)
-        assert float(la) != pytest.approx(float(lb))
-
-    def test_per_user_weights_runs_and_differs(self):
-        model_a, params, batch = self._setup()
-        model_b = DualChannelModel(model_a.graph,
-                                   RunConfig(**{**model_a.cfg.__dict__,
-                                                "per_user_weights": True}).validate())
-        la, _ = model_a.total_loss(params.tensors, batch)
-        lb, _ = model_b.total_loss(params.tensors, batch)
-        assert np.isfinite(float(lb))
-        assert float(la) != pytest.approx(float(lb))
-        grads, _ = backward(model_b, params, batch)
-        assert all(np.all(np.isfinite(g)) for g in grads.values())
-
-    def test_raw_local_adj_flag(self):
-        model, params, batch = self._setup(raw_local_adj=True)
-        loss, _ = model.total_loss(params.tensors, batch)
-        assert np.isfinite(float(loss))
-
     def test_chain_order_override_reorders_chains(self):
         model, _, _ = self._setup(chain_order=("buy", "cart", "view"))
         labels = [c.label() for c in model.chains]

@@ -98,11 +98,16 @@ class TestBBPConstruction:
 
 class TestLocalChannel:
     def test_uniform_logits_weight_each_pattern_equally(self):
+        # equal pattern weights cancel in the normalization, leaving the
+        # union graph's 1/sqrt(deg_u deg_v) on every edge
         g = random_multiplex_graph(6, 6, ("a", "b", "c"), 0.4, seed=0)
         bbps = build_all_bbps(g)
-        adj = local_adjacency(pattern_union(bbps), np.zeros(7), normalize=False)
-        vals = ad.val(adj.values)
-        assert np.allclose(vals, 1.0 / 7)
+        adj = local_adjacency(pattern_union(bbps), np.zeros(7))
+        struct = adj.struct
+        deg = np.bincount(struct.rows, minlength=struct.n)
+        assert struct.nnz > 0
+        np.testing.assert_allclose(ad.val(adj.values),
+                                   1.0 / np.sqrt(deg[struct.rows] * deg[struct.cols]))
 
     def test_empty_patterns_give_zero_matrix(self):
         g = graph_from_pairs(2, 2, {"a": [], "b": []}, target="b")
@@ -144,14 +149,14 @@ class TestLocalChannel:
         out = propagate_local(adj, base, 2)
         np.testing.assert_allclose(out, (base[::-1] + base) / 2)
 
-    def test_raw_flag_skips_normalization(self):
+    def test_star_edges_scale_by_inverse_sqrt_degrees(self):
+        # user of degree 2, items of degree 1: each edge is 1/sqrt(2 * 1)
         g = graph_from_pairs(1, 2, {"a": [(0, 0), (0, 1)]})
         bbps = build_all_bbps(g)
-        union = pattern_union(bbps)
-        raw = oracles.dense_matrix(local_adjacency(union, np.zeros(1), normalize=False))
-        np.testing.assert_allclose(raw[0, 1:], [1.0, 1.0])
-        norm = oracles.dense_matrix(local_adjacency(union, np.zeros(1), normalize=True))
-        np.testing.assert_allclose(norm[0, 1:], [1 / np.sqrt(2), 1 / np.sqrt(2)])
+        norm = oracles.dense_matrix(local_adjacency(pattern_union(bbps), np.zeros(1)))
+        np.testing.assert_allclose(norm, [[0, 1 / np.sqrt(2), 1 / np.sqrt(2)],
+                                          [1 / np.sqrt(2), 0, 0],
+                                          [1 / np.sqrt(2), 0, 0]], atol=1e-12)
 
 
 class TestGlobalChannel:
