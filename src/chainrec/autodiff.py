@@ -11,6 +11,7 @@ objective against central finite differences.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import backend
 from .sparse import row_slice
@@ -94,8 +95,11 @@ def backward(out: Var):
         g = grads.pop(id(node), None)
         parts = row_grads.pop(id(node), None)
         if parts:
-            idx = np.concatenate([p.idx for p in parts])
-            rows = np.concatenate([p.rows for p in parts])
+            if len(parts) == 1:
+                idx, rows = parts[0].idx, parts[0].rows
+            else:
+                idx = np.concatenate([p.idx for p in parts])
+                rows = np.concatenate([p.rows for p in parts])
             dense = backend.scatter_add_rows(idx, rows, node.value.shape[0])
             g = dense if g is None else _accumulate(dense, g, True)
         if node._vjp is None:
@@ -513,20 +517,18 @@ def spmm_rows(struct, vals, x, rows, x_rows=None):
 
     def vjp(g):
         g = np.ascontiguousarray(g)
-        local = np.repeat(np.arange(rows.shape[0]), np.diff(indptr))
         grads = []
         if isinstance(vals, Var):
+            local = np.repeat(np.arange(rows.shape[0]), np.diff(indptr))
             gv = backend.spmm_grad_vals(local, cols, g, xv)
             full = np.zeros(struct.nnz, dtype=gv.dtype)
             full[edges] = gv
             grads.append(full)
         if isinstance(x, Var):
-            # reverse positions sort the slice's edges by (col, row): the
-            # transposed slice in CSR order
-            order = np.argsort(struct.rev[edges])
-            t_indptr = np.zeros(xv.shape[0] + 1, dtype=np.int64)
-            np.cumsum(np.bincount(cols, minlength=xv.shape[0]), out=t_indptr[1:])
-            grads.append(backend.spmm(t_indptr, local[order], vv[edges[order]], g))
+            # scipy's O(nnz) CSR -> CSC pass gives the transposed slice
+            t = sp.csr_matrix((vv[edges], cols, indptr),
+                              shape=(rows.shape[0], xv.shape[0])).tocsc()
+            grads.append(backend.spmm(t.indptr, t.indices, t.data, g))
         return tuple(grads)
 
     return Var(out, parents, vjp)

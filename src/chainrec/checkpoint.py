@@ -44,6 +44,9 @@ def load_checkpoint(path) -> dict:
     if version > SAVE_VERSION:
         raise CheckpointError(f"checkpoint version {version} is newer than "
                               f"supported {SAVE_VERSION}")
+    for key in ("__config__", "__meta__", "__rng__", "__adam_t__"):
+        if key not in data:
+            raise CheckpointError(f"{path} lacks {key}")
     tensors, adam_m, adam_v = {}, {}, {}
     for key in data.files:
         if key.startswith("param/"):
@@ -52,6 +55,11 @@ def load_checkpoint(path) -> dict:
             adam_m[key[len("adam_m/"):]] = data[key]
         elif key.startswith("adam_v/"):
             adam_v[key[len("adam_v/"):]] = data[key]
+    # the names not under all three prefixes
+    odd = (tensors.keys() ^ adam_m.keys()) | (tensors.keys() ^ adam_v.keys())
+    if odd:
+        raise CheckpointError(f"{path} lacks param/, adam_m/ or adam_v/ "
+                              f"entries for {', '.join(sorted(odd))}")
     params = ModelParams(tensors)
     state = AdamState(m=adam_m, v=adam_v, t=int(data["__adam_t__"]))
     return {

@@ -140,8 +140,8 @@ class DualChannelModel:
         compact, indexed by position in ``rows``. The sparse channels then
         compute each propagation layer only on its receptive field: the
         last at the rows, each earlier one at the nodes the next one
-        reads. The global channel computes its last layer only at the
-        rows; its earlier layers are dense products over the whole graph.
+        reads. The global channel propagates through its p x p pattern
+        Gram matrix and forms its output only at the rows.
         The dense chain channel and the fused tables are computed only at
         the rows too, which keeps a training step's dense work independent
         of catalog size.

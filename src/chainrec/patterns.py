@@ -153,11 +153,12 @@ def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
                               rows=None):
     """L rounds of propagation through norm(B B^T), row-normalized
     (``mode='row'``) or 1/sqrt(rowsum) on both sides (``'sym'``); zero rows
-    stay zero and the final layer is returned. Each layer is B (B^T h), so
-    the N x N similarity matrix is never materialized, and the normalizer
-    is folded into a pre-scaled copy of B once per call. With ``rows``
-    (sorted unique node indices) the last layer is computed, and returned,
-    only at those rows."""
+    stay zero and the final layer is returned. With the normalizer folded
+    into a scaled copy S of B and R = B (row) or S (sym), the final layer
+    is (S R^T)^L base = S (R^T S)^(L-1) R^T base: every round is a product
+    with the p x p Gram matrix R^T S, and no N x N matrix or N x d layer
+    but the output is formed. With ``rows`` (sorted unique node indices)
+    the output is computed, and returned, only at those rows."""
     if num_layers < 1:
         raise ValueError("need at least one propagation layer")
     if mode not in ("row", "sym"):
@@ -166,12 +167,13 @@ def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
     rowsum = ad.matmul(b_matrix, col_tot)
     inv = ad.reciprocal_safe(rowsum) if mode == "row" else ad.rsqrt_safe(rowsum)
     scaled = ad.mul(b_matrix, ad.reshape(inv, (-1, 1)))
-    right = b_matrix if mode == "row" else scaled
-    h = base
+    right_t = ad.transpose(b_matrix if mode == "row" else scaled)
+    gram = ad.matmul(right_t, scaled)
+    t = ad.matmul(right_t, base)
     for _ in range(num_layers - 1):
-        h = ad.matmul(scaled, ad.matmul(ad.transpose(right), h))
+        t = ad.matmul(gram, t)
     left = scaled if rows is None else ad.gather(scaled, rows)
-    return ad.matmul(left, ad.matmul(ad.transpose(right), h))
+    return ad.matmul(left, t)
 
 
 def ebp_embeddings(h_loc, h_glo):

@@ -29,8 +29,8 @@ def propagate_layers(adj: SparseMatrix, base, num_layers: int, rows=None) -> lis
     With ``rows`` (sorted unique node indices) each layer is returned at
     those rows only, bit-identical to the full layer's rows, and computed
     only where later layers read it: layer l on the receptive field R_l,
-    from layer l-1 on R_{l-1}, starting from ``base`` gathered on R_0
-    (or ``base`` itself when R_0 is every node).
+    from layer l-1 on R_{l-1}. Layer 1 reads ``base`` in place, so its
+    x-adjoint is one dense table rather than gathered rows to scatter.
     """
     if num_layers < 1:
         raise ValueError("need at least one propagation layer")
@@ -41,15 +41,14 @@ def propagate_layers(adj: SparseMatrix, base, num_layers: int, rows=None) -> lis
             h = ad.spmm(adj.struct, adj.values, h)
             layers.append(h)
         return layers
-    fields = receptive_fields(adj.struct, rows, num_layers)
-    # a field that covers the graph reads ``base`` itself, not a copy
-    x_rows = None if fields[0].shape[0] == adj.struct.n else fields[0]
-    h = base if x_rows is None else ad.gather(base, x_rows)
-    for l in range(1, num_layers + 1):
-        h = ad.spmm_rows(adj.struct, adj.values, h, fields[l], x_rows=x_rows)
-        x_rows = fields[l]
+    # [R_1, ..., R_L]: R_0 is never built, layer 1 reads all of ``base``
+    fields = receptive_fields(adj.struct, rows, num_layers - 1)
+    h, x_rows = base, None
+    for l, field in enumerate(fields, start=1):
+        h = ad.spmm_rows(adj.struct, adj.values, h, field, x_rows=x_rows)
+        x_rows = field
         layers.append(h if l == num_layers
-                      else ad.gather(h, np.searchsorted(fields[l], rows)))
+                      else ad.gather(h, np.searchsorted(field, rows)))
     return layers
 
 

@@ -162,6 +162,21 @@ class TestTrain:
         for k in keys:
             np.testing.assert_array_equal(a[k], b[k])
 
+    @pytest.mark.parametrize("key", ["adam_m/base", "adam_v/base", "__adam_t__",
+                                     "__rng__"])
+    def test_resume_from_incomplete_checkpoint_exits_one(self, synth_file,
+                                                         tmp_path, capsys, key):
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1)) == 0
+        bad = without_keys(part1 / "checkpoint.npz", tmp_path / "bad.npz", {key})
+        capsys.readouterr()
+        part2 = tmp_path / "part2"
+        assert run_cli(*train_args(synth_file, part2,
+                                   extra=["--resume", str(bad),
+                                          "--epochs", "4"])) == 1
+        assert_one_error_line(capsys, key.rpartition("/")[2])
+        assert not (part2 / "metrics.jsonl").exists()
+
     def test_config_file_plus_flag_override(self, synth_file, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"data = {synth_file}\ndim = 8\nepochs = 1\n"
@@ -301,6 +316,21 @@ def with_config_lines(ckpt_path, out_path, extra_lines):
     return out_path
 
 
+def without_keys(ckpt_path, out_path, drop):
+    """Copy of a checkpoint file without the arrays named in ``drop``."""
+    with np.load(ckpt_path) as data:
+        kept = {k: data[k] for k in data.files if k not in drop}
+    np.savez(out_path, **kept)
+    return out_path
+
+
+def assert_one_error_line(capsys, *words):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for word in words:
+        assert word in captured.err
+
+
 class TestEvaluate:
     @pytest.fixture
     def run_dir(self, synth_file, tmp_path):
@@ -330,6 +360,16 @@ class TestEvaluate:
         bad.write_bytes(b"not a checkpoint")
         assert run_cli("evaluate", "--data", str(synth_file),
                        "--checkpoint", str(bad)) == 1
+
+    @pytest.mark.parametrize("key", ["__config__", "__meta__", "__rng__",
+                                     "__adam_t__", "adam_m/base", "param/base"])
+    def test_checkpoint_missing_a_key_exits_one(self, run_dir, synth_file,
+                                                tmp_path, capsys, key):
+        bad = without_keys(run_dir / "best.npz", tmp_path / "bad.npz", {key})
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(bad)) == 1
+        assert_one_error_line(capsys, key.rpartition("/")[2])
 
     def test_dimension_mismatch_reports_diff(self, run_dir, synth_file, capsys):
         code = run_cli("evaluate", "--data", str(synth_file),

@@ -16,6 +16,7 @@ from chainrec.sparse import CSRStruct, SparseMatrix, build_struct
 
 import oracles
 from conftest import random_multiplex_graph
+from test_autodiff import fd_grad
 
 
 def graph_from_pairs(num_users, num_items, per_relation, target=None):
@@ -224,6 +225,87 @@ class TestGlobalChannel:
                 oracles.build_global_similarity(b, mode=mode), base, 2)
             fact = propagate_global_factored(b, base, 2, mode=mode)
             np.testing.assert_allclose(fact, dense, rtol=1e-10, atol=1e-12)
+
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["row", "sym"])
+    def test_gram_path_matches_dense_oracle_at_rows_and_in_full(self, layers,
+                                                                 mode):
+        rng = np.random.default_rng(10 + layers)
+        b = rng.integers(0, 4, size=(12, 5)).astype(float)
+        b[4] = 0.0      # a node with no pattern neighbour: rowsum zero
+        b[:, 2] = 0.0   # a pattern no pair has
+        base = rng.normal(size=(12, 3))
+        want = oracles.propagate_global(
+            oracles.build_global_similarity(b, mode=mode), base, layers)
+        full = propagate_global_factored(b, base, layers, mode=mode)
+        np.testing.assert_allclose(full, want, rtol=1e-10, atol=1e-12)
+        rows = np.asarray([0, 4, 7, 11])
+        part = propagate_global_factored(b, base, layers, mode=mode, rows=rows)
+        assert part.shape == (4, 3)
+        np.testing.assert_allclose(part, want[rows], rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(full[4], 0.0)
+        np.testing.assert_array_equal(part[1], 0.0)
+
+    @pytest.mark.parametrize("mode", ["row", "sym"])
+    @pytest.mark.parametrize("rows", [None, [1, 2, 6]])
+    def test_gram_path_grads_match_finite_differences(self, mode, rows):
+        # L = 3: two rounds through the Gram matrix, from the model's
+        # B = counts * softplus(global_logits)
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 4, size=(8, 3)).astype(float)
+        counts[5] = 0.0
+        base = rng.normal(size=(8, 2))
+        logits = rng.normal(size=3)
+        rows = None if rows is None else np.asarray(rows)
+        coeff = rng.normal(size=(8 if rows is None else len(rows), 2))
+
+        def loss(x, z):
+            b = ad.mul(counts, ad.softplus(z))
+            out = propagate_global_factored(b, x, 3, mode=mode, rows=rows)
+            return ad.asum(ad.mul(out, coeff))
+
+        xv, zv = ad.Var(base.copy()), ad.Var(logits.copy())
+        ad.backward(loss(xv, zv))
+        np.testing.assert_allclose(xv.grad, fd_grad(lambda a: loss(a, logits), base),
+                                   rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(zv.grad, fd_grad(lambda a: loss(base, a), logits),
+                                   rtol=1e-6, atol=1e-8)
+
+    def test_gram_path_forms_no_full_layer(self, monkeypatch):
+        # with rows, every product is p x d, p x p or over the rows: the
+        # output is the only table with d columns
+        rng = np.random.default_rng(4)
+        b = np.abs(rng.normal(size=(20, 3)))
+        base = rng.normal(size=(20, 5))
+        shapes = []
+
+        def spy(a, c, _fn=ad.matmul):
+            out = _fn(a, c)
+            shapes.append(ad.val(out).shape)
+            return out
+
+        monkeypatch.setattr(ad, "matmul", spy)
+        out = propagate_global_factored(ad.Var(b), ad.Var(base), 3,
+                                        rows=np.asarray([2, 9]))
+        assert out.shape == (2, 5)
+        assert (20, 5) not in shapes and (3, 3) in shapes
+
+    @pytest.mark.parametrize("mode", ["row", "sym"])
+    def test_gram_path_keeps_float32(self, mode):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 4, size=(9, 3)).astype(np.float32)
+        counts[0] = 0.0
+        base = ad.Var(rng.normal(size=(9, 4)).astype(np.float32))
+        logits = ad.Var(rng.normal(size=3).astype(np.float32))
+        for rows in (None, np.asarray([0, 3, 8])):
+            base.grad = logits.grad = None
+            b = ad.mul(counts, ad.softplus(logits))
+            out = propagate_global_factored(b, base, 3, mode=mode, rows=rows)
+            assert out.value.dtype == np.float32
+            ad.backward(ad.asum(out))
+            assert base.grad.dtype == np.float32
+            assert logits.grad.dtype == np.float32
 
 
 class TestEbpFusion:

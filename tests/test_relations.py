@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from chainrec.relations import aggregate_relations, lightgcn_propagate
+from chainrec import autodiff as ad
+from chainrec.relations import (aggregate_relations, lightgcn_propagate,
+                                propagate_layers)
+from chainrec.sparse import receptive_fields
 
 import oracles
 from conftest import random_multiplex_graph, relation_matrix
@@ -51,6 +54,44 @@ class TestLightgcnPropagate:
                                    3.0 * fx, rtol=1e-9)
         np.testing.assert_allclose(lightgcn_propagate(adj, x + y, 2),
                                    fx + fy, rtol=1e-9, atol=1e-12)
+
+
+class TestPropagateLayersAtRows:
+    # two components, users 0-1 with items 0-2 and users 2-3 with items
+    # 3-5, and item 6 isolated; the rows lie in the first component
+    GRAPH = {"r": [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (2, 4), (3, 4),
+                   (3, 5)]}
+    ROWS = np.asarray([0, 5])
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_base_gradient_matches_full_path_and_vanishes_off_the_field(self,
+                                                                      layers):
+        g = graph_from_pairs(4, 7, self.GRAPH)
+        adj = relation_matrix(g, "r")
+        rng = np.random.default_rng(layers)
+        base0 = rng.normal(size=(11, 3))
+        coeff = rng.normal(size=(layers, len(self.ROWS), 3))
+        grads = []
+        for rows in (None, self.ROWS):
+            base = ad.Var(base0.copy())
+            hs = propagate_layers(adj, base, layers, rows)
+            loss = None
+            for h, c in zip(hs, coeff):
+                at = h if rows is not None else ad.gather(h, self.ROWS)
+                term = ad.asum(ad.mul(at, c))
+                loss = term if loss is None else ad.add(loss, term)
+            ad.backward(loss)
+            grads.append(base.grad)
+            if rows is not None:
+                full = propagate_layers(adj, base0, layers)
+                for h, want in zip(hs, full):
+                    np.testing.assert_array_equal(ad.val(h), want[self.ROWS])
+        assert grads[1].shape == base0.shape
+        np.testing.assert_allclose(grads[1], grads[0], rtol=1e-12, atol=1e-15)
+        read = receptive_fields(adj.struct, self.ROWS, layers)[0]
+        off = np.setdiff1d(np.arange(11), read)
+        assert np.isin([2, 3, 7, 8, 9, 10], off).all()
+        np.testing.assert_array_equal(grads[1][off], 0.0)
 
 
 class TestAggregateRelations:

@@ -250,6 +250,29 @@ class TestFloat32:
                 assert t.dtype == np.float32, name
 
 
+class TestStepKernels:
+    def test_each_sparse_operator_runs_two_products_per_layer(self, tiny_setup,
+                                                              monkeypatch):
+        # per layer and operator one forward product and one x-adjoint, both
+        # through backend.spmm, so a traced step's kernel counters see them
+        _, _, model, params, batch, cfg = tiny_setup
+        calls = []
+
+        def spy(*args, _fn=backend.spmm):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(backend, "spmm", spy)
+        pvars = params.as_vars()
+        loss, _ = model.total_loss(pvars, batch)
+        forward = len(calls)
+        ad.backward(loss)
+        operators = 1 + len(model.rel_adj)   # the pattern union + relations
+        assert (cfg.layers, operators) == (2, 4)
+        assert forward == cfg.layers * operators
+        assert len(calls) == 16 == 2 * cfg.layers * operators
+
+
 class TestTrainLoop:
     def _synth(self, tmp_path, users=200, items=150):
         cfg = RunConfig(synth_users=users, synth_items=items, synth_clusters=10,
