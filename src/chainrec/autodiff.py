@@ -146,10 +146,10 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    if not _is_var(a, b):
-        return np.add(a, b)
     av, bv = val(a), val(b)
-    out = av + bv
+    out = np.add(av, bv)
+    if not _is_var(a, b):
+        return out
     parents = tuple(x for x in (a, b) if isinstance(x, Var))
 
     def vjp(g):
@@ -164,10 +164,10 @@ def add(a, b):
 
 
 def mul(a, b):
-    if not _is_var(a, b):
-        return np.multiply(a, b)
     av, bv = val(a), val(b)
-    out = av * bv
+    out = np.multiply(av, bv)
+    if not _is_var(a, b):
+        return out
     parents = tuple(x for x in (a, b) if isinstance(x, Var))
 
     def vjp(g):
@@ -182,10 +182,10 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    if not _is_var(a, b):
-        return np.matmul(a, b)
     av, bv = val(a), val(b)
-    out = av @ bv
+    out = np.matmul(av, bv)
+    if not _is_var(a, b):
+        return out
     parents = tuple(x for x in (a, b) if isinstance(x, Var))
 
     def vjp(g):
@@ -210,17 +210,16 @@ def matmul(a, b):
 
 
 def transpose(a):
-    if not _is_var(a):
-        return np.transpose(a)
-    return Var(val(a).T, (a,), lambda g: (g.T,))
+    out = np.transpose(val(a))
+    return Var(out, (a,), lambda g: (g.T,)) if _is_var(a) else out
 
 
 def asum(a, axis=None):
     """Sum over all entries or along one axis."""
-    if not _is_var(a):
-        return np.sum(a, axis=axis)
     av = val(a)
     out = np.sum(av, axis=axis)
+    if not _is_var(a):
+        return out
 
     def vjp(g):
         if axis is None:
@@ -237,18 +236,17 @@ def amean(a):
 
 def sumsq(a):
     """Sum of squared entries (L2 regularization term)."""
-    if not _is_var(a):
-        return float(np.sum(np.square(a)))
     av = val(a)
-    return Var(np.sum(av * av), (a,), lambda g: (g * 2.0 * av,))
+    out = np.sum(av * av)
+    return Var(out, (a,), lambda g: (g * 2.0 * av,)) if _is_var(a) else out
 
 
 def rowdot(a, b):
     """Paired row dot products of two equal-shape matrices -> vector."""
-    if not _is_var(a, b):
-        return np.einsum("ij,ij->i", a, b)
     av, bv = val(a), val(b)
     out = np.einsum("ij,ij->i", av, bv)
+    if not _is_var(a, b):
+        return out
     parents = tuple(x for x in (a, b) if isinstance(x, Var))
 
     def vjp(g):
@@ -269,10 +267,10 @@ def rowdot(a, b):
 def gather(a, idx):
     """Rows (2-D) or entries (1-D) of a at integer indices; repeats allowed."""
     idx = np.asarray(idx)
-    if not _is_var(a):
-        return a[idx]
     av = val(a)
     out = av[idx]
+    if not _is_var(a):
+        return out
     n = av.shape[0]
 
     def vjp(g):
@@ -286,24 +284,21 @@ def gather(a, idx):
 def segsum(vals, idx, n):
     """out[idx[k]] += vals[k] into a length-n vector (weighted node degrees)."""
     idx = np.asarray(idx)
-    if not _is_var(vals):
-        return backend.segment_sum(idx, vals, n)
     out = backend.segment_sum(idx, val(vals), n)
-    return Var(out, (vals,), lambda g: (g[idx],))
+    return Var(out, (vals,), lambda g: (g[idx],)) if _is_var(vals) else out
 
 
 def reshape(a, shape):
-    if not _is_var(a):
-        return np.reshape(a, shape)
     av = val(a)
-    return Var(av.reshape(shape), (a,), lambda g: (g.reshape(av.shape),))
+    out = np.reshape(av, shape)
+    return Var(out, (a,), lambda g: (g.reshape(av.shape),)) if _is_var(a) else out
 
 
 def concat(items, axis):
-    if not _is_var(*items):
-        return np.concatenate([np.asarray(x) for x in items], axis=axis)
-    vals = [val(x) for x in items]
+    vals = [np.asarray(val(x)) for x in items]
     out = np.concatenate(vals, axis=axis)
+    if not _is_var(*items):
+        return out
     sizes = [v.shape[axis] for v in vals]
     splits = np.cumsum(sizes)[:-1]
     parents = tuple(x for x in items if isinstance(x, Var))
@@ -317,9 +312,9 @@ def concat(items, axis):
 
 def stack_scalars(items):
     """Stack 0-d values into a 1-D vector of their common dtype."""
-    if not _is_var(*items):
-        return np.stack([np.asarray(x).reshape(()) for x in items])
     out = np.stack([np.asarray(val(x)).reshape(()) for x in items])
+    if not _is_var(*items):
+        return out
     parents = tuple(x for x in items if isinstance(x, Var))
 
     def vjp(g):
@@ -331,9 +326,9 @@ def stack_scalars(items):
 def fill(scalar, shape):
     """Broadcast a 0-d value to a constant-filled array of the given shape
     and the value's dtype."""
-    if not _is_var(scalar):
-        return np.full(shape, scalar)
     out = np.full(shape, val(scalar))
+    if not _is_var(scalar):
+        return out
     return Var(out, (scalar,), lambda g: (np.asarray(g.sum()),))
 
 
@@ -464,40 +459,22 @@ def take_diag(a):
 # ---------------------------------------------------------------------------
 
 def spmm(struct, vals, x):
-    """Sparse (CSR struct + per-edge vals) times dense x.
-
-    ``struct`` carries constant arrays (indptr, cols, rows, rev) where
-    ``rev`` maps each edge to its reverse edge, so the adjoint w.r.t. x is
-    a second spmm with permuted values. Differentiable in vals and x.
-    """
-    if not _is_var(vals, x):
-        return backend.spmm(struct.indptr, struct.cols, vals, x)
-    vv, xv = val(vals), val(x)
-    out = backend.spmm(struct.indptr, struct.cols, vv, xv)
-    parents = tuple(p for p in (vals, x) if isinstance(p, Var))
-
-    def vjp(g):
-        g = np.ascontiguousarray(g)
-        grads = []
-        if isinstance(vals, Var):
-            grads.append(backend.spmm_grad_vals(struct.rows, struct.cols, g, xv))
-        if isinstance(x, Var):
-            grads.append(backend.spmm(struct.indptr, struct.cols, vv[struct.rev], g))
-        return tuple(grads)
-
-    return Var(out, parents, vjp)
+    """Sparse (CSR struct + per-edge vals) times dense x: :func:`spmm_rows`
+    at every row. Differentiable in vals and x."""
+    return spmm_rows(struct, vals, x, np.arange(struct.n))
 
 
 def spmm_rows(struct, vals, x, rows, x_rows=None):
-    """``spmm(struct, vals, x)[rows]`` computed from those CSR rows only.
+    """Rows ``rows`` of the sparse (CSR struct + per-edge vals) times dense
+    x product, computed from those CSR rows only.
 
     ``rows`` are sorted unique row indices. With ``x_rows`` (sorted unique,
     covering every column of those rows) ``x`` is compact, row k holding
     node ``x_rows[k]``, and so is the x-adjoint. Each output row sums its
-    edges in the order the full product does, so it is bit-identical to
-    that row. The x-adjoint is a product with the transposed slice, whose
-    rows keep their entries in ascending source order as the full adjoint
-    sums them; the vals-gradient is zero off the slice's edges.
+    edges in CSR order, so a row is bit-identical whichever ``rows`` hold
+    it. The x-adjoint is a product with the transposed slice, whose rows
+    keep their entries in ascending source order; the vals-gradient is
+    zero off the slice's edges.
     """
     rows = np.asarray(rows, dtype=np.int64)
     indptr, edges = row_slice(struct, rows)

@@ -72,6 +72,17 @@ def load_checkpoint(path) -> dict:
     }
 
 
+def check_tensors(ckpt: dict, shapes: dict) -> None:
+    """Raises CheckpointError, naming the odd tensors, unless the
+    checkpoint's parameters are exactly ``shapes``' names at those shapes."""
+    have = {k: t.shape for k, t in ckpt["params"].tensors.items()}
+    odd = [f"{k} (checkpoint {have.get(k, 'none')}, model {shapes.get(k, 'none')})"
+           for k in sorted(have.keys() | shapes.keys()) if have.get(k) != shapes.get(k)]
+    if odd:
+        raise CheckpointError("checkpoint parameters do not fit this model: "
+                              + "; ".join(odd))
+
+
 def compatibility_diff(meta: dict, expected: dict) -> list:
     """Human-readable mismatches between a checkpoint and the current run."""
     lines = []

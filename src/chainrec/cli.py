@@ -13,18 +13,18 @@ import os
 import sys
 from dataclasses import fields
 
-from .checkpoint import (CheckpointError, compatibility_diff, load_checkpoint,
-                         save_checkpoint)
+from .checkpoint import (CheckpointError, check_tensors, compatibility_diff,
+                         load_checkpoint, save_checkpoint)
 from .chains import enumerate_chains
-from .config import (ConfigError, RunConfig, make_config, parse_config_text,
-                     save_config)
+from .config import (ConfigError, RunConfig, config_text, make_config,
+                     parse_config_text, save_config)
 from .evaluation import sparsity_groups
 from .graph import (ParseError, SchemaError, SplitError, load_interactions,
                     make_schema, split_train_test, training_graph)
-from .model import DualChannelModel, TrainingAbort
+from .model import DualChannelModel, TrainingAbort, param_shapes
 from .patterns import build_all_bbps, pattern_count_matrix
 from .synth import write_synthetic
-from .training import NegativeSamplingError, evaluate_model
+from .training import NegativeSamplingError, eval_record, evaluate_model
 from .training import train as run_training
 
 EXIT_OK = 0
@@ -92,22 +92,21 @@ def _split(cfg: RunConfig, graph):
     return split
 
 
-def _config_text(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(x) for x in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def _checkpoint_meta(cfg: RunConfig, graph, extra=None) -> dict:
     meta = {"dim": cfg.dim, "relations": list(cfg.relations),
             "target": cfg.target, "num_users": graph.num_users,
             "num_items": graph.num_items}
     meta.update(extra or {})
     return meta
+
+
+def _check_checkpoint(ckpt: dict, cfg: RunConfig, graph) -> None:
+    """Refuses a checkpoint whose metadata or parameter tensors do not fit
+    the model this run builds."""
+    diff = compatibility_diff(ckpt["meta"], _checkpoint_meta(cfg, graph))
+    if diff:
+        raise UsageError("checkpoint does not match this run:\n  " + "\n  ".join(diff))
+    check_tensors(ckpt, param_shapes(graph.schema, cfg, graph.num_nodes))
 
 
 def _write_metrics_csv(history, path):
@@ -139,10 +138,7 @@ def cmd_train(args) -> int:
     start_epoch = 0
     if cfg.resume:
         ckpt = load_checkpoint(cfg.resume)
-        diff = compatibility_diff(ckpt["meta"], _checkpoint_meta(cfg, graph))
-        if diff:
-            raise UsageError("checkpoint does not match this run:\n  " +
-                             "\n  ".join(diff))
+        _check_checkpoint(ckpt, cfg, graph)
         params, state = ckpt["params"], ckpt["state"]
         rng_state = ckpt["rng"]
         start_epoch = int(ckpt["meta"].get("epoch", 0))
@@ -158,7 +154,7 @@ def cmd_train(args) -> int:
                               start_epoch=start_epoch,
                               sampler_rng_state=rng_state)
 
-    cfg_text = _config_text(cfg)
+    cfg_text = config_text(cfg)
     meta = _checkpoint_meta(cfg, graph, {"epoch": result.last_epoch,
                                          "best_epoch": result.best_epoch})
     save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), result.params,
@@ -194,10 +190,7 @@ def cmd_evaluate(args) -> int:
     base_values = parse_config_text("\n".join(kept), origin="<checkpoint>")
     cfg = _make_config(args, base_values=base_values)
     graph = _load_graph(cfg)
-    diff = compatibility_diff(ckpt["meta"], _checkpoint_meta(cfg, graph))
-    if diff:
-        sys.stderr.write("checkpoint/config mismatch:\n  " + "\n  ".join(diff) + "\n")
-        return EXIT_USAGE
+    _check_checkpoint(ckpt, cfg, graph)
     split = _split(cfg, graph)
 
     model = DualChannelModel(training_graph(graph, split), cfg)
@@ -216,10 +209,7 @@ def cmd_evaluate(args) -> int:
     if cfg.csv:
         out_dir = cfg.out_dir()
         os.makedirs(out_dir, exist_ok=True)
-        rec = {"type": "eval", "epoch": ckpt["meta"].get("epoch", 0),
-               "recall": {str(k): result.recall(k) for k in result.ks},
-               "ndcg": {str(k): result.ndcg(k) for k in result.ks},
-               "groups": groups}
+        rec = eval_record(ckpt["meta"].get("epoch", 0), result, groups)
         _write_metrics_csv([rec], os.path.join(out_dir, "metrics.csv"))
     return EXIT_OK
 

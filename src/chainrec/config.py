@@ -76,6 +76,11 @@ class RunConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for key in ("l2", "mu1", "mu2"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.eval_every < 1:
@@ -178,10 +183,17 @@ def make_config(file_path=None, overrides=None, base_values=None) -> RunConfig:
     return RunConfig(**values).validate()
 
 
+def config_text(cfg: RunConfig) -> str:
+    """Every key as a ``key = value`` line, tuples comma-joined."""
+    lines = []
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(str(x) for x in value)
+        lines.append(f"{f.name} = {value}\n")
+    return "".join(lines)
+
+
 def save_config(cfg: RunConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(RunConfig):
-            value = getattr(cfg, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(x) for x in value)
-            fh.write(f"{f.name} = {value}\n")
+        fh.write(config_text(cfg))

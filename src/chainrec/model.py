@@ -53,6 +53,22 @@ def xavier(rng, shape) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
+def param_shapes(schema, cfg: RunConfig, n: int) -> dict:
+    """Name -> shape of every learnable tensor of a model of ``n`` nodes,
+    in the order :meth:`DualChannelModel.init_params` creates them."""
+    d, n_pat = cfg.dim, len(patterns.enumerate_patterns(schema))
+    keys = BASE_KEYS_SEPARATE if cfg.separate_base else BASE_KEYS_SHARED
+    shapes = {k: (n, d) for k in keys}
+    shapes.update(local_logits=(n_pat,), global_logits=(n_pat,))
+    for i, chain in enumerate(enumerate_chains(schema, cfg.chain_order or None)):
+        for j in range(chain.num_steps):
+            shapes[f"chain{i}.user{j}"] = (d, d)
+            shapes[f"chain{i}.item{j}"] = (d, d)
+    shapes.update({"enc_chain.w": (3 * d,), "enc_chain.b": (),
+                   "enc_rel.w": (2 * d,), "enc_rel.b": ()})
+    return shapes
+
+
 def bpr(table, users, pos, neg):
     """BPR ranking loss: the sum over triples of -ln sigmoid(y_up - y_un),
     scores being row dot products in ``table``."""
@@ -84,12 +100,10 @@ class DualChannelModel:
         self.schema = graph.schema
         self.n = graph.num_nodes
         self.num_users = graph.num_users
-        self.masks = patterns.enumerate_patterns(self.schema)
         self.bbps = patterns.build_all_bbps(graph)
         self.union = patterns.pattern_union(self.bbps)
         self.counts = patterns.pattern_count_matrix(self.bbps).astype(self.dtype)
-        self.chains = enumerate_chains(self.schema,
-                                       cfg.chain_order if cfg.chain_order else None)
+        self.chains = enumerate_chains(self.schema, cfg.chain_order or None)
         self.rel_adj = {r: SparseMatrix(graph.adjacency(r),
                                         sym_norm_values(graph.adjacency(r),
                                                         dtype=self.dtype))
@@ -100,24 +114,19 @@ class DualChannelModel:
     # ------------------------------------------------------------------
 
     def init_params(self, seed: int) -> ModelParams:
+        """N(0, 0.1) base tables, Glorot weights, zero logits and biases, but
+        global logits at softplus(x) = 1: pattern-count scaling starts at 1."""
         rng = stream_rng(seed, "init")
-        d = self.cfg.dim
         p = {}
-        base_keys = BASE_KEYS_SEPARATE if self.cfg.separate_base else BASE_KEYS_SHARED
-        for key in base_keys:
-            p[key] = rng.normal(0.0, 0.1, size=(self.n, d))
-        n_pat = len(self.masks)
-        p["local_logits"] = np.zeros(n_pat)
-        # softplus(x) = 1 at x = ln(e - 1): pattern-count scaling starts at identity
-        p["global_logits"] = np.full(n_pat, np.log(np.e - 1.0))
-        for i, chain in enumerate(self.chains):
-            for j in range(chain.num_steps):
-                p[f"chain{i}.user{j}"] = xavier(rng, (d, d))
-                p[f"chain{i}.item{j}"] = xavier(rng, (d, d))
-        p["enc_chain.w"] = xavier(rng, (3 * d,))
-        p["enc_chain.b"] = np.zeros(())
-        p["enc_rel.w"] = xavier(rng, (2 * d,))
-        p["enc_rel.b"] = np.zeros(())
+        for name, shape in param_shapes(self.schema, self.cfg, self.n).items():
+            if name.startswith("base"):
+                p[name] = rng.normal(0.0, 0.1, size=shape)
+            elif name == "global_logits":
+                p[name] = np.full(shape, np.log(np.e - 1.0))
+            elif name == "local_logits" or name.endswith(".b"):
+                p[name] = np.zeros(shape)
+            else:
+                p[name] = xavier(rng, shape)
         return ModelParams({k: v.astype(self.dtype) for k, v in p.items()})
 
     def _base(self, p, channel: str):

@@ -13,17 +13,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CSRStruct:
-    """Row-sorted CSR topology with the reverse-edge permutation.
-
-    ``rev[k]`` is the position of edge (cols[k], rows[k]); transposing a
-    matrix on this structure is just ``vals[rev]``.
-    """
+    """Row-sorted CSR topology: ``rows[k]`` and ``cols[k]`` are edge k's
+    endpoints, and each row's columns ascend."""
 
     n: int
     indptr: np.ndarray
     cols: np.ndarray
     rows: np.ndarray
-    rev: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -42,9 +38,7 @@ def build_struct(n: int, u: np.ndarray, v: np.ndarray) -> CSRStruct:
     counts = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    keys = rows * np.int64(n) + cols
-    rev = np.searchsorted(keys, cols * np.int64(n) + rows)
-    return CSRStruct(n=n, indptr=indptr, cols=cols, rows=rows, rev=rev)
+    return CSRStruct(n=n, indptr=indptr, cols=cols, rows=rows)
 
 
 def row_slice(struct: CSRStruct, rows: np.ndarray) -> tuple:

@@ -210,6 +210,14 @@ def evaluate_model(model: DualChannelModel, params: ModelParams,
     return evaluation.evaluate(e_final, graph, split, ks=ks)
 
 
+def eval_record(epoch: int, result: evaluation.RankingResult, groups: dict) -> dict:
+    """The ``{"type": "eval", ...}`` record of one evaluation pass."""
+    return {"type": "eval", "epoch": epoch,
+            "recall": {str(k): result.recall(k) for k in result.ks},
+            "ndcg": {str(k): result.ndcg(k) for k in result.ks},
+            "groups": groups}
+
+
 def _patience_metric(result: evaluation.RankingResult) -> float:
     k = 10 if 10 in result.ks else result.ks[0]
     return result.recall(k)
@@ -258,10 +266,7 @@ def train(graph: MultiplexBipartiteGraph, split: DatasetSplit, cfg: RunConfig,
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             result = evaluate_model(model, params, graph, split, cfg.ks)
             groups = evaluation.sparsity_groups(result, model.graph, split)
-            emit({"type": "eval", "epoch": epoch,
-                  "recall": {str(k): result.recall(k) for k in result.ks},
-                  "ndcg": {str(k): result.ndcg(k) for k in result.ks},
-                  "groups": groups})
+            emit(eval_record(epoch, result, groups))
             metric = _patience_metric(result)
             if metric > best_metric:
                 best_metric = metric

@@ -156,15 +156,6 @@ class TestSpmm:
         check_op(lambda v: ad.asum(ad.mul(ad.spmm(struct, v, x), coeff)), vals)
         check_op(lambda v: ad.asum(ad.mul(ad.spmm(struct, vals, v), coeff)), x)
 
-    def test_reverse_permutation_is_transpose(self):
-        struct = self._fixture()
-        vals = RNG.normal(size=(struct.nnz,))
-        dense = np.zeros((6, 6))
-        dense[struct.rows, struct.cols] = vals
-        dense_t = np.zeros((6, 6))
-        dense_t[struct.rows, struct.cols] = vals[struct.rev]
-        np.testing.assert_allclose(dense_t, dense.T)
-
 
 def _spmm_rows_fixture(n, dtype=np.float64):
     # 12 users, n - 12 items; users 0-1 and items 28-29 have no edges
@@ -176,6 +167,13 @@ def _spmm_rows_fixture(n, dtype=np.float64):
     vals = rng.normal(size=struct.nnz).astype(dtype)
     x = rng.normal(size=(n, 4)).astype(dtype)
     return struct, vals, x, rng
+
+
+def transposed_vals(struct, vals):
+    """Values of the transposed matrix on the struct's symmetric pattern."""
+    dense = np.zeros((struct.n, struct.n), dtype=vals.dtype)
+    dense[struct.rows, struct.cols] = vals
+    return dense.T[struct.rows, struct.cols]
 
 
 class TestSpmmRows:
@@ -209,11 +207,19 @@ class TestSpmmRows:
         ad.backward(ad.asum(ad.mul(ad.spmm_rows(struct, vv, xv, rows), g)))
         g_full = np.zeros_like(x)
         g_full[rows] = g
-        want_x = backend.spmm(struct.indptr, struct.cols, vals[struct.rev], g_full)
+        want_x = backend.spmm(struct.indptr, struct.cols,
+                              transposed_vals(struct, vals), g_full)
         want_vals = backend.spmm_grad_vals(struct.rows, struct.cols, g_full, x)
         assert xv.grad.dtype == dtype and vv.grad.dtype == dtype
         assert np.array_equal(xv.grad, want_x)
         assert np.array_equal(vv.grad, want_vals)
+        if name == "all":
+            # spmm is spmm_rows at every row: same forward, same adjoints
+            assert np.array_equal(ad.spmm(struct, vals, x), got)
+            vs, xs = ad.Var(vals.copy()), ad.Var(x.copy())
+            ad.backward(ad.asum(ad.mul(ad.spmm(struct, vs, xs), g)))
+            assert np.array_equal(xs.grad, xv.grad) and xs.grad.dtype == dtype
+            assert np.array_equal(vs.grad, vv.grad) and vs.grad.dtype == dtype
 
     @pytest.mark.parametrize("name", ["single", "mixed", "all"])
     def test_grads_match_finite_differences(self, name):
@@ -253,7 +259,8 @@ class TestSpmmRowsCompactX:
         ad.backward(ad.asum(ad.mul(ad.spmm_rows(struct, vv, xv, rows, x_rows=x_rows), g)))
         g_full = np.zeros_like(x)
         g_full[rows] = g
-        want_x = backend.spmm(struct.indptr, struct.cols, vals[struct.rev], g_full)
+        want_x = backend.spmm(struct.indptr, struct.cols,
+                              transposed_vals(struct, vals), g_full)
         want_vals = backend.spmm_grad_vals(struct.rows, struct.cols, g_full, x)
         assert xv.grad.shape == (x_rows.shape[0], 4) and xv.grad.dtype == dtype
         assert np.array_equal(xv.grad, want_x[x_rows])
@@ -439,3 +446,61 @@ def test_plain_ndarray_path_returns_ndarray():
     a = np.ones((2, 2))
     assert isinstance(ad.matmul(a, a), np.ndarray)
     assert isinstance(ad.softmax(np.zeros(3)), np.ndarray)
+
+
+def _op_cases():
+    """name -> build(wrap, dtype): one call of a tape op whose tensor inputs
+    pass through ``wrap`` (identity for the ndarray call, Var for the tape)."""
+    rng = np.random.default_rng(11)
+    m, m2, sq = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 4))
+    v3, v4 = rng.normal(size=3), rng.normal(size=4)
+    s = np.asarray(0.7)
+    struct, vals, x, _ = _spmm_rows_fixture(30)
+
+    def case(fn, *arrays):
+        return lambda wrap, dtype: fn(*(wrap(a.astype(dtype)) for a in arrays))
+
+    return {
+        "add": case(ad.add, m, v3),
+        "mul": case(ad.mul, m, m2),
+        "mul_scalar": case(lambda a: ad.mul(a, -1.0), m),
+        "matmul": case(ad.matmul, m, m2.T),
+        "matvec": case(ad.matmul, m, v3),
+        "vecmat": case(ad.matmul, v4, m),
+        "transpose": case(ad.transpose, m),
+        "asum": case(ad.asum, m),
+        "asum_axis": case(lambda a: ad.asum(a, axis=1), m),
+        "amean": case(ad.amean, m),
+        "sumsq": case(ad.sumsq, m),
+        "rowdot": case(ad.rowdot, m, m2),
+        "gather": case(lambda a: ad.gather(a, [3, 0, 3]), m),
+        "gather_1d": case(lambda a: ad.gather(a, [2, 2, 0]), v4),
+        "segsum": case(lambda a: ad.segsum(a, [1, 0, 1, 4], 5), v4),
+        "reshape": case(lambda a: ad.reshape(a, (3, 4)), m),
+        "concat": case(lambda a, b: ad.concat([a, b], axis=1), m, m2),
+        "stack_scalars": case(lambda a, b: ad.stack_scalars([a, b]), s, s * 2),
+        "fill": case(lambda a: ad.fill(a, (2, 3)), s),
+        "softmax": case(ad.softmax, v4),
+        "softplus": case(ad.softplus, m),
+        "leaky_relu": case(lambda a: ad.leaky_relu(a, 0.01), m),
+        "rsqrt_safe": case(ad.rsqrt_safe, np.abs(v4) * [1, 0, 1, 1]),
+        "reciprocal_safe": case(ad.reciprocal_safe, v4 * [1, 0, 1, 1]),
+        "row_normalize": case(ad.row_normalize, m * [[1], [0], [1], [1]]),
+        "logsumexp_rows": case(ad.logsumexp_rows, m),
+        "take_diag": case(ad.take_diag, sq),
+        "spmm": case(lambda v, a: ad.spmm(struct, v, a), vals, x),
+        "spmm_rows": case(lambda v, a: ad.spmm_rows(struct, v, a, [3, 14, 29]), vals, x),
+    }
+
+
+OP_CASES = _op_cases()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_ndarray_call_matches_var_call(name, dtype):
+    plain = OP_CASES[name](lambda a: a, dtype)
+    taped = OP_CASES[name](ad.Var, dtype)
+    assert not isinstance(plain, ad.Var) and isinstance(taped, ad.Var)
+    assert np.asarray(plain).dtype == taped.value.dtype == dtype
+    assert np.array_equal(plain, taped.value)

@@ -32,6 +32,15 @@ def train_args(data, out, extra=()):
             *extra]
 
 
+# every array of the shared base table: the tensor names still agree with
+# each other, but not with the model's
+ALL_OF_BASE = {"param/base", "adam_m/base", "adam_v/base"}
+
+
+def joined(keys):
+    return ",".join(sorted(keys))
+
+
 class TestSynth:
     def test_writes_parseable_dataset(self, synth_file):
         from chainrec.graph import load_interactions, make_schema
@@ -162,19 +171,33 @@ class TestTrain:
         for k in keys:
             np.testing.assert_array_equal(a[k], b[k])
 
-    @pytest.mark.parametrize("key", ["adam_m/base", "adam_v/base", "__adam_t__",
-                                     "__rng__"])
+    @pytest.mark.parametrize("drop", [{"adam_m/base"}, {"adam_v/base"}, {"__adam_t__"},
+                                      {"__rng__"}, ALL_OF_BASE], ids=joined)
     def test_resume_from_incomplete_checkpoint_exits_one(self, synth_file,
-                                                         tmp_path, capsys, key):
+                                                         tmp_path, capsys, drop):
         part1 = tmp_path / "part1"
         assert run_cli(*train_args(synth_file, part1)) == 0
-        bad = without_keys(part1 / "checkpoint.npz", tmp_path / "bad.npz", {key})
+        bad = without_keys(part1 / "checkpoint.npz", tmp_path / "bad.npz", drop)
         capsys.readouterr()
         part2 = tmp_path / "part2"
         assert run_cli(*train_args(synth_file, part2,
                                    extra=["--resume", str(bad),
                                           "--epochs", "4"])) == 1
-        assert_one_error_line(capsys, key.rpartition("/")[2])
+        assert_one_error_line(capsys, *{key.rpartition("/")[2] for key in drop})
+        assert not (part2 / "metrics.jsonl").exists()
+
+    def test_resume_with_other_tensor_names_exits_one(self, synth_file, tmp_path,
+                                                      capsys):
+        # a shared-base checkpoint resumed as a separate-base run
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1)) == 0
+        capsys.readouterr()
+        part2 = tmp_path / "part2"
+        resume = ["--resume", str(part1 / "checkpoint.npz"), "--epochs", "4",
+                  "--separate-base", "true"]
+        assert run_cli(*train_args(synth_file, part2, extra=resume)) == 1
+        assert_one_error_line(capsys, "base (checkpoint (70, 8), model none)",
+                              "base_global", "base_local", "base_relation")
         assert not (part2 / "metrics.jsonl").exists()
 
     def test_config_file_plus_flag_override(self, synth_file, tmp_path):
@@ -196,6 +219,11 @@ class TestTrain:
         ("--lr", "fast", "lr"),
         ("--csv", "maybe", "csv"),
         ("--separate-base", "2", "separate_base"),
+        ("--epochs", "0", "epochs"),
+        ("--epochs", "-3", "epochs"),
+        ("--l2", "-1", "l2"),
+        ("--mu1", "-0.1", "mu1"),
+        ("--mu2", "-0.5", "mu2"),
     ])
     def test_bad_value_exits_one_before_training(self, synth_file, tmp_path,
                                                  capsys, flag, value, key):
@@ -361,15 +389,27 @@ class TestEvaluate:
         assert run_cli("evaluate", "--data", str(synth_file),
                        "--checkpoint", str(bad)) == 1
 
-    @pytest.mark.parametrize("key", ["__config__", "__meta__", "__rng__",
-                                     "__adam_t__", "adam_m/base", "param/base"])
+    @pytest.mark.parametrize("drop", [{"__config__"}, {"__meta__"}, {"__rng__"},
+                                      {"__adam_t__"}, {"adam_m/base"}, {"param/base"},
+                                      ALL_OF_BASE], ids=joined)
     def test_checkpoint_missing_a_key_exits_one(self, run_dir, synth_file,
-                                                tmp_path, capsys, key):
-        bad = without_keys(run_dir / "best.npz", tmp_path / "bad.npz", {key})
+                                                tmp_path, capsys, drop):
+        bad = without_keys(run_dir / "best.npz", tmp_path / "bad.npz", drop)
         capsys.readouterr()
         assert run_cli("evaluate", "--data", str(synth_file),
                        "--checkpoint", str(bad)) == 1
-        assert_one_error_line(capsys, key.rpartition("/")[2])
+        assert_one_error_line(capsys, *{key.rpartition("/")[2] for key in drop})
+
+    def test_checkpoint_with_a_misshapen_tensor_exits_one(self, run_dir, synth_file,
+                                                          tmp_path, capsys):
+        with np.load(run_dir / "best.npz") as data:
+            arrays = dict(data)
+        arrays["param/enc_rel.w"] = arrays["param/enc_rel.w"][:-1]
+        np.savez(tmp_path / "bad.npz", **arrays)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(tmp_path / "bad.npz")) == 1
+        assert_one_error_line(capsys, "enc_rel.w (checkpoint (15,), model (16,))")
 
     def test_dimension_mismatch_reports_diff(self, run_dir, synth_file, capsys):
         code = run_cli("evaluate", "--data", str(synth_file),

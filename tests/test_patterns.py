@@ -141,8 +141,7 @@ class TestLocalChannel:
         np.testing.assert_allclose(propagate_local(empty, base, 3), np.zeros((2, 2)))
         # identity adjacency is a fixed point: every layer equals layer 0
         eye_struct = CSRStruct(n=2, indptr=np.asarray([0, 1, 2]),
-                               cols=np.asarray([0, 1]), rows=np.asarray([0, 1]),
-                               rev=np.asarray([0, 1]))
+                               cols=np.asarray([0, 1]), rows=np.asarray([0, 1]))
         np.testing.assert_allclose(
             propagate_local(SparseMatrix(eye_struct, np.ones(2)), base, 3), base)
         # normalized single edge swaps rows each hop; mean of swap+original
