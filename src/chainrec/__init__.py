@@ -8,8 +8,7 @@ contrastive losses, and evaluates full-catalog top-K recommendation.
 
 from .config import RunConfig, make_config
 from .graph import (DatasetSplit, MultiplexBipartiteGraph, RelationSchema,
-                    load_graph, load_interactions, make_schema, save_graph,
-                    split_train_test)
+                    load_interactions, make_schema, split_train_test)
 from .model import DualChannelModel, ModelParams, TrainBatch, TrainingAbort
 from .training import TrainResult, evaluate_model, train
 
@@ -18,6 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DatasetSplit", "DualChannelModel", "ModelParams", "MultiplexBipartiteGraph",
     "RelationSchema", "RunConfig", "TrainBatch", "TrainResult", "TrainingAbort",
-    "evaluate_model", "load_graph", "load_interactions", "make_config",
-    "make_schema", "save_graph", "split_train_test", "train", "__version__",
+    "evaluate_model", "load_interactions", "make_config", "make_schema",
+    "split_train_test", "train", "__version__",
 ]

@@ -1,10 +1,12 @@
 """Minimal reverse-mode tape over numpy arrays.
 
 Every op in this module accepts plain ndarrays or :class:`Var` nodes and
-returns the matching kind: pure-ndarray calls evaluate eagerly with no
-recording, Var calls build a graph node holding a vector-Jacobian closure.
-The forward math is therefore written once and reused verbatim for
-inference (ndarray path) and training (Var path).
+returns the matching kind. An op computes its forward once and passes it,
+with one adjoint per input, to :func:`_record`, the one place that decides
+how an op joins the tape: with no Var input the ndarray comes back
+unrecorded; otherwise it becomes a graph node whose vector-Jacobian closure
+runs the Var inputs' adjoints. The forward math is therefore written once
+and reused verbatim for inference (ndarray path) and training (Var path).
 
 Gradients are exact; the test suite verifies every op and the full training
 objective against central finite differences.
@@ -38,8 +40,18 @@ def val(x):
     return x.value if isinstance(x, Var) else x
 
 
-def _is_var(*xs):
-    return any(isinstance(x, Var) for x in xs)
+def _record(out, inputs, *adjoints):
+    """Join an op's result to the tape: ``adjoints[i](g)`` is the gradient
+    for ``inputs[i]`` given the gradient ``g`` of ``out``.
+
+    Returns ``out`` unchanged when no input is a Var. Otherwise returns a
+    Var whose VJP runs only the Var inputs' adjoints, in input order.
+    """
+    taped = [(x, adj) for x, adj in zip(inputs, adjoints) if isinstance(x, Var)]
+    if not taped:
+        return out
+    parents, adjs = zip(*taped)
+    return Var(out, parents, lambda g: tuple(adj(g) for adj in adjs))
 
 
 class RowGrad:
@@ -77,7 +89,7 @@ def backward(out: Var):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if isinstance(p, Var) and id(p) not in seen:
+            if id(p) not in seen:
                 stack.append((p, False))
 
     grads = {id(out): np.ones_like(out.value)}
@@ -110,8 +122,6 @@ def backward(out: Var):
         interior.append(g)
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
-            if not isinstance(p, Var) or pg is None:
-                continue
             if isinstance(pg, RowGrad):
                 row_grads.setdefault(id(p), []).append(pg)
                 continue
@@ -148,85 +158,35 @@ def _unbroadcast(g, shape):
 def add(a, b):
     av, bv = val(a), val(b)
     out = np.add(av, bv)
-    if not _is_var(a, b):
-        return out
-    parents = tuple(x for x in (a, b) if isinstance(x, Var))
-
-    def vjp(g):
-        grads = []
-        if isinstance(a, Var):
-            grads.append(_unbroadcast(g, np.shape(av)))
-        if isinstance(b, Var):
-            grads.append(_unbroadcast(g, np.shape(bv)))
-        return tuple(grads)
-
-    return Var(out, parents, vjp)
+    return _record(out, (a, b), lambda g: _unbroadcast(g, np.shape(av)),
+                   lambda g: _unbroadcast(g, np.shape(bv)))
 
 
 def mul(a, b):
     av, bv = val(a), val(b)
     out = np.multiply(av, bv)
-    if not _is_var(a, b):
-        return out
-    parents = tuple(x for x in (a, b) if isinstance(x, Var))
-
-    def vjp(g):
-        grads = []
-        if isinstance(a, Var):
-            grads.append(_unbroadcast(g * bv, np.shape(av)))
-        if isinstance(b, Var):
-            grads.append(_unbroadcast(g * av, np.shape(bv)))
-        return tuple(grads)
-
-    return Var(out, parents, vjp)
+    return _record(out, (a, b), lambda g: _unbroadcast(g * bv, np.shape(av)),
+                   lambda g: _unbroadcast(g * av, np.shape(bv)))
 
 
 def matmul(a, b):
     av, bv = val(a), val(b)
     out = np.matmul(av, bv)
-    if not _is_var(a, b):
-        return out
-    parents = tuple(x for x in (a, b) if isinstance(x, Var))
-
-    def vjp(g):
-        grads = []
-        if isinstance(a, Var):
-            if av.ndim == 2 and bv.ndim == 2:
-                grads.append(g @ bv.T)
-            elif av.ndim == 2 and bv.ndim == 1:
-                grads.append(np.outer(g, bv))
-            else:  # 1-D @ 2-D
-                grads.append(bv @ g)
-        if isinstance(b, Var):
-            if av.ndim == 2 and bv.ndim == 2:
-                grads.append(av.T @ g)
-            elif av.ndim == 2 and bv.ndim == 1:
-                grads.append(av.T @ g)
-            else:
-                grads.append(np.outer(av, g))
-        return tuple(grads)
-
-    return Var(out, parents, vjp)
+    return _record(out, (a, b), lambda g: np.outer(g, bv) if bv.ndim == 1 else g @ bv.T,
+                   lambda g: np.outer(av, g) if av.ndim == 1 else av.T @ g)
 
 
 def transpose(a):
     out = np.transpose(val(a))
-    return Var(out, (a,), lambda g: (g.T,)) if _is_var(a) else out
+    return _record(out, (a,), lambda g: g.T)
 
 
 def asum(a, axis=None):
     """Sum over all entries or along one axis."""
     av = val(a)
     out = np.sum(av, axis=axis)
-    if not _is_var(a):
-        return out
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, av.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy(),)
-
-    return Var(out, (a,), vjp)
+    return _record(out, (a,), lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), av.shape).copy())
 
 
 def amean(a):
@@ -238,26 +198,14 @@ def sumsq(a):
     """Sum of squared entries (L2 regularization term)."""
     av = val(a)
     out = np.sum(av * av)
-    return Var(out, (a,), lambda g: (g * 2.0 * av,)) if _is_var(a) else out
+    return _record(out, (a,), lambda g: g * 2.0 * av)
 
 
 def rowdot(a, b):
     """Paired row dot products of two equal-shape matrices -> vector."""
     av, bv = val(a), val(b)
     out = np.einsum("ij,ij->i", av, bv)
-    if not _is_var(a, b):
-        return out
-    parents = tuple(x for x in (a, b) if isinstance(x, Var))
-
-    def vjp(g):
-        grads = []
-        if isinstance(a, Var):
-            grads.append(g[:, None] * bv)
-        if isinstance(b, Var):
-            grads.append(g[:, None] * av)
-        return tuple(grads)
-
-    return Var(out, parents, vjp)
+    return _record(out, (a, b), lambda g: g[:, None] * bv, lambda g: g[:, None] * av)
 
 
 # ---------------------------------------------------------------------------
@@ -269,67 +217,48 @@ def gather(a, idx):
     idx = np.asarray(idx)
     av = val(a)
     out = av[idx]
-    if not _is_var(a):
-        return out
-    n = av.shape[0]
 
-    def vjp(g):
+    def adjoint(g):
         if av.ndim == 1:
-            return (backend.segment_sum(idx, np.ascontiguousarray(g), n),)
-        return (RowGrad(idx.reshape(-1), g.reshape(-1, av.shape[1])),)
+            return backend.segment_sum(idx, np.ascontiguousarray(g), av.shape[0])
+        return RowGrad(idx.reshape(-1), g.reshape(-1, av.shape[1]))
 
-    return Var(out, (a,), vjp)
+    return _record(out, (a,), adjoint)
 
 
 def segsum(vals, idx, n):
     """out[idx[k]] += vals[k] into a length-n vector (weighted node degrees)."""
     idx = np.asarray(idx)
     out = backend.segment_sum(idx, val(vals), n)
-    return Var(out, (vals,), lambda g: (g[idx],)) if _is_var(vals) else out
+    return _record(out, (vals,), lambda g: g[idx])
 
 
 def reshape(a, shape):
     av = val(a)
     out = np.reshape(av, shape)
-    return Var(out, (a,), lambda g: (g.reshape(av.shape),)) if _is_var(a) else out
+    return _record(out, (a,), lambda g: g.reshape(av.shape))
 
 
 def concat(items, axis):
     vals = [np.asarray(val(x)) for x in items]
     out = np.concatenate(vals, axis=axis)
-    if not _is_var(*items):
-        return out
-    sizes = [v.shape[axis] for v in vals]
-    splits = np.cumsum(sizes)[:-1]
-    parents = tuple(x for x in items if isinstance(x, Var))
-
-    def vjp(g):
-        pieces = np.split(g, splits, axis=axis)
-        return tuple(p for x, p in zip(items, pieces) if isinstance(x, Var))
-
-    return Var(out, parents, vjp)
+    splits = np.cumsum([v.shape[axis] for v in vals])[:-1]
+    return _record(out, items, *(lambda g, i=i: np.split(g, splits, axis=axis)[i]
+                                 for i in range(len(items))))
 
 
 def stack_scalars(items):
     """Stack 0-d values into a 1-D vector of their common dtype."""
     out = np.stack([np.asarray(val(x)).reshape(()) for x in items])
-    if not _is_var(*items):
-        return out
-    parents = tuple(x for x in items if isinstance(x, Var))
-
-    def vjp(g):
-        return tuple(np.asarray(g[i]) for i, x in enumerate(items) if isinstance(x, Var))
-
-    return Var(out, parents, vjp)
+    return _record(out, items, *(lambda g, i=i: np.asarray(g[i])
+                                 for i in range(len(items))))
 
 
 def fill(scalar, shape):
     """Broadcast a 0-d value to a constant-filled array of the given shape
     and the value's dtype."""
     out = np.full(shape, val(scalar))
-    if not _is_var(scalar):
-        return out
-    return Var(out, (scalar,), lambda g: (np.asarray(g.sum()),))
+    return _record(out, (scalar,), lambda g: np.asarray(g.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -342,37 +271,19 @@ def softmax(a):
     m = np.max(av)
     e = np.exp(av - m)
     y = e / e.sum()
-    if not _is_var(a):
-        return y
-
-    def vjp(g):
-        return (y * (g - np.dot(g, y)),)
-
-    return Var(y, (a,), vjp)
+    return _record(y, (a,), lambda g: y * (g - np.dot(g, y)))
 
 
 def softplus(a):
     av = val(a)
     out = np.logaddexp(0.0, av)
-    if not _is_var(a):
-        return out
-
-    def vjp(g):
-        return (g / (1.0 + np.exp(-av)),)
-
-    return Var(out, (a,), vjp)
+    return _record(out, (a,), lambda g: g / (1.0 + np.exp(-av)))
 
 
 def leaky_relu(a, slope):
     av = val(a)
     out = np.where(av > 0, av, slope * av)
-    if not _is_var(a):
-        return out
-
-    def vjp(g):
-        return (np.where(av > 0, g, g * slope),)
-
-    return Var(out, (a,), vjp)
+    return _record(out, (a,), lambda g: np.where(av > 0, g, g * slope))
 
 
 def rsqrt_safe(a):
@@ -381,13 +292,7 @@ def rsqrt_safe(a):
     pos = av > 0
     out = np.zeros_like(av)
     out[pos] = 1.0 / np.sqrt(av[pos])
-    if not _is_var(a):
-        return out
-
-    def vjp(g):
-        return (g * np.where(pos, -0.5 * out**3, 0.0),)
-
-    return Var(out, (a,), vjp)
+    return _record(out, (a,), lambda g: g * np.where(pos, -0.5 * out**3, 0.0))
 
 
 def reciprocal_safe(a):
@@ -396,13 +301,7 @@ def reciprocal_safe(a):
     nz = av != 0
     out = np.zeros_like(av)
     out[nz] = 1.0 / av[nz]
-    if not _is_var(a):
-        return out
-
-    def vjp(g):
-        return (g * np.where(nz, -(out**2), 0.0),)
-
-    return Var(out, (a,), vjp)
+    return _record(out, (a,), lambda g: g * np.where(nz, -(out**2), 0.0))
 
 
 def row_normalize(a):
@@ -413,15 +312,13 @@ def row_normalize(a):
     nz = norms > 0
     inv[nz] = 1.0 / norms[nz]
     y = av * inv[:, None]
-    if not _is_var(a):
-        return y
 
-    def vjp(g):
+    def adjoint(g):
         # d/dx (x/|x|) = (g - y (g.y)) / |x| on nonzero rows
         proj = np.einsum("ij,ij->i", g, y)
-        return ((g - y * proj[:, None]) * inv[:, None],)
+        return (g - y * proj[:, None]) * inv[:, None]
 
-    return Var(y, (a,), vjp)
+    return _record(y, (a,), adjoint)
 
 
 def logsumexp_rows(a):
@@ -431,27 +328,19 @@ def logsumexp_rows(a):
     e = np.exp(av - m)
     s = e.sum(axis=1, keepdims=True)
     out = (m + np.log(s)).ravel()
-    if not _is_var(a):
-        return out
-
-    def vjp(g):
-        return (g[:, None] * (e / s),)
-
-    return Var(out, (a,), vjp)
+    return _record(out, (a,), lambda g: g[:, None] * (e / s))
 
 
 def take_diag(a):
     av = val(a)
     out = np.diagonal(av).copy()
-    if not _is_var(a):
-        return out
 
-    def vjp(g):
+    def adjoint(g):
         full = np.zeros_like(av)
         np.fill_diagonal(full, g)
-        return (full,)
+        return full
 
-    return Var(out, (a,), vjp)
+    return _record(out, (a,), adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +377,18 @@ def spmm_rows(struct, vals, x, rows, x_rows=None):
             raise ValueError("x_rows must cover every column of the rows")
     vv, xv = val(vals), val(x)
     out = backend.spmm(indptr, cols, vv[edges], xv)
-    if not _is_var(vals, x):
-        return out
-    parents = tuple(p for p in (vals, x) if isinstance(p, Var))
 
-    def vjp(g):
-        g = np.ascontiguousarray(g)
-        grads = []
-        if isinstance(vals, Var):
-            local = np.repeat(np.arange(rows.shape[0]), np.diff(indptr))
-            gv = backend.spmm_grad_vals(local, cols, g, xv)
-            full = np.zeros(struct.nnz, dtype=gv.dtype)
-            full[edges] = gv
-            grads.append(full)
-        if isinstance(x, Var):
-            # scipy's O(nnz) CSR -> CSC pass gives the transposed slice
-            t = sp.csr_matrix((vv[edges], cols, indptr),
-                              shape=(rows.shape[0], xv.shape[0])).tocsc()
-            grads.append(backend.spmm(t.indptr, t.indices, t.data, g))
-        return tuple(grads)
+    def vals_adjoint(g):
+        local = np.repeat(np.arange(rows.shape[0]), np.diff(indptr))
+        gv = backend.spmm_grad_vals(local, cols, np.ascontiguousarray(g), xv)
+        full = np.zeros(struct.nnz, dtype=gv.dtype)
+        full[edges] = gv
+        return full
 
-    return Var(out, parents, vjp)
+    def x_adjoint(g):
+        # scipy's O(nnz) CSR -> CSC pass gives the transposed slice
+        t = sp.csr_matrix((vv[edges], cols, indptr),
+                          shape=(rows.shape[0], xv.shape[0])).tocsc()
+        return backend.spmm(t.indptr, t.indices, t.data, np.ascontiguousarray(g))
+
+    return _record(out, (vals, x), vals_adjoint, x_adjoint)

@@ -130,10 +130,6 @@ def cmd_train(args) -> int:
     cfg = _make_config(args)
     graph = _load_graph(cfg)
     split = _split(cfg, graph)
-    out_dir = cfg.out_dir()
-    os.makedirs(out_dir, exist_ok=True)
-    save_config(cfg, os.path.join(out_dir, "config.txt"))
-
     params = state = rng_state = None
     start_epoch = 0
     if cfg.resume:
@@ -142,6 +138,10 @@ def cmd_train(args) -> int:
         params, state = ckpt["params"], ckpt["state"]
         rng_state = ckpt["rng"]
         start_epoch = int(ckpt["meta"].get("epoch", 0))
+
+    out_dir = cfg.out_dir()
+    os.makedirs(out_dir, exist_ok=True)
+    save_config(cfg, os.path.join(out_dir, "config.txt"))
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     with open(metrics_path, "w", encoding="utf-8") as log_fh:

@@ -119,7 +119,7 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _TUPLE_INT = {"ks"}
 _TUPLE_STR = {"relations", "order", "chain_order"}
-_BOOLS = {name for name, kind in _FIELD_TYPES.items() if kind is bool or kind == "bool"}
+_BOOLS = {name for name, kind in _FIELD_TYPES.items() if kind is bool}
 
 
 def _parse_value(key: str, raw: str):
@@ -137,13 +137,13 @@ def _parse_value(key: str, raw: str):
     try:
         if key in _TUPLE_INT:
             return tuple(int(x) for x in raw.split(",") if x.strip())
-        if kind is int or kind == "int":
+        if kind is int:
             return int(raw)
-        if kind is float or kind == "float":
+        if kind is float:
             return float(raw)
     except ValueError:
         what = ("integers" if key in _TUPLE_INT else
-                "an integer" if kind is int or kind == "int" else "a number")
+                "an integer" if kind is int else "a number")
         raise ConfigError(f"{key}: expected {what}, got {raw!r}") from None
     return raw
 

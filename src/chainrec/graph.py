@@ -6,7 +6,6 @@ of every embedding table and adjacency matrix.  External string ids are
 kept in side mappings for reporting only.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,56 +182,6 @@ def load_interactions(path, schema: RelationSchema) -> MultiplexBipartiteGraph:
                                    user_ids=user_ids, item_ids=item_ids)
 
 
-def save_graph(graph: MultiplexBipartiteGraph, out_dir) -> None:
-    """Write one edge-list file per relation plus a key-value metadata file."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "meta.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"num_users={graph.num_users}\n")
-        fh.write(f"num_items={graph.num_items}\n")
-        fh.write(f"relations={','.join(graph.schema.relations)}\n")
-        fh.write(f"target={graph.schema.target}\n")
-        fh.write(f"canonical_order={','.join(graph.schema.canonical_order)}\n")
-        for r in graph.schema.relations:
-            fh.write(f"edges_{r}={graph.edge_count(r)}\n")
-    for name, ids in (("users.txt", graph.user_ids), ("items.txt", graph.item_ids)):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.writelines(f"{x}\n" for x in ids)
-    for r in graph.schema.relations:
-        u, v = graph.edges[r]
-        with open(os.path.join(out_dir, f"edges_{r}.tsv"), "w", encoding="utf-8") as fh:
-            for a, b in zip(u, v - graph.num_users):
-                fh.write(f"{a}\t{b}\n")
-
-
-def load_graph(in_dir) -> MultiplexBipartiteGraph:
-    """Inverse of :func:`save_graph`; round-trips edge sets exactly."""
-    meta = {}
-    with open(os.path.join(in_dir, "meta.txt"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition("=")
-            meta[key] = value
-    schema = RelationSchema(tuple(meta["relations"].split(",")), meta["target"],
-                            tuple(meta["canonical_order"].split(",")))
-    num_users = int(meta["num_users"])
-    num_items = int(meta["num_items"])
-
-    def read_lines(name):
-        path = os.path.join(in_dir, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh if line != "\n"]
-
-    user_ids = read_lines("users.txt")
-    item_ids = read_lines("items.txt")
-    edges = {}
-    for r in schema.relations:
-        pairs = []
-        for line in read_lines(f"edges_{r}.tsv"):
-            a, b = line.split("\t")
-            pairs.append((int(a), int(b) + num_users))
-        edges[r] = _canonical_edges(pairs)
-    return MultiplexBipartiteGraph(schema=schema, num_users=num_users,
-                                   num_items=num_items, edges=edges,
-                                   user_ids=user_ids, item_ids=item_ids)
 
 
 @dataclass(frozen=True)

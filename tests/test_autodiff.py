@@ -1,5 +1,7 @@
 """Finite-difference checks for every tape op, plus tape mechanics."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -504,3 +506,45 @@ def test_ndarray_call_matches_var_call(name, dtype):
     assert not isinstance(plain, ad.Var) and isinstance(taped, ad.Var)
     assert np.asarray(plain).dtype == taped.value.dtype == dtype
     assert np.array_equal(plain, taped.value)
+
+
+def test_every_public_op_has_a_parity_case():
+    ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+           if fn.__module__ == ad.__name__ and not name.startswith("_")}
+    assert ops - {"val", "backward"} - set(OP_CASES) == set()
+
+
+def _position_cases():
+    """name -> (build(v) -> scalar, x): one input of a multi-input op is the
+    Var; every other input is a plain ndarray, so each adjoint must reach
+    the input at its own position."""
+    rng = np.random.default_rng(13)
+    m, m2, m3 = (rng.normal(size=(4, 3)) for _ in range(3))
+    v3, v4 = rng.normal(size=3), rng.normal(size=4)
+    struct, vals, x, _ = _spmm_rows_fixture(30)
+    rows = TestSpmmRows.ROWS["mixed"]
+
+    def weighted(out):
+        return ad.asum(ad.mul(out, np.arange(1.0, ad.val(out).size + 1)
+                              .reshape(ad.val(out).shape)))
+
+    return {
+        "add_second": (lambda v: weighted(ad.add(m, v)), v3),
+        "rowdot_second": (lambda v: weighted(ad.rowdot(m, v)), m2),
+        "concat_axis0_middle": (lambda v: weighted(ad.concat([m, v, m3], axis=0)), m2),
+        "concat_axis1_second": (lambda v: weighted(ad.concat([m, v], axis=1)), m2),
+        "stack_scalars_second": (lambda v: weighted(ad.stack_scalars(
+            [np.asarray(0.3), ad.sumsq(v)])), v3),
+        "spmm_rows_x": (lambda v: weighted(ad.spmm_rows(struct, vals, v, rows)), x),
+        "vecmat_vector": (lambda v: weighted(ad.matmul(v, m)), v4),
+        "vecmat_matrix": (lambda v: weighted(ad.matmul(v4, v)), m),
+    }
+
+
+POSITION_CASES = _position_cases()
+
+
+@pytest.mark.parametrize("name", sorted(POSITION_CASES))
+def test_each_input_position_matches_finite_differences(name):
+    build, x = POSITION_CASES[name]
+    check_op(build, x)

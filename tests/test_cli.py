@@ -184,7 +184,7 @@ class TestTrain:
                                    extra=["--resume", str(bad),
                                           "--epochs", "4"])) == 1
         assert_one_error_line(capsys, *{key.rpartition("/")[2] for key in drop})
-        assert not (part2 / "metrics.jsonl").exists()
+        assert not part2.exists()
 
     def test_resume_with_other_tensor_names_exits_one(self, synth_file, tmp_path,
                                                       capsys):
@@ -198,7 +198,7 @@ class TestTrain:
         assert run_cli(*train_args(synth_file, part2, extra=resume)) == 1
         assert_one_error_line(capsys, "base (checkpoint (70, 8), model none)",
                               "base_global", "base_local", "base_relation")
-        assert not (part2 / "metrics.jsonl").exists()
+        assert not part2.exists()
 
     def test_config_file_plus_flag_override(self, synth_file, tmp_path):
         cfg_file = tmp_path / "run.cfg"

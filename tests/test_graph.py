@@ -1,11 +1,11 @@
-"""Ingestion, schema validation, persistence round-trip, and splitting."""
+"""Ingestion, schema validation, graph invariants, and splitting."""
 
 import numpy as np
 import pytest
 
 from chainrec.graph import (MultiplexBipartiteGraph, ParseError, SchemaError,
-                            load_graph, load_interactions, make_schema,
-                            save_graph, split_train_test, training_graph)
+                            load_interactions, make_schema, split_train_test,
+                            training_graph)
 
 from conftest import random_multiplex_graph
 
@@ -79,17 +79,6 @@ class TestInvariantsAndPersistence:
             u, v = g.edges[r]
             assert np.all(u < g.num_users)
             assert np.all((v >= g.num_users) & (v < g.num_nodes))
-
-    def test_save_load_round_trip(self, tmp_path):
-        g = random_multiplex_graph(5, 7, ("view", "cart", "buy"), 0.4, seed=3)
-        save_graph(g, tmp_path / "g")
-        g2 = load_graph(tmp_path / "g")
-        assert (g2.num_users, g2.num_items) == (g.num_users, g.num_items)
-        assert g2.schema == g.schema
-        for r in g.schema.relations:
-            np.testing.assert_array_equal(g2.edges[r][0], g.edges[r][0])
-            np.testing.assert_array_equal(g2.edges[r][1], g.edges[r][1])
-        assert g2.user_ids == g.user_ids and g2.item_ids == g.item_ids
 
     def test_degree(self):
         edges = {"view": (np.asarray([0, 0, 0, 0, 0]), np.asarray([2, 3, 4, 5, 6])),
