@@ -79,7 +79,10 @@ def _load_graph(cfg: RunConfig):
     if not os.path.exists(cfg.data):
         raise UsageError(f"dataset file not found: {cfg.data}")
     schema = make_schema(cfg.relations, cfg.target, cfg.schema_order)
-    return load_interactions(cfg.data, schema)
+    try:
+        return load_interactions(cfg.data, schema)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read dataset {cfg.data}: {exc}") from exc
 
 
 def _split(cfg: RunConfig, graph):

@@ -4,6 +4,14 @@ interaction-count group breakdown.
 Every test user is ranked against the whole item catalog (training
 positives removed), scores are dot products of final embeddings, and ties
 break by ascending item id.
+
+Users are ranked a chunk at a time. Training positives score -inf, and an
+exact screen keeps each row's candidates: the columns fall into G strided
+groups (group j holds columns j, j + G, ...), and t is the row's k-th
+largest group maximum. The k groups with the largest maxima each hold a
+distinct item scoring at least t, so every top-k item, ties included,
+scores at least t. The entries of at least t, in groups whose maximum is
+at least t, are sorted in one lexsort per chunk. Exact for finite scores.
 """
 
 from dataclasses import dataclass
@@ -13,6 +21,12 @@ import numpy as np
 from .graph import DatasetSplit, MultiplexBipartiteGraph
 
 SPARSITY_BUCKETS = ((0, 4), (4, 5), (5, 6), (6, 7), (7, 10), (10, 60), (60, None))
+
+# G of the top-k screen: more groups hold fewer columns each but make a
+# larger (chunk, G) table of maxima to partition. On the retail-like graph
+# (30k items, k 40, chunk 512) 2048 left about 40 candidates per user and
+# ranked as fast as 1024 or 4096, and faster than 512 or 8192.
+SCREEN_GROUPS = 2048
 
 
 def rank_items(e_final: np.ndarray, num_users: int, user: int,
@@ -26,24 +40,6 @@ def rank_items(e_final: np.ndarray, num_users: int, user: int,
         items, scores = items[keep], scores[keep]
     order = np.lexsort((items, -scores))
     return items[order]
-
-
-def _top_k(scores: np.ndarray, k: int, excluded: np.ndarray) -> np.ndarray:
-    """Exact top-k local indices by (-score, index) with exclusions removed."""
-    s = scores.copy()
-    s[excluded] = -np.inf
-    n_valid = s.shape[0] - int(excluded.sum())
-    k = min(k, n_valid)
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    if k < s.shape[0]:
-        part = np.argpartition(-s, k - 1)[:k]
-        thr = s[part].min()
-        cand = np.flatnonzero(s >= thr)
-    else:
-        cand = np.arange(s.shape[0])
-    cand = cand[~excluded[cand]]
-    return cand[np.lexsort((cand, -s[cand]))][:k]
 
 
 def recall_at_k(ranked, test_items, k: int) -> float:
@@ -92,48 +88,76 @@ class RankingResult:
         return self.aggregates[k]["ndcg"]
 
 
+def _top_lists(scores: np.ndarray, width: int):
+    """Each row's first ``width`` column ids by (-score, id), -inf entries
+    left out: a (rows, width) matrix padded with -1, and the row lengths."""
+    c, n = scores.shape
+    g = min(SCREEN_GROUPS, n)
+    q, r = divmod(n, g)
+    gmax = scores[:, :q * g].reshape(c, q, g).max(axis=1)
+    if r:
+        np.maximum(gmax[:, :r], scores[:, q * g:], out=gmax[:, :r])
+    t = (np.partition(gmax, g - width, axis=1)[:, g - width] if width <= g
+         else np.full(c, -np.inf))
+    rows, groups = np.nonzero(gmax >= t[:, None])
+    cols = groups[:, None] + g * np.arange(q + (r > 0))
+    inside = cols < n
+    rows, cols = np.broadcast_to(rows[:, None], cols.shape)[inside], cols[inside]
+    vals = scores[rows, cols]
+    keep = (vals >= t[rows]) & (vals > -np.inf)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, -vals, rows))
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=c)
+    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    top = np.full((c, width), -1)
+    first = rank < width
+    top[rows[first], rank[first]] = cols[first]
+    return top, np.minimum(counts, width)
+
+
 def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
              split: DatasetSplit, ks=(5, 10, 20, 40),
              chunk: int = 512) -> RankingResult:
     """Rank the full catalog for every user with test interactions.
 
     Training positives of the target relation are excluded from each
-    user's candidate list; users without test items are skipped.
+    user's candidate list; users without test items are skipped. Metrics
+    are bit-identical to ``recall_at_k`` and ``ndcg_at_k`` on the top lists.
     """
     ks = tuple(sorted(ks))
-    kmax = ks[-1]
-    num_users = graph.num_users
+    num_users, num_items = graph.num_users, graph.num_items
+    width = min(ks[-1], num_items)
     tu, tv = split.test_edges
-    test_of = {}
-    for u, v in zip(tu, tv):
-        test_of.setdefault(int(u), []).append(int(v))
+    users = np.unique(tu).astype(np.int64)
+    # distinct (user position, item) test edges as sorted integer keys
+    test_keys = np.unique(np.searchsorted(users, tu) * num_items + (tv - num_users))
+    n_test = np.bincount(test_keys // num_items, minlength=len(users))
     su, sv = split.train_pairs(graph.schema.target)
-    train_of = {}
-    for u, v in zip(su, sv):
-        train_of.setdefault(int(u), []).append(int(v))
-
-    users = np.asarray(sorted(test_of.keys()), dtype=np.int64)
-    user_emb = e_final[:num_users]
-    item_emb = e_final[num_users:]
+    # the scalar expression ndcg_at_k uses, summed in the same order
+    gains = np.array([_LOG2 / np.log(r + 1.0) for r in range(1, width + 1)])
+    ideal = np.cumsum(gains)
     top_lists = []
     per_user = {k: {"recall": np.zeros(len(users)), "ndcg": np.zeros(len(users))}
                 for k in ks}
 
     for start in range(0, len(users), chunk):
         batch = users[start:start + chunk]
-        scores = user_emb[batch] @ item_emb.T
-        for row, u in enumerate(batch):
-            excluded = np.zeros(item_emb.shape[0], dtype=bool)
-            for v in train_of.get(int(u), ()):
-                excluded[v - num_users] = True
-            top_local = _top_k(scores[row], kmax, excluded)
-            top_global = top_local + num_users
-            top_lists.append(top_global)
-            test = test_of[int(u)]
-            for k in ks:
-                i = start + row
-                per_user[k]["recall"][i] = recall_at_k(top_global, test, k)
-                per_user[k]["ndcg"][i] = ndcg_at_k(top_global, test, k)
+        stop = start + len(batch)
+        scores = e_final[batch] @ e_final[num_users:].T
+        excluded = np.isin(su, batch)
+        scores[np.searchsorted(batch, su[excluded]), sv[excluded] - num_users] = -np.inf
+        top, lengths = _top_lists(scores, width)
+        keys = np.arange(start, stop)[:, None] * num_items + top
+        hits = np.isin(keys, test_keys) & (top >= 0)
+        n_hits = np.cumsum(hits, axis=1)
+        dcg = np.cumsum(np.where(hits, gains, 0.0), axis=1)
+        n = n_test[start:stop]
+        for k in ks:
+            j = min(k, width) - 1
+            per_user[k]["recall"][start:stop] = n_hits[:, j] / n
+            per_user[k]["ndcg"][start:stop] = dcg[:, j] / ideal[np.minimum(n, k) - 1]
+        top_lists.extend(row[:m] for row, m in zip(top + num_users, lengths))
 
     aggregates = {k: {"recall": float(per_user[k]["recall"].mean()) if len(users) else 0.0,
                       "ndcg": float(per_user[k]["ndcg"].mean()) if len(users) else 0.0}

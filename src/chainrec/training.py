@@ -207,6 +207,9 @@ def evaluate_model(model: DualChannelModel, params: ModelParams,
                    graph: MultiplexBipartiteGraph, split: DatasetSplit,
                    ks) -> evaluation.RankingResult:
     e_final = model.final_embeddings(params)
+    # the ranking screen is exact for finite scores only
+    if not np.all(np.isfinite(e_final)):
+        raise TrainingAbort("non-finite final embeddings; nothing to rank")
     return evaluation.evaluate(e_final, graph, split, ks=ks)
 
 

@@ -186,6 +186,19 @@ class TestTrain:
         assert_one_error_line(capsys, *{key.rpartition("/")[2] for key in drop})
         assert not part2.exists()
 
+    def test_resume_from_nonfinite_checkpoint_exits_one(self, synth_file, tmp_path,
+                                                        capsys):
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1)) == 0
+        bad = with_nan(part1 / "checkpoint.npz", tmp_path / "bad.npz", "base")
+        capsys.readouterr()
+        part2 = tmp_path / "part2"
+        assert run_cli(*train_args(synth_file, part2,
+                                   extra=["--resume", str(bad),
+                                          "--epochs", "4"])) == 1
+        assert_one_error_line(capsys, "non-finite", "base")
+        assert not part2.exists()
+
     def test_resume_with_other_tensor_names_exits_one(self, synth_file, tmp_path,
                                                       capsys):
         # a shared-base checkpoint resumed as a separate-base run
@@ -331,6 +344,34 @@ class TestDataErrors:
         assert "ratio 0.9" in err and "3 target edges" in err
 
 
+class TestUnreadableData:
+    """A dataset path that cannot be read as text ends with one line
+    naming it, for every command that reads the dataset."""
+
+    @pytest.fixture(params=["directory", "not_utf8"])
+    def bad_data(self, request, tmp_path):
+        path = tmp_path / "data.tsv"
+        if request.param == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"u0\ti0\tbuy\n\xff\xfe\tview\n")
+        return path
+
+    def test_train_exits_one(self, bad_data, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(*train_args(bad_data, out)) == 1
+        assert_one_error_line(capsys, "cannot read dataset", str(bad_data))
+        assert not out.exists()
+
+    def test_evaluate_exits_one(self, bad_data, synth_file, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli(*train_args(synth_file, run_dir)) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(bad_data),
+                       "--checkpoint", str(run_dir / "best.npz")) == 1
+        assert_one_error_line(capsys, "cannot read dataset", str(bad_data))
+
+
 def with_config_lines(ckpt_path, out_path, extra_lines):
     """Copy of a checkpoint whose embedded config also holds ``extra_lines``
     (placed before ``dtype``, as an older version wrote them)."""
@@ -349,6 +390,15 @@ def without_keys(ckpt_path, out_path, drop):
     with np.load(ckpt_path) as data:
         kept = {k: data[k] for k in data.files if k not in drop}
     np.savez(out_path, **kept)
+    return out_path
+
+
+def with_nan(ckpt_path, out_path, name):
+    """Copy of a checkpoint file with one NaN in parameter ``name``."""
+    with np.load(ckpt_path) as data:
+        arrays = dict(data)
+    arrays[f"param/{name}"].flat[0] = np.nan
+    np.savez(out_path, **arrays)
     return out_path
 
 
@@ -410,6 +460,17 @@ class TestEvaluate:
         assert run_cli("evaluate", "--data", str(synth_file),
                        "--checkpoint", str(tmp_path / "bad.npz")) == 1
         assert_one_error_line(capsys, "enc_rel.w (checkpoint (15,), model (16,))")
+
+    def test_checkpoint_with_a_nonfinite_parameter_exits_one(self, run_dir,
+                                                             synth_file, tmp_path,
+                                                             capsys):
+        bad = with_nan(run_dir / "best.npz", tmp_path / "bad.npz", "enc_rel.w")
+        capsys.readouterr()
+        out = tmp_path / "eval_run"
+        assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint",
+                       str(bad), "--csv", "true", "--out", str(out)) == 1
+        assert_one_error_line(capsys, "non-finite", "enc_rel.w")
+        assert not out.exists()
 
     def test_dimension_mismatch_reports_diff(self, run_dir, synth_file, capsys):
         code = run_cli("evaluate", "--data", str(synth_file),

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from chainrec import evaluation
 from chainrec.evaluation import (evaluate, ndcg_at_k, rank_items, recall_at_k,
                                  sparsity_groups)
-from chainrec.graph import DatasetSplit, split_train_test
+from chainrec.graph import (DatasetSplit, MultiplexBipartiteGraph, make_schema,
+                            split_train_test)
 
 from conftest import random_multiplex_graph
 
@@ -174,6 +176,75 @@ class TestEvaluate:
         result = evaluate(e, graph, split, ks=(10, 10_000))
         assert result.recall(10_000) == 1.0  # every test item retrieved
         assert result.recall(10) <= result.recall(10_000)
+
+
+def brute_force_evaluate(e, graph, split, ks):
+    """The ranking pass one user at a time: a full sort of the catalog per
+    user and the scalar metric functions."""
+    su, sv = split.train_pairs(graph.schema.target)
+    tu, tv = split.test_edges
+    users = np.unique(tu)
+    tops = [rank_items(e, graph.num_users, u, exclude=sv[su == u])[:max(ks)]
+            for u in users]
+    per_user = {k: {"recall": [recall_at_k(top, tv[tu == u], k)
+                               for u, top in zip(users, tops)],
+                    "ndcg": [ndcg_at_k(top, tv[tu == u], k)
+                             for u, top in zip(users, tops)]}
+                for k in ks}
+    return users, tops, per_user
+
+
+def tie_heavy_case(seed, dtype, nu=9, ni=40):
+    """Integer-valued embeddings (exact dot products, many ties) on a graph
+    where user 0 can rank two items and user 1 none. Users 0-7 hold 1 to 12
+    test items (one of them twice); user 8 holds none."""
+    rng = np.random.default_rng(seed)
+    tu, tv = [], []
+    for u in range(nu - 1):
+        items = rng.choice(ni, size=int(rng.integers(1, 13)), replace=False)
+        tu += [u] * len(items) + [u]
+        tv += list(items) + [items[0]]
+    tu, tv = np.asarray(tu, dtype=np.int64), np.asarray(tv, dtype=np.int64)
+    train = rng.random((nu, ni)) < 0.3
+    train[tu, tv] = False
+    train[0], train[0, :2] = True, False
+    train[1] = True
+    su, sv = np.nonzero(train)
+    test = (tu, tv + nu)
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
+    schema = make_schema(("view", "buy"), "buy")
+    graph = MultiplexBipartiteGraph(schema=schema, num_users=nu, num_items=ni,
+                                    edges={"view": empty, "buy": test})
+    split = DatasetSplit(train_edges={"view": empty, "buy": (su, sv + nu)},
+                         test_edges=test, seed=0)
+    e = rng.integers(-2, 3, size=(nu + ni, 3)).astype(dtype)
+    return graph, split, e
+
+
+class TestChunkRanking:
+    """``evaluate`` ranks a chunk at a time behind a group-max screen; its
+    top lists and per-user metrics equal the per-user brute force exactly."""
+
+    # 40 items: a k above G skips the screen, and a k of at most G prunes;
+    # the default G gives one column per group here
+    @pytest.mark.parametrize("groups", [1, 3, 8, evaluation.SCREEN_GROUPS])
+    @pytest.mark.parametrize("chunk", [1, 3, 512])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("ks", [(1, 3), (5, 10, 20), (2, 7, 100)])
+    def test_matches_brute_force(self, monkeypatch, groups, chunk, dtype, ks):
+        monkeypatch.setattr(evaluation, "SCREEN_GROUPS", groups)
+        seed = groups + 10 * chunk + len(ks) + (dtype == np.float32)
+        graph, split, e = tie_heavy_case(seed, dtype)
+        users, tops, per_user = brute_force_evaluate(e, graph, split, ks)
+        result = evaluate(e, graph, split, ks=ks, chunk=chunk)
+        np.testing.assert_array_equal(result.users, users)
+        assert len(result.top_items) == len(tops)
+        for got, want in zip(result.top_items, tops):
+            np.testing.assert_array_equal(got, want)
+        assert len(tops[0]) == 2 and len(tops[1]) == 0
+        for k in ks:
+            for metric in ("recall", "ndcg"):
+                assert result.per_user[k][metric].tolist() == per_user[k][metric]
 
 
 class TestSparsityGroups:

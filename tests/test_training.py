@@ -11,7 +11,8 @@ from chainrec.graph import (load_interactions, make_schema, split_train_test,
 from chainrec.model import DualChannelModel, TrainingAbort, bpr
 from chainrec.synth import write_synthetic
 from chainrec.training import (AdamState, NegativeSamplingError, TripleSampler,
-                               _draw_negative, adam_step, backward, train)
+                               _draw_negative, adam_step, backward,
+                               evaluate_model, train)
 
 from conftest import random_multiplex_graph
 from test_patterns import graph_from_pairs
@@ -192,6 +193,12 @@ class TestAdam:
         grads["base"][0, 0] = np.inf
         with pytest.raises(TrainingAbort):
             adam_step(params, grads, AdamState.init(params), lr=0.1)
+
+    def test_nonfinite_embeddings_abort_the_ranking(self, tiny_setup):
+        graph, split, model, params, _, cfg = tiny_setup
+        params.tensors["base"][0, 0] = np.nan
+        with pytest.raises(TrainingAbort, match="non-finite final embeddings"):
+            evaluate_model(model, params, graph, split, cfg.ks)
 
 
 class TestGradients:
