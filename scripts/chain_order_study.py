@@ -2,8 +2,9 @@
 
     python scripts/chain_order_study.py data.tsv out_dir [--epochs 20] ...
 
-Trains one model per chain order (C1..C6 over view/cart/buy), collects the
-best R@10 of each, writes out_dir/chain_order_study.csv, and prints the
+Trains one model per chain order (C1..C6 over view/cart/buy, each passed
+as ``--order``, which may place the target anywhere), collects the best
+R@10 of each, writes out_dir/chain_order_study.csv, and prints the
 comparison. Orders ending at the target relation are expected to win, but
 the outcome is reported, not enforced.
 """
@@ -39,7 +40,7 @@ def main():
     for label, order in ORDERS:
         run_dir = os.path.join(args.out_dir, f"run_{label}")
         code = cli_main(["train", "--data", args.data, "--out", run_dir,
-                         "--chain-order", order, "--epochs", args.epochs,
+                         "--order", order, "--epochs", args.epochs,
                          "--dim", args.dim, "--batch", args.batch,
                          "--seed", args.seed, "--eval-every", args.epochs,
                          "--patience", "1000000"])

@@ -13,15 +13,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import RelationSchema
-from .patterns import PatternMask, enumerate_patterns
+from .patterns import pattern_relations
 
 
 @dataclass(frozen=True)
 class RelationChain:
-    """Ordered relation sequence derived from one pattern mask."""
+    """Ordered relation sequence of one behavior pattern (its index)."""
 
     relations: tuple
-    source_mask: PatternMask
+    pattern: int
 
     @property
     def num_steps(self) -> int:
@@ -32,26 +32,16 @@ class RelationChain:
         return "->".join(self.relations)
 
 
-def enumerate_chains(schema: RelationSchema, order_override=None):
-    """One chain per pattern mask that contains the target and has two or
-    more relations, sequenced by canonical order.
-
-    ``order_override`` re-sequences relations for the relation-order study;
-    it may place the target anywhere, but never changes which masks
-    produce chains.
-    """
-    order = tuple(order_override) if order_override else schema.canonical_order
-    if sorted(order) != sorted(schema.relations):
-        raise ValueError(f"chain order {order} is not a permutation of "
-                         f"{schema.relations}")
-    t = schema.target_index
+def enumerate_chains(schema: RelationSchema):
+    """One chain per pattern that contains the target and has two or more
+    relations, sequenced by the schema's canonical order (which may place
+    the target anywhere)."""
     chains = []
-    for mask in enumerate_patterns(schema):
-        if not mask.bits[t] or sum(mask.bits) < 2:
-            continue
-        present = set(mask.relations(schema))
-        seq = tuple(r for r in order if r in present)
-        chains.append(RelationChain(relations=seq, source_mask=mask))
+    for p in range(schema.num_patterns):
+        present = pattern_relations(schema, p)
+        seq = tuple(r for r in schema.canonical_order if r in present)
+        if schema.target in seq and len(seq) >= 2:
+            chains.append(RelationChain(relations=seq, pattern=p))
     return chains
 
 

@@ -22,7 +22,7 @@ from .evaluation import sparsity_groups
 from .graph import (ParseError, SchemaError, SplitError, load_interactions,
                     make_schema, split_train_test, training_graph)
 from .model import DualChannelModel, TrainingAbort, param_shapes
-from .patterns import build_all_bbps, pattern_count_matrix
+from .patterns import behavior_patterns, pattern_relations
 from .synth import write_synthetic
 from .training import NegativeSamplingError, eval_record, evaluate_model
 from .training import train as run_training
@@ -34,9 +34,12 @@ EXIT_RUNTIME = 2
 # keys that configs embedded in older checkpoints carry but that no longer
 # exist, each with the one value under which the forward pass is unchanged
 # (None: any value, the key never reached it); evaluate drops them so those
-# checkpoints stay usable, and refuses one that set a key otherwise
+# checkpoints stay usable, and refuses one that set a key otherwise. A
+# non-empty chain_order sequenced the chains over order, so it is read as
+# order instead.
 RETIRED_KEYS = {"attributes": None, "workers": None, "chain_score": None,
-                "per_user_weights": None, "raw_local_adj": "False"}
+                "per_user_weights": None, "raw_local_adj": "False",
+                "chain_order": ""}
 
 
 class UsageError(Exception):
@@ -182,15 +185,17 @@ def cmd_evaluate(args) -> int:
     if not pre.checkpoint:
         raise UsageError("evaluate needs --checkpoint")
     ckpt = load_checkpoint(pre.checkpoint)
-    kept = []
+    kept, renamed = [], []
     for line in ckpt["config_text"].splitlines():
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in RETIRED_KEYS:
             kept.append(line)
+        elif key == "chain_order" and value:
+            renamed.append(f"order = {value}")
         elif RETIRED_KEYS[key] not in (None, value):
             raise UsageError(f"checkpoint sets retired key {key!r} to {value}, "
                              f"a forward pass this version no longer computes")
-    base_values = parse_config_text("\n".join(kept), origin="<checkpoint>")
+    base_values = parse_config_text("\n".join(kept + renamed), origin="<checkpoint>")
     cfg = _make_config(args, base_values=base_values)
     graph = _load_graph(cfg)
     _check_checkpoint(ckpt, cfg, graph)
@@ -220,16 +225,16 @@ def cmd_evaluate(args) -> int:
 def cmd_inspect_patterns(args) -> int:
     cfg = _make_config(args)
     graph = _load_graph(cfg)
-    bbps = build_all_bbps(graph)
-    counts = pattern_count_matrix(bbps)
+    schema = graph.schema
+    pats = behavior_patterns(graph)
     print("mask_bits,edge_count,b_column_sum")
-    for p, bbp in enumerate(bbps):
-        bits = "".join(str(b) for b in bbp.mask.bits)
-        print(f"{bits},{bbp.edge_count},{int(counts[:, p].sum())}")
+    for p in range(schema.num_patterns):
+        present = pattern_relations(schema, p)
+        bits = "".join("1" if r in present else "0" for r in schema.relations)
+        print(f"{bits},{(pats.pattern == p).sum()},{int(pats.counts[:, p].sum())}")
     print()
     print("chain_index,relations")
-    order = cfg.chain_order if cfg.chain_order else None
-    for i, chain in enumerate(enumerate_chains(graph.schema, order)):
+    for i, chain in enumerate(enumerate_chains(schema)):
         print(f"{i},{chain.label()}")
     return EXIT_OK
 
@@ -270,7 +275,7 @@ def main(argv=None) -> int:
             raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.fn(args)
     except (UsageError, ConfigError, SchemaError, ParseError, SplitError,
-            NegativeSamplingError, CheckpointError, FileNotFoundError) as exc:
+            NegativeSamplingError, CheckpointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except TrainingAbort as exc:

@@ -20,7 +20,7 @@ class RunConfig:
     data: str = ""
     relations: tuple = ("view", "cart", "buy")
     target: str = "buy"
-    order: tuple = ()          # canonical chain order; empty = aux order + target
+    order: tuple = ()          # chain order, target anywhere; empty = aux order + target
     ratio: float = 0.75
     seed: int = 0
     out: str = ""
@@ -48,9 +48,8 @@ class RunConfig:
     ks: tuple = (5, 10, 20, 40)
     csv: bool = False
 
-    # model variant and relation-order study
+    # model variant
     separate_base: bool = False     # one base table per channel
-    chain_order: tuple = ()         # study override; may place target mid-chain
 
     # runtime
     dtype: str = "float64"
@@ -97,8 +96,12 @@ class RunConfig:
             raise ConfigError(f"dtype must be float64|float32, got {self.dtype!r}")
         if not 0 < self.leaky_slope < 1:
             raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
-        if self.synth_zipf < 0:
-            raise ConfigError(f"synth_zipf must be >= 0, got {self.synth_zipf}")
+        for key in ("synth_users", "synth_items", "synth_clusters", "synth_views",
+                    "synth_carts", "synth_buys", "synth_zipf"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if not 0 <= self.cascade <= 1:
+            raise ConfigError(f"cascade must be in [0, 1], got {self.cascade}")
         if self.target not in self.relations:
             raise ConfigError(f"target {self.target!r} not in relations {self.relations}")
         return self
@@ -118,7 +121,7 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _TUPLE_INT = {"ks"}
-_TUPLE_STR = {"relations", "order", "chain_order"}
+_TUPLE_STR = {"relations", "order"}
 _BOOLS = {name for name, kind in _FIELD_TYPES.items() if kind is bool}
 
 
@@ -166,8 +169,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
 
 
 def load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), origin=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text, origin=str(path))
 
 
 def make_config(file_path=None, overrides=None, base_values=None) -> RunConfig:

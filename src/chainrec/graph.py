@@ -39,7 +39,8 @@ class SplitError(ValueError):
 
 @dataclass(frozen=True)
 class RelationSchema:
-    """The relation vocabulary, the prediction target, and the chain order."""
+    """The relation vocabulary, the prediction target, and the order that
+    sequences every relation chain (the target may sit anywhere in it)."""
 
     relations: tuple
     target: str
@@ -56,18 +57,13 @@ class RelationSchema:
             raise SchemaError(f"target {self.target!r} not in relations {rels}")
         if sorted(order) != sorted(rels):
             raise SchemaError(f"canonical_order {order} is not a permutation of {rels}")
-        if order[-1] != self.target:
-            raise SchemaError(f"canonical_order must end at target {self.target!r}, got {order}")
         object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "canonical_order", order)
 
     @property
-    def num_relations(self) -> int:
-        return len(self.relations)
-
-    @property
-    def target_index(self) -> int:
-        return self.relations.index(self.target)
+    def num_patterns(self) -> int:
+        """Nonempty relation subsets; pattern p has signature p + 1."""
+        return 2 ** len(self.relations) - 1
 
     @property
     def auxiliaries(self) -> tuple:

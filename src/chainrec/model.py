@@ -56,11 +56,11 @@ def xavier(rng, shape) -> np.ndarray:
 def param_shapes(schema, cfg: RunConfig, n: int) -> dict:
     """Name -> shape of every learnable tensor of a model of ``n`` nodes,
     in the order :meth:`DualChannelModel.init_params` creates them."""
-    d, n_pat = cfg.dim, len(patterns.enumerate_patterns(schema))
+    d, n_pat = cfg.dim, schema.num_patterns
     keys = BASE_KEYS_SEPARATE if cfg.separate_base else BASE_KEYS_SHARED
     shapes = {k: (n, d) for k in keys}
     shapes.update(local_logits=(n_pat,), global_logits=(n_pat,))
-    for i, chain in enumerate(enumerate_chains(schema, cfg.chain_order or None)):
+    for i, chain in enumerate(enumerate_chains(schema)):
         for j in range(chain.num_steps):
             shapes[f"chain{i}.user{j}"] = (d, d)
             shapes[f"chain{i}.item{j}"] = (d, d)
@@ -100,10 +100,9 @@ class DualChannelModel:
         self.schema = graph.schema
         self.n = graph.num_nodes
         self.num_users = graph.num_users
-        self.bbps = patterns.build_all_bbps(graph)
-        self.union = patterns.pattern_union(self.bbps)
-        self.counts = patterns.pattern_count_matrix(self.bbps).astype(self.dtype)
-        self.chains = enumerate_chains(self.schema, cfg.chain_order or None)
+        self.patterns = patterns.behavior_patterns(graph)
+        self.counts = self.patterns.counts.astype(self.dtype)
+        self.chains = enumerate_chains(self.schema)
         self.rel_adj = {r: SparseMatrix(graph.adjacency(r),
                                         sym_norm_values(graph.adjacency(r),
                                                         dtype=self.dtype))
@@ -156,7 +155,7 @@ class DualChannelModel:
         of catalog size.
         """
         cfg = self.cfg
-        adj_loc = patterns.local_adjacency(self.union, p["local_logits"])
+        adj_loc = patterns.local_adjacency(self.patterns, p["local_logits"])
         h_loc = patterns.propagate_local(adj_loc, self._base(p, "local"), cfg.layers,
                                          rows=rows)
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))

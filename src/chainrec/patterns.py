@@ -1,10 +1,11 @@
-"""Behavior-pattern channel: exact-mask pattern matrices and the two
-aggregation routes (local edge-weighted propagation, global pattern-count
-similarity propagation) that combine into the explicit-pattern embeddings.
+"""Behavior-pattern channel: the pattern of every user-item pair and the
+two aggregation routes (local edge-weighted propagation, global
+pattern-count similarity propagation) that combine into the
+explicit-pattern embeddings.
 
-A pattern mask selects the user-item pairs whose set of relations is
-EXACTLY the masked subset, so the nonzero masks partition all interacting
-pairs.
+A pair's pattern is the EXACT set of relations joining it, as a signature
+whose bit r is schema relation r; pattern p has signature p + 1, so the
+2^|R| - 1 patterns partition all interacting pairs.
 """
 
 from dataclasses import dataclass
@@ -17,104 +18,57 @@ from .relations import propagate_layers
 from .sparse import CSRStruct, SparseMatrix, build_struct
 
 
-@dataclass(frozen=True)
-class PatternMask:
-    """Relation subset as a bit per schema relation; never all-zero."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        if not any(self.bits):
-            raise ValueError("pattern mask must select at least one relation")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-
-    @property
-    def signature(self) -> int:
-        return sum(b << r for r, b in enumerate(self.bits))
-
-    def relations(self, schema: RelationSchema) -> tuple:
-        return tuple(rel for rel, b in zip(schema.relations, self.bits) if b)
-
-
-def enumerate_patterns(schema: RelationSchema):
-    """All 2^|R|-1 nonzero masks in binary-counting order (mask i has
-    signature i+1)."""
-    n = schema.num_relations
-    return [PatternMask(tuple((i >> r) & 1 for r in range(n)))
-            for i in range(1, 2 ** n)]
+def pattern_relations(schema: RelationSchema, p: int) -> tuple:
+    """The relations of pattern p, in schema order."""
+    return tuple(r for i, r in enumerate(schema.relations) if (p + 1) >> i & 1)
 
 
 @dataclass(frozen=True)
-class BehaviorPatternMatrix:
-    """Sparse exact-mask pattern matrix: the (user, item) pairs whose
-    relation set equals the mask."""
+class BehaviorPatterns:
+    """Every interacting (user, item) pair, sorted by key u*N+v, with its
+    pattern index; the union CSR of all pairs with the owning pattern of
+    each directed edge; and column p = per-node neighbor counts under
+    pattern p. Constant for a fixed graph, so built once."""
 
-    mask: PatternMask
-    num_nodes: int
     u: np.ndarray
     v: np.ndarray
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.u.shape[0])
-
-
-def build_bbp_matrix(graph: MultiplexBipartiteGraph,
-                     mask: PatternMask) -> BehaviorPatternMatrix:
-    """Edge-set intersection of required relations minus the union of
-    forbidden ones; never materializes a dense complement."""
-    n = graph.num_nodes
-    required = [graph.edge_keys(r) for r, b in zip(graph.schema.relations, mask.bits) if b]
-    forbidden = [graph.edge_keys(r) for r, b in zip(graph.schema.relations, mask.bits) if not b]
-    keys = required[0]
-    for k in required[1:]:
-        keys = np.intersect1d(keys, k, assume_unique=True)
-    for k in forbidden:
-        if keys.size == 0:
-            break
-        keys = np.setdiff1d(keys, k, assume_unique=True)
-    return BehaviorPatternMatrix(mask=mask, num_nodes=n,
-                                 u=keys // n, v=keys % n)
-
-
-def build_all_bbps(graph: MultiplexBipartiteGraph):
-    return [build_bbp_matrix(graph, m) for m in enumerate_patterns(graph.schema)]
-
-
-@dataclass(frozen=True)
-class PatternUnion:
-    """Union topology of all pattern pairs with the (unique) owning pattern
-    index per directed edge; constant for a fixed graph, so it is built
-    once and shared by every training step."""
-
+    pattern: np.ndarray
     struct: CSRStruct
     edge_pattern: np.ndarray
+    counts: np.ndarray
+
+    def pairs(self, p: int) -> tuple:
+        """(u, v) of the pairs whose relation set is exactly pattern p."""
+        sel = self.pattern == p
+        return self.u[sel], self.v[sel]
 
 
-def pattern_union(bbps) -> PatternUnion:
-    if not bbps:
-        raise ValueError("need at least one pattern matrix")
-    n = bbps[0].num_nodes
-    u = np.concatenate([b.u for b in bbps])
-    v = np.concatenate([b.v for b in bbps])
-    pid = np.concatenate([np.full(b.edge_count, i, dtype=np.int64)
-                          for i, b in enumerate(bbps)])
+def behavior_patterns(graph: MultiplexBipartiteGraph) -> BehaviorPatterns:
+    """One pass over the pairs: OR the bits of the relations joining each
+    pair into its signature."""
+    n = graph.num_nodes
+    rel_keys = [graph.edge_keys(r) for r in graph.schema.relations]
+    keys = np.unique(np.concatenate(rel_keys))
+    signature = np.zeros(keys.shape[0], dtype=np.int64)
+    for r, k in enumerate(rel_keys):
+        signature[np.searchsorted(keys, k)] |= 1 << r
+    pattern = signature - 1
+    u, v = keys // n, keys % n
     struct = build_struct(n, u, v)
-    if struct.nnz == 0:
-        return PatternUnion(struct, np.empty(0, dtype=np.int64))
-    keys = u * np.int64(n) + v
-    order = np.argsort(keys)
-    keys = keys[order]
-    pid = pid[order]
     lo = np.minimum(struct.rows, struct.cols)
     hi = np.maximum(struct.rows, struct.cols)
-    edge_pid = pid[np.searchsorted(keys, lo * np.int64(n) + hi)]
-    return PatternUnion(struct, edge_pid)
+    edge_pattern = pattern[np.searchsorted(keys, lo * np.int64(n) + hi)]
+    n_pat = graph.schema.num_patterns
+    cells = np.concatenate([u, v]) * n_pat + np.concatenate([pattern, pattern])
+    counts = np.bincount(cells, minlength=n * n_pat).reshape(n, n_pat)
+    return BehaviorPatterns(u, v, pattern, struct, edge_pattern,
+                            counts.astype(np.float64))
 
 
-def local_adjacency(union: PatternUnion, logits) -> SparseMatrix:
-    """Per-edge weights softmax(logits)[owning pattern], then symmetric
-    degree normalization. Zero-degree rows stay zero."""
+def local_adjacency(union: BehaviorPatterns, logits) -> SparseMatrix:
+    """Per-edge weights softmax(logits)[owning pattern] on the union of
+    all pattern pairs, then symmetric degree normalization. Zero-degree
+    rows stay zero."""
     struct = union.struct
     w = ad.softmax(logits)
     edge_w = ad.gather(w, union.edge_pattern)
@@ -134,19 +88,6 @@ def propagate_local(adj: SparseMatrix, base, num_layers: int, rows=None):
     for h in layers[1:]:
         acc = ad.add(acc, h)
     return ad.mul(acc, 1.0 / num_layers)
-
-
-def pattern_count_matrix(bbps) -> np.ndarray:
-    """Column p = per-node neighbor counts under pattern p (row sums of the
-    pattern matrix); constant for a fixed graph."""
-    if not bbps:
-        raise ValueError("need at least one pattern matrix")
-    num_nodes = bbps[0].num_nodes
-    cols = []
-    for b in bbps:
-        both = np.concatenate([b.u, b.v])
-        cols.append(np.bincount(both, minlength=num_nodes).astype(np.float64))
-    return np.stack(cols, axis=1)
 
 
 def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",

@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .graph import stream_rng
 
 
@@ -26,7 +26,7 @@ def generate_synthetic(cfg: RunConfig) -> tuple:
     ground truth per user."""
     relations = list(cfg.relations)
     if len(relations) < 2:
-        raise ValueError("synthetic generator needs at least two relations")
+        raise ConfigError("synthetic generator needs at least two relations")
     if cfg.target != relations[-1]:
         relations = [r for r in relations if r != cfg.target] + [cfg.target]
     rng = stream_rng(cfg.seed, "synth")

@@ -64,13 +64,13 @@ class TripleSampler:
         self.chain_edges = {}
         self.chain_pos = {}
         for i, chain in enumerate(model.chains):
-            bbp = model.bbps[chain.source_mask.signature - 1]
-            if bbp.edge_count == 0:
+            u, v = model.patterns.pairs(chain.pattern)
+            if u.size == 0:
                 log.info("chain %s has no exact-pattern training edges; skipped",
                          chain.label())
                 continue
-            self.chain_edges[i] = (bbp.u, bbp.v)
-            self.chain_pos[i] = _positives_by_user(bbp.u, bbp.v)
+            self.chain_edges[i] = (u, v)
+            self.chain_pos[i] = _positives_by_user(u, v)
 
     def _negatives(self, users, pos_of) -> np.ndarray:
         out = np.empty(len(users), dtype=np.int64)

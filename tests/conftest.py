@@ -8,10 +8,10 @@ from chainrec.model import DualChannelModel, TrainBatch
 
 
 def random_multiplex_graph(num_users, num_items, relations, edge_prob, seed,
-                           target=None):
+                           target=None, order=None):
     """Random multiplex bipartite graph built directly from Bernoulli draws."""
     rng = np.random.default_rng(seed)
-    schema = make_schema(relations, target or relations[-1])
+    schema = make_schema(relations, target or relations[-1], order)
     edges = {}
     for r in relations:
         mask = rng.random((num_users, num_items)) < edge_prob
@@ -36,12 +36,12 @@ def make_batch(model, split, rng, size=6):
     neg = model.graph.num_users + rng.integers(model.graph.num_items, size=size)
     chain_triples = {}
     for i, chain in enumerate(model.chains):
-        bbp = model.bbps[chain.source_mask.signature - 1]
-        if bbp.edge_count == 0:
+        u, v = model.patterns.pairs(chain.pattern)
+        if u.size == 0:
             continue
-        pick = rng.integers(bbp.edge_count, size=size)
+        pick = rng.integers(u.size, size=size)
         cn = model.graph.num_users + rng.integers(model.graph.num_items, size=size)
-        chain_triples[i] = (bbp.u[pick], bbp.v[pick], cn)
+        chain_triples[i] = (u[pick], v[pick], cn)
     return TrainBatch(users=users, pos=pos, neg=neg, chain_triples=chain_triples)
 
 

@@ -94,7 +94,7 @@ def pair_signature(graph, u, v):
 def dense_bbps(graph):
     """All exact-mask pattern matrices by per-pair brute force."""
     n = graph.num_nodes
-    n_pat = 2 ** graph.schema.num_relations - 1
+    n_pat = 2 ** len(graph.schema.relations) - 1
     mats = [np.zeros((n, n)) for _ in range(n_pat)]
     for u in range(graph.num_users):
         for v in range(graph.num_users, n):
@@ -137,7 +137,7 @@ def infonce_reference(anchor_rows, other_rows, tau):
     return total
 
 
-def oracle_total_loss(train_graph, cfg, tensors, batch, chains_order=None):
+def oracle_total_loss(train_graph, cfg, tensors, batch):
     """Full forward + loss from raw parameter tensors, straight-line dense.
 
     Default settings of the two remaining variants only: a shared base
@@ -169,7 +169,7 @@ def oracle_total_loss(train_graph, cfg, tensors, batch, chains_order=None):
     e_r = sum(rel_emb[rel] for rel in rels)
 
     # chains from masks containing the target with >= 2 relations
-    order = tuple(chains_order) if chains_order else schema.canonical_order
+    order = schema.canonical_order
     t_bit = 1 << rels.index(schema.target)
     chains = []
     for sig in range(1, 2 ** n_rel):

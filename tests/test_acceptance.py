@@ -22,7 +22,7 @@ from chainrec.evaluation import evaluate, ndcg_at_k, recall_at_k
 from chainrec.graph import (load_interactions, make_schema, split_train_test,
                             training_graph)
 from chainrec.model import DualChannelModel, bpr
-from chainrec.patterns import (build_all_bbps, local_adjacency,
+from chainrec.patterns import (behavior_patterns, local_adjacency,
                                propagate_global_factored, propagate_local)
 from chainrec.relations import lightgcn_propagate
 from chainrec.synth import write_synthetic
@@ -58,8 +58,9 @@ def test_criterion_01_bbp_oracle_equivalence():
         rels = g.schema.relations
         edge_sets = {r: set(zip(g.edges[r][0].tolist(), g.edges[r][1].tolist()))
                      for r in rels}
-        by_sig = {b.mask.signature: set(zip(b.u.tolist(), b.v.tolist()))
-                  for b in build_all_bbps(g)}
+        pats = behavior_patterns(g)
+        by_sig = {p + 1: set(zip(*(a.tolist() for a in pats.pairs(p))))
+                  for p in range(g.schema.num_patterns)}
         for u in range(g.num_users):
             for v in range(g.num_users, g.num_nodes):
                 sig = 0
@@ -80,11 +81,12 @@ def test_criterion_01_bbp_oracle_equivalence():
 def test_criterion_02_partition_property():
     bad = 0
     for g in _pattern_corpus():
-        bbps = build_all_bbps(g)
+        pats = behavior_patterns(g)
         n = g.num_nodes
         coverage = np.zeros(n * n, dtype=np.int64)
-        for b in bbps:
-            coverage[(b.u * n + b.v).astype(np.int64)] += 1
+        for p in range(g.schema.num_patterns):
+            u, v = pats.pairs(p)
+            coverage[(u * n + v).astype(np.int64)] += 1
         union = np.zeros(n * n, dtype=np.int64)
         for r in g.schema.relations:
             u, v = g.edges[r]
@@ -110,8 +112,8 @@ def test_criterion_03_propagation_oracles():
             got = lightgcn_propagate(model.rel_adj[r], base, layers)
             want = oracles.relation_propagation(g, r, base, layers)
             worst = max(worst, np.max(np.abs(got - want) / (np.abs(want) + 1e-12)))
-        logits = np.random.default_rng(seed + 1).normal(size=len(model.bbps))
-        got_loc = propagate_local(local_adjacency(model.union, logits), base, layers)
+        logits = np.random.default_rng(seed + 1).normal(size=g.schema.num_patterns)
+        got_loc = propagate_local(local_adjacency(model.patterns, logits), base, layers)
         dense = oracles.dense_bbps(g)
         want = oracles.local_propagation(dense, logits, base, layers)
         worst = max(worst, np.max(np.abs(got_loc - want) / (np.abs(want) + 1e-12)))
@@ -274,7 +276,7 @@ def test_criterion_09_relation_order_study(tmp_path):
         code = cli_main(["train", "--data", str(data), "--out", str(out),
                          "--dim", "16", "--epochs", "8", "--eval-every", "8",
                          "--batch", "64", "--patience", "50", "--seed", "0",
-                         "--chain-order", ",".join(order)])
+                         "--order", ",".join(order)])
         assert code == 0, f"{label} run failed"
         records = [json.loads(line) for line in
                    (out / "metrics.jsonl").read_text().splitlines()]

@@ -5,7 +5,7 @@ import pytest
 
 from chainrec.chains import (chain_embedding, chain_forward, enumerate_chains,
                              final_embedding)
-from chainrec.graph import make_schema
+from chainrec.graph import SchemaError, make_schema
 
 
 class TestEnumeration:
@@ -28,23 +28,26 @@ class TestEnumeration:
                         canonical_order=("view", "cart", "buy"))
         b = make_schema(("cart", "buy", "view"), "buy",
                         canonical_order=("view", "cart", "buy"))
-        la = {c.source_mask.relations(a): c.relations for c in enumerate_chains(a)}
-        lb = {c.source_mask.relations(b): c.relations for c in enumerate_chains(b)}
-        # mask bit order differs but every chain sequence is identical
-        assert sorted(la.values()) == sorted(lb.values())
+        la = {frozenset(c.relations): c.relations for c in enumerate_chains(a)}
+        lb = {frozenset(c.relations): c.relations for c in enumerate_chains(b)}
+        # pattern bit order differs but every chain sequence is identical
+        assert la == lb
+        assert ([c.pattern for c in enumerate_chains(a)]
+                != [c.pattern for c in enumerate_chains(b)])
 
     def test_order_override_changes_sequence_not_masks(self):
-        schema = make_schema(("view", "cart", "buy"), "buy")
-        default = enumerate_chains(schema)
-        s1 = enumerate_chains(schema, order_override=("buy", "view", "cart"))
-        assert [c.source_mask for c in s1] == [c.source_mask for c in default]
+        # the order may place the target first; it re-sequences each
+        # chain but never changes which patterns produce chains
+        default = enumerate_chains(make_schema(("view", "cart", "buy"), "buy"))
+        s1 = enumerate_chains(make_schema(("view", "cart", "buy"), "buy",
+                                          canonical_order=("buy", "view", "cart")))
+        assert [c.pattern for c in s1] == [c.pattern for c in default] == [4, 5, 6]
         assert [c.label() for c in s1] == ["buy->view", "buy->cart",
                                            "buy->view->cart"]
 
     def test_override_must_be_permutation(self):
-        schema = make_schema(("view", "buy"), "buy")
-        with pytest.raises(ValueError):
-            enumerate_chains(schema, order_override=("view", "view"))
+        with pytest.raises(SchemaError):
+            make_schema(("view", "buy"), "buy", canonical_order=("view", "view"))
 
 
 class TestChainForward:

@@ -99,6 +99,23 @@ class TestSynth:
             top_share[zipf] = views[:25].sum() / views.sum()
         assert top_share["1.0"] > 1.5 * top_share["0"]
 
+    @pytest.mark.parametrize("argv,key", [
+        (["--synth-users", "-3"], "synth_users"),
+        (["--synth-items", "-1"], "synth_items"),
+        (["--synth-clusters", "-1"], "synth_clusters"),
+        (["--synth-views", "-1"], "synth_views"),
+        (["--synth-carts", "-2"], "synth_carts"),
+        (["--synth-buys", "-1"], "synth_buys"),
+        (["--cascade", "-1"], "cascade"),
+        (["--cascade", "1.5"], "cascade"),
+        (["--relations", "buy", "--target", "buy"], "two relations"),
+    ])
+    def test_bad_generator_input_exits_one(self, tmp_path, capsys, argv, key):
+        data = tmp_path / "bad.tsv"
+        assert run_cli("synth", "--data", str(data), *argv) == 1
+        assert_one_error_line(capsys, key)
+        assert not data.exists()
+
     def test_negative_zipf_exits_one(self, tmp_path, capsys):
         data = tmp_path / "bad.tsv"
         assert run_cli("synth", "--data", str(data), "--synth-zipf", "-1") == 1
@@ -260,7 +277,8 @@ class TestTrain:
                  ("workers", ["--data", str(synth_file), "--workers", "1"]),
                  ("attributes", ["--data", str(synth_file), "--attributes", "a.tsv"])]
         for key, value in (("raw_local_adj", "false"), ("chain_score", "laststep"),
-                           ("per_user_weights", "false")):
+                           ("per_user_weights", "false"),
+                           ("chain_order", "buy,view,cart")):
             old_flag = tmp_path / f"{key}.cfg"
             old_flag.write_text(f"data = {synth_file}\n{key} = {value}\n")
             dashed = key.replace("_", "-")
@@ -370,6 +388,35 @@ class TestUnreadableData:
         assert run_cli("evaluate", "--data", str(bad_data),
                        "--checkpoint", str(run_dir / "best.npz")) == 1
         assert_one_error_line(capsys, "cannot read dataset", str(bad_data))
+
+
+class TestUnreadableConfig:
+    """A --config path that cannot be read as text ends with one line
+    naming it, for train and evaluate alike."""
+
+    @pytest.fixture(params=["directory", "not_utf8"])
+    def bad_config(self, request, tmp_path):
+        path = tmp_path / "run.cfg"
+        if request.param == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"dim = 8\n\xff\xfe = 1\n")
+        return path
+
+    def test_train_exits_one(self, bad_config, synth_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(*train_args(synth_file, out),
+                       "--config", str(bad_config)) == 1
+        assert_one_error_line(capsys, "cannot read config file", str(bad_config))
+        assert not out.exists()
+
+    def test_evaluate_exits_one(self, bad_config, synth_file, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli(*train_args(synth_file, run_dir)) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(synth_file), "--config",
+                       str(bad_config), "--checkpoint", str(run_dir / "best.npz")) == 1
+        assert_one_error_line(capsys, "cannot read config file", str(bad_config))
 
 
 def with_config_lines(ckpt_path, out_path, extra_lines):
@@ -491,7 +538,7 @@ class TestEvaluate:
                        "--checkpoint", str(run_dir / "best.npz")) == 0
         current = capsys.readouterr().out
         for retired in (["raw_local_adj = False", "chain_score = laststep",
-                         "per_user_weights = False"],
+                         "per_user_weights = False", "chain_order = "],
                         ["raw_local_adj = False", "chain_score = aggregated",
                          "per_user_weights = True"]):
             old = with_config_lines(run_dir / "best.npz", tmp_path / "old.npz",
@@ -499,6 +546,29 @@ class TestEvaluate:
             assert run_cli("evaluate", "--data", str(synth_file),
                            "--checkpoint", str(old)) == 0
             assert capsys.readouterr().out == current
+
+    def test_checkpoint_with_chain_order_evaluates_as_order(self, synth_file,
+                                                            tmp_path, capsys):
+        # chain_order once sequenced the chains in place of order, so an
+        # older checkpoint that set it scores as a run with that order
+        run = tmp_path / "ordered"
+        assert run_cli(*train_args(synth_file, run,
+                                   extra=["--order", "buy,view,cart"])) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(run / "best.npz")) == 0
+        current = capsys.readouterr().out
+        from chainrec.checkpoint import load_checkpoint, save_checkpoint
+        ckpt = load_checkpoint(run / "best.npz")
+        text = ckpt["config_text"].replace("order = buy,view,cart",
+                                           "order = view,cart,buy")
+        old = tmp_path / "old.npz"
+        save_checkpoint(old, ckpt["params"], ckpt["state"],
+                        text + "chain_order = buy,view,cart\n",
+                        ckpt["meta"], ckpt["rng"])
+        assert run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(old)) == 0
+        assert capsys.readouterr().out == current
 
     def test_checkpoint_with_raw_local_adj_exits_one(self, run_dir, synth_file,
                                                     tmp_path, capsys):
@@ -543,12 +613,19 @@ class TestInspectPatterns:
         data = tmp_path / "fig.tsv"
         data.write_text("u1\ti1\tview\nu1\ti1\tbuy\n"
                         "u2\ti1\tview\nu2\ti1\tcart\nu2\ti1\tbuy\n")
+        # u1-i1 is exactly view & buy, u2-i1 all three; bit r of a mask is
+        # relation r
+        masks = ("mask_bits,edge_count,b_column_sum\n100,0,0\n010,0,0\n"
+                 "110,0,0\n001,0,0\n101,1,2\n011,0,0\n111,1,2\n\n"
+                 "chain_index,relations\n")
         assert run_cli("inspect-patterns", "--data", str(data)) == 0
-        rows = capsys.readouterr().out.strip().split("\n\n")[0].splitlines()[1:]
-        by_bits = {r.split(",")[0]: int(r.split(",")[1]) for r in rows}
-        assert by_bits["101"] >= 1   # view & buy
-        assert by_bits["100"] == 0   # view only
-        assert by_bits["111"] == 1   # all three
+        assert capsys.readouterr().out == (
+            masks + "0,view->buy\n1,cart->buy\n2,view->cart->buy\n")
+        # an order may lead with the target: same patterns, resequenced chains
+        assert run_cli("inspect-patterns", "--data", str(data),
+                       "--order", "buy,view,cart") == 0
+        assert capsys.readouterr().out == (
+            masks + "0,buy->view\n1,buy->cart\n2,buy->view->cart\n")
 
     def test_single_relation_dataset(self, tmp_path, capsys):
         data = tmp_path / "single.tsv"

@@ -19,11 +19,11 @@ def write(tmp_path, text, name="data.tsv"):
 
 
 class TestSchema:
-    def test_target_must_be_member_and_last(self):
+    def test_target_must_be_member_and_may_lead_the_order(self):
         with pytest.raises(SchemaError):
             make_schema(("view", "cart"), "buy")
-        with pytest.raises(SchemaError):
-            make_schema(("view", "buy"), "buy", canonical_order=("buy", "view"))
+        s = make_schema(("view", "buy"), "buy", canonical_order=("buy", "view"))
+        assert s.canonical_order == ("buy", "view")
 
     def test_duplicates_and_size_rejected(self):
         with pytest.raises(SchemaError):

@@ -88,7 +88,7 @@ class TestRowRestrictedEmbeddings:
         rows = np.asarray([0, 3, 4, 8, 15, 22, 28])
         second = np.concatenate([np.arange(9, 15), np.arange(29, 37)])
         model = DualChannelModel(graph, RunConfig(layers=layers).validate())
-        for struct in [model.union.struct] + [a.struct for a in model.rel_adj.values()]:
+        for struct in [model.patterns.struct] + [a.struct for a in model.rel_adj.values()]:
             widest = receptive_fields(struct, rows, layers)[0]
             assert not np.isin(second, widest).any()
         self._check(graph, rows, layers, glo_norm)
@@ -196,6 +196,18 @@ class TestFeatureFlags:
             assert np.any(grads[key] != 0.0), key
 
     def test_chain_order_override_reorders_chains(self):
-        model, _, _ = self._setup(chain_order=("buy", "cart", "view"))
+        # the schema's order may lead with the target; the loss still
+        # matches the oracle, which sequences chains by the same order
+        graph = random_multiplex_graph(5, 6, ("view", "cart", "buy"), 0.5, seed=4,
+                                       order=("buy", "cart", "view"))
+        cfg = RunConfig(dim=3, layers=2, seed=0).validate()
+        split = split_train_test(graph, 0.75, seed=0)
+        model = DualChannelModel(training_graph(graph, split), cfg)
         labels = [c.label() for c in model.chains]
         assert labels == ["buy->view", "buy->cart", "buy->cart->view"]
+        params = model.init_params(0)
+        batch = make_batch(model, split, np.random.default_rng(8), size=4)
+        assert batch.chain_triples
+        got, _ = model.total_loss(params.tensors, batch)
+        want = oracles.oracle_total_loss(model.graph, cfg, params.tensors, batch)
+        assert abs(float(ad.val(got)) - want) < 1e-10 * max(1.0, abs(want))

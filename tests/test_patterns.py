@@ -6,11 +6,9 @@ import pytest
 from chainrec import autodiff as ad
 from chainrec.config import RunConfig
 from chainrec.graph import MultiplexBipartiteGraph, make_schema
-from chainrec.model import DualChannelModel
-from chainrec.patterns import (PatternMask, build_all_bbps, build_bbp_matrix,
-                               ebp_embeddings, enumerate_patterns,
-                               local_adjacency, pattern_count_matrix,
-                               pattern_union, propagate_global_factored,
+from chainrec.model import DualChannelModel, param_shapes
+from chainrec.patterns import (behavior_patterns, ebp_embeddings,
+                               local_adjacency, propagate_global_factored,
                                propagate_local)
 from chainrec.sparse import CSRStruct, SparseMatrix, build_struct
 
@@ -37,59 +35,63 @@ class TestEnumeration:
     @pytest.mark.parametrize("n_rel,expected", [(3, 7), (4, 15), (1, 1)])
     def test_counts(self, n_rel, expected):
         schema = make_schema(tuple(f"r{i}" for i in range(n_rel)), f"r{n_rel-1}")
-        masks = enumerate_patterns(schema)
-        assert len(masks) == expected
-        # binary counting order: mask i has signature i+1
-        assert [m.signature for m in masks] == list(range(1, expected + 1))
+        assert schema.num_patterns == expected
+        assert param_shapes(schema, RunConfig(dim=2), 4)["local_logits"] == (expected,)
 
-    def test_all_zero_mask_rejected(self):
-        with pytest.raises(ValueError):
-            PatternMask((0, 0, 0))
+
+def pair_set(pats, p):
+    u, v = pats.pairs(p)
+    return set(zip(u.tolist(), v.tolist()))
 
 
 class TestBBPConstruction:
     def test_exact_mask_semantics(self):
-        # u1-i1 carries exactly {view, buy}
+        # u1-i1 carries exactly {view, buy}; pattern p has signature p + 1,
+        # bit r for relation r: view+buy is 4, all three 6, view only 0
         g = graph_from_pairs(3, 3, {"view": [(1, 1), (2, 1), (2, 2)],
                                     "cart": [(2, 1), (2, 2)],
                                     "buy": [(1, 1), (2, 1), (2, 2)]})
-        view_and_buy = PatternMask((1, 0, 1))
-        all_three = PatternMask((1, 1, 1))
-        only_view = PatternMask((1, 0, 0))
-        def pairs(mask):
-            bbp = build_bbp_matrix(g, mask)
-            return set(zip(bbp.u.tolist(), bbp.v.tolist()))
-
-        assert (1, 1 + 3) in pairs(view_and_buy)
-        assert (1, 1 + 3) not in pairs(only_view)
-        m_all = pairs(all_three)
+        pats = behavior_patterns(g)
+        assert (1, 1 + 3) in pair_set(pats, 4)
+        assert (1, 1 + 3) not in pair_set(pats, 0)
+        m_all = pair_set(pats, 6)
         assert (1, 1 + 3) not in m_all
         assert (2, 1 + 3) in m_all and (2, 2 + 3) in m_all
 
     def test_single_relation_graph(self):
         g = graph_from_pairs(2, 2, {"view": [(0, 0), (1, 1)], "cart": [],
                                     "buy": []}, target="buy")
-        only_view = build_bbp_matrix(g, PatternMask((1, 0, 0)))
-        assert only_view.edge_count == 2
-        assert build_bbp_matrix(g, PatternMask((1, 0, 1))).edge_count == 0
+        pats = behavior_patterns(g)
+        assert len(pair_set(pats, 0)) == 2
+        assert len(pair_set(pats, 4)) == 0
 
     def test_matches_per_pair_oracle_on_random_graphs(self):
         for seed in range(5):
             g = random_multiplex_graph(8, 8, ("a", "b", "c"), 0.3, seed=seed)
-            bbps = build_all_bbps(g)
-            dense = oracles.dense_bbps(g)
-            for got, want in zip(bbps, dense):
+            pats = behavior_patterns(g)
+            for p, want in enumerate(oracles.dense_bbps(g)):
+                u, v = pats.pairs(p)
                 out = np.zeros_like(want)
-                out[got.u, got.v] = 1.0
-                out[got.v, got.u] = 1.0
+                out[u, v] = 1.0
+                out[v, u] = 1.0
                 np.testing.assert_array_equal(out, want)
+
+    def test_edge_pattern_is_pair_signature_minus_one(self):
+        g = random_multiplex_graph(7, 9, ("a", "b", "c"), 0.35, seed=6)
+        pats = behavior_patterns(g)
+        struct = pats.struct
+        assert struct.nnz == 2 * pats.u.shape[0]
+        for r, c, p in zip(struct.rows, struct.cols, pats.edge_pattern):
+            u, v = min(r, c), max(r, c)
+            assert p == oracles.pair_signature(g, u, v) - 1
 
     def test_partition_property(self):
         g = random_multiplex_graph(10, 12, ("a", "b", "c"), 0.25, seed=1)
-        bbps = build_all_bbps(g)
+        pats = behavior_patterns(g)
         total = np.zeros((g.num_nodes, g.num_nodes))
-        for b in bbps:
-            total[b.u, b.v] += 1.0
+        for p in range(g.schema.num_patterns):
+            u, v = pats.pairs(p)
+            total[u, v] += 1.0
         union = np.zeros_like(total)
         for r in g.schema.relations:
             u, v = g.edges[r]
@@ -102,8 +104,7 @@ class TestLocalChannel:
         # equal pattern weights cancel in the normalization, leaving the
         # union graph's 1/sqrt(deg_u deg_v) on every edge
         g = random_multiplex_graph(6, 6, ("a", "b", "c"), 0.4, seed=0)
-        bbps = build_all_bbps(g)
-        adj = local_adjacency(pattern_union(bbps), np.zeros(7))
+        adj = local_adjacency(behavior_patterns(g), np.zeros(7))
         struct = adj.struct
         deg = np.bincount(struct.rows, minlength=struct.n)
         assert struct.nnz > 0
@@ -112,24 +113,21 @@ class TestLocalChannel:
 
     def test_empty_patterns_give_zero_matrix(self):
         g = graph_from_pairs(2, 2, {"a": [], "b": []}, target="b")
-        bbps = build_all_bbps(g)
-        adj = local_adjacency(pattern_union(bbps), np.zeros(3))
+        adj = local_adjacency(behavior_patterns(g), np.zeros(3))
         assert adj.struct.nnz == 0
 
     def test_two_node_single_edge_normalizes_to_one(self):
         g = graph_from_pairs(1, 1, {"a": [(0, 0)]})
-        bbps = build_all_bbps(g)
-        adj = local_adjacency(pattern_union(bbps), np.zeros(1))
+        adj = local_adjacency(behavior_patterns(g), np.zeros(1))
         # one pattern, weight softmax=1, degrees 1 -> normalized entry 1
         np.testing.assert_allclose(oracles.dense_matrix(adj), [[0, 1], [1, 0]],
                                    atol=1e-12)
 
     def test_symmetry_and_weight_sum(self):
         g = random_multiplex_graph(7, 9, ("a", "b"), 0.4, seed=2)
-        bbps = build_all_bbps(g)
         logits = np.random.default_rng(0).normal(size=3)
         assert np.isclose(ad.softmax(logits).sum(), 1.0)
-        dense = oracles.dense_matrix(local_adjacency(pattern_union(bbps), logits))
+        dense = oracles.dense_matrix(local_adjacency(behavior_patterns(g), logits))
         np.testing.assert_allclose(dense, dense.T, atol=1e-12)
 
     def test_propagate_identity_and_zero(self):
@@ -152,8 +150,7 @@ class TestLocalChannel:
     def test_star_edges_scale_by_inverse_sqrt_degrees(self):
         # user of degree 2, items of degree 1: each edge is 1/sqrt(2 * 1)
         g = graph_from_pairs(1, 2, {"a": [(0, 0), (0, 1)]})
-        bbps = build_all_bbps(g)
-        norm = oracles.dense_matrix(local_adjacency(pattern_union(bbps), np.zeros(1)))
+        norm = oracles.dense_matrix(local_adjacency(behavior_patterns(g), np.zeros(1)))
         np.testing.assert_allclose(norm, [[0, 1 / np.sqrt(2), 1 / np.sqrt(2)],
                                           [1 / np.sqrt(2), 0, 0],
                                           [1 / np.sqrt(2), 0, 0]], atol=1e-12)
@@ -162,8 +159,7 @@ class TestLocalChannel:
 class TestGlobalChannel:
     def test_count_matrix_counts_neighbors(self):
         g = graph_from_pairs(2, 4, {"a": [(0, 0), (0, 1), (0, 2), (1, 3)]})
-        bbps = build_all_bbps(g)
-        counts = pattern_count_matrix(bbps)
+        counts = behavior_patterns(g).counts
         assert counts[0, 0] == 3.0 and counts[1, 0] == 1.0
         assert counts[2, 0] == 1.0  # items count their user neighbors
 
@@ -178,13 +174,14 @@ class TestGlobalChannel:
 
     def test_row_sums_and_empty_pattern_column(self):
         g = random_multiplex_graph(5, 5, ("a", "b"), 0.5, seed=3)
-        bbps = build_all_bbps(g)
-        counts = pattern_count_matrix(bbps)
+        pats = behavior_patterns(g)
+        counts = pats.counts
         brute = np.zeros_like(counts)
-        for p, bbp in enumerate(bbps):
+        for p in range(g.schema.num_patterns):
+            u, v = pats.pairs(p)
             dense = np.zeros((g.num_nodes, g.num_nodes))
-            dense[bbp.u, bbp.v] = 1
-            dense[bbp.v, bbp.u] = 1
+            dense[u, v] = 1
+            dense[v, u] = 1
             brute[:, p] = dense.sum(axis=1)
         np.testing.assert_array_equal(counts, brute)
 
@@ -321,8 +318,7 @@ class TestEbpFusion:
 class TestLinearity:
     def test_propagation_linear_in_base(self):
         g = random_multiplex_graph(6, 7, ("a", "b"), 0.4, seed=5)
-        bbps = build_all_bbps(g)
-        adj = local_adjacency(pattern_union(bbps),
+        adj = local_adjacency(behavior_patterns(g),
                               np.random.default_rng(3).normal(size=3))
         rng = np.random.default_rng(4)
         x = rng.normal(size=(13, 4))

@@ -108,8 +108,8 @@ class TestNegativeSampling:
         batch = sampler.batch_for(np.zeros(200, dtype=np.int64))
         assert batch.chain_triples
         for i, (cu, cp, cn) in batch.chain_triples.items():
-            bbp = model.bbps[model.chains[i].source_mask.signature - 1]
-            edges = set(zip(bbp.u.tolist(), bbp.v.tolist()))
+            edges = set(zip(*(a.tolist() for a in
+                              model.patterns.pairs(model.chains[i].pattern))))
             for u, p, n in zip(cu.tolist(), cp.tolist(), cn.tolist()):
                 assert (u, p) in edges
                 assert (u, n) not in edges
