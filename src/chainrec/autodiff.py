@@ -22,13 +22,14 @@ from .sparse import row_slice
 class Var:
     """A tape node: an ndarray value plus the closure that backpropagates it."""
 
-    __slots__ = ("value", "_parents", "_vjp", "grad")
+    __slots__ = ("value", "_parents", "_vjp", "grad", "_fresh")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value)
         self._parents = parents
         self._vjp = vjp
         self.grad = None
+        self._fresh = False   # the VJP returns arrays nothing else holds
 
     @property
     def shape(self):
@@ -40,9 +41,10 @@ def val(x):
     return x.value if isinstance(x, Var) else x
 
 
-def _record(out, inputs, *adjoints):
+def _record(out, inputs, *adjoints, fresh=False):
     """Join an op's result to the tape: ``adjoints[i](g)`` is the gradient
-    for ``inputs[i]`` given the gradient ``g`` of ``out``.
+    for ``inputs[i]`` given the gradient ``g`` of ``out``, a new array if
+    ``fresh``.
 
     Returns ``out`` unchanged when no input is a Var. Otherwise returns a
     Var whose VJP runs only the Var inputs' adjoints, in input order.
@@ -51,15 +53,17 @@ def _record(out, inputs, *adjoints):
     if not taped:
         return out
     parents, adjs = zip(*taped)
-    return Var(out, parents, lambda g: tuple(adj(g) for adj in adjs))
+    node = Var(out, parents, lambda g: tuple(adj(g) for adj in adjs))
+    node._fresh = fresh
+    return node
 
 
 class RowGrad:
     """Row-sparse gradient of an (n, d) table: ``rows[k]`` adds to row ``idx[k]``.
 
     A gather's backward returns one instead of a dense (n, d) table;
-    :func:`backward` joins every such contribution to a node and densifies
-    them with one scatter when the node is reached.
+    :func:`backward` scatters every such contribution to a node into one
+    dense gradient of its own when the node is reached.
     """
 
     __slots__ = ("idx", "rows")
@@ -94,9 +98,9 @@ def backward(out: Var):
 
     grads = {id(out): np.ones_like(out.value)}
     row_grads = {}
-    # Ids whose pending dense gradient this function allocated. Only those
-    # are accumulated in place: a VJP may hand back its own ``g`` (add,
-    # reshape), which is then another node's pending gradient as well.
+    # Ids whose pending dense gradient is fresh (allocated here or by a fresh
+    # VJP), so it may be summed into: a VJP may also hand back its own ``g``
+    # (add, reshape) or an array it holds, which is referenced elsewhere.
     owned = set()
     # Interior gradients stay referenced until the pass ends. Releasing each
     # once its closure had run lowered peak memory, but the allocator then
@@ -107,13 +111,12 @@ def backward(out: Var):
         g = grads.pop(id(node), None)
         parts = row_grads.pop(id(node), None)
         if parts:
-            if len(parts) == 1:
-                idx, rows = parts[0].idx, parts[0].rows
-            else:
-                idx = np.concatenate([p.idx for p in parts])
-                rows = np.concatenate([p.rows for p in parts])
-            dense = backend.scatter_add_rows(idx, rows, node.value.shape[0])
-            g = dense if g is None else _accumulate(dense, g, True)
+            dtype = np.result_type(*(p.rows for p in parts))
+            if g is None or id(node) not in owned or g.dtype != np.result_type(g, dtype):
+                dense = np.zeros((node.value.shape[0], parts[0].rows.shape[1]), dtype)
+                g = dense if g is None else _accumulate(dense, g, True)
+            for p in parts:
+                backend.scatter_add_rows(p.idx, p.rows, g.shape[0], g)
         if node._vjp is None:
             node.grad = g
             continue
@@ -126,10 +129,13 @@ def backward(out: Var):
                 row_grads.setdefault(id(p), []).append(pg)
                 continue
             acc = grads.get(id(p))
-            if acc is None:
-                grads[id(p)] = pg
-            else:
-                grads[id(p)] = _accumulate(acc, pg, id(p) in owned)
+            if acc is not None:
+                # into the newer buffer if fresh: the older one is freed and the
+                # step's last allocation stays live (else 2.5k page faults a step)
+                pg = (_accumulate(pg, acc, True) if node._fresh
+                      else _accumulate(acc, pg, id(p) in owned))
+            grads[id(p)] = pg
+            if node._fresh or acc is not None:
                 owned.add(id(p))
 
 
@@ -173,7 +179,7 @@ def matmul(a, b):
     av, bv = val(a), val(b)
     out = np.matmul(av, bv)
     return _record(out, (a, b), lambda g: np.outer(g, bv) if bv.ndim == 1 else g @ bv.T,
-                   lambda g: np.outer(av, g) if av.ndim == 1 else av.T @ g)
+                   lambda g: np.outer(av, g) if av.ndim == 1 else av.T @ g, fresh=True)
 
 
 def transpose(a):
@@ -223,7 +229,7 @@ def gather(a, idx):
             return backend.segment_sum(idx, np.ascontiguousarray(g), av.shape[0])
         return RowGrad(idx.reshape(-1), g.reshape(-1, av.shape[1]))
 
-    return _record(out, (a,), adjoint)
+    return _record(out, (a,), adjoint, fresh=True)
 
 
 def segsum(vals, idx, n):
@@ -353,13 +359,15 @@ def spmm(struct, vals, x):
     return spmm_rows(struct, vals, x, np.arange(struct.n))
 
 
-def spmm_rows(struct, vals, x, rows, x_rows=None):
+def spmm_rows(struct, vals, x, rows, x_rows=None, const=None):
     """Rows ``rows`` of the sparse (CSR struct + per-edge vals) times dense
     x product, computed from those CSR rows only.
 
     ``rows`` are sorted unique row indices. With ``x_rows`` (sorted unique,
     covering every column of those rows) ``x`` is compact, row k holding
-    node ``x_rows[k]``, and so is the x-adjoint. Each output row sums its
+    node ``x_rows[k]``, and so is the x-adjoint. With ``const``, ``vals``
+    holds the values of the first ``len(vals)`` edges only and ``const``
+    those of the rest, which get no gradient. Each output row sums its
     edges in CSR order, so a row is bit-identical whichever ``rows`` hold
     it. The x-adjoint is a product with the transposed slice, whose rows
     keep their entries in ascending source order; the vals-gradient is
@@ -376,19 +384,22 @@ def spmm_rows(struct, vals, x, rows, x_rows=None):
         if cols.size and cols.min() < 0:
             raise ValueError("x_rows must cover every column of the rows")
     vv, xv = val(vals), val(x)
-    out = backend.spmm(indptr, cols, vv[edges], xv)
+    lead = np.searchsorted(edges, vv.shape[0])   # edges ascend: vals' lead
+    ev = vv[edges] if const is None else np.concatenate(
+        [vv[edges[:lead]], const[edges[lead:] - vv.shape[0]]])
+    out = backend.spmm(indptr, cols, ev, xv)
 
     def vals_adjoint(g):
-        local = np.repeat(np.arange(rows.shape[0]), np.diff(indptr))
-        gv = backend.spmm_grad_vals(local, cols, np.ascontiguousarray(g), xv)
-        full = np.zeros(struct.nnz, dtype=gv.dtype)
-        full[edges] = gv
+        local = np.repeat(np.arange(rows.shape[0]), np.diff(indptr))[:lead]
+        gv = backend.spmm_grad_vals(local, cols[:lead], np.ascontiguousarray(g), xv)
+        full = np.zeros(vv.shape[0], dtype=gv.dtype)
+        full[edges[:lead]] = gv
         return full
 
     def x_adjoint(g):
         # scipy's O(nnz) CSR -> CSC pass gives the transposed slice
-        t = sp.csr_matrix((vv[edges], cols, indptr),
+        t = sp.csr_matrix((ev, cols, indptr),
                           shape=(rows.shape[0], xv.shape[0])).tocsc()
         return backend.spmm(t.indptr, t.indices, t.data, np.ascontiguousarray(g))
 
-    return _record(out, (vals, x), vals_adjoint, x_adjoint)
+    return _record(out, (vals, x), vals_adjoint, x_adjoint, fresh=True)

@@ -23,8 +23,9 @@ def spmm(indptr, cols, vals, x):
 
 # Edges per spmm_grad_vals block. The two gathered (block, d) copies stay
 # cache-sized; gathering all nnz rows at once streams two nnz x d copies
-# through memory (2.6x slower at 600k edges and d = 64).
-GRAD_VALS_BLOCK = 4096
+# through memory (2.6x slower at 600k edges and d = 64). At d = 64 blocks
+# of 1024 edges or more page-faulted anew per block: 35 ms for 50k edges.
+GRAD_VALS_BLOCK = 512
 
 
 def spmm_grad_vals(rows, cols, g, x):
@@ -36,20 +37,28 @@ def spmm_grad_vals(rows, cols, g, x):
     return out
 
 
-def scatter_add_rows(idx, g, n):
-    """out[idx[k]] += g[k] into an (n, d) zero matrix; duplicate ids accumulate.
+def scatter_add_rows(idx, g, n, out=None):
+    """out[idx[k]] += g[k] into ``out`` or an (n, d) zero matrix; duplicate
+    ids accumulate.
 
-    One product with the (n, len(idx)) 0/1 selection matrix. A stable sort
-    keeps each row's entries in k order, so every row sums exactly as the
-    sequential add does. Built here rather than through ``spmm``, so that
-    ``spmm`` stays the propagation product alone.
+    Distinct ids take one indexed add. Otherwise one product with the 0/1
+    selection matrix of the distinct ids sums each id's rows, kept in k
+    order by a stable sort, so every row sums exactly as the sequential add
+    does. Built here rather than through ``spmm``, so that ``spmm`` stays
+    the propagation product alone.
     """
+    if out is None:
+        out = np.zeros((n, g.shape[1]), dtype=g.dtype)
+    if np.bincount(idx, minlength=n).max(initial=0) <= 1:
+        out[idx] += g
+        return out
     order = np.argsort(idx, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
-    ones = np.ones(order.shape[0], dtype=g.dtype)
-    sel = sp.csr_matrix((ones, order, indptr), shape=(n, order.shape[0]))
-    return sel @ g
+    ids = idx[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    sel = sp.csr_matrix((np.ones(order.shape[0], dtype=g.dtype), order,
+                         np.append(starts, order.shape[0])))
+    out[ids[starts]] += sel @ g
+    return out
 
 
 def segment_sum(idx, vals, n):

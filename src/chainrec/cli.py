@@ -3,8 +3,9 @@
 Every RunConfig key is exposed as a same-named flag (dashes for
 underscores); a flag wins over the config file. Exit codes: 0 success,
 1 usage, config or data error (including a malformed command line, an
-unknown flag, data with no target edges, a split with no test edge, and a
-user with no item left to sample as a negative), 2 runtime abort.
+unknown flag, data with no target edges, a split with no test edge, a
+user with no item left to sample as a negative, and an evaluate flag or
+config value that changes a key of the checkpoint), 2 runtime abort.
 """
 
 import argparse
@@ -179,8 +180,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    # structural keys come from the checkpoint's embedded config; the
-    # current file/flags override evaluation-side keys (ks, csv, data, out)
     pre = _make_config(args)
     if not pre.checkpoint:
         raise UsageError("evaluate needs --checkpoint")
@@ -197,6 +196,13 @@ def cmd_evaluate(args) -> int:
                              f"a forward pass this version no longer computes")
     base_values = parse_config_text("\n".join(kept + renamed), origin="<checkpoint>")
     cfg = _make_config(args, base_values=base_values)
+    # every key but the evaluation-side ones comes from the checkpoint
+    trained = make_config(base_values=base_values)
+    for f in fields(RunConfig):
+        ours, theirs = getattr(cfg, f.name), getattr(trained, f.name)
+        if f.name not in ("ks", "csv", "data", "out", "checkpoint") and ours != theirs:
+            raise UsageError(f"{f.name} is {ours!r} here but {theirs!r} in the "
+                             f"checkpoint; evaluate takes it from the checkpoint")
     graph = _load_graph(cfg)
     _check_checkpoint(ckpt, cfg, graph)
     split = _split(cfg, graph)

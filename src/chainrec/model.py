@@ -7,6 +7,7 @@ training; both paths share the same code via the autodiff dispatch.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .chains import (chain_embedding, chain_forward, enumerate_chains,
                      final_embedding)
 from .config import RunConfig
 from .graph import MultiplexBipartiteGraph, stream_rng
-from .sparse import SparseMatrix, sym_norm_values
+from .sparse import SparseMatrix, stack_blocks, sym_norm_values
 
 
 class TrainingAbort(RuntimeError):
@@ -108,6 +109,15 @@ class DualChannelModel:
                                                         dtype=self.dtype))
                         for r in self.schema.relations}
 
+    @cached_property
+    def stack(self):
+        """The row path's union and relation operators as one, built on
+        first use: layer 1 reads [base] or [base_local; base_relation]."""
+        rels = list(self.rel_adj.values())
+        return stack_blocks([self.patterns.struct] + [a.struct for a in rels],
+                            [0] + [int(self.cfg.separate_base)] * len(rels),
+                            np.concatenate([a.values for a in rels]))
+
     # ------------------------------------------------------------------
     # parameters
     # ------------------------------------------------------------------
@@ -145,28 +155,36 @@ class DualChannelModel:
         """All embedding tables from a name->tensor (or name->Var) mapping.
 
         With ``rows`` (sorted unique node indices) every returned table is
-        compact, indexed by position in ``rows``. The sparse channels then
-        compute each propagation layer only on its receptive field: the
-        last at the rows, each earlier one at the nodes the next one
-        reads. The global channel propagates through its p x p pattern
-        Gram matrix and forms its output only at the rows.
+        compact, indexed by position in ``rows``. The local and relation
+        channels then propagate through ``self.stack``, one product per
+        layer, each layer only on its receptive field: the last at the
+        rows, each earlier one at the nodes the next one reads. (Without
+        ``rows``, one full operator at a time.) The global channel
+        propagates through its p x p pattern Gram matrix and forms its
+        output only at the rows.
         The dense chain channel and the fused tables are computed only at
         the rows too, which keeps a training step's dense work independent
         of catalog size.
         """
         cfg = self.cfg
         adj_loc = patterns.local_adjacency(self.patterns, p["local_logits"])
-        h_loc = patterns.propagate_local(adj_loc, self._base(p, "local"), cfg.layers,
-                                         rows=rows)
+        base_loc, base_rel = self._base(p, "local"), self._base(p, "relation")
+        if rows is None:
+            h_loc = patterns.propagate_local(adj_loc, base_loc, cfg.layers)
+            rel_tables = {r: relations.lightgcn_propagate(adj, base_rel, cfg.layers)
+                          for r, adj in self.rel_adj.items()}
+        else:
+            x = ad.concat([base_loc, base_rel], 0) if cfg.separate_base else base_loc
+            loc, *rel = relations.propagate_stack(self.stack, adj_loc.values, x,
+                                                  cfg.layers, rows)
+            h_loc = patterns.layer_mean(loc)
+            base_rows = ad.gather(base_rel, rows)
+            rel_tables = {r: relations.layer_sum(base_rows, layers)
+                          for r, layers in zip(self.rel_adj, rel)}
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
         h_glo = patterns.propagate_global_factored(b_mat, self._base(p, "global"),
                                                    cfg.layers, mode=cfg.glo_norm,
                                                    rows=rows)
-
-        base_rel = self._base(p, "relation")
-        rel_tables = {r: relations.lightgcn_propagate(adj, base_rel, cfg.layers,
-                                                      rows=rows)
-                      for r, adj in self.rel_adj.items()}
         h_ebp = patterns.ebp_embeddings(h_loc, h_glo)
         e_r = relations.aggregate_relations(rel_tables)
         n_user_rows = (self.num_users if rows is None

@@ -5,7 +5,10 @@ explicit-pattern embeddings.
 
 A pair's pattern is the EXACT set of relations joining it, as a signature
 whose bit r is schema relation r; pattern p has signature p + 1, so the
-2^|R| - 1 patterns partition all interacting pairs.
+2^|R| - 1 patterns partition all interacting pairs. A training step runs
+the local route's union operator as block 0 of the model's stacked
+operator (see :mod:`chainrec.relations`), its learnable edge values the
+only ones on the tape.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import MultiplexBipartiteGraph, RelationSchema
-from .relations import propagate_layers
+from .relations import layer_sum, propagate_layers
 from .sparse import CSRStruct, SparseMatrix, build_struct
 
 
@@ -79,15 +82,13 @@ def local_adjacency(union: BehaviorPatterns, logits) -> SparseMatrix:
     return SparseMatrix(struct, vals)
 
 
-def propagate_local(adj: SparseMatrix, base, num_layers: int, rows=None):
-    """Mean of the layer-1..L propagated tables (layer 0 excluded). With
-    ``rows`` (sorted unique node indices) only those rows are returned
-    (see :func:`relations.propagate_layers`)."""
-    layers = propagate_layers(adj, base, num_layers, rows)
-    acc = layers[0]
-    for h in layers[1:]:
-        acc = ad.add(acc, h)
-    return ad.mul(acc, 1.0 / num_layers)
+def propagate_local(adj: SparseMatrix, base, num_layers: int):
+    """Mean of the layer-1..L propagated tables (layer 0 excluded)."""
+    return layer_mean(propagate_layers(adj, base, num_layers))
+
+
+def layer_mean(layers):
+    return ad.mul(layer_sum(layers[0], layers[1:]), 1.0 / len(layers))
 
 
 def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",

@@ -3,7 +3,8 @@
 A :class:`CSRStruct` stores only the constant topology (both edge
 directions, row-sorted).  Values live in a separate array so that the same
 structure can carry binary weights, degree-normalized weights, or learnable
-per-edge weights on the autodiff tape.
+per-edge weights on the autodiff tape.  A :class:`BlockStack` stacks several
+operators so that one product propagates all of them.
 """
 
 from dataclasses import dataclass
@@ -70,6 +71,32 @@ def receptive_fields(struct: CSRStruct, rows, num_layers: int) -> list:
         fields.insert(0, np.flatnonzero(mask))
         fresh = np.flatnonzero(added)
     return fields
+
+
+@dataclass(frozen=True)
+class BlockStack:
+    """Square operators over the same n nodes, stacked: row b*n + i is row i
+    of block b. ``diag`` reads the stacked previous layer (column b*n + j),
+    ``first`` the stacked layer-0 tables; ``const`` holds the values of
+    every edge after block 0's, whose values come with each product."""
+
+    blocks: int
+    first: CSRStruct
+    diag: CSRStruct
+    const: object = None
+
+
+def stack_blocks(structs: list, first_block: list, const=None) -> BlockStack:
+    """Block b of ``first`` reads layer-0 table first_block[b]."""
+    n, k = structs[0].n, len(structs)
+    ends = np.cumsum([0] + [s.nnz for s in structs])
+    indptr = np.concatenate([s.indptr[:-1] + e for s, e in zip(structs, ends)] + [ends[-1:]])
+    rows = np.concatenate([s.rows + b * n for b, s in enumerate(structs)])
+    cols = np.concatenate([s.cols for s in structs])
+    block = np.repeat(np.arange(k), np.diff(ends))
+    first = cols + np.asarray(first_block, dtype=np.int64)[block] * n
+    return BlockStack(k, CSRStruct(k * n, indptr, first, rows),
+                      CSRStruct(k * n, indptr, cols + block * n, rows), const)
 
 
 def sym_norm_values(struct: CSRStruct, dtype=np.float64) -> np.ndarray:

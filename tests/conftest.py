@@ -45,15 +45,31 @@ def make_batch(model, split, rng, size=6):
     return TrainBatch(users=users, pos=pos, neg=neg, chain_triples=chain_triples)
 
 
-@pytest.fixture
-def tiny_setup():
-    """N=10 (4 users, 6 items), 3 relations, d=4: every loss term active."""
-    graph = random_multiplex_graph(4, 6, ("view", "cart", "buy"), 0.5, seed=7)
+def _tiny(relations, edge_prob, seed):
+    graph = random_multiplex_graph(4, 6, relations, edge_prob, seed=seed)
     cfg = RunConfig(dim=4, layers=2, l2=1e-3, mu1=0.2, mu2=0.5, tau=0.25,
-                    mu_scale=0.7, seed=3).validate()
+                    mu_scale=0.7, seed=3, relations=relations,
+                    target=relations[-1]).validate()
     split = split_train_test(graph, 0.75, seed=cfg.seed)
     model = DualChannelModel(training_graph(graph, split), cfg)
     params = model.init_params(cfg.seed)
     batch = make_batch(model, split, np.random.default_rng(11), size=6)
     assert batch.chain_triples, "fixture must exercise chain losses"
     return graph, split, model, params, batch, cfg
+
+
+@pytest.fixture
+def tiny_setup():
+    """N=10 (4 users, 6 items), 3 relations, d=4: every loss term active."""
+    return _tiny(("view", "cart", "buy"), 0.5, seed=7)
+
+
+@pytest.fixture
+def tiny_setup_four():
+    """As tiny_setup with four relations: 7 chains, every one drawing
+    triples, and 31 parameter tensors; five stacked sparse operators."""
+    setup = _tiny(("tips", "neutral", "dislike", "like"), 0.6, seed=2)
+    model, params, batch = setup[2], setup[3], setup[4]
+    assert len(params.tensors) == 31 and model.stack.blocks == 5
+    assert sorted(batch.chain_triples) == list(range(len(model.chains))) == list(range(7))
+    return setup

@@ -22,9 +22,7 @@ from chainrec.evaluation import evaluate, ndcg_at_k, recall_at_k
 from chainrec.graph import (load_interactions, make_schema, split_train_test,
                             training_graph)
 from chainrec.model import DualChannelModel, bpr
-from chainrec.patterns import (behavior_patterns, local_adjacency,
-                               propagate_global_factored, propagate_local)
-from chainrec.relations import lightgcn_propagate
+from chainrec.patterns import behavior_patterns
 from chainrec.synth import write_synthetic
 from chainrec.training import backward, train
 
@@ -100,38 +98,46 @@ def test_criterion_02_partition_property():
 
 
 def test_criterion_03_propagation_oracles():
-    # each channel through the function model.embeddings calls, on the
-    # model's own constants, against a dense reference built from the edges
+    # each channel through model.embeddings, on the full graph (inference)
+    # and at a row subset (training: one stacked operator for the local and
+    # relation channels), against a dense reference built from the edges
     worst = 0.0
     for seed in range(12):
-        g = random_multiplex_graph(18, 22, ("a", "b", "c"), 0.2, seed=seed)
-        model = DualChannelModel(g, RunConfig())
-        base = np.random.default_rng(seed).normal(size=(g.num_nodes, 5))
+        rels = ("a", "b", "c") if seed % 2 == 0 else ("a", "b", "c", "d")
+        g = random_multiplex_graph(18, 22, rels, 0.2, seed=seed)
         layers = 1 + seed % 4
-        for r in g.schema.relations:
-            got = lightgcn_propagate(model.rel_adj[r], base, layers)
-            want = oracles.relation_propagation(g, r, base, layers)
-            worst = max(worst, np.max(np.abs(got - want) / (np.abs(want) + 1e-12)))
+        cfg = RunConfig(dim=5, layers=layers, relations=rels, target="c").validate()
+        model = DualChannelModel(g, cfg)
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(g.num_nodes, 5))
         logits = np.random.default_rng(seed + 1).normal(size=g.schema.num_patterns)
-        got_loc = propagate_local(local_adjacency(model.patterns, logits), base, layers)
+        p = {**model.init_params(seed).tensors, "base": base,
+             "local_logits": logits, "global_logits": logits}
+        rows = np.sort(rng.choice(g.num_nodes, size=9, replace=False))
         dense = oracles.dense_bbps(g)
-        want = oracles.local_propagation(dense, logits, base, layers)
-        worst = max(worst, np.max(np.abs(got_loc - want) / (np.abs(want) + 1e-12)))
-        b_mat = ad.mul(model.counts, ad.softplus(logits))
-        got_glo = propagate_global_factored(b_mat, base, layers)
         counts = np.stack([m.sum(axis=1) for m in dense], axis=1)
         sim = oracles.build_global_similarity(counts * np.logaddexp(0.0, logits))
-        want = oracles.propagate_global(sim, base, layers)
-        worst = max(worst, np.max(np.abs(got_glo - want)))
+        want = {"h_loc": oracles.local_propagation(dense, logits, base, layers),
+                "h_glo": oracles.propagate_global(sim, base, layers)}
+        want.update({r: oracles.relation_propagation(g, r, base, layers) for r in rels})
+        for at, emb in ((slice(None), model.embeddings(p)),
+                        (rows, model.embeddings(p, rows=rows))):
+            for key, ref in want.items():
+                got = emb["rel"][key] if key in rels else emb[key]
+                err = np.abs(got - ref[at])
+                if key != "h_glo":
+                    err = err / (np.abs(ref[at]) + 1e-12)
+                worst = max(worst, np.max(err))
     report(3, "propagation matches dense normalized-matrix-power references",
            worst < 1e-8, f"(worst deviation {worst:.2e}: relative for the "
            f"relation and local channels, absolute for the global one)")
 
 
-def test_criterion_04_gradient_correctness(tiny_setup):
-    _, _, model, params, batch, _ = tiny_setup
-    t0 = time.time()
+def _gradient_check(model, params, batch):
+    """Worst relative gap between analytic and central finite-difference
+    gradients over every parameter coordinate."""
     grads, _ = backward(model, params, batch)
+    assert set(grads) == set(params.tensors)
     h = 1e-4
     worst = 0.0
     n_coords = 0
@@ -148,10 +154,28 @@ def test_criterion_04_gradient_correctness(tiny_setup):
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(gf[i] - fd) / max(abs(gf[i]), abs(fd), 1e-3))
             n_coords += 1
+    return worst, n_coords
+
+
+def test_criterion_04_gradient_correctness(tiny_setup):
+    _, _, model, params, batch, _ = tiny_setup
+    t0 = time.time()
+    worst, n_coords = _gradient_check(model, params, batch)
     elapsed = time.time() - t0
     report(4, "analytic gradients match central finite differences",
            worst < 1e-4 and elapsed < 60.0,
            f"({n_coords} coordinates, max rel err {worst:.2e}, {elapsed:.1f}s)")
+
+
+def test_criterion_04_gradient_correctness_four_relations(tiny_setup_four):
+    _, _, model, params, batch, _ = tiny_setup_four
+    t0 = time.time()
+    worst, n_coords = _gradient_check(model, params, batch)
+    elapsed = time.time() - t0
+    report(4, "analytic gradients match central finite differences, "
+              "four relations", worst < 1e-4 and elapsed < 60.0,
+           f"({len(params.tensors)} tensors, {n_coords} coordinates, "
+           f"max rel err {worst:.2e}, {elapsed:.1f}s)")
 
 
 def test_criterion_05_loss_closed_forms(tiny_setup):

@@ -405,6 +405,50 @@ class TestAccumulation:
         np.testing.assert_allclose(wy.grad, c + d, rtol=0, atol=1e-15)
         np.testing.assert_allclose(x.grad, 3 * c + 2 * d, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("fresh_first", [False, True])
+    def test_fresh_sums_leave_a_passed_through_gradient_alone(self, fresh_first,
+                                                              monkeypatch):
+        # add hands the one g it got to x and to the leaf w; x also gets a
+        # fresh matmul and a fresh spmm gradient, summed in place
+        struct, vals, _, _ = _spmm_rows_fixture(30)
+        x = ad.Var(RNG.normal(size=(30, 3)))
+        w = ad.Var(RNG.normal(size=(30, 3)))
+        m, c, d, e = (RNG.normal(size=s) for s in ((3, 2), (30, 3), (30, 2), (30, 3)))
+        flags = []
+
+        def spy(acc, pg, in_place, _fn=ad._accumulate):
+            flags.append(in_place)
+            return _fn(acc, pg, in_place)
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        terms = [ad.asum(ad.mul(ad.add(x, w), c)),
+                 ad.add(ad.asum(ad.mul(ad.matmul(x, m), d)),
+                        ad.asum(ad.mul(ad.spmm(struct, vals, x), e)))]
+        ad.backward(ad.add(*(terms[::-1] if fresh_first else terms)))
+        np.testing.assert_array_equal(w.grad, c)
+        want = c + d @ m.T + backend.spmm(struct.indptr, struct.cols,
+                                          transposed_vals(struct, vals), e)
+        np.testing.assert_allclose(x.grad, want, rtol=1e-13, atol=1e-13)
+        # both sums write into a fresh buffer, never into add's g
+        assert flags == [True, True]
+
+    @pytest.mark.parametrize("fresh_first", [False, True])
+    def test_fresh_sums_leave_held_arrays_and_values_alone(self, fresh_first):
+        # one VJP returns an array it holds, another a node's value
+        x = ad.Var(RNG.normal(size=(4, 3)))
+        y = ad.Var(RNG.normal(size=(4, 3)))
+        held = RNG.normal(size=(4, 3))
+        before = held.copy(), y.value.copy()
+        m, d = RNG.normal(size=(3, 2)), RNG.normal(size=(4, 2))
+        odd = ad.add(ad._record(np.zeros(()), (x,), lambda g: held),
+                     ad._record(np.zeros(()), (x,), lambda g: y.value))
+        fresh = ad.asum(ad.mul(ad.matmul(x, m), d))
+        ad.backward(ad.add(fresh, odd) if fresh_first else ad.add(odd, fresh))
+        np.testing.assert_array_equal(held, before[0])
+        np.testing.assert_array_equal(y.value, before[1])
+        np.testing.assert_allclose(x.grad, before[0] + before[1] + d @ m.T,
+                                   rtol=1e-14, atol=1e-14)
+
     def test_only_leaves_keep_a_gradient(self):
         x = ad.Var(RNG.normal(size=(3, 2)))
         inner = ad.mul(x, 2.0)

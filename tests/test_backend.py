@@ -69,7 +69,9 @@ def test_grad_and_scatter_paths_agree():
 B = backend.GRAD_VALS_BLOCK
 
 
-@pytest.mark.parametrize("nnz", [0, 5, B, B + 1, 3 * B + 17])
+# each side of the block boundaries of this block size, and of the 4096
+# this kernel used before
+@pytest.mark.parametrize("nnz", sorted({0, 5, B, B + 1, 3 * B + 17, 4096, 4097, 12305}))
 @pytest.mark.parametrize("g_dtype,x_dtype", [(np.float64, np.float64),
                                              (np.float32, np.float32),
                                              (np.float32, np.float64)])

@@ -352,12 +352,18 @@ class TestDataErrors:
         err = self.one_line_error(capsys)
         assert "ratio 0.9" in err and "3 target edges" in err
         assert not (out / "metrics.jsonl").exists()
-        # evaluate refuses the same split of a checkpoint trained at 0.5
+        # evaluate takes the ratio from the checkpoint, and refuses the same
+        # split when the checkpoint's config holds it
         assert run_cli("train", "--data", str(data), "--out", str(out),
                        "--ratio", "0.5", "--dim", "4", "--epochs", "1") == 0
+        from chainrec.checkpoint import load_checkpoint, save_checkpoint
+        ckpt = load_checkpoint(out / "best.npz")
+        text = ckpt["config_text"].replace("ratio = 0.5", "ratio = 0.9")
+        save_checkpoint(tmp_path / "at09.npz", ckpt["params"], ckpt["state"], text,
+                        ckpt["meta"], ckpt["rng"])
         capsys.readouterr()
-        assert run_cli("evaluate", "--data", str(data), "--ratio", "0.9",
-                       "--checkpoint", str(out / "best.npz")) == 1
+        assert run_cli("evaluate", "--data", str(data),
+                       "--checkpoint", str(tmp_path / "at09.npz")) == 1
         err = self.one_line_error(capsys)
         assert "ratio 0.9" in err and "3 target edges" in err
 
@@ -528,6 +534,50 @@ class TestEvaluate:
 
     def test_missing_checkpoint_flag_exits_one(self, synth_file):
         assert run_cli("evaluate", "--data", str(synth_file)) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--layers", "3"), ("--seed", "0"),
+                                             ("--order", "cart,buy,view"),
+                                             ("--ratio", "0.5")])
+    def test_flag_changing_a_checkpoint_key_exits_one(self, run_dir, synth_file,
+                                                      capsys, flag, value):
+        # each of these once re-scored the checkpoint under another model
+        # or split and exited 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint",
+                       str(run_dir / "best.npz"), flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {flag[2:]} is ")
+
+    def test_config_file_changing_a_checkpoint_key_exits_one(self, run_dir,
+                                                             synth_file, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("layers = 1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(synth_file), "--config", str(cfg),
+                       "--checkpoint", str(run_dir / "best.npz")) == 1
+        assert_one_error_line(capsys, "layers", "checkpoint")
+
+    def test_repeating_checkpoint_keys_and_setting_evaluation_keys_is_allowed(
+            self, run_dir, synth_file, tmp_path, capsys):
+        ckpt = str(run_dir / "best.npz")
+        assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint", ckpt) == 0
+        plain = capsys.readouterr().out
+        # the trained values, as flags and as a config file
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text("layers = 2\nrelations = view,cart,buy\n", encoding="utf-8")
+        assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint", ckpt,
+                       "--layers", "2", "--seed", "7", "--dim", "8",
+                       "--config", str(cfg)) == 0
+        assert capsys.readouterr().out == plain
+        out = tmp_path / "eval_run"
+        assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint", ckpt,
+                       "--ks", "10", "--csv", "true", "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert "R@10 " in printed and "R@5 " not in printed
+        assert printed.splitlines()[0] in plain
+        assert (out / "metrics.csv").exists()
 
     def test_checkpoint_with_retired_keys_still_evaluates(self, run_dir, synth_file,
                                                           tmp_path, capsys):

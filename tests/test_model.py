@@ -38,6 +38,12 @@ class TestDualImplementation:
                                              batch)
             assert abs(float(ad.val(got)) - want) < 1e-10 * max(1.0, abs(want))
 
+    def test_oracle_agreement_on_four_relations(self, tiny_setup_four):
+        graph, split, model, params, batch, cfg = tiny_setup_four
+        got, _ = model.total_loss(params.tensors, batch)
+        want = oracles.oracle_total_loss(model.graph, cfg, params.tensors, batch)
+        assert abs(float(ad.val(got)) - want) < 1e-10 * max(1.0, abs(want))
+
     def test_var_and_ndarray_forwards_agree(self, tiny_setup):
         _, _, model, params, batch, _ = tiny_setup
         emb_nd = model.embeddings(params.tensors)
@@ -93,8 +99,18 @@ class TestRowRestrictedEmbeddings:
             assert not np.isin(second, widest).any()
         self._check(graph, rows, layers, glo_norm)
 
-    def _check(self, graph, rows, layers, glo_norm):
-        cfg = RunConfig(dim=4, layers=layers, glo_norm=glo_norm, seed=2).validate()
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("separate_base", [False, True])
+    def test_four_relations(self, layers, separate_base):
+        # five stacked operators: the pattern union and four relations
+        graph = random_multiplex_graph(9, 14, ("tips", "neutral", "dislike", "like"),
+                                       0.3, seed=6)
+        self._check(graph, np.asarray([0, 2, 5, 8, 9, 16, 22]), layers, "row",
+                    separate_base=separate_base)
+
+    def _check(self, graph, rows, layers, glo_norm, **overrides):
+        cfg = RunConfig(dim=4, layers=layers, glo_norm=glo_norm, seed=2,
+                        **overrides).validate()
         model = DualChannelModel(graph, cfg)
         params = model.init_params(cfg.seed)
         full = model.embeddings(params.tensors)

@@ -258,11 +258,15 @@ class TestFloat32:
 
 
 class TestStepKernels:
-    def test_each_sparse_operator_runs_two_products_per_layer(self, tiny_setup,
-                                                              monkeypatch):
-        # per layer and operator one forward product and one x-adjoint, both
-        # through backend.spmm, so a traced step's kernel counters see them
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_sparse_channels_run_two_products_per_layer(self, tiny_setup, layers,
+                                                        monkeypatch):
+        # the pattern union and the relations propagate as one stacked
+        # operator: per layer one forward product and one x-adjoint, both
+        # through backend.spmm, however many operators there are
         _, _, model, params, batch, cfg = tiny_setup
+        model = DualChannelModel(model.graph, RunConfig(**{**cfg.__dict__,
+                                                           "layers": layers}))
         calls = []
 
         def spy(*args, _fn=backend.spmm):
@@ -270,14 +274,11 @@ class TestStepKernels:
             return _fn(*args)
 
         monkeypatch.setattr(backend, "spmm", spy)
-        pvars = params.as_vars()
-        loss, _ = model.total_loss(pvars, batch)
-        forward = len(calls)
+        loss, _ = model.total_loss(params.as_vars(), batch)
+        assert len(calls) == layers
         ad.backward(loss)
-        operators = 1 + len(model.rel_adj)   # the pattern union + relations
-        assert (cfg.layers, operators) == (2, 4)
-        assert forward == cfg.layers * operators
-        assert len(calls) == 16 == 2 * cfg.layers * operators
+        assert model.stack.blocks == 1 + len(model.rel_adj) == 4
+        assert len(calls) == 2 * layers
 
 
 class TestTrainLoop:
