@@ -168,6 +168,31 @@ def add(a, b):
                    lambda g: _unbroadcast(g, np.shape(bv)))
 
 
+def add_n(items, scale=None):
+    """Sum of ``items`` times ``scale``, bit-identical to chained :func:`add`
+    then :func:`mul`, in one new array: the first sum allocates, the later
+    sums and the scale run in place. One tape node; every input gets ``g``
+    (or ``g * scale``, computed once). One input and no scale comes back
+    as it is."""
+    items = list(items)
+    if len(items) == 1 and scale is None:
+        return items[0]
+    vals = [val(x) for x in items]
+    out = np.add(vals[0], vals[1]) if len(vals) > 1 else np.array(vals[0])
+    for v in vals[2:]:
+        out = _accumulate(out, v, True)
+    if scale is not None:
+        out *= scale
+    scaled = []
+
+    def adjoint(g, shape):
+        if not scaled:
+            scaled.append(g if scale is None else g * scale)
+        return _unbroadcast(scaled[0], shape)
+
+    return _record(out, items, *(lambda g, s=np.shape(v): adjoint(g, s) for v in vals))
+
+
 def mul(a, b):
     av, bv = val(a), val(b)
     out = np.multiply(av, bv)
@@ -180,6 +205,25 @@ def matmul(a, b):
     out = np.matmul(av, bv)
     return _record(out, (a, b), lambda g: np.outer(g, bv) if bv.ndim == 1 else g @ bv.T,
                    lambda g: np.outer(av, g) if av.ndim == 1 else av.T @ g, fresh=True)
+
+
+def split_rows_matmul(a, split, w_top, w_bottom):
+    """Rows ``:split`` of ``a`` times ``w_top``ᵀ over rows ``split:`` times
+    ``w_bottom``ᵀ, written into one new table. The ``a``-adjoint is one
+    :class:`RowGrad` over every row, so ``backward`` adds it after ``a``'s
+    dense gradients, in row-gradient order, as for row gathers."""
+    av, wt, wb = val(a), val(w_top), val(w_bottom)
+
+    def stacked(x, top, bottom):
+        out = np.empty((x.shape[0], top.shape[1]), np.result_type(x, top, bottom))
+        np.matmul(x[:split], top, out=out[:split])
+        np.matmul(x[split:], bottom, out=out[split:])
+        return out
+
+    return _record(stacked(av, wt.T, wb.T), (a, w_top, w_bottom),
+                   lambda g: RowGrad(np.arange(g.shape[0]), stacked(g, wt, wb)),
+                   lambda g: (av[:split].T @ g[:split]).T,
+                   lambda g: (av[split:].T @ g[split:]).T, fresh=True)
 
 
 def transpose(a):

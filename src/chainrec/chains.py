@@ -9,8 +9,6 @@ embedding table.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .graph import RelationSchema
 from .patterns import pattern_relations
@@ -60,17 +58,10 @@ def chain_forward(chain: RelationChain, first_relation_table,
     for w in list(w_user) + list(w_item):
         if ad.val(w).shape != (d, d):
             raise ValueError(f"transform shape {ad.val(w).shape} != ({d}, {d})")
-    n = ad.val(first_relation_table).shape[0]
-    user_rows = np.arange(num_users)
-    item_rows = np.arange(num_users, n)
     steps = [first_relation_table]
-    cur = first_relation_table
     for wu, wv in zip(w_user, w_item):
         # rowwise e_next = W e is E @ W^T on each block
-        nxt_u = ad.matmul(ad.gather(cur, user_rows), ad.transpose(wu))
-        nxt_v = ad.matmul(ad.gather(cur, item_rows), ad.transpose(wv))
-        cur = ad.concat([nxt_u, nxt_v], axis=0)
-        steps.append(cur)
+        steps.append(ad.split_rows_matmul(steps[-1], num_users, wu, wv))
     return steps
 
 
@@ -79,10 +70,7 @@ def chain_embedding(all_step_tables):
     flat = [t for steps in all_step_tables for t in steps]
     if not flat:
         raise ValueError("no chain step tables to sum")
-    out = flat[0]
-    for t in flat[1:]:
-        out = ad.add(out, t)
-    return out
+    return ad.add_n(flat)
 
 
 def final_embedding(h_ebp, e_rel, e_chain):
@@ -90,4 +78,4 @@ def final_embedding(h_ebp, e_rel, e_chain):
     shapes = {ad.val(h_ebp).shape, ad.val(e_rel).shape, ad.val(e_chain).shape}
     if len(shapes) != 1:
         raise ValueError(f"shape mismatch across channels: {shapes}")
-    return ad.mul(ad.add(ad.add(h_ebp, e_rel), e_chain), 1.0 / 3.0)
+    return ad.add_n([h_ebp, e_rel, e_chain], scale=1.0 / 3.0)

@@ -19,7 +19,7 @@ from .checkpoint import (CheckpointError, check_tensors, compatibility_diff,
 from .chains import enumerate_chains
 from .config import (ConfigError, RunConfig, config_text, make_config,
                      parse_config_text, save_config)
-from .evaluation import sparsity_groups
+from .evaluation import headline_k, sparsity_groups
 from .graph import (ParseError, SchemaError, SplitError, load_interactions,
                     make_schema, split_train_test, training_graph)
 from .model import DualChannelModel, TrainingAbort, param_shapes
@@ -126,11 +126,12 @@ def _write_metrics_csv(history, path):
             for metric in ("recall", "ndcg"):
                 for k, value in rec[metric].items():
                     fh.write(f"{epoch},{metric},{k},{value},\n")
+            group_k = headline_k([int(k) for k in rec["recall"]])
             for label, entry in rec.get("groups", {}).items():
                 if entry["recall"] is None:
                     continue
-                fh.write(f"{epoch},recall,10,{entry['recall']},{label}\n")
-                fh.write(f"{epoch},ndcg,10,{entry['ndcg']},{label}\n")
+                fh.write(f"{epoch},recall,{group_k},{entry['recall']},{label}\n")
+                fh.write(f"{epoch},ndcg,{group_k},{entry['ndcg']},{label}\n")
 
 
 def cmd_train(args) -> int:
@@ -215,7 +216,8 @@ def cmd_evaluate(args) -> int:
         print(f"R@{k} {result.recall(k):.6f}")
     for k in result.ks:
         print(f"N@{k} {result.ndcg(k):.6f}")
-    print("group,users,recall@10,ndcg@10")
+    group_k = headline_k(result.ks)
+    print(f"group,users,recall@{group_k},ndcg@{group_k}")
     for label, entry in groups.items():
         r = "" if entry["recall"] is None else f"{entry['recall']:.6f}"
         n = "" if entry["ndcg"] is None else f"{entry['ndcg']:.6f}"

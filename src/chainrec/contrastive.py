@@ -51,14 +51,12 @@ def chain_knowledge(chain: RelationChain, rcl_losses: dict, e_c_rows,
     """Per-user chain feature: the chain's auxiliary contrastive losses
     (summed, scaled by mu, replicated to d entries) joined with the chain
     and final embedding rows -> (batch, 3d)."""
-    total = None
-    for r in chain.relations:
-        if r == target:
-            continue
-        if r not in rcl_losses:
-            raise KeyError(f"missing contrastive loss for auxiliary relation {r!r}")
-        total = rcl_losses[r] if total is None else ad.add(total, rcl_losses[r])
-    block = ad.fill(ad.mul(total, mu), ad.val(e_c_rows).shape)
+    aux = [r for r in chain.relations if r != target]
+    missing = [r for r in aux if r not in rcl_losses]
+    if missing:
+        raise KeyError(f"missing contrastive loss for auxiliary relation {missing[0]!r}")
+    block = ad.fill(ad.add_n([rcl_losses[r] for r in aux], scale=mu),
+                    ad.val(e_c_rows).shape)
     return ad.concat([block, e_c_rows, e_final_rows], axis=1)
 
 

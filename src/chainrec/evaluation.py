@@ -141,10 +141,12 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
     per_user = {k: {"recall": np.zeros(len(users)), "ndcg": np.zeros(len(users))}
                 for k in ks}
 
+    # one score buffer for every chunk, so no two chunks are ever live
+    buf = np.empty((min(chunk, len(users)), num_items), e_final.dtype)
     for start in range(0, len(users), chunk):
         batch = users[start:start + chunk]
         stop = start + len(batch)
-        scores = e_final[batch] @ e_final[num_users:].T
+        scores = np.matmul(e_final[batch], e_final[num_users:].T, out=buf[:len(batch)])
         excluded = np.isin(su, batch)
         scores[np.searchsorted(batch, su[excluded]), sv[excluded] - num_users] = -np.inf
         top, lengths = _top_lists(scores, width)
@@ -166,20 +168,24 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
                          aggregates=aggregates, ks=ks)
 
 
+def headline_k(ks) -> int:
+    """The k of the group breakdown and early stopping: 10, else the least of ``ks``."""
+    return 10 if 10 in ks else min(ks)
+
+
 def _bucket_label(lo, hi) -> str:
     return f"[{lo},{hi})" if hi is not None else f"[{lo},inf)"
 
 
 def sparsity_groups(result: RankingResult, graph: MultiplexBipartiteGraph,
-                    split: DatasetSplit, k: int = 10) -> dict:
-    """Mean metrics per user group, bucketed by the user's number of
-    training interactions summed over every relation.
+                    split: DatasetSplit) -> dict:
+    """Mean metrics at :func:`headline_k` per user group, bucketed by the
+    user's number of training interactions summed over every relation.
 
     The six standard buckets plus an explicit [60,inf) overflow so the
     group counts always partition the evaluated users.
     """
-    if k not in result.per_user:
-        k = result.ks[0]
+    k = headline_k(result.ks)
     counts = np.zeros(graph.num_users, dtype=np.int64)
     for r in graph.schema.relations:
         u, _ = split.train_pairs(r)

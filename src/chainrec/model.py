@@ -179,7 +179,7 @@ class DualChannelModel:
                                                   cfg.layers, rows)
             h_loc = patterns.layer_mean(loc)
             base_rows = ad.gather(base_rel, rows)
-            rel_tables = {r: relations.layer_sum(base_rows, layers)
+            rel_tables = {r: ad.add_n([base_rows, *layers])
                           for r, layers in zip(self.rel_adj, rel)}
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
         h_glo = patterns.propagate_global_factored(b_mat, self._base(p, "global"),
@@ -218,13 +218,8 @@ class DualChannelModel:
     def _reg(self, p, users, pos, neg, extra=()):
         """lambda * ||theta||^2 over the batch's base rows + extra tensors."""
         idx = np.concatenate([users, pos, neg])
-        total = None
-        for base in self._base_tensors(p):
-            term = ad.sumsq(ad.gather(base, idx))
-            total = term if total is None else ad.add(total, term)
-        for t in extra:
-            total = ad.add(total, ad.sumsq(t))
-        return ad.mul(total, self.cfg.l2)
+        terms = [ad.sumsq(ad.gather(base, idx)) for base in self._base_tensors(p)]
+        return ad.add_n(terms + [ad.sumsq(t) for t in extra], scale=self.cfg.l2)
 
     def total_loss(self, p: dict, batch: TrainBatch):
         """Weighted per-chain ranking losses + weighted contrastive losses

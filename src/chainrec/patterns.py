@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import MultiplexBipartiteGraph, RelationSchema
-from .relations import layer_sum, propagate_layers
+from .relations import propagate_layers
 from .sparse import CSRStruct, SparseMatrix, build_struct
 
 
@@ -88,7 +88,7 @@ def propagate_local(adj: SparseMatrix, base, num_layers: int):
 
 
 def layer_mean(layers):
-    return ad.mul(layer_sum(layers[0], layers[1:]), 1.0 / len(layers))
+    return ad.add_n(layers, scale=1.0 / len(layers))
 
 
 def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
@@ -123,4 +123,4 @@ def ebp_embeddings(h_loc, h_glo):
     embedding."""
     if ad.val(h_loc).shape != ad.val(h_glo).shape:
         raise ValueError(f"shape mismatch: {ad.val(h_loc).shape} vs {ad.val(h_glo).shape}")
-    return ad.mul(ad.add(h_loc, h_glo), 0.5)
+    return ad.add_n([h_loc, h_glo], scale=0.5)

@@ -19,14 +19,7 @@ def lightgcn_propagate(adj: SparseMatrix, base, num_layers: int):
     """Sum of layers 0..L of propagation through ``adj``, one relation's
     CSR structure with its 1/sqrt(deg_u deg_v) edge values. Isolated nodes
     keep their layer-0 row."""
-    return layer_sum(base, propagate_layers(adj, base, num_layers))
-
-
-def layer_sum(acc, layers):
-    """``acc`` plus each of ``layers`` in turn."""
-    for h in layers:
-        acc = ad.add(acc, h)
-    return acc
+    return ad.add_n([base, *propagate_layers(adj, base, num_layers)])
 
 
 def propagate_layers(adj: SparseMatrix, base, num_layers: int) -> list:
@@ -72,7 +65,4 @@ def aggregate_relations(per_relation):
     for t in tables[1:]:
         if ad.val(t).shape != shape:
             raise ValueError(f"shape mismatch: {ad.val(t).shape} vs {shape}")
-    out = tables[0]
-    for t in tables[1:]:
-        out = ad.add(out, t)
-    return out
+    return ad.add_n(tables)

@@ -153,12 +153,14 @@ ADAM_BLOCK_ROWS = 512
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Standard bias-corrected Adam update, in place."""
-    state.t += 1
-    t = state.t
+    """Standard bias-corrected Adam update, in place. A non-finite gradient
+    aborts before any parameter, moment or the step count changes."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingAbort(f"non-finite gradient for parameter {name!r}")
+    state.t += 1
+    t = state.t
+    for name, g in grads.items():
         p, m, v = params.tensors[name], state.m[name], state.v[name]
         blocks = [...] if m.ndim == 0 else [
             slice(s, s + ADAM_BLOCK_ROWS) for s in range(0, m.shape[0], ADAM_BLOCK_ROWS)]
@@ -222,8 +224,7 @@ def eval_record(epoch: int, result: evaluation.RankingResult, groups: dict) -> d
 
 
 def _patience_metric(result: evaluation.RankingResult) -> float:
-    k = 10 if 10 in result.ks else result.ks[0]
-    return result.recall(k)
+    return result.recall(evaluation.headline_k(result.ks))
 
 
 def train(graph: MultiplexBipartiteGraph, split: DatasetSplit, cfg: RunConfig,

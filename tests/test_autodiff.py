@@ -135,6 +135,102 @@ class TestNormalizations:
         check_op(lambda v: ad.asum(ad.mul(ad.take_diag(v), np.arange(4.0))), x)
 
 
+def _chained_sum(items, scale):
+    """The sum of ``items`` as chained ``add`` calls, then ``mul`` by scale."""
+    out = items[0]
+    for t in items[1:]:
+        out = ad.add(out, t)
+    return out if scale is None else ad.mul(out, scale)
+
+
+class TestAddN:
+    """add_n is bit-identical to chained add then mul, forward and backward,
+    and leaves its inputs alone."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scale", [None, 1.0 / 3.0])
+    @pytest.mark.parametrize("count", [2, 3, 7])
+    def test_matches_chained_add_then_mul(self, count, scale, dtype):
+        rng = np.random.default_rng(count)
+        arrays = [rng.normal(size=(5, 4)).astype(dtype) for _ in range(count)]
+        got, want = ad.add_n(arrays, scale), _chained_sum(arrays, scale)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+        weight = rng.normal(size=(5, 4))
+        grads = []
+        for fn in (ad.add_n, _chained_sum):
+            xs = [ad.Var(a) for a in arrays]
+            ad.backward(ad.asum(ad.mul(fn(xs, scale), weight)))
+            grads.append([x.grad for x in xs])
+        for g_got, g_want in zip(*grads):
+            assert g_got.dtype == g_want.dtype and np.array_equal(g_got, g_want)
+
+    def test_writes_no_input(self):
+        arrays = [np.full((3, 2), float(i)) for i in range(4)]
+        copies = [a.copy() for a in arrays]
+        ad.add_n(arrays, 0.5)
+        for a, c in zip(arrays, copies):
+            assert np.array_equal(a, c)
+
+    def test_one_input_without_scale_is_returned(self):
+        x = ad.Var(np.ones((2, 2)))
+        assert ad.add_n([x]) is x
+        np.testing.assert_array_equal(ad.add_n([x.value], 0.5), np.full((2, 2), 0.5))
+
+
+def _chain_step_by_gathers(a, split, w_top, w_bottom):
+    """A chain step as two row gathers, two transposed matmuls and a concat."""
+    n = ad.val(a).shape[0]
+    top = ad.matmul(ad.gather(a, np.arange(split)), ad.transpose(w_top))
+    bottom = ad.matmul(ad.gather(a, np.arange(split, n)), ad.transpose(w_bottom))
+    return ad.concat([top, bottom], axis=0)
+
+
+class TestSplitRowsMatmul:
+    """The chain-step op against the gathers, matmuls and concat it
+    replaces: the same output and the same gradients, bit for bit."""
+
+    @pytest.mark.parametrize("gather_first", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("split", [0, 2, 40])
+    def test_matches_gathers_and_concat(self, split, dtype, gather_first):
+        rng = np.random.default_rng(split)
+        a, wt, wb = (rng.normal(size=s).astype(dtype) for s in ((40, 3), (3, 3), (3, 3)))
+        dense_w, row_w = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
+        idx = rng.permutation(40)
+        results = []
+        for step in (ad.split_rows_matmul, _chain_step_by_gathers):
+            xs = [ad.Var(v) for v in (a, wt, wb)]
+            out = step(xs[0], split, xs[1], xs[2])
+            # the input also gets a dense gradient and a row gradient, which
+            # backward reaches before or after the step's own
+            terms = [ad.asum(ad.mul(ad.add(out, xs[0]), dense_w)),
+                     ad.asum(ad.mul(ad.gather(xs[0], idx), row_w))]
+            ad.backward(ad.add(*terms[::-1] if gather_first else terms))
+            results.append([out.value] + [x.grad for x in xs])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("split", [0, 5])
+    def test_split_at_either_end_uses_one_transform(self, split):
+        rng = np.random.default_rng(3)
+        a, wt, wb = rng.normal(size=(5, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        used = wt if split else wb
+        np.testing.assert_array_equal(ad.split_rows_matmul(a, split, wt, wb), a @ used.T)
+        coeff = rng.normal(size=(5, 3))
+        for pos, x in enumerate((a, wt, wb)):
+            def build(v, pos=pos):
+                args = [a, wt, wb]
+                args[pos] = v
+                return ad.asum(ad.mul(ad.split_rows_matmul(args[0], split, *args[1:]),
+                                      coeff))
+            check_op(build, x)
+        unused = ad.Var(wb if split else wt)
+        args = (wt, unused) if split else (unused, wb)
+        ad.backward(ad.asum(ad.mul(ad.split_rows_matmul(a, split, *args), coeff)))
+        np.testing.assert_array_equal(unused.grad, np.zeros((3, 3)))
+
+
 class TestSpmm:
     def _fixture(self):
         u = np.asarray([0, 0, 1, 2])
@@ -502,12 +598,16 @@ def _op_cases():
     v3, v4 = rng.normal(size=3), rng.normal(size=4)
     s = np.asarray(0.7)
     struct, vals, x, _ = _spmm_rows_fixture(30)
+    w3, w3b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
 
     def case(fn, *arrays):
         return lambda wrap, dtype: fn(*(wrap(a.astype(dtype)) for a in arrays))
 
     return {
         "add": case(ad.add, m, v3),
+        "add_n": case(lambda a, b, c: ad.add_n([a, b, c, a], scale=0.5), m, v3, m2),
+        "split_rows_matmul": case(lambda a, wt, wb: ad.split_rows_matmul(a, 1, wt, wb),
+                                  m, w3, w3b),
         "mul": case(ad.mul, m, m2),
         "mul_scalar": case(lambda a: ad.mul(a, -1.0), m),
         "matmul": case(ad.matmul, m, m2.T),
@@ -567,6 +667,7 @@ def _position_cases():
     v3, v4 = rng.normal(size=3), rng.normal(size=4)
     struct, vals, x, _ = _spmm_rows_fixture(30)
     rows = TestSpmmRows.ROWS["mixed"]
+    w3, w3b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
 
     def weighted(out):
         return ad.asum(ad.mul(out, np.arange(1.0, ad.val(out).size + 1)
@@ -574,6 +675,11 @@ def _position_cases():
 
     return {
         "add_second": (lambda v: weighted(ad.add(m, v)), v3),
+        "add_n_first": (lambda v: weighted(ad.add_n([v, m, m3])), m2),
+        "add_n_broadcast_scaled": (lambda v: weighted(ad.add_n([m, m3, v], 0.25)), v3),
+        "split_rows_matmul_rows": (lambda v: weighted(ad.split_rows_matmul(v, 3, w3, w3b)), m),
+        "split_rows_matmul_top": (lambda v: weighted(ad.split_rows_matmul(m, 3, v, w3b)), w3),
+        "split_rows_matmul_bottom": (lambda v: weighted(ad.split_rows_matmul(m, 3, w3, v)), w3b),
         "rowdot_second": (lambda v: weighted(ad.rowdot(m, v)), m2),
         "concat_axis0_middle": (lambda v: weighted(ad.concat([m, v, m3], axis=0)), m2),
         "concat_axis1_second": (lambda v: weighted(ad.concat([m, v], axis=1)), m2),

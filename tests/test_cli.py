@@ -154,6 +154,25 @@ class TestTrain:
         assert lines[0] == "epoch,metric,k,value,group"
         assert len(lines) > 1
 
+    def test_csv_group_rows_carry_the_group_k(self, synth_file, tmp_path):
+        # without a 10 in ks the groups are scored at the smallest k
+        out = tmp_path / "run"
+        assert run_cli(*train_args(synth_file, out,
+                                   extra=["--ks", "5,20", "--csv", "true"])) == 0
+        # the group label holds a comma of its own: "[10,60)"
+        rows = [line.split(",", 4) for line in
+                (out / "metrics.csv").read_text().splitlines()[1:]]
+        groups = [r for r in rows if r[4]]
+        assert groups and {r[2] for r in groups} == {"5"}
+        assert {r[2] for r in rows if not r[4]} == {"5", "20"}
+        records = [json.loads(line) for line in
+                   (out / "metrics.jsonl").read_text().splitlines()]
+        last = [r for r in records if r["type"] == "eval"][-1]
+        recall = {r[4]: float(r[3]) for r in groups
+                  if r[0] == str(last["epoch"]) and r[1] == "recall"}
+        assert recall == {label: g["recall"] for label, g in last["groups"].items()
+                          if g["recall"] is not None}
+
     def test_resume_continues_to_target_epochs(self, synth_file, tmp_path):
         out1 = tmp_path / "r1"
         assert run_cli(*train_args(synth_file, out1)) == 0
@@ -485,6 +504,13 @@ class TestEvaluate:
         assert code == 0
         out = capsys.readouterr().out
         assert "R@10 " in out and "R@20" not in out
+
+    def test_group_header_names_the_group_k(self, run_dir, synth_file, capsys):
+        code = run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(run_dir / "best.npz"), "--ks", "5,20")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "group,users,recall@5,ndcg@5" in out and "@10" not in out
 
     def test_corrupted_checkpoint_exits_one(self, synth_file, tmp_path):
         bad = tmp_path / "bad.npz"

@@ -1,6 +1,7 @@
 """Ranking, metric closed forms, quadratic-time references, groups."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,61 @@ class TestChunkRanking:
         for k in ks:
             for metric in ("recall", "ndcg"):
                 assert result.per_user[k][metric].tolist() == per_user[k][metric]
+
+
+def _buy_graph(nu, ni, test, train):
+    """A view/buy graph whose buy edges are ``test`` (held out) and ``train``,
+    each a list of (user, item) with item ids from 0."""
+    def edges(pairs):
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1] + nu
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
+    graph = MultiplexBipartiteGraph(schema=make_schema(("view", "buy"), "buy"),
+                                    num_users=nu, num_items=ni,
+                                    edges={"view": empty, "buy": edges(test + train)})
+    split = DatasetSplit(train_edges={"view": empty, "buy": edges(train)},
+                         test_edges=edges(test), seed=0)
+    return graph, split
+
+
+class TestScoreBuffer:
+    """``evaluate`` writes every chunk's scores into one buffer."""
+
+    def test_exclusions_do_not_carry_over_between_chunks(self):
+        # user 0 (row 0 of chunk 1) has item 0 as a training positive, and
+        # item 0 is the best item of user 2 (row 0 of the shorter chunk 2)
+        nu, ni = 3, 6
+        graph, split = _buy_graph(nu, ni, test=[(0, 1), (1, 2), (2, 0)],
+                                  train=[(0, 0), (1, 3)])
+        e = np.zeros((nu + ni, 2))
+        e[:nu] = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.1]]
+        e[nu:] = [[3.0, 0.0], [2.0, 0.5], [0.5, 2.0], [1.0, 1.0], [0.2, 0.1], [0.1, 0.3]]
+        result = evaluate(e, graph, split, ks=(1, 3), chunk=2)
+        su, sv = split.train_pairs("buy")
+        for u, top in zip(result.users, result.top_items):
+            full = rank_items(e, nu, u, exclude=sv[su == u])
+            np.testing.assert_array_equal(top, full[:3])
+        assert result.top_items[2][0] == nu + 0
+        assert result.per_user[1]["recall"].tolist() == [1.0, 1.0, 1.0]
+
+    def test_peak_allocation_is_one_score_chunk(self):
+        # 20k items: a 64-user chunk of scores (10 MB) dominates the pass
+        nu, ni, chunk = 150, 20_000, 64
+        rng = np.random.default_rng(0)
+        items = rng.integers(ni, size=(nu, 3))
+        graph, split = _buy_graph(
+            nu, ni, test=[(u, int(items[u, 0])) for u in range(nu)],
+            train=[(u, int(v)) for u in range(nu) for v in np.unique(items[u, 1:])
+                   if v != items[u, 0]])
+        e = rng.normal(size=(nu + ni, 8))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evaluate(e, graph, split, chunk=chunk)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * chunk * ni * e.itemsize
 
 
 class TestSparsityGroups:

@@ -194,6 +194,24 @@ class TestAdam:
         with pytest.raises(TrainingAbort):
             adam_step(params, grads, AdamState.init(params), lr=0.1)
 
+    def test_nonfinite_gradient_changes_nothing(self):
+        from chainrec.model import ModelParams
+        params = ModelParams({"a": np.asarray([1.0, 2.0]), "b": np.asarray([3.0])})
+        state = AdamState.init(params)
+        adam_step(params, {"a": np.asarray([0.5, -1.0]), "b": np.asarray([2.0])},
+                  state, lr=0.1)
+        before = ({k: v.copy() for k, v in params.tensors.items()},
+                  {k: v.copy() for k, v in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()}, state.t)
+        with pytest.raises(TrainingAbort, match="'b'"):
+            adam_step(params, {"a": np.asarray([1.0, 1.0]), "b": np.asarray([np.nan])},
+                      state, lr=0.1)
+        after = (params.tensors, state.m, state.v, state.t)
+        for old, new in zip(before[:3], after[:3]):
+            for k in old:
+                np.testing.assert_array_equal(new[k], old[k])
+        assert state.t == before[3] == 1
+
     def test_nonfinite_embeddings_abort_the_ranking(self, tiny_setup):
         graph, split, model, params, _, cfg = tiny_setup
         params.tensors["base"][0, 0] = np.nan
@@ -279,6 +297,27 @@ class TestStepKernels:
         ad.backward(loss)
         assert model.stack.blocks == 1 + len(model.rel_adj) == 4
         assert len(calls) == 2 * layers
+
+
+    def test_demo_step_records_at_most_170_tape_ops(self, tmp_path):
+        # every channel sum and regularizer is one add_n node and every chain
+        # step one split_rows_matmul node: 163 ops, against 207 when they
+        # were chained adds, muls, gathers, transposes and concats
+        cfg = RunConfig(seed=7702).validate()
+        path = tmp_path / "demo.tsv"
+        write_synthetic(cfg, path)
+        graph = load_interactions(path, make_schema(cfg.relations, cfg.target))
+        split = split_train_test(graph, cfg.ratio, cfg.seed)
+        model = DualChannelModel(training_graph(graph, split), cfg)
+        batch = next(TripleSampler(model, split, cfg.seed).epoch_batches(cfg.batch))
+        loss, _ = model.total_loss(model.init_params(cfg.seed).as_vars(), batch)
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        assert sum(1 for node in nodes.values() if node._vjp is not None) <= 170
 
 
 class TestTrainLoop:
