@@ -4,11 +4,13 @@ Every RunConfig key is exposed as a same-named flag (dashes for
 underscores); a flag wins over the config file. Exit codes: 0 success,
 1 usage, config or data error (including a malformed command line, an
 unknown flag, data with no target edges, a split with no test edge, a
-user with no item left to sample as a negative, and an evaluate flag or
-config value that changes a key of the checkpoint), 2 runtime abort.
+user with no item left to sample as a negative, a checkpoint whose
+parameters are not of the run's dtype, and an evaluate flag or config
+value that changes a key of the checkpoint), 2 runtime abort.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -114,24 +116,29 @@ def _check_checkpoint(ckpt: dict, cfg: RunConfig, graph) -> None:
     if diff:
         raise UsageError("checkpoint does not match this run:\n  " + "\n  ".join(diff))
     check_tensors(ckpt, param_shapes(graph.schema, cfg, graph.num_nodes))
+    held = sorted({str(t.dtype) for t in ckpt["params"].tensors.values()})
+    if held != [cfg.dtype]:
+        raise UsageError(f"checkpoint parameters are {'/'.join(held)} but dtype is "
+                         f"{cfg.dtype}; pass --dtype {held[0]}")
 
 
 def _write_metrics_csv(history, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,metric,k,value,group\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("epoch", "metric", "k", "value", "group"))
         for rec in history:
             if rec.get("type") != "eval":
                 continue
             epoch = rec["epoch"]
             for metric in ("recall", "ndcg"):
                 for k, value in rec[metric].items():
-                    fh.write(f"{epoch},{metric},{k},{value},\n")
+                    out.writerow((epoch, metric, k, value, ""))
             group_k = headline_k([int(k) for k in rec["recall"]])
             for label, entry in rec.get("groups", {}).items():
                 if entry["recall"] is None:
                     continue
-                fh.write(f"{epoch},recall,{group_k},{entry['recall']},{label}\n")
-                fh.write(f"{epoch},ndcg,{group_k},{entry['ndcg']},{label}\n")
+                out.writerow((epoch, "recall", group_k, entry["recall"], label))
+                out.writerow((epoch, "ndcg", group_k, entry["ndcg"], label))
 
 
 def cmd_train(args) -> int:

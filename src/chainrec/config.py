@@ -52,7 +52,7 @@ class RunConfig:
     separate_base: bool = False     # one base table per channel
 
     # runtime
-    dtype: str = "float64"
+    dtype: str = "float32"
     checkpoint: str = ""
     resume: str = ""
 

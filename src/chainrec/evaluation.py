@@ -2,8 +2,9 @@
 interaction-count group breakdown.
 
 Every test user is ranked against the whole item catalog (training
-positives removed), scores are dot products of final embeddings, and ties
-break by ascending item id.
+positives removed), scores are float64 dot products of final embeddings
+(a float32 table is upcast once per call), and ties break by ascending
+item id.
 
 Users are ranked a chunk at a time. Training positives score -inf, and an
 exact screen keeps each row's candidates: the columns fall into G strided
@@ -33,6 +34,7 @@ def rank_items(e_final: np.ndarray, num_users: int, user: int,
                exclude=()) -> np.ndarray:
     """All items ordered by descending score (ascending id on ties),
     with excluded items removed. Returns global item indices."""
+    e_final = np.asarray(e_final, dtype=np.float64)
     items = np.arange(num_users, e_final.shape[0])
     scores = e_final[items] @ e_final[user]
     if len(exclude):
@@ -126,6 +128,7 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
     are bit-identical to ``recall_at_k`` and ``ndcg_at_k`` on the top lists.
     """
     ks = tuple(sorted(ks))
+    e_final = np.asarray(e_final, dtype=np.float64)
     num_users, num_items = graph.num_users, graph.num_items
     width = min(ks[-1], num_items)
     tu, tv = split.test_edges

@@ -24,8 +24,9 @@ def random_multiplex_graph(num_users, num_items, relations, edge_prob, seed,
 
 
 def relation_matrix(graph, relation):
-    """One relation's propagation matrix, as DualChannelModel builds it."""
-    return DualChannelModel(graph, RunConfig()).rel_adj[relation]
+    """One relation's propagation matrix, as a float64 DualChannelModel
+    builds it (the dense oracles it is checked against are float64)."""
+    return DualChannelModel(graph, RunConfig(dtype="float64")).rel_adj[relation]
 
 
 def make_batch(model, split, rng, size=6):
@@ -47,9 +48,11 @@ def make_batch(model, split, rng, size=6):
 
 def _tiny(relations, edge_prob, seed):
     graph = random_multiplex_graph(4, 6, relations, edge_prob, seed=seed)
+    # float64: the fixtures feed the straight-line oracle and the
+    # finite-difference checks, whose tolerances assume it
     cfg = RunConfig(dim=4, layers=2, l2=1e-3, mu1=0.2, mu2=0.5, tau=0.25,
                     mu_scale=0.7, seed=3, relations=relations,
-                    target=relations[-1]).validate()
+                    target=relations[-1], dtype="float64").validate()
     split = split_train_test(graph, 0.75, seed=cfg.seed)
     model = DualChannelModel(training_graph(graph, split), cfg)
     params = model.init_params(cfg.seed)

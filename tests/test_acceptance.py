@@ -106,7 +106,8 @@ def test_criterion_03_propagation_oracles():
         rels = ("a", "b", "c") if seed % 2 == 0 else ("a", "b", "c", "d")
         g = random_multiplex_graph(18, 22, rels, 0.2, seed=seed)
         layers = 1 + seed % 4
-        cfg = RunConfig(dim=5, layers=layers, relations=rels, target="c").validate()
+        cfg = RunConfig(dim=5, layers=layers, relations=rels, target="c",
+                        dtype="float64").validate()
         model = DualChannelModel(g, cfg)
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(g.num_nodes, 5))

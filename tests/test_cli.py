@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, run-directory contents."""
 
+import csv
 import hashlib
 import json
 import os
@@ -159,9 +160,11 @@ class TestTrain:
         out = tmp_path / "run"
         assert run_cli(*train_args(synth_file, out,
                                    extra=["--ks", "5,20", "--csv", "true"])) == 0
-        # the group label holds a comma of its own: "[10,60)"
-        rows = [line.split(",", 4) for line in
-                (out / "metrics.csv").read_text().splitlines()[1:]]
+        # the group label holds a comma of its own, "[10,60)", so it is quoted
+        with open(out / "metrics.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(len(r) == 5 for r in rows)
+        assert "[10,60)" in {r[4] for r in rows}
         groups = [r for r in rows if r[4]]
         assert groups and {r[2] for r in groups} == {"5"}
         assert {r[2] for r in rows if not r[4]} == {"5", "20"}
@@ -248,6 +251,28 @@ class TestTrain:
         assert_one_error_line(capsys, "base (checkpoint (70, 8), model none)",
                               "base_global", "base_local", "base_relation")
         assert not part2.exists()
+
+    @pytest.mark.parametrize("saved,resumed", [("float64", None), (None, "float64")])
+    def test_resume_in_another_dtype_exits_one(self, synth_file, tmp_path, capsys,
+                                               saved, resumed):
+        # None is the default, float32; the error names the value to pass
+        def as_flags(dtype):
+            return ["--dtype", dtype] if dtype else []
+
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1, extra=as_flags(saved))) == 0
+        held = np.load(part1 / "checkpoint.npz")["param/base"].dtype
+        assert held == (saved or "float32")
+        capsys.readouterr()
+        part2 = tmp_path / "part2"
+        resume = ["--resume", str(part1 / "checkpoint.npz"), "--epochs", "4"]
+        assert run_cli(*train_args(synth_file, part2,
+                                   extra=resume + as_flags(resumed))) == 1
+        assert_one_error_line(capsys, "dtype", f"--dtype {held}")
+        assert not part2.exists()
+        assert run_cli(*train_args(synth_file, part2,
+                                   extra=resume + as_flags(saved))) == 0
+        assert f"dtype = {held}\n" in (part2 / "config.txt").read_text()
 
     def test_config_file_plus_flag_override(self, synth_file, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -444,13 +469,33 @@ class TestUnreadableConfig:
         assert_one_error_line(capsys, "cannot read config file", str(bad_config))
 
 
+FLOAT64_DEFAULT_STDOUT = """\
+R@5 0.533333
+R@10 0.750000
+R@20 0.966667
+R@40 1.000000
+N@5 0.361915
+N@10 0.436345
+N@20 0.493250
+N@40 0.500520
+group,users,recall@10,ndcg@10
+[0,4),0,,
+[4,5),0,,
+[5,6),0,,
+[6,7),0,,
+[7,10),0,,
+[10,60),30,0.750000,0.436345
+[60,inf),0,,
+"""
+
+
 def with_config_lines(ckpt_path, out_path, extra_lines):
     """Copy of a checkpoint whose embedded config also holds ``extra_lines``
     (placed before ``dtype``, as an older version wrote them)."""
     from chainrec.checkpoint import load_checkpoint, save_checkpoint
     ckpt = load_checkpoint(ckpt_path)
     lines = ckpt["config_text"].splitlines()
-    at = lines.index("dtype = float64")
+    at = next(i for i, line in enumerate(lines) if line.startswith("dtype = "))
     lines[at:at] = extra_lines
     save_checkpoint(out_path, ckpt["params"], ckpt["state"], "\n".join(lines) + "\n",
                     ckpt["meta"], ckpt["rng"])
@@ -511,6 +556,15 @@ class TestEvaluate:
         assert code == 0
         out = capsys.readouterr().out
         assert "group,users,recall@5,ndcg@5" in out and "@10" not in out
+
+    def test_checkpoint_from_the_float64_default_evaluates_unchanged(self, synth_file,
+                                                                     capsys):
+        # best.npz of a train_args run written by ede8f01, the last commit
+        # whose default dtype was float64, and the stdout its evaluate printed
+        ckpt = os.path.join(os.path.dirname(__file__), "data",
+                            "float64_default_best.npz")
+        assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint", ckpt) == 0
+        assert capsys.readouterr().out == FLOAT64_DEFAULT_STDOUT
 
     def test_corrupted_checkpoint_exits_one(self, synth_file, tmp_path):
         bad = tmp_path / "bad.npz"

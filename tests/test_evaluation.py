@@ -303,6 +303,28 @@ class TestScoreBuffer:
         assert peak <= 1.5 * chunk * ni * e.itemsize
 
 
+class TestFloat64Scores:
+    """A float32 table is scored in float64. User [1, 1] scores item A
+    [1, 0] at 1 and item B [1, 2**-24] at 1 + 2**-24, which float32 rounds
+    to 1: float32 scores would tie, and A, the lower id, would rank first."""
+
+    def _case(self):
+        graph, split = _buy_graph(1, 2, test=[(0, 1)], train=[])
+        e = np.asarray([[1.0, 1.0], [1.0, 0.0], [1.0, 2.0 ** -24]], dtype=np.float32)
+        assert e[0] @ e[1] == e[0] @ e[2]
+        return graph, split, e
+
+    def test_evaluate_ranks_b_first(self):
+        graph, split, e = self._case()
+        result = evaluate(e, graph, split, ks=(1,))
+        np.testing.assert_array_equal(result.top_items[0], [2])
+        assert result.recall(1) == 1.0
+
+    def test_rank_items_ranks_b_first(self):
+        graph, split, e = self._case()
+        np.testing.assert_array_equal(rank_items(e, 1, 0), [2, 1])
+
+
 class TestSparsityGroups:
     def test_boundaries_and_partition(self):
         graph, split = TestEvaluate()._setup(seed=5)

@@ -27,7 +27,8 @@ class TestDualImplementation:
             graph = random_multiplex_graph(5, 7, ("view", "cart", "buy"), 0.45,
                                            seed=seed)
             cfg = RunConfig(dim=3, layers=2, l2=5e-3, mu1=0.3, mu2=0.7,
-                            tau=0.15, mu_scale=1.3, seed=seed).validate()
+                            tau=0.15, mu_scale=1.3, seed=seed,
+                            dtype="float64").validate()
             split = split_train_test(graph, 0.7, seed=seed)
             model = DualChannelModel(training_graph(graph, split), cfg)
             params = model.init_params(seed)
@@ -216,7 +217,7 @@ class TestFeatureFlags:
         # matches the oracle, which sequences chains by the same order
         graph = random_multiplex_graph(5, 6, ("view", "cart", "buy"), 0.5, seed=4,
                                        order=("buy", "cart", "view"))
-        cfg = RunConfig(dim=3, layers=2, seed=0).validate()
+        cfg = RunConfig(dim=3, layers=2, seed=0, dtype="float64").validate()
         split = split_train_test(graph, 0.75, seed=0)
         model = DualChannelModel(training_graph(graph, split), cfg)
         labels = [c.label() for c in model.chains]

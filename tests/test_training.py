@@ -275,6 +275,22 @@ class TestFloat32:
                 assert t.dtype == np.float32, name
 
 
+    def test_default_config_trains_and_infers_in_float32(self, tiny_setup):
+        graph, split, _, _, batch, cfg = tiny_setup
+        assert RunConfig().dtype == "float32"
+        default = RunConfig(**{k: v for k, v in cfg.__dict__.items()
+                               if k != "dtype"}).validate()
+        model = DualChannelModel(training_graph(graph, split), default)
+        params = model.init_params(default.seed)
+        grads, _ = backward(model, params, batch)
+        state = AdamState.init(params)
+        adam_step(params, grads, state, default.lr)
+        for tensors in (grads, params.tensors, state.m, state.v):
+            for name, t in tensors.items():
+                assert t.dtype == np.float32, name
+        assert model.final_embeddings(params).dtype == np.float32
+
+
 class TestStepKernels:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_sparse_channels_run_two_products_per_layer(self, tiny_setup, layers,
