@@ -14,6 +14,9 @@ with ``--split-seed`` as its seed. The train/test split is built once from
 with the seed as the training seed. Each run is scored once, at its last
 epoch, so no epoch is chosen by test.
 
+An arm may set ``order``, the chain order: it trains on the graph under its
+own schema, on the same split, so the relation-order study is six arms.
+
 Writes out_dir/paired_study.json (per arm and seed: R@10, N@10 and wall
 seconds per epoch, the one evaluation pass included) and
 out_dir/paired_study.md: the median per arm, the paired differences against
@@ -22,6 +25,7 @@ share of the reference's value, and a two-sided sign-test p.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -33,10 +37,11 @@ import numpy as np
 from chainrec import load_interactions, make_config, make_schema, split_train_test
 from chainrec import training
 from chainrec.config import ConfigError
+from chainrec.graph import SchemaError
 from chainrec.synth import write_synthetic
 
 # keys that fix the data, the split or the run; an arm may not change them
-FIXED_KEYS = {"data", "relations", "target", "order", "ratio", "seed", "epochs",
+FIXED_KEYS = {"data", "relations", "target", "ratio", "seed", "epochs",
               "eval_every", "ks", "cascade"}
 METRICS = ("recall_at_10", "ndcg_at_10")
 
@@ -124,8 +129,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    arms = {}
+    arms, schemas = {}, {}
     try:
+        base = {**_pairs(args.set, "--set"), "seed": args.split_seed}
+        if args.data:
+            base["data"] = args.data
+        cfg = make_config(overrides=base)
         for name, *items in args.arm:
             if name in arms:
                 raise ConfigError(f"arm {name!r} given twice")
@@ -134,22 +143,20 @@ def main(argv=None) -> int:
             if fixed:
                 raise ConfigError(f"arm {name!r} sets {', '.join(fixed)}, which fix "
                                   f"the data, the split or the run; use --set")
-            make_config(overrides=arms[name])
+            arm_cfg = make_config(overrides={**base, **arms[name]})
+            schemas[name] = make_schema(arm_cfg.relations, arm_cfg.target,
+                                        arm_cfg.schema_order)
         if len(arms) < 2:
             raise ConfigError("give at least two arms; the first is the reference")
-        base = {**_pairs(args.set, "--set"), "seed": args.split_seed}
-        if args.data:
-            base["data"] = args.data
-        cfg = make_config(overrides=base)
-    except ConfigError as exc:
+    except (ConfigError, SchemaError) as exc:
         parser.error(str(exc))
 
     os.makedirs(args.out_dir, exist_ok=True)
     if not cfg.data:
         cfg.data = os.path.join(args.out_dir, "synthetic.tsv")
         write_synthetic(cfg, cfg.data)
-    graph = load_interactions(cfg.data,
-                              make_schema(cfg.relations, cfg.target, cfg.schema_order))
+    # the graph's order is a placeholder: each arm trains under its own schema
+    graph = load_interactions(cfg.data, make_schema(cfg.relations, cfg.target))
     split = split_train_test(graph, cfg.ratio, args.split_seed)
 
     runs = []
@@ -159,7 +166,8 @@ def main(argv=None) -> int:
                 **base, **overrides, "data": cfg.data, "seed": seed,
                 "epochs": args.epochs, "eval_every": args.epochs, "ks": "10"})
             t0 = time.perf_counter()
-            result = training.train(graph, split, run_cfg)
+            result = training.train(dataclasses.replace(graph, schema=schemas[name]),
+                                    split, run_cfg)
             seconds = time.perf_counter() - t0
             last = [r for r in result.history if r["type"] == "eval"][-1]
             runs.append({"arm": name, "seed": seed, "epoch": last["epoch"],

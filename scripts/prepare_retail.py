@@ -29,7 +29,7 @@ def read_events(path):
         fh.seek(0)
         if "\t" in head and head.count("\t") >= 2 and "," not in head.split("\t")[0]:
             for line in fh:
-                parts = line.rstrip("\n").split("\t")
+                parts = line.rstrip("\r\n").split("\t")
                 if len(parts) >= 3:
                     yield parts[0], parts[1], parts[2]
             return
@@ -40,7 +40,7 @@ def read_events(path):
                 yield row["visitorid"], row["itemid"], event
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("events", help="events.csv or a 3-column TSV")
     parser.add_argument("out", help="output interaction TSV")
@@ -48,7 +48,7 @@ def main():
                         help="keep users with at least this many buys")
     parser.add_argument("--min-views", type=int, default=0,
                         help="keep users with at least this many views")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     per_user = defaultdict(lambda: defaultdict(set))
     for user, item, rel in read_events(args.events):

@@ -3,10 +3,11 @@
 Every RunConfig key is exposed as a same-named flag (dashes for
 underscores); a flag wins over the config file. Exit codes: 0 success,
 1 usage, config or data error (including a malformed command line, an
-unknown flag, data with no target edges, a split with no test edge, a
-user with no item left to sample as a negative, a checkpoint whose
-parameters are not of the run's dtype, and an evaluate flag or config
-value that changes a key of the checkpoint), 2 runtime abort.
+unknown flag, data with no target edges, a split with no test edge or
+no training target edge, a user with no item left to sample as a
+negative, a checkpoint whose parameters are not of the run's dtype, and
+an evaluate flag or config value that changes a key of the checkpoint),
+2 runtime abort.
 """
 
 import argparse
@@ -92,12 +93,17 @@ def _load_graph(cfg: RunConfig):
 
 
 def _split(cfg: RunConfig, graph):
-    """The run's train/test split; refuses one that holds out no edge."""
+    """The run's train/test split; refuses one that holds out no edge or
+    keeps none for training."""
     split = split_train_test(graph, cfg.ratio, cfg.seed)
     if split.test_edges[0].shape[0] == 0:
         raise UsageError(f"ratio {cfg.ratio} holds out none of the "
                          f"{graph.edge_count(cfg.target)} target edges, so "
                          f"there are no test users; lower ratio")
+    if split.train_pairs(cfg.target)[0].shape[0] == 0:
+        raise UsageError(f"ratio {cfg.ratio} keeps none of the "
+                         f"{graph.edge_count(cfg.target)} target edges for "
+                         f"training, so there is nothing to learn; raise ratio")
     return split
 
 
@@ -233,7 +239,7 @@ def cmd_evaluate(args) -> int:
         out_dir = cfg.out_dir()
         os.makedirs(out_dir, exist_ok=True)
         rec = eval_record(ckpt["meta"].get("epoch", 0), result, groups)
-        _write_metrics_csv([rec], os.path.join(out_dir, "metrics.csv"))
+        _write_metrics_csv([rec], os.path.join(out_dir, "eval_metrics.csv"))
     return EXIT_OK
 
 

@@ -44,33 +44,7 @@ def rank_items(e_final: np.ndarray, num_users: int, user: int,
     return items[order]
 
 
-def recall_at_k(ranked, test_items, k: int) -> float:
-    """|top-k intersect test| / |test| (denominator never capped at k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    test = set(test_items)
-    if not test:
-        raise ValueError("empty test set")
-    hits = sum(1 for it in list(ranked)[:k] if it in test)
-    return hits / len(test)
-
-
 _LOG2 = np.log(2.0)
-
-
-def ndcg_at_k(ranked, test_items, k: int) -> float:
-    """Binary-gain DCG@k over ideal DCG at min(|test|, k) positions."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    test = set(test_items)
-    if not test:
-        raise ValueError("empty test set")
-    dcg = 0.0
-    for rank, item in enumerate(list(ranked)[:k], start=1):
-        if item in test:
-            dcg += _LOG2 / np.log(rank + 1.0)
-    ideal = sum(_LOG2 / np.log(r + 1.0) for r in range(1, min(len(test), k) + 1))
-    return dcg / ideal
 
 
 @dataclass
@@ -125,7 +99,7 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
 
     Training positives of the target relation are excluded from each
     user's candidate list; users without test items are skipped. Metrics
-    are bit-identical to ``recall_at_k`` and ``ndcg_at_k`` on the top lists.
+    are bit-identical to the scalar references in ``tests/oracles.py``.
     """
     ks = tuple(sorted(ks))
     e_final = np.asarray(e_final, dtype=np.float64)
@@ -137,7 +111,7 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
     test_keys = np.unique(np.searchsorted(users, tu) * num_items + (tv - num_users))
     n_test = np.bincount(test_keys // num_items, minlength=len(users))
     su, sv = split.train_pairs(graph.schema.target)
-    # the scalar expression ndcg_at_k uses, summed in the same order
+    # gains ln 2 / ln(rank + 1), summed from rank 1 up
     gains = np.array([_LOG2 / np.log(r + 1.0) for r in range(1, width + 1)])
     ideal = np.cumsum(gains)
     top_lists = []

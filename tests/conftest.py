@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chainrec.config import RunConfig
-from chainrec.graph import (MultiplexBipartiteGraph, make_schema,
+from chainrec.graph import (DatasetSplit, MultiplexBipartiteGraph, make_schema,
                             split_train_test, training_graph)
 from chainrec.model import DualChannelModel, TrainBatch
 
@@ -21,6 +21,21 @@ def random_multiplex_graph(num_users, num_items, relations, edge_prob, seed,
                                    num_items=num_items, edges=edges,
                                    user_ids=[f"u{i}" for i in range(num_users)],
                                    item_ids=[f"i{i}" for i in range(num_items)])
+
+
+def buy_graph(nu, ni, test, train):
+    """A view/buy graph whose buy edges are ``test`` (held out) and ``train``,
+    each a list of (user, item) with item ids from 0."""
+    def edges(pairs):
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1] + nu
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
+    graph = MultiplexBipartiteGraph(schema=make_schema(("view", "buy"), "buy"),
+                                    num_users=nu, num_items=ni,
+                                    edges={"view": empty, "buy": edges(test + train)})
+    split = DatasetSplit(train_edges={"view": empty, "buy": edges(train)},
+                         test_edges=edges(test), seed=0)
+    return graph, split
 
 
 def relation_matrix(graph, relation):

@@ -250,3 +250,33 @@ def oracle_total_loss(train_graph, cfg, tensors, batch):
 
     loss_final = bpr(final, (batch.users, batch.pos, batch.neg), [])
     return loss_chains + cfg.mu1 * loss_rcl + cfg.mu2 * loss_final
+
+
+# ranking metrics of one ranked list, which evaluation.evaluate matches bit for bit
+_LOG2 = np.log(2.0)
+
+
+def recall_at_k(ranked, test_items, k: int) -> float:
+    """|top-k intersect test| / |test| (denominator never capped at k)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    test = set(test_items)
+    if not test:
+        raise ValueError("empty test set")
+    hits = sum(1 for it in list(ranked)[:k] if it in test)
+    return hits / len(test)
+
+
+def ndcg_at_k(ranked, test_items, k: int) -> float:
+    """Binary-gain DCG@k over ideal DCG at min(|test|, k) positions."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    test = set(test_items)
+    if not test:
+        raise ValueError("empty test set")
+    dcg = 0.0
+    for rank, item in enumerate(list(ranked)[:k], start=1):
+        if item in test:
+            dcg += _LOG2 / np.log(rank + 1.0)
+    ideal = sum(_LOG2 / np.log(r + 1.0) for r in range(1, min(len(test), k) + 1))
+    return dcg / ideal

@@ -18,7 +18,7 @@ import pytest
 from chainrec import autodiff as ad
 from chainrec.cli import main as cli_main
 from chainrec.config import RunConfig
-from chainrec.evaluation import evaluate, ndcg_at_k, recall_at_k
+from chainrec.evaluation import evaluate
 from chainrec.graph import (load_interactions, make_schema, split_train_test,
                             training_graph)
 from chainrec.model import DualChannelModel, bpr
@@ -27,7 +27,8 @@ from chainrec.synth import write_synthetic
 from chainrec.training import backward, train
 
 import oracles
-from conftest import make_batch, random_multiplex_graph
+import paired_study
+from conftest import buy_graph, make_batch, random_multiplex_graph
 
 
 def report(num, name, ok, detail=""):
@@ -205,7 +206,16 @@ def test_criterion_05_loss_closed_forms(tiny_setup):
            f"BPR ln2 ok={ok_bpr}; dual diff {diff:.1e})")
 
 
+def _ranked_case(ranked, test):
+    """One user whose 1-d table ranks items 0..n-1 as ``ranked``, with
+    ``test`` as their held-out buy edges and no training edge."""
+    table = np.ones((1 + len(ranked), 1))
+    table[1 + np.asarray(ranked), 0] = np.arange(len(ranked), 0, -1)
+    return (table, *buy_graph(1, len(ranked), [(0, t) for t in test], []))
+
+
 def test_criterion_06_metric_oracles():
+    # the scalar oracles and the shipped evaluate against the definitions
     rng = np.random.default_rng(7)
     recall_exact = True
     ndcg_worst = 0.0
@@ -215,21 +225,26 @@ def test_criterion_06_metric_oracles():
         test = rng.choice(n_items, size=int(rng.integers(1, 6)), replace=False)
         k = int(rng.integers(1, 50))
         hits = sum(1 for it in ranked[:k] if it in set(test.tolist()))
-        if recall_at_k(ranked, test, k) != hits / len(test):
-            recall_exact = False
         dcg = sum(1.0 / math.log2(pos + 1)
                   for pos, it in enumerate(ranked[:k], start=1)
                   if it in set(test.tolist()))
         ideal = sum(1.0 / math.log2(pos + 1)
                     for pos in range(1, min(len(test), k) + 1))
-        ndcg_worst = max(ndcg_worst,
-                         abs(ndcg_at_k(ranked, test, k) - dcg / ideal))
-    hand = ndcg_at_k([1, 5, 5, 5], [1, 2], 10)
-    ok_hand = abs(hand - 0.613147) < 1e-6
-    report(6, "ranking metric oracles",
+        shipped = evaluate(*_ranked_case(ranked, test), ks=(k,))
+        for recall, ndcg in ((oracles.recall_at_k(ranked, test, k),
+                              oracles.ndcg_at_k(ranked, test, k)),
+                             (shipped.recall(k), shipped.ndcg(k))):
+            recall_exact &= recall == hits / len(test)
+            ndcg_worst = max(ndcg_worst, abs(ndcg - dcg / ideal))
+    # test {1, 2}: 1 at rank 1, 2 below the cut -> 1 / (1 + 1/log2(3))
+    hands = [oracles.ndcg_at_k([1, 5, 5, 5], [1, 2], 10),
+             evaluate(*_ranked_case([1, 5, 0, 3, 4, 6, 7, 8, 9, 10, 2], [1, 2]),
+                      ks=(10,)).ndcg(10)]
+    ok_hand = all(abs(hand - 0.613147) < 1e-6 for hand in hands)
+    report(6, "ranking metric oracles and evaluate",
            recall_exact and ndcg_worst < 1e-10 and ok_hand,
-           f"(1000 instances; ndcg worst {ndcg_worst:.1e}; "
-           f"hand NDCG@10 {hand:.6f})")
+           f"(1000 instances each; ndcg worst {ndcg_worst:.1e}; "
+           f"hand NDCG@10 {hands[0]:.6f} and {hands[1]:.6f})")
 
 
 def test_criterion_07_synthetic_end_to_end(tmp_path):
@@ -281,44 +296,30 @@ def test_criterion_08_retail_reproduction(tmp_path):
 
 
 CHAIN_ORDERS = [  # the six study configurations on view/cart/buy
-    ("C1", ("buy", "view", "cart")),
-    ("C2", ("buy", "cart", "view")),
-    ("C3", ("view", "buy", "cart")),
-    ("C4", ("cart", "buy", "view")),
-    ("C5", ("cart", "view", "buy")),
-    ("C6", ("view", "cart", "buy")),
+    ("C1", "buy,view,cart"),
+    ("C2", "buy,cart,view"),
+    ("C3", "view,buy,cart"),
+    ("C4", "cart,buy,view"),
+    ("C5", "cart,view,buy"),
+    ("C6", "view,cart,buy"),
 ]
 
 
 def test_criterion_09_relation_order_study(tmp_path):
-    data = tmp_path / "study.tsv"
-    base = RunConfig(synth_users=200, synth_items=200, synth_clusters=20,
-                     seed=0).validate()
-    write_synthetic(base, data)
-    rows = []
-    for label, order in CHAIN_ORDERS:
-        out = tmp_path / f"run_{label}"
-        code = cli_main(["train", "--data", str(data), "--out", str(out),
-                         "--dim", "16", "--epochs", "8", "--eval-every", "8",
-                         "--batch", "64", "--patience", "50", "--seed", "0",
-                         "--order", ",".join(order)])
-        assert code == 0, f"{label} run failed"
-        records = [json.loads(line) for line in
-                   (out / "metrics.jsonl").read_text().splitlines()]
-        r10 = max(r["recall"]["10"] for r in records if r["type"] == "eval")
-        rows.append((label, "->".join(order), r10))
-    csv_path = tmp_path / "chain_order_study.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("config,order,recall_at_10\n")
-        for label, order, r10 in rows:
-            fh.write(f"{label},{order},{r10}\n")
-    by_label = {label: r10 for label, _, r10 in rows}
+    arms = [arg for label, order in CHAIN_ORDERS
+            for arg in ("--arm", label, f"order={order}")]
+    code = paired_study.main([str(tmp_path), "--set", "synth_users=200",
+                              "synth_items=200", "synth_clusters=20", "dim=16",
+                              "batch=64", "--split-seed", "0", "--seeds", "0",
+                              "--epochs", "8", *arms])
+    study = json.loads((tmp_path / "paired_study.json").read_text())
+    by_label = {run["arm"]: run["recall_at_10"] for run in study["runs"]}
     direction = "C6 >= C1" if by_label["C6"] >= by_label["C1"] else "C6 < C1"
     # the directional claim is reported, not asserted (training stochasticity)
     report(9, "relation-order study harness",
-           len(rows) == 6 and csv_path.exists(),
+           code == 0 and sorted(by_label) == [label for label, _ in CHAIN_ORDERS],
            f"(all six orders ran; {direction}: C6={by_label['C6']:.3f} "
-           f"C1={by_label['C1']:.3f}; CSV at {csv_path})")
+           f"C1={by_label['C1']:.3f}; table at {tmp_path / 'paired_study.md'})")
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -357,7 +357,8 @@ def write_tsv(path, lines):
     return path
 
 
-# 3 buy edges: ratio 0.9 keeps round(2.7) = 3 for training, holds out none
+# 3 buy edges: ratio 0.9 keeps round(2.7) = 3 for training, holds out none;
+# ratio 0.1 keeps round(0.3) = 0 for training
 THREE_BUYS = ["u0 i0 view", "u0 i1 view", "u1 i1 view", "u1 i2 view",
               "u2 i0 view", "u0 i0 cart", "u1 i1 cart",
               "u0 i0 buy", "u1 i1 buy", "u2 i2 buy"]
@@ -410,6 +411,15 @@ class TestDataErrors:
                        "--checkpoint", str(tmp_path / "at09.npz")) == 1
         err = self.one_line_error(capsys)
         assert "ratio 0.9" in err and "3 target edges" in err
+
+    def test_split_with_no_training_target_edge_exits_one(self, tmp_path, capsys):
+        data = write_tsv(tmp_path / "d.tsv", THREE_BUYS)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", str(data), "--out", str(out),
+                       "--ratio", "0.1", "--dim", "4", "--epochs", "1") == 1
+        err = self.one_line_error(capsys)
+        assert "ratio 0.1" in err and "3 target edges" in err and "training" in err
+        assert not out.exists()
 
 
 class TestUnreadableData:
@@ -657,7 +667,19 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert "R@10 " in printed and "R@5 " not in printed
         assert printed.splitlines()[0] in plain
-        assert (out / "metrics.csv").exists()
+        assert (out / "eval_metrics.csv").exists() and not (out / "metrics.csv").exists()
+
+    def test_evaluating_keeps_the_training_metrics_csv(self, synth_file, tmp_path):
+        # the checkpoint's config names the run directory and csv = true,
+        # so evaluate writes its rows there, next to the training table
+        out = tmp_path / "run"
+        assert run_cli(*train_args(synth_file, out, extra=["--csv", "true"])) == 0
+        trained = (out / "metrics.csv").read_bytes()
+        assert run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(out / "best.npz")) == 0
+        assert (out / "metrics.csv").read_bytes() == trained
+        rows = (out / "eval_metrics.csv").read_text().splitlines()
+        assert rows[0] == "epoch,metric,k,value,group" and len(rows) > 1
 
     def test_checkpoint_with_retired_keys_still_evaluates(self, run_dir, synth_file,
                                                           tmp_path, capsys):

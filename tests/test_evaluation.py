@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from chainrec import evaluation
-from chainrec.evaluation import (evaluate, ndcg_at_k, rank_items, recall_at_k,
-                                 sparsity_groups)
+from chainrec.evaluation import evaluate, rank_items, sparsity_groups
 from chainrec.graph import (DatasetSplit, MultiplexBipartiteGraph, make_schema,
                             split_train_test)
 
-from conftest import random_multiplex_graph
+from conftest import buy_graph, random_multiplex_graph
+from oracles import ndcg_at_k, recall_at_k
 
 
 def reference_recall(ranked, test, k):
@@ -127,19 +127,8 @@ class TestEvaluate:
     def test_random_embeddings_hit_hypergeometric_rate(self):
         # 1 test item among 1000 candidates: E[R@10] = 10/1000; averaged
         # over 50 embedding seeds x 500 users the estimate is tight
-        from chainrec.graph import MultiplexBipartiteGraph, make_schema
-        n_users, n_items = 500, 1000
-        rng = np.random.default_rng(3)
-        test_items = rng.integers(0, n_items, size=n_users) + n_users
-        users = np.arange(n_users)
-        graph = MultiplexBipartiteGraph(
-            schema=make_schema(("view", "buy"), "buy"),
-            num_users=n_users, num_items=n_items,
-            edges={"view": (np.empty(0, np.int64), np.empty(0, np.int64)),
-                   "buy": (users, test_items)})
-        split = DatasetSplit(train_edges={"view": graph.edges["view"],
-                                          "buy": (users[:1], test_items[:1])},
-                             test_edges=(users[1:], test_items[1:]), seed=0)
+        pairs = list(enumerate(np.random.default_rng(3).integers(0, 1000, size=500)))
+        graph, split = buy_graph(500, 1000, test=pairs[1:], train=pairs[:1])
         rates = []
         for seed in range(50):
             e = np.random.default_rng(seed).normal(size=(graph.num_nodes, 8))
@@ -248,21 +237,6 @@ class TestChunkRanking:
                 assert result.per_user[k][metric].tolist() == per_user[k][metric]
 
 
-def _buy_graph(nu, ni, test, train):
-    """A view/buy graph whose buy edges are ``test`` (held out) and ``train``,
-    each a list of (user, item) with item ids from 0."""
-    def edges(pairs):
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1] + nu
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    graph = MultiplexBipartiteGraph(schema=make_schema(("view", "buy"), "buy"),
-                                    num_users=nu, num_items=ni,
-                                    edges={"view": empty, "buy": edges(test + train)})
-    split = DatasetSplit(train_edges={"view": empty, "buy": edges(train)},
-                         test_edges=edges(test), seed=0)
-    return graph, split
-
-
 class TestScoreBuffer:
     """``evaluate`` writes every chunk's scores into one buffer."""
 
@@ -270,7 +244,7 @@ class TestScoreBuffer:
         # user 0 (row 0 of chunk 1) has item 0 as a training positive, and
         # item 0 is the best item of user 2 (row 0 of the shorter chunk 2)
         nu, ni = 3, 6
-        graph, split = _buy_graph(nu, ni, test=[(0, 1), (1, 2), (2, 0)],
+        graph, split = buy_graph(nu, ni, test=[(0, 1), (1, 2), (2, 0)],
                                   train=[(0, 0), (1, 3)])
         e = np.zeros((nu + ni, 2))
         e[:nu] = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.1]]
@@ -288,7 +262,7 @@ class TestScoreBuffer:
         nu, ni, chunk = 150, 20_000, 64
         rng = np.random.default_rng(0)
         items = rng.integers(ni, size=(nu, 3))
-        graph, split = _buy_graph(
+        graph, split = buy_graph(
             nu, ni, test=[(u, int(items[u, 0])) for u in range(nu)],
             train=[(u, int(v)) for u in range(nu) for v in np.unique(items[u, 1:])
                    if v != items[u, 0]])
@@ -309,7 +283,7 @@ class TestFloat64Scores:
     to 1: float32 scores would tie, and A, the lower id, would rank first."""
 
     def _case(self):
-        graph, split = _buy_graph(1, 2, test=[(0, 1)], train=[])
+        graph, split = buy_graph(1, 2, test=[(0, 1)], train=[])
         e = np.asarray([[1.0, 1.0], [1.0, 0.0], [1.0, 2.0 ** -24]], dtype=np.float32)
         assert e[0] @ e[1] == e[0] @ e[2]
         return graph, split, e

@@ -1,20 +1,14 @@
 """scripts/paired_study.py: one split for every arm and seed, the JSON's
 shape, the markdown table and the sign test."""
 
-import importlib.util
 import json
-import os
 
 import numpy as np
 import pytest
 
 from chainrec import load_interactions, make_schema, split_train_test, training
 
-SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "scripts", "paired_study.py")
-_spec = importlib.util.spec_from_file_location("paired_study", SCRIPT)
-paired_study = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(paired_study)
+import paired_study
 
 TINY = ["synth_users=40", "synth_items=30", "synth_clusters=4", "synth_views=8",
         "synth_carts=5", "synth_buys=4", "dim=8", "batch=32"]
@@ -71,6 +65,38 @@ def test_two_arms_two_seeds_share_one_split(tmp_path, monkeypatch, capsys):
     assert entry["wins"] + entry["losses"] + entry["ties"] == 2
     table = (out / "paired_study.md").read_text()
     assert table.count("\n| f32 |") == 2 and table in capsys.readouterr().out
+
+
+def test_order_arms_train_under_their_own_schema_on_one_split(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(graph, split, cfg, **kwargs):
+        seen.append((graph.schema.canonical_order, split))
+        return train(graph, split, cfg, **kwargs)
+
+    train = training.train
+    monkeypatch.setattr(training, "train", spy)
+    assert paired_study.main([str(tmp_path), "--set", *TINY, "--seeds", "1,2",
+                              "--epochs", "1", "--arm", "C6",
+                              "--arm", "C1", "order=buy,view,cart",
+                              "--arm", "C3", "order=view,buy,cart"]) == 0
+    # C6 keeps the default order; every run trains on the one split
+    assert [order for order, _ in seen] == [
+        ("view", "cart", "buy"), ("buy", "view", "cart"), ("view", "buy", "cart")] * 2
+    assert all(split is seen[0][1] for _, split in seen)
+
+
+@pytest.mark.parametrize("order", ["view,buy", "view,cart,buy,like", "view,view,buy"])
+def test_order_arm_that_is_no_permutation_exits_before_training(tmp_path, monkeypatch,
+                                                                capsys, order):
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "study"
+    with pytest.raises(SystemExit) as exc:
+        paired_study.main([str(out), "--set", *TINY, "--arm", "a",
+                           "--arm", "b", f"order={order}"])
+    assert exc.value.code == 2 and calls == [] and not out.exists()
+    assert "not a permutation" in capsys.readouterr().err
 
 
 def test_arm_may_not_change_the_split(tmp_path, capsys):
