@@ -41,11 +41,11 @@ def scatter_add_rows(idx, g, n, out=None):
     """out[idx[k]] += g[k] into ``out`` or an (n, d) zero matrix; duplicate
     ids accumulate.
 
-    Distinct ids take one indexed add. Otherwise one product with the 0/1
-    selection matrix of the distinct ids sums each id's rows, kept in k
-    order by a stable sort, so every row sums exactly as the sequential add
-    does. Built here rather than through ``spmm``, so that ``spmm`` stays
-    the propagation product alone.
+    Each id's rows are summed from zero in k order, then added to ``out``
+    once: bit-equal to ``np.add.at`` into zeros, not into a nonzero ``out``.
+    Distinct ids take one indexed add, repeated ones one product with the
+    0/1 selection matrix of the distinct ids (a stable sort keeps k order),
+    built here so that ``spmm`` stays the propagation product alone.
     """
     if out is None:
         out = np.zeros((n, g.shape[1]), dtype=g.dtype)

@@ -128,56 +128,96 @@ def _empty_edges():
     return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
-def _canonical_edges(pairs) -> tuple:
-    """Unique (u, v) pairs sorted by (u, v)."""
-    if not pairs:
-        return _empty_edges()
-    arr = np.asarray(sorted(set(pairs)), dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
+def _intern(data: bytes, start, stop) -> tuple:
+    """Number the byte strings data[start[k]:stop[k]] in first-seen order;
+    return the numbers and the distinct strings decoded.
+
+    One stable sort of fixed-width keys: the length, which keeps strings
+    that differ by trailing NUL bytes apart, then the bytes as zero-padded
+    big-endian 8-byte words. ``data`` ends with 8 spare bytes for the reads.
+    """
+    length = stop - start
+    words = np.ndarray(len(data) - 7, dtype=">u8", buffer=data, strides=(1,))
+    masks = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)], dtype=np.uint64)
+    keys = [length]
+    for off in range(0, int(length.max(initial=0)), 8):
+        keys.append(words[np.minimum(start + off, stop)]
+                    & masks[np.clip(length - off, 0, 8)])
+    order = np.lexsort(keys)
+    new = np.arange(order.shape[0]) == 0
+    while keys:  # popped, so each key is freed once compared
+        new[1:] |= np.diff(keys.pop()[order]) != 0
+    first = order[new]  # the sort is stable, so this is each string's first line
+    codes = np.empty_like(order)
+    codes[order] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
+    del order, new
+    first.sort()
+    return codes, [data[a:b].decode("utf-8")
+                   for a, b in zip(start[first].tolist(), stop[first].tolist())]
 
 
 def load_interactions(path, schema: RelationSchema) -> MultiplexBipartiteGraph:
-    """Parse a TSV interaction file into a multiplex bipartite graph.
+    r"""Parse a TSV interaction file into a multiplex bipartite graph.
 
     Line format: ``user_id<TAB>item_id<TAB>relation_name``; extra trailing
     fields (e.g. attribute payloads) are tolerated and ignored. Ids become
     dense integers in first-seen order; duplicate (u, v, r) lines collapse.
+    The file must be UTF-8 with ``\n``, ``\r\n`` or ``\r`` line ends;
+    the first bad line raises naming its number, counting blank lines.
     """
-    user_index, item_index = {}, {}
-    user_ids, item_ids = [], []
-    raw = {r: [] for r in schema.relations}
-    known = set(schema.relations)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3 or any(not p for p in parts[:3]):
-                raise ParseError(line_no, f"expected 'user<TAB>item<TAB>relation', got {line!r}")
-            uid, iid, rel = parts[0], parts[1], parts[2]
-            if rel not in known:
-                raise SchemaError(f"line {line_no}: unknown relation {rel!r} "
-                                  f"(schema has {sorted(known)})")
-            if uid not in user_index:
-                user_index[uid] = len(user_ids)
-                user_ids.append(uid)
-            if iid not in item_index:
-                item_index[iid] = len(item_ids)
-                item_ids.append(iid)
-            raw[rel].append((user_index[uid], item_index[iid]))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    data.decode("utf-8")  # a UnicodeDecodeError comes before any line is checked
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # end the last line, and add the 8 spare bytes that _intern reads past it
+    data += (b"" if data.endswith(b"\n") else b"\n") + bytes(8)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    pos = np.int32 if len(data) < 2**30 else np.int64  # position + length < 2**31
+    ends = np.flatnonzero(buf == 10).astype(pos)
+    starts = np.concatenate(([0], ends + 1))[:-1].astype(pos)
+    # the first three tabs of every line; sentinels stand in for missing ones
+    tabs = np.append(np.flatnonzero(buf == 9), [len(data)] * 3).astype(pos)
+    k = np.searchsorted(tabs, starts)
+    t1, t2, t3 = tabs[k], tabs[k + 1], np.minimum(tabs[k + 2], ends)
+    del tabs, k
+    # two tabs, a user, an item, and no relation longer than every known one
+    fast = ((t2 < ends) & (t1 > starts) & (t2 > t1 + 1)
+            & (t3 - t2 <= max(len(r.encode()) for r in schema.relations) + 1))
 
-    num_users, num_items = len(user_ids), len(item_ids)
+    known = set(schema.relations)
+    rel = np.full(ends.shape[0], -1, dtype=np.int8)
+    codes, names = _intern(data, t2[fast] + 1, t3[fast])
+    # lines of a whitespace-only relation name go by the per-line rules
+    rel[fast] = np.array([schema.relations.index(n) if n in known and n.strip() else -1
+                          for n in names], dtype=np.int64)[codes]
+    del t3, fast, codes
+    for i in np.flatnonzero(rel < 0).tolist():
+        line = data[starts[i]:ends[i]].decode("utf-8")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) < 3 or any(not p for p in parts[:3]):
+            raise ParseError(i + 1, f"expected 'user<TAB>item<TAB>relation', got {line!r}")
+        if parts[2] not in known:
+            raise SchemaError(f"line {i + 1}: unknown relation {parts[2]!r} "
+                              f"(schema has {sorted(known)})")
+        rel[i] = schema.relations.index(parts[2])
+
+    keep = rel >= 0
+    rel, starts, t1, t2 = rel[keep], starts[keep], t1[keep], t2[keep]
+    users, user_ids = _intern(data, starts, t1)
+    items, item_ids = _intern(data, t1 + 1, t2)
+    num_users, num_items = len(user_ids), max(len(item_ids), 1)
+    keys = users * num_items + items
     edges = {}
-    for r in schema.relations:
-        u, v = _canonical_edges(raw[r])
-        edges[r] = (u, v + num_users)
+    for r, name in enumerate(schema.relations):
+        pairs = np.sort(keys[rel == r])  # numpy 2.4's hashing np.unique: 60x slower
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        edges[name] = (pairs // num_items, pairs % num_items + num_users)
 
     return MultiplexBipartiteGraph(schema=schema, num_users=num_users,
-                                   num_items=num_items, edges=edges,
+                                   num_items=len(item_ids), edges=edges,
                                    user_ids=user_ids, item_ids=item_ids)
-
-
 
 
 @dataclass(frozen=True)

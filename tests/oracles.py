@@ -2,10 +2,13 @@
 
 Everything here is dense numpy written directly from the model definition,
 with no imports from the library's numeric modules, so these functions stay
-independent of the code paths they check.
+independent of the code paths they check. The reference loader takes only
+the graph's container and exception classes from the library.
 """
 
 import numpy as np
+
+from chainrec.graph import MultiplexBipartiteGraph, ParseError, SchemaError
 
 
 def dense_adjacency(graph, relation):
@@ -280,3 +283,55 @@ def ndcg_at_k(ranked, test_items, k: int) -> float:
             dcg += _LOG2 / np.log(rank + 1.0)
     ideal = sum(_LOG2 / np.log(r + 1.0) for r in range(1, min(len(test), k) + 1))
     return dcg / ideal
+
+
+# the line-by-line TSV loader that graph.load_interactions replaced; the
+# bulk loader must build the same graph and raise the same first error
+def _canonical_edges(pairs) -> tuple:
+    """Unique (u, v) pairs sorted by (u, v)."""
+    if not pairs:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    arr = np.asarray(sorted(set(pairs)), dtype=np.int64)
+    return arr[:, 0], arr[:, 1]
+
+
+def load_interactions_reference(path, schema) -> MultiplexBipartiteGraph:
+    """Parse a TSV interaction file into a multiplex bipartite graph.
+
+    Line format: ``user_id<TAB>item_id<TAB>relation_name``; extra trailing
+    fields (e.g. attribute payloads) are tolerated and ignored. Ids become
+    dense integers in first-seen order; duplicate (u, v, r) lines collapse.
+    """
+    user_index, item_index = {}, {}
+    user_ids, item_ids = [], []
+    raw = {r: [] for r in schema.relations}
+    known = set(schema.relations)
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) < 3 or any(not p for p in parts[:3]):
+                raise ParseError(line_no, f"expected 'user<TAB>item<TAB>relation', got {line!r}")
+            uid, iid, rel = parts[0], parts[1], parts[2]
+            if rel not in known:
+                raise SchemaError(f"line {line_no}: unknown relation {rel!r} "
+                                  f"(schema has {sorted(known)})")
+            if uid not in user_index:
+                user_index[uid] = len(user_ids)
+                user_ids.append(uid)
+            if iid not in item_index:
+                item_index[iid] = len(item_ids)
+                item_ids.append(iid)
+            raw[rel].append((user_index[uid], item_index[iid]))
+
+    num_users, num_items = len(user_ids), len(item_ids)
+    edges = {}
+    for r in schema.relations:
+        u, v = _canonical_edges(raw[r])
+        edges[r] = (u, v + num_users)
+
+    return MultiplexBipartiteGraph(schema=schema, num_users=num_users,
+                                   num_items=num_items, edges=edges,
+                                   user_ids=user_ids, item_ids=item_ids)

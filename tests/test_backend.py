@@ -175,6 +175,20 @@ def test_scatter_add_rows_bit_equal_on_a_large_shuffle():
     assert np.array_equal(backend.scatter_add_rows(idx, g, 600), _add_at(idx, g, 600))
 
 
+@pytest.mark.parametrize("name", sorted(SCATTER_IDS))
+def test_scatter_add_rows_into_nonzero_out_adds_each_sum_once(name):
+    # each id's rows are summed from zero, then added to out once; adding
+    # them to out one by one (np.add.at into out) rounds differently
+    rng = np.random.default_rng(100 + len(name))
+    idx = np.asarray(SCATTER_IDS[name], dtype=np.int64)
+    g = (rng.normal(size=(idx.shape[0], 5))
+         * 10.0 ** rng.integers(-4, 4, size=(idx.shape[0], 1))).astype(np.float32)
+    start = rng.normal(size=(10, 5)).astype(np.float32)
+    out = backend.scatter_add_rows(idx, g, 10, out=start.copy())
+    assert out.dtype == np.float32
+    assert np.array_equal(out, start + _add_at(idx, g, 10))
+
+
 def test_scatter_add_rows_does_not_go_through_spmm(monkeypatch):
     # the benchmark tracer counts backend.spmm calls as propagation
     # products; the scatter must not add to that count

@@ -449,6 +449,15 @@ class TestUnreadableData:
                        "--checkpoint", str(run_dir / "best.npz")) == 1
         assert_one_error_line(capsys, "cannot read dataset", str(bad_data))
 
+    def test_undecodable_byte_wins_over_an_earlier_bad_line(self, tmp_path, capsys):
+        # the whole file is decoded before any line is checked, so a
+        # malformed first line is not what gets reported
+        data = tmp_path / "data.tsv"
+        data.write_bytes(b"u only\n" + b"u0\ti0\tbuy\n" * 5000 + b"u1\t\xff\tbuy\n")
+        assert run_cli(*train_args(data, tmp_path / "run")) == 1
+        assert_one_error_line(capsys, "cannot read dataset", str(data))
+        assert not (tmp_path / "run").exists()
+
 
 class TestUnreadableConfig:
     """A --config path that cannot be read as text ends with one line
