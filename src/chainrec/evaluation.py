@@ -2,24 +2,62 @@
 interaction-count group breakdown.
 
 Every test user is ranked against the whole item catalog (training
-positives removed), scores are float64 dot products of final embeddings
-(a float32 table is upcast once per call), and ties break by ascending
+positives removed), by float64 dot products of final embeddings (a
+float32 table is upcast once per call), and ties break by ascending
 item id.
 
-Users are ranked a chunk at a time. Training positives score -inf, and an
-exact screen keeps each row's candidates: the columns fall into G strided
-groups (group j holds columns j, j + G, ...), and t is the row's k-th
-largest group maximum. The k groups with the largest maxima each hold a
-distinct item scoring at least t, so every top-k item, ties included,
-scores at least t. The entries of at least t, in groups whose maximum is
-at least t, are sorted in one lexsort per chunk. Exact for finite scores.
+Users are ranked a chunk at a time: a float32 screen keeps every item
+that can reach a row's top k, and only those are scored in float64 and
+sorted. The screen's product and its (chunk, items) buffer are float32,
+half the bytes of float64 in every pass over them.
+
+Tables. A chunk's user rows a are scaled by 2^p, one power of two per
+row, and the item table b by 2^q, one for the whole table, so that every
+scaled row norm is below 1 (exact, and nothing can overflow), then cast
+to float32: â, b̂. One sgemm gives s32 = fl32(â·b̂). Let s = fl64(a·b) 2^(p+q)
+be the float64 score in the same units, and u = 2^-24.
+
+Margin. With d the width and γ_n = nu/(1 - nu), every entry of a row
+has |s32 - s| <= δ, where
+
+    δ = 2(d + 2)u ‖â‖ max_j ‖b̂_j‖ + d 2^-120 + d 2^min(p+q-1020, 0).
+
+The error splits three ways, with Σ|â_i||b̂_i| <= ‖â‖‖b̂‖ (Cauchy-Schwarz):
+- the casts: â_i = x_i(1 + α_i) + σ_i for x = a 2^p, |α_i| <= u and
+  |σ_i| <= 2^-149, and alike for b̂, so
+  |â·b̂ - x·y| <= 2u/(1 - u)² Σ|â_i||b̂_i| + 4d 2^-149;
+- the sgemm, in any summation order, with or without FMA:
+  |s32 - â·b̂| <= γ_d Σ|â_i||b̂_i| + d 2^-125, the last term for underflow,
+  gradual or flushed to zero;
+- the float64 score: |s - x·y| <= γ'_d Σ|x_i||y_i| + d 2^(p+q-1021), where
+  γ'_d is γ_d at u' = 2^-53, the last term again for underflow.
+The relative terms sum to at most γ_{d+2}, which is at most 2(d + 2)u
+while (d + 2)u <= 1/2; the factor 2 also covers the float64 rounding of
+the norms and of t - 2δ below. The float32 underflow terms sum to less
+than d 2^-120. The float64 one is capped at d: scaled scores lie in
+[-1, 1], so a row whose margin reaches d keeps all its items, and the
+bound is needed only where the cap does not bind.
+
+Screen. The columns fall into G strided groups (group j holds columns j,
+j + G, ...), and t is the row's k-th largest group maximum of s32 (-inf
+if fewer than k groups, or k items, are left). The k groups with the
+largest maxima each hold a distinct item with s32 >= t, so s >= t - δ:
+the row's k-th best s is at least t - δ, and every top-k item, ties
+included, has s >= t - δ and so s32 >= t - 2δ. The entries of at least
+t - 2δ (one float32 step below it), in groups whose maximum reaches it,
+are rescored in float64 from the unscaled tables and sorted once per
+chunk by (row, -s, id). Exact for finite scores, with respect
+to that float64 score: another float64 kernel (the brute force's
+matrix-vector product) may round a dot product differently in its last
+bit, so items within an ulp or two can order differently there.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DatasetSplit, MultiplexBipartiteGraph
+from . import backend
+from .graph import DatasetSplit, MultiplexBipartiteGraph, sorted_unique
 
 SPARSITY_BUCKETS = ((0, 4), (4, 5), (5, 6), (6, 7), (7, 10), (10, 60), (60, None))
 
@@ -64,25 +102,70 @@ class RankingResult:
         return self.aggregates[k]["ndcg"]
 
 
-def _top_lists(scores: np.ndarray, width: int):
-    """Each row's first ``width`` column ids by (-score, id), -inf entries
-    left out: a (rows, width) matrix padded with -1, and the row lengths."""
+def pow2_exponents(x: np.ndarray, axis=1):
+    """Per row of ``x`` (one for all rows with ``axis=None``), the e for
+    which every ‖x_row 2^e‖ < 1: max|x| < 2^m (frexp), a row norm is at
+    most √d max|x|, and √d <= 2^h."""
+    h = (x.shape[1] - 1).bit_length() + 1 >> 1
+    _, m = np.frexp(np.maximum(x.max(axis=axis, initial=0.0),
+                               -x.min(axis=axis, initial=0.0)))
+    return -(m.astype(np.int64) + h)
+
+
+def screen_table(x: np.ndarray, e) -> np.ndarray:
+    """``x`` 2^e in float32, scaled in float64 first so nothing overflows."""
+    out = np.empty(x.shape, np.float32)
+    # int32 exponents: numpy's int64 ldexp loop was 6x slower
+    np.ldexp(x, np.asarray(e, np.intc), out=out)
+    return out
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, summed in float64."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x, dtype=np.float64))
+
+
+def screen_margin(users: np.ndarray, exps: np.ndarray, item_norm: float) -> np.ndarray:
+    """δ per row of the float32 screen table ``users`` whose rows are
+    scaled by 2^exps in all (user and item exponents summed), against
+    item rows of norm at most ``item_norm`` (module docstring)."""
+    d = users.shape[1]
+    return (2 * (d + 2) * 2.0 ** -24 * row_norms(users) * item_norm + d * 2.0 ** -120
+            + np.ldexp(float(d), np.minimum(exps - 1020, 0)))
+
+
+def _screen(scores: np.ndarray, width: int, margin: np.ndarray):
+    """(rows, cols) of the entries of float32 ``scores`` that can reach their
+    row's first ``width`` by float64 score, -inf entries left out."""
     c, n = scores.shape
     g = min(SCREEN_GROUPS, n)
     q, r = divmod(n, g)
     gmax = scores[:, :q * g].reshape(c, q, g).max(axis=1)
     if r:
         np.maximum(gmax[:, :r], scores[:, q * g:], out=gmax[:, :r])
-    t = (np.partition(gmax, g - width, axis=1)[:, g - width] if width <= g
-         else np.full(c, -np.inf))
-    rows, groups = np.nonzero(gmax >= t[:, None])
+    # copied out, so the partitioned (c, G) table is freed at once
+    t = (np.partition(gmax, g - width, axis=1)[:, g - width].copy() if width <= g
+         else np.float32(-np.inf))
+    # the float32 step below the rounded float64 floor keeps all it keeps
+    floor32 = np.nextafter((t - 2 * margin).astype(np.float32), np.float32(-np.inf))
+    rows, groups = np.nonzero(gmax >= floor32[:, None])
     cols = groups[:, None] + g * np.arange(q + (r > 0))
     inside = cols < n
     rows, cols = np.broadcast_to(rows[:, None], cols.shape)[inside], cols[inside]
     vals = scores[rows, cols]
-    keep = (vals >= t[rows]) & (vals > -np.inf)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((cols, -vals, rows))
+    keep = (vals >= floor32[rows]) & (vals > -np.inf)
+    return rows[keep], cols[keep]
+
+
+def _top_lists(rows, cols, vals, c: int, width: int):
+    """Each row's first ``width`` column ids by (-vals, id): a (c, width)
+    matrix padded with -1, and the row lengths."""
+    # numpy sorts complex numbers by (real, imag), so (-vals, id) is one
+    # key; a stable sort by row, a radix sort on the narrowest row type,
+    # then groups the rows: half the time of lexsort((cols, -vals, rows))
+    # on a chunk's 17k-25k survivors.
+    order = np.argsort(-vals + 1j * cols, kind="stable")
+    order = order[np.argsort(rows[order].astype(np.min_scalar_type(c)), kind="stable")]
     rows, cols = rows[order], cols[order]
     counts = np.bincount(rows, minlength=c)
     rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
@@ -106,9 +189,9 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
     num_users, num_items = graph.num_users, graph.num_items
     width = min(ks[-1], num_items)
     tu, tv = split.test_edges
-    users = np.unique(tu).astype(np.int64)
+    users = sorted_unique(tu).astype(np.int64)
     # distinct (user position, item) test edges as sorted integer keys
-    test_keys = np.unique(np.searchsorted(users, tu) * num_items + (tv - num_users))
+    test_keys = sorted_unique(np.searchsorted(users, tu) * num_items + (tv - num_users))
     n_test = np.bincount(test_keys // num_items, minlength=len(users))
     su, sv = split.train_pairs(graph.schema.target)
     # gains ln 2 / ln(rank + 1), summed from rank 1 up
@@ -118,17 +201,27 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
     per_user = {k: {"recall": np.zeros(len(users)), "ndcg": np.zeros(len(users))}
                 for k in ks}
 
-    # one score buffer for every chunk, so no two chunks are ever live
-    buf = np.empty((min(chunk, len(users)), num_items), e_final.dtype)
+    items = e_final[num_users:]
+    item_exp = pow2_exponents(items, axis=None)
+    items32 = screen_table(items, item_exp)
+    item_norm = row_norms(items32).max(initial=0.0)
+    # one float32 score buffer for every chunk, so no two chunks are ever live
+    buf = np.empty((min(chunk, len(users)), num_items), np.float32)
     for start in range(0, len(users), chunk):
         batch = users[start:start + chunk]
         stop = start + len(batch)
-        scores = np.matmul(e_final[batch], e_final[num_users:].T, out=buf[:len(batch)])
+        u64 = e_final[batch]
+        user_exp = pow2_exponents(u64)
+        u32 = screen_table(u64, user_exp[:, None])
+        scores = np.matmul(u32, items32.T, out=buf[:len(batch)])
         excluded = np.isin(su, batch)
         scores[np.searchsorted(batch, su[excluded]), sv[excluded] - num_users] = -np.inf
-        top, lengths = _top_lists(scores, width)
+        rows, cols = _screen(scores, width, screen_margin(u32, user_exp + item_exp, item_norm))
+        vals = backend.spmm_grad_vals(rows, cols, u64, items)
+        top, lengths = _top_lists(rows, cols, vals, len(batch), width)
         keys = np.arange(start, stop)[:, None] * num_items + top
-        hits = np.isin(keys, test_keys) & (top >= 0)
+        found = test_keys[np.minimum(np.searchsorted(test_keys, keys), len(test_keys) - 1)]
+        hits = (found == keys) & (top >= 0)
         n_hits = np.cumsum(hits, axis=1)
         dcg = np.cumsum(np.where(hits, gains, 0.0), axis=1)
         n = n_test[start:stop]

@@ -16,7 +16,7 @@ from . import contrastive, patterns, relations
 from .chains import (chain_embedding, chain_forward, enumerate_chains,
                      final_embedding)
 from .config import RunConfig
-from .graph import MultiplexBipartiteGraph, stream_rng
+from .graph import MultiplexBipartiteGraph, sorted_unique, stream_rng
 from .sparse import SparseMatrix, stack_blocks, sym_norm_values
 
 
@@ -232,7 +232,7 @@ class DualChannelModel:
         touched = [batch.users, batch.pos, batch.neg]
         for cu, cp, cn in batch.chain_triples.values():
             touched += [cu, cp, cn]
-        rows = np.unique(np.concatenate(touched))
+        rows = sorted_unique(np.concatenate(touched))
         emb = self.embeddings(p, rows=rows)
 
         def at(ids):

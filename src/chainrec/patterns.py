@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .graph import MultiplexBipartiteGraph, RelationSchema
+from .graph import MultiplexBipartiteGraph, RelationSchema, sorted_unique
 from .relations import propagate_layers
 from .sparse import CSRStruct, SparseMatrix, build_struct
 
@@ -51,7 +51,7 @@ def behavior_patterns(graph: MultiplexBipartiteGraph) -> BehaviorPatterns:
     pair into its signature."""
     n = graph.num_nodes
     rel_keys = [graph.edge_keys(r) for r in graph.schema.relations]
-    keys = np.unique(np.concatenate(rel_keys))
+    keys = sorted_unique(np.concatenate(rel_keys))
     signature = np.zeros(keys.shape[0], dtype=np.int64)
     for r, k in enumerate(rel_keys):
         signature[np.searchsorted(keys, k)] |= 1 << r

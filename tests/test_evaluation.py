@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chainrec import evaluation
+from chainrec import backend, evaluation
 from chainrec.evaluation import evaluate, rank_items, sparsity_groups
 from chainrec.graph import (DatasetSplit, MultiplexBipartiteGraph, make_schema,
                             split_train_test)
@@ -211,6 +213,21 @@ def tie_heavy_case(seed, dtype, nu=9, ni=40):
     return graph, split, e
 
 
+def assert_matches_brute_force(graph, split, e, ks, chunk):
+    """``evaluate`` equals the brute force on a tie_heavy_case graph."""
+    users, tops, per_user = brute_force_evaluate(e, graph, split, ks)
+    result = evaluate(e, graph, split, ks=ks, chunk=chunk)
+    np.testing.assert_array_equal(result.users, users)
+    assert len(result.top_items) == len(tops)
+    for got, want in zip(result.top_items, tops):
+        np.testing.assert_array_equal(got, want)
+    # fewer rankable items than k (t = -inf): user 0 has two, user 1 none
+    assert len(tops[0]) == 2 and len(tops[1]) == 0
+    for k in ks:
+        for metric in ("recall", "ndcg"):
+            assert result.per_user[k][metric].tolist() == per_user[k][metric]
+
+
 class TestChunkRanking:
     """``evaluate`` ranks a chunk at a time behind a group-max screen; its
     top lists and per-user metrics equal the per-user brute force exactly."""
@@ -224,17 +241,164 @@ class TestChunkRanking:
     def test_matches_brute_force(self, monkeypatch, groups, chunk, dtype, ks):
         monkeypatch.setattr(evaluation, "SCREEN_GROUPS", groups)
         seed = groups + 10 * chunk + len(ks) + (dtype == np.float32)
-        graph, split, e = tie_heavy_case(seed, dtype)
-        users, tops, per_user = brute_force_evaluate(e, graph, split, ks)
-        result = evaluate(e, graph, split, ks=ks, chunk=chunk)
-        np.testing.assert_array_equal(result.users, users)
-        assert len(result.top_items) == len(tops)
-        for got, want in zip(result.top_items, tops):
-            np.testing.assert_array_equal(got, want)
-        assert len(tops[0]) == 2 and len(tops[1]) == 0
-        for k in ks:
-            for metric in ("recall", "ndcg"):
-                assert result.per_user[k][metric].tolist() == per_user[k][metric]
+        assert_matches_brute_force(*tie_heavy_case(seed, dtype), ks, chunk)
+
+
+def screen_case(kind, seed, d=4):
+    """tie_heavy_case's graph under a table whose float64 dot products are
+    exact in any summation order, while float32 rounds them, so the screen
+    must keep every item the float64 ranking can place in a top list.
+
+    duplicates: 20-bit integers (items times 2^-20), half the item rows
+    repeating another exactly. one-ulp: np.nextafter steps from the float32
+    midpoint 1 + 2^-24, which round to either side of it, plus 0 to 15 ulps
+    that float32 cannot see. near-duplicates, 1e150, 1e-150, norm-spread:
+    items within ±4 of one of four 26-bit integer rows (float32 spacing 4),
+    the last three scaled by 2^498, 2^-498 (about 1e±150), and per item
+    row by 2^k, norms spread like e^N(0, 3).
+    """
+    graph, split, _ = tie_heavy_case(seed, np.float64)
+    nu, ni = graph.num_users, graph.num_items
+    rng = np.random.default_rng(seed)
+    if kind == "one-ulp":
+        # score 2^j (x0 + 2^8 x1) = 2^j (1 + 2^-24 + (m + c) 2^-52), exact
+        users = np.zeros((nu, d))
+        users[:, 0] = rng.choice([-1.0, 1.0], nu) * 2.0 ** rng.integers(-3, 4, nu)
+        users[:, 1] = users[:, 0] * 2.0 ** 8
+        items = rng.normal(size=(ni, d))
+        items[:, 0] = 1 + 2.0 ** -24
+        for _ in range(2):
+            move = rng.random(ni) < 0.5
+            items[move, 0] = np.nextafter(items[move, 0],
+                                          rng.choice([-np.inf, np.inf], int(move.sum())))
+        items[:, 1] = rng.integers(16, size=ni) * 2.0 ** -60
+    elif kind == "duplicates":
+        users = rng.integers(-2**20, 2**20, size=(nu, d)).astype(np.float64)
+        items = rng.integers(-2**20, 2**20, size=(ni, d)) * 2.0 ** -20
+        items[ni // 2:] = items[rng.integers(ni // 2, size=ni - ni // 2)]
+    else:
+        # products of 46 bits, sums of d = 4 terms below 2^48: exact
+        users = rng.integers(-2**20, 2**20, size=(nu, d)).astype(np.float64)
+        bases = rng.integers(2**25, 2**26, size=(4, d)) * rng.choice([-1, 1], (4, d))
+        items = (bases[rng.integers(4, size=ni)]
+                 + rng.integers(-4, 5, size=(ni, d))).astype(np.float64)
+        users, items = users * 2.0 ** -20, items * 2.0 ** -26
+        if kind == "norm-spread":
+            items *= 2.0 ** np.round(rng.normal(0, 3 / np.log(2), size=(ni, 1)))
+    scale = {"1e150": 2.0 ** 498, "1e-150": 2.0 ** -498}.get(kind, 1.0)
+    return graph, split, np.vstack([users, items]) * scale
+
+
+class TestFloat32Screen:
+    """The float32 screen's certified margin keeps exact ties, one-ulp near
+    ties, extreme magnitudes and spread norms: top lists and metrics equal
+    the float64 brute force, ties in ascending id order."""
+
+    @pytest.mark.parametrize("groups", [1, 3, 8, evaluation.SCREEN_GROUPS])
+    @pytest.mark.parametrize("chunk", [1, 5, 512])
+    @pytest.mark.parametrize("kind", ["duplicates", "one-ulp", "near-duplicates",
+                                      "1e150", "1e-150", "norm-spread"])
+    @pytest.mark.parametrize("ks", [(1, 3), (5, 10, 20), (2, 7, 100)])
+    def test_matches_brute_force(self, monkeypatch, groups, chunk, kind, ks):
+        monkeypatch.setattr(evaluation, "SCREEN_GROUPS", groups)
+        seed = groups + 7 * chunk + len(ks)
+        assert_matches_brute_force(*screen_case(kind, seed), ks, chunk)
+
+    @pytest.mark.parametrize("kind", ["one-ulp", "near-duplicates"])
+    def test_float32_scores_misorder_the_case(self, kind):
+        # some item pair ranks one way in float64 and the other in float32
+        graph, split, e = screen_case(kind, seed=0)
+        users, items = e[:graph.num_users], e[graph.num_users:]
+        s64 = users @ items.T
+        s32 = users.astype(np.float32) @ items.astype(np.float32).T
+        flips = (s64[:, :, None] > s64[:, None, :]) & (s32[:, :, None] < s32[:, None, :])
+        assert flips.any()
+
+    def test_duplicates_case_holds_exact_ties(self):
+        graph, _, e = screen_case("duplicates", seed=0)
+        items = e[graph.num_users:]
+        assert len(np.unique(items, axis=0)) < len(items)
+
+    @pytest.mark.parametrize("users, items", [(498, 498), (-498, -498), (600, -600),
+                                              (-600, 600)])
+    def test_power_of_two_scaled_tables_rank_as_the_unscaled_one(self, users, items):
+        graph, split, e = screen_case("duplicates", seed=3)
+        want = evaluate(e, graph, split, ks=(10,)).top_items
+        scaled = np.ldexp(e, np.where(np.arange(len(e)) < graph.num_users, users, items)[:, None])
+        got = evaluate(scaled, graph, split, ks=(10,)).top_items
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_padding_is_never_a_hit(self):
+        # user 1 ranks one item, so its list pads with -1; its padding key
+        # 1 * ni - 1 is user 0's test key for item ni - 1
+        nu, ni = 2, 3
+        graph, split = buy_graph(nu, ni, test=[(0, 2), (1, 0)], train=[(1, 1), (1, 2)])
+        e = np.random.default_rng(0).normal(size=(nu + ni, 2))
+        result = evaluate(e, graph, split, ks=(3,))
+        assert len(result.top_items[1]) == 1
+        assert result.per_user[3]["recall"].tolist() == [1.0, 1.0]
+        assert result.per_user[3]["ndcg"][1] == 1.0
+
+
+@st.composite
+def margin_tables(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    d = draw(st.integers(1, 80))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # entry exponents within ±spread of shift: float64 products stay finite
+    # and may underflow; float32 entries may be subnormal
+    if dtype == np.float32:
+        spread, shift = draw(st.integers(0, 30)), draw(st.integers(-100, 60))
+    else:
+        spread, shift = draw(st.integers(0, 240)), draw(st.integers(-540, 240))
+
+    def table(rows):
+        x = rng.normal(size=(rows, d)) * 2.0 ** rng.integers(-spread, spread + 1, (rows, d))
+        return x * 2.0 ** shift
+
+    a, b = table(m), table(n)
+    if draw(st.booleans()):
+        # cancellation: remove each item's component along the first user,
+        # so its score nearly vanishes against ‖a‖‖b‖
+        v = a[0] / np.abs(a[0]).max()
+        u = v / np.linalg.norm(v)
+        b = b - np.outer(b @ u, u)
+    return a.astype(dtype), b.astype(dtype)
+
+
+# products near 2^-1080: every float64 product underflows
+UNDERFLOW = (np.random.default_rng(0).normal(size=(3, 8)) * 2.0 ** -540,
+             np.random.default_rng(1).normal(size=(5, 8)) * 2.0 ** -540)
+
+
+class TestScreenMargin:
+    """|s32 - s| <= δ for every entry, in scaled units: s32 from the
+    float32 screen tables' product, s the float64 score ``evaluate``
+    rescores with. Where the capped underflow term makes δ >= d the row
+    keeps every item, and the bound is not needed."""
+
+    # hypothesis reports a failure through libcst, whose import warns
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(margin_tables())
+    @example(UNDERFLOW)
+    def test_float32_score_within_margin_of_float64_score(self, tables):
+        a, b = (np.asarray(x, np.float64) for x in tables)
+        p = evaluation.pow2_exponents(a)
+        q = evaluation.pow2_exponents(b, axis=None)
+        a32 = evaluation.screen_table(a, p[:, None])
+        b32 = evaluation.screen_table(b, q)
+        assert np.all(evaluation.row_norms(a32) < 1 + 2.0 ** -20)
+        assert np.all(evaluation.row_norms(b32) < 1 + 2.0 ** -20)
+        s32 = np.matmul(a32, b32.T)
+        rows, cols = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
+        s = backend.spmm_grad_vals(rows, cols, a, b).reshape(s32.shape)
+        delta = evaluation.screen_margin(a32, p + q, evaluation.row_norms(b32).max())
+        with np.errstate(over="ignore"):
+            err = np.abs(s32 - np.ldexp(s, (p + q)[:, None]))
+        assert np.all((err <= delta[:, None]) | (delta[:, None] >= a.shape[1]))
 
 
 class TestScoreBuffer:
@@ -275,6 +439,31 @@ class TestScoreBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * chunk * ni * e.itemsize
+
+
+    def test_peak_allocation_is_the_float32_score_buffer(self):
+        # 600 users x 20k items: two chunks at the default 512 share one
+        # float32 buffer (41 MB). The slack is the (chunk, G) float32 group
+        # maxima and their partition (4.2 MB each) plus 4 MB for the float32
+        # item table and the survivors; a float64 buffer (82 MB) cannot fit.
+        nu, ni, chunk = 600, 20_000, 512
+        rng = np.random.default_rng(1)
+        items = rng.integers(ni, size=(nu, 3))
+        graph, split = buy_graph(
+            nu, ni, test=[(u, int(items[u, 0])) for u in range(nu)],
+            train=[(u, int(v)) for u in range(nu) for v in np.unique(items[u, 1:])
+                   if v != items[u, 0]])
+        e = rng.normal(size=(nu + ni, 8))
+        buffer = chunk * ni * 4
+        slack = 2 * chunk * evaluation.SCREEN_GROUPS * 4 + 4 * 2**20
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evaluate(e, graph, split, chunk=chunk)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffer + slack
 
 
 class TestFloat64Scores:

@@ -5,8 +5,8 @@ import pytest
 
 from chainrec.cli import main
 from chainrec.graph import (MultiplexBipartiteGraph, ParseError, SchemaError,
-                            load_interactions, make_schema, split_train_test,
-                            training_graph)
+                            load_interactions, make_schema, sorted_unique,
+                            split_train_test, training_graph)
 
 from conftest import random_multiplex_graph
 from oracles import load_interactions_reference
@@ -257,6 +257,20 @@ class TestInvariantsAndPersistence:
         assert buy[1] == 1
         assert buy[2] == 1                    # item side of a single edge
         assert buy[0] == 0                    # isolated under buy
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("keys", [
+        np.empty(0, np.int64),
+        np.full(50, 7, np.int64),
+        np.array([-3, 5, -3, 0, 5, -1], np.int64),
+        np.random.default_rng(0).integers(-1000, 1000, size=5000),
+        np.random.default_rng(1).integers(0, 2**62, size=(40, 30)),
+    ], ids=["empty", "all-duplicate", "negative", "random", "2-d"])
+    def test_equals_np_unique(self, keys):
+        got, want = sorted_unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSplit:
