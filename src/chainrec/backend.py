@@ -37,9 +37,9 @@ def spmm_grad_vals(rows, cols, g, x):
     return out
 
 
-def scatter_add_rows(idx, g, n, out=None):
-    """out[idx[k]] += g[k] into ``out`` or an (n, d) zero matrix; duplicate
-    ids accumulate.
+def scatter_add_rows(idx, g, n, out):
+    """out[idx[k]] += g[k] into the (n, d) matrix ``out``; duplicate ids
+    accumulate.
 
     Each id's rows are summed from zero in k order, then added to ``out``
     once: bit-equal to ``np.add.at`` into zeros, not into a nonzero ``out``.
@@ -47,8 +47,6 @@ def scatter_add_rows(idx, g, n, out=None):
     0/1 selection matrix of the distinct ids (a stable sort keeps k order),
     built here so that ``spmm`` stays the propagation product alone.
     """
-    if out is None:
-        out = np.zeros((n, g.shape[1]), dtype=g.dtype)
     if np.bincount(idx, minlength=n).max(initial=0) <= 1:
         out[idx] += g
         return out

@@ -51,13 +51,6 @@ def chain_forward(chain: RelationChain, first_relation_table,
     step j+1 applies the j-th user/item transforms rowwise. Returns the
     list of all ``len(chain.relations)`` step tables.
     """
-    if len(w_user) != chain.num_steps or len(w_item) != chain.num_steps:
-        raise ValueError(f"chain {chain.label()} needs {chain.num_steps} "
-                         f"transforms per side, got {len(w_user)}/{len(w_item)}")
-    d = ad.val(first_relation_table).shape[1]
-    for w in list(w_user) + list(w_item):
-        if ad.val(w).shape != (d, d):
-            raise ValueError(f"transform shape {ad.val(w).shape} != ({d}, {d})")
     steps = [first_relation_table]
     for wu, wv in zip(w_user, w_item):
         # rowwise e_next = W e is E @ W^T on each block
@@ -67,15 +60,9 @@ def chain_forward(chain: RelationChain, first_relation_table,
 
 def chain_embedding(all_step_tables):
     """Sum of every step table of every chain."""
-    flat = [t for steps in all_step_tables for t in steps]
-    if not flat:
-        raise ValueError("no chain step tables to sum")
-    return ad.add_n(flat)
+    return ad.add_n([t for steps in all_step_tables for t in steps])
 
 
 def final_embedding(h_ebp, e_rel, e_chain):
     """Elementwise mean of the three channel tables."""
-    shapes = {ad.val(h_ebp).shape, ad.val(e_rel).shape, ad.val(e_chain).shape}
-    if len(shapes) != 1:
-        raise ValueError(f"shape mismatch across channels: {shapes}")
     return ad.add_n([h_ebp, e_rel, e_chain], scale=1.0 / 3.0)

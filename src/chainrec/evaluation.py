@@ -46,10 +46,11 @@ the row's k-th best s is at least t - δ, and every top-k item, ties
 included, has s >= t - δ and so s32 >= t - 2δ. The entries of at least
 t - 2δ (one float32 step below it), in groups whose maximum reaches it,
 are rescored in float64 from the unscaled tables and sorted once per
-chunk by (row, -s, id). Exact for finite scores, with respect
-to that float64 score: another float64 kernel (the brute force's
-matrix-vector product) may round a dot product differently in its last
-bit, so items within an ulp or two can order differently there.
+chunk by (row, -s, id). Exact for finite scores, with respect to that
+float64 score; :func:`rank_items`, the brute force, scores with the same
+kernel, while another float64 kernel (a matrix-vector product, say) may
+round a dot product differently in its last bit and order items within
+an ulp or two differently.
 """
 
 from dataclasses import dataclass
@@ -71,10 +72,13 @@ SCREEN_GROUPS = 2048
 def rank_items(e_final: np.ndarray, num_users: int, user: int,
                exclude=()) -> np.ndarray:
     """All items ordered by descending score (ascending id on ties),
-    with excluded items removed. Returns global item indices."""
+    with excluded items removed. Returns global item indices. Scores come
+    from the kernel :func:`evaluate` rescores with, so the two agree on
+    near ties too."""
     e_final = np.asarray(e_final, dtype=np.float64)
     items = np.arange(num_users, e_final.shape[0])
-    scores = e_final[items] @ e_final[user]
+    scores = backend.spmm_grad_vals(np.full(items.shape[0], user), items,
+                                    e_final, e_final)
     if len(exclude):
         keep = ~np.isin(items, np.asarray(list(exclude)))
         items, scores = items[keep], scores[keep]

@@ -96,7 +96,7 @@ class DualChannelModel:
 
     def __init__(self, graph: MultiplexBipartiteGraph, cfg: RunConfig):
         self.graph = graph
-        self.cfg = cfg
+        self.cfg = cfg.validate()
         self.dtype = np.dtype(cfg.dtype)
         self.schema = graph.schema
         self.n = graph.num_nodes
@@ -186,7 +186,7 @@ class DualChannelModel:
                                                    cfg.layers, mode=cfg.glo_norm,
                                                    rows=rows)
         h_ebp = patterns.ebp_embeddings(h_loc, h_glo)
-        e_r = relations.aggregate_relations(rel_tables)
+        e_r = ad.add_n(rel_tables.values())
         n_user_rows = (self.num_users if rows is None
                        else int(np.searchsorted(rows, self.num_users)))
 
@@ -274,9 +274,9 @@ class DualChannelModel:
         # weighted contrastive term over auxiliary relations
         rel_losses, rel_raw_w = [], []
         for r in self.schema.auxiliaries:
-            feats = contrastive.relation_knowledge(r, rcl_losses[r],
+            feats = contrastive.relation_knowledge(rcl_losses[r],
                                                    ad.gather(emb["rel"][r], bu_c),
-                                                   e_final_rows, target)
+                                                   e_final_rows)
             raw = contrastive.encode_weight(feats, p["enc_rel.w"],
                                             p["enc_rel.b"], cfg.leaky_slope)
             rel_losses.append(rcl_losses[r])

@@ -101,10 +101,6 @@ def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
     with the p x p Gram matrix R^T S, and no N x N matrix or N x d layer
     but the output is formed. With ``rows`` (sorted unique node indices)
     the output is computed, and returned, only at those rows."""
-    if num_layers < 1:
-        raise ValueError("need at least one propagation layer")
-    if mode not in ("row", "sym"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
     col_tot = ad.asum(b_matrix, axis=0)
     rowsum = ad.matmul(b_matrix, col_tot)
     inv = ad.reciprocal_safe(rowsum) if mode == "row" else ad.rsqrt_safe(rowsum)
@@ -121,6 +117,4 @@ def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
 def ebp_embeddings(h_loc, h_glo):
     """Average-pool the local and global tables into the explicit-pattern
     embedding."""
-    if ad.val(h_loc).shape != ad.val(h_glo).shape:
-        raise ValueError(f"shape mismatch: {ad.val(h_loc).shape} vs {ad.val(h_glo).shape}")
     return ad.add_n([h_loc, h_glo], scale=0.5)

@@ -39,8 +39,6 @@ def propagate_stack(stack: BlockStack, vals, base, num_layers: int, rows) -> lis
     block: layer l on the stacked receptive field R_l, from layer l-1 on
     R_{l-1}; layer 1 reads ``base``, the stacked layer-0 tables, in place,
     so its x-adjoint is one dense table. ``vals`` are block 0's values."""
-    if num_layers < 1:
-        raise ValueError("need at least one propagation layer")
     n = stack.diag.n // stack.blocks
     stacked = (np.arange(stack.blocks)[:, None] * n + rows).reshape(-1)
     # [R_1, ..., R_L]: R_0 is never built, layer 1 reads all of ``base``
@@ -55,14 +53,3 @@ def propagate_stack(stack: BlockStack, vals, base, num_layers: int, rows) -> lis
         struct, x_rows = stack.diag, field
     return layers
 
-
-def aggregate_relations(per_relation):
-    """Elementwise sum of the relation-specific tables."""
-    tables = list(per_relation.values()) if isinstance(per_relation, dict) else list(per_relation)
-    if not tables:
-        raise ValueError("need at least one relation table")
-    shape = ad.val(tables[0]).shape
-    for t in tables[1:]:
-        if ad.val(t).shape != shape:
-            raise ValueError(f"shape mismatch: {ad.val(t).shape} vs {shape}")
-    return ad.add_n(tables)

@@ -60,8 +60,8 @@ def test_grad_and_scatter_paths_agree():
     for k, i in enumerate(idx):
         scattered[i] += rows[k]
         summed[i] += vals[k]
-    np.testing.assert_allclose(backend.scatter_add_rows(idx, rows, 10), scattered,
-                               rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(backend.scatter_add_rows(idx, rows, 10, np.zeros((10, 4))),
+                               scattered, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(backend.segment_sum(idx, vals, 10), summed,
                                rtol=1e-13, atol=1e-13)
 
@@ -158,7 +158,7 @@ def test_scatter_add_rows_equals_sequential_add(name, dtype):
     # mixed magnitudes make a reordered sum differ in the last bits
     g = (rng.normal(size=(idx.shape[0], 5))
          * 10.0 ** rng.integers(-8, 8, size=(idx.shape[0], 1))).astype(dtype)
-    out = backend.scatter_add_rows(idx, g, 10)
+    out = backend.scatter_add_rows(idx, g, 10, np.zeros((10, 5), dtype))
     want = _add_at(idx, g, 10)
     assert out.dtype == dtype and out.shape == (10, 5)
     assert np.array_equal(out, want)
@@ -172,7 +172,8 @@ def test_scatter_add_rows_bit_equal_on_a_large_shuffle():
     rng = np.random.default_rng(11)
     idx = rng.permutation(np.repeat(np.arange(500), 4))[:1700]
     g = rng.normal(size=(idx.shape[0], 16)) * 10.0 ** rng.integers(-6, 6, size=(idx.shape[0], 1))
-    assert np.array_equal(backend.scatter_add_rows(idx, g, 600), _add_at(idx, g, 600))
+    out = backend.scatter_add_rows(idx, g, 600, np.zeros((600, 16)))
+    assert np.array_equal(out, _add_at(idx, g, 600))
 
 
 @pytest.mark.parametrize("name", sorted(SCATTER_IDS))
@@ -198,4 +199,5 @@ def test_scatter_add_rows_does_not_go_through_spmm(monkeypatch):
     monkeypatch.setattr(backend, "spmm", fail)
     idx = np.asarray([3, 1, 3])
     g = np.arange(6.0).reshape(3, 2)
-    assert np.array_equal(backend.scatter_add_rows(idx, g, 4), _add_at(idx, g, 4))
+    out = backend.scatter_add_rows(idx, g, 4, np.zeros((4, 2)))
+    assert np.array_equal(out, _add_at(idx, g, 4))

@@ -379,8 +379,6 @@ class TestScreenMargin:
     rescores with. Where the capped underflow term makes δ >= d the row
     keeps every item, and the bound is not needed."""
 
-    # hypothesis reports a failure through libcst, whose import warns
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated")
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(margin_tables())
     @example(UNDERFLOW)
@@ -486,6 +484,31 @@ class TestFloat64Scores:
     def test_rank_items_ranks_b_first(self):
         graph, split, e = self._case()
         np.testing.assert_array_equal(rank_items(e, 1, 0), [2, 1])
+
+
+class TestNearTies:
+    """Half the item rows are copies of others moved one ulp up, so many
+    scores lie within an ulp or two of each other, where two float64
+    kernels can round a dot product apart. ``rank_items`` scores with the
+    kernel ``evaluate`` rescores with, so every top list still agrees (a
+    matrix-vector product disagreed for 291 of these 300 users)."""
+
+    def test_rank_items_agrees_with_evaluate_for_every_test_user(self):
+        nu, ni, d = 300, 3000, 64
+        rng = np.random.default_rng(0)
+        e = rng.normal(size=(nu + ni, d))
+        src, dst = (rng.choice(ni, size=ni // 2, replace=False) for _ in range(2))
+        e[nu + dst] = np.nextafter(e[nu + src], np.inf)
+        items = [rng.choice(ni, size=5, replace=False) for _ in range(nu)]
+        graph, split = buy_graph(
+            nu, ni, test=[(u, int(v)) for u in range(nu) for v in items[u][:2]],
+            train=[(u, int(v)) for u in range(nu) for v in items[u][2:]])
+        result = evaluate(e, graph, split)
+        assert len(result.users) == nu
+        su, sv = split.train_pairs("buy")
+        for u, top in zip(result.users, result.top_items):
+            full = rank_items(e, nu, u, exclude=sv[su == u])
+            np.testing.assert_array_equal(top, full[:len(top)])
 
 
 class TestSparsityGroups:

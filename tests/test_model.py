@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
-from chainrec.config import RunConfig
+from chainrec.config import ConfigError, RunConfig
 from chainrec.graph import MultiplexBipartiteGraph, split_train_test, training_graph
 from chainrec.model import DualChannelModel, TrainBatch, TrainingAbort
 from chainrec.sparse import receptive_fields
@@ -228,3 +228,17 @@ class TestFeatureFlags:
         got, _ = model.total_loss(params.tensors, batch)
         want = oracles.oracle_total_loss(model.graph, cfg, params.tensors, batch)
         assert abs(float(ad.val(got)) - want) < 1e-10 * max(1.0, abs(want))
+
+
+class TestConfigBoundary:
+    """The model validates its config once, at construction: a library
+    caller that builds a RunConfig directly gets the CLI's ConfigError
+    before any numeric code runs, and the channels check nothing again."""
+
+    @pytest.mark.parametrize("overrides", [{"layers": 0}, {"tau": 0.0},
+                                           {"glo_norm": "x"}],
+                             ids=["layers", "tau", "glo_norm"])
+    def test_bad_value_raises_at_construction(self, overrides):
+        graph = random_multiplex_graph(5, 6, ("view", "cart", "buy"), 0.5, seed=4)
+        with pytest.raises(ConfigError):
+            DualChannelModel(graph, RunConfig(**overrides))

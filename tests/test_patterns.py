@@ -305,14 +305,12 @@ class TestGlobalChannel:
 
 
 class TestEbpFusion:
-    def test_average_and_mismatch(self):
+    def test_average(self):
         a = np.asarray([[2.0, 0.0]])
         b = np.asarray([[0.0, 2.0]])
         np.testing.assert_allclose(ebp_embeddings(a, b), [[1.0, 1.0]])
         np.testing.assert_allclose(ebp_embeddings(a, a), a)
         np.testing.assert_allclose(ebp_embeddings(a, -a), [[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            ebp_embeddings(a, np.zeros((2, 2)))
 
 
 class TestLinearity:

@@ -5,8 +5,7 @@ import pytest
 
 from chainrec import autodiff as ad
 from chainrec import backend
-from chainrec.relations import (aggregate_relations, lightgcn_propagate,
-                                propagate_layers, propagate_stack)
+from chainrec.relations import lightgcn_propagate, propagate_layers, propagate_stack
 from chainrec.sparse import (BlockStack, SparseMatrix, build_struct, receptive_fields,
                              stack_blocks)
 
@@ -199,19 +198,3 @@ class TestPropagateStack:
         assert seen == per_layer[::-1]
         np.testing.assert_array_equal(v.grad[~np.isin(first.rows, fields[0])], 0.0)
 
-
-class TestAggregateRelations:
-    def test_identity_negation_and_sum(self):
-        t = np.random.default_rng(0).normal(size=(4, 3))
-        np.testing.assert_allclose(aggregate_relations([t]), t)
-        np.testing.assert_allclose(aggregate_relations([t, -t]), np.zeros_like(t))
-        ones = np.ones((2, 4))
-        np.testing.assert_allclose(aggregate_relations({"a": ones, "b": ones,
-                                                        "c": ones}),
-                                   3.0 * ones)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_relations([np.zeros((2, 2)), np.zeros((3, 2))])
-        with pytest.raises(ValueError):
-            aggregate_relations([])
