@@ -29,11 +29,13 @@ GRAD_VALS_BLOCK = 512
 
 
 def spmm_grad_vals(rows, cols, g, x):
-    """Per-edge gradient of spmm w.r.t. vals: dot(g[rows[k]], x[cols[k]])."""
+    """Per-edge gradient of spmm w.r.t. vals: dot(g[rows[k]], x[cols[k]]),
+    in the wider dtype, to which each gathered block is upcast."""
     out = np.empty(rows.shape[0], dtype=np.result_type(g, x))
     for start in range(0, rows.shape[0], GRAD_VALS_BLOCK):
         block = slice(start, start + GRAD_VALS_BLOCK)
-        np.einsum("ij,ij->i", g[rows[block]], x[cols[block]], out=out[block])
+        np.einsum("ij,ij->i", g[rows[block]].astype(out.dtype, copy=False),
+                  x[cols[block]].astype(out.dtype, copy=False), out=out[block])
     return out
 
 

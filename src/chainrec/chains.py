@@ -47,9 +47,9 @@ def chain_forward(chain: RelationChain, first_relation_table,
                   w_user, w_item, num_users: int):
     """Per-step tables of one chain.
 
-    Step 1 is the relation-specific table of the chain's first relation;
-    step j+1 applies the j-th user/item transforms rowwise. Returns the
-    list of all ``len(chain.relations)`` step tables.
+    Step 1 is ``first_relation_table``; step j+1 applies the j-th of the
+    given user/item transforms rowwise. Returns the first table and one
+    per transform pair.
     """
     steps = [first_relation_table]
     for wu, wv in zip(w_user, w_item):

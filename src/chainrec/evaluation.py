@@ -3,8 +3,8 @@ interaction-count group breakdown.
 
 Every test user is ranked against the whole item catalog (training
 positives removed), by float64 dot products of final embeddings (a
-float32 table is upcast once per call), and ties break by ascending
-item id.
+float32 table is upcast a few rows at a time, never whole), and ties
+break by ascending item id.
 
 Users are ranked a chunk at a time: a float32 screen keeps every item
 that can reach a row's top k, and only those are scored in float64 and
@@ -64,9 +64,13 @@ SPARSITY_BUCKETS = ((0, 4), (4, 5), (5, 6), (6, 7), (7, 10), (10, 60), (60, None
 
 # G of the top-k screen: more groups hold fewer columns each but make a
 # larger (chunk, G) table of maxima to partition. On the retail-like graph
-# (30k items, k 40, chunk 512) 2048 left about 40 candidates per user and
-# ranked as fast as 1024 or 4096, and faster than 512 or 8192.
+# (30k items, k 40) 2048 left about 40 candidates per user and, at chunk
+# 128, ranked in 214 ms against 223 (1024), 235 (4096) and 358 (512).
 SCREEN_GROUPS = 2048
+
+# Bytes of a default chunk's float32 scores and two (chunk, G) maxima: 123
+# users on the retail-like graph (4% slower than 512), all on small catalogs.
+CHUNK_BYTES = 16 * 2**20
 
 
 def rank_items(e_final: np.ndarray, num_users: int, user: int,
@@ -167,7 +171,7 @@ def _top_lists(rows, cols, vals, c: int, width: int):
     # numpy sorts complex numbers by (real, imag), so (-vals, id) is one
     # key; a stable sort by row, a radix sort on the narrowest row type,
     # then groups the rows: half the time of lexsort((cols, -vals, rows))
-    # on a chunk's 17k-25k survivors.
+    # on a 512-user chunk's 17k-25k survivors.
     order = np.argsort(-vals + 1j * cols, kind="stable")
     order = order[np.argsort(rows[order].astype(np.min_scalar_type(c)), kind="stable")]
     rows, cols = rows[order], cols[order]
@@ -181,16 +185,17 @@ def _top_lists(rows, cols, vals, c: int, width: int):
 
 def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
              split: DatasetSplit, ks=(5, 10, 20, 40),
-             chunk: int = 512) -> RankingResult:
+             chunk=None) -> RankingResult:
     """Rank the full catalog for every user with test interactions.
 
     Training positives of the target relation are excluded from each
     user's candidate list; users without test items are skipped. Metrics
     are bit-identical to the scalar references in ``tests/oracles.py``.
+    By default a chunk of users fills ``CHUNK_BYTES``.
     """
     ks = tuple(sorted(ks))
-    e_final = np.asarray(e_final, dtype=np.float64)
     num_users, num_items = graph.num_users, graph.num_items
+    chunk = chunk or max(1, CHUNK_BYTES // (4 * num_items + 8 * min(SCREEN_GROUPS, num_items)))
     width = min(ks[-1], num_items)
     tu, tv = split.test_edges
     users = sorted_unique(tu).astype(np.int64)
@@ -207,14 +212,16 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
 
     items = e_final[num_users:]
     item_exp = pow2_exponents(items, axis=None)
-    items32 = screen_table(items, item_exp)
+    items32 = np.empty(items.shape, np.float32)
+    for i in range(0, num_items, chunk):
+        items32[i:i + chunk] = screen_table(items[i:i + chunk].astype(np.float64), item_exp)
     item_norm = row_norms(items32).max(initial=0.0)
     # one float32 score buffer for every chunk, so no two chunks are ever live
     buf = np.empty((min(chunk, len(users)), num_items), np.float32)
     for start in range(0, len(users), chunk):
         batch = users[start:start + chunk]
         stop = start + len(batch)
-        u64 = e_final[batch]
+        u64 = e_final[batch].astype(np.float64, copy=False)
         user_exp = pow2_exponents(u64)
         u32 = screen_table(u64, user_exp[:, None])
         scores = np.matmul(u32, items32.T, out=buf[:len(batch)])

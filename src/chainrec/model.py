@@ -2,8 +2,8 @@
 initialization, the forward pass producing all embedding tables, and the
 joint training objective.
 
-The forward math runs on plain ndarrays for inference and on tape Vars for
-training; both paths share the same code via the autodiff dispatch.
+Training runs :meth:`DualChannelModel.embeddings` on tape Vars at a batch's
+rows; inference, :meth:`DualChannelModel.final_embeddings` on ndarrays.
 """
 
 from dataclasses import dataclass, field
@@ -151,44 +151,33 @@ class DualChannelModel:
     # forward
     # ------------------------------------------------------------------
 
-    def embeddings(self, p: dict, rows=None) -> dict:
-        """All embedding tables from a name->tensor (or name->Var) mapping.
-
-        With ``rows`` (sorted unique node indices) every returned table is
-        compact, indexed by position in ``rows``. The local and relation
-        channels then propagate through ``self.stack``, one product per
-        layer, each layer only on its receptive field: the last at the
-        rows, each earlier one at the nodes the next one reads. (Without
-        ``rows``, one full operator at a time.) The global channel
-        propagates through its p x p pattern Gram matrix and forms its
-        output only at the rows.
-        The dense chain channel and the fused tables are computed only at
-        the rows too, which keeps a training step's dense work independent
-        of catalog size.
-        """
+    def embeddings(self, p: dict, rows) -> dict:
+        """The training path: every embedding table at ``rows`` (sorted unique
+        node indices), indexed by position in ``rows``, from a name->tensor
+        (or name->Var) mapping. The local and relation channels propagate
+        through ``self.stack``, one product per layer, each layer only on its
+        receptive field: the last at the rows, each earlier one at the nodes
+        the next one reads. The global channel propagates through its p x p
+        pattern Gram matrix and forms its output only at the rows. The dense
+        chain channel and the fused tables are computed only at the rows too,
+        which keeps a training step's dense work independent of catalog size."""
         cfg = self.cfg
         adj_loc = patterns.local_adjacency(self.patterns, p["local_logits"])
         base_loc, base_rel = self._base(p, "local"), self._base(p, "relation")
-        if rows is None:
-            h_loc = patterns.propagate_local(adj_loc, base_loc, cfg.layers)
-            rel_tables = {r: relations.lightgcn_propagate(adj, base_rel, cfg.layers)
-                          for r, adj in self.rel_adj.items()}
-        else:
-            x = ad.concat([base_loc, base_rel], 0) if cfg.separate_base else base_loc
-            loc, *rel = relations.propagate_stack(self.stack, adj_loc.values, x,
-                                                  cfg.layers, rows)
-            h_loc = patterns.layer_mean(loc)
-            base_rows = ad.gather(base_rel, rows)
-            rel_tables = {r: ad.add_n([base_rows, *layers])
-                          for r, layers in zip(self.rel_adj, rel)}
+        x = ad.concat([base_loc, base_rel], 0) if cfg.separate_base else base_loc
+        loc, *rel = relations.propagate_stack(self.stack, adj_loc.values, x,
+                                              cfg.layers, rows)
+        h_loc = patterns.layer_mean(loc)
+        base_rows = ad.gather(base_rel, rows)
+        rel_tables = {r: ad.add_n([base_rows, *layers])
+                      for r, layers in zip(self.rel_adj, rel)}
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
         h_glo = patterns.propagate_global_factored(b_mat, self._base(p, "global"),
                                                    cfg.layers, mode=cfg.glo_norm,
                                                    rows=rows)
         h_ebp = patterns.ebp_embeddings(h_loc, h_glo)
         e_r = ad.add_n(rel_tables.values())
-        n_user_rows = (self.num_users if rows is None
-                       else int(np.searchsorted(rows, self.num_users)))
+        n_user_rows = int(np.searchsorted(rows, self.num_users))
 
         chain_steps = []
         for i, chain in enumerate(self.chains):
@@ -208,8 +197,30 @@ class DualChannelModel:
                 "chain_steps": chain_steps, "e_c": e_c, "final": e_final}
 
     def final_embeddings(self, params: ModelParams) -> np.ndarray:
-        """Inference-path final table (plain ndarray)."""
-        return ad.val(self.embeddings(params.tensors)["final"])
+        """The final table at every node, untaped, bit-identical to that of
+        :meth:`embeddings` at every row. It holds about 7 n x d tables at its
+        peak: ``e_c`` (zeros with no chains) adds each chain step in that order
+        and drops it once the next is made, and the relation tables go before
+        the pattern channel."""
+        p, cfg = params.tensors, self.cfg
+        rel = {r: relations.lightgcn_propagate(adj, self._base(p, "relation"), cfg.layers)
+               for r, adj in self.rel_adj.items()}
+        e_r, e_c = ad.add_n(rel.values()), None
+        for i, chain in enumerate(self.chains):
+            step = rel[chain.relations[0]]
+            e_c = step.copy() if e_c is None else np.add(e_c, step, out=e_c)
+            for j in range(chain.num_steps):
+                step = chain_forward(chain, step, [p[f"chain{i}.user{j}"]],
+                                     [p[f"chain{i}.item{j}"]], self.num_users)[-1]
+                e_c += step
+        rel = step = None
+        adj_loc = patterns.local_adjacency(self.patterns, p["local_logits"])
+        b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
+        h_ebp = patterns.ebp_embeddings(
+            patterns.propagate_local(adj_loc, self._base(p, "local"), cfg.layers),
+            patterns.propagate_global_factored(b_mat, self._base(p, "global"),
+                                               cfg.layers, mode=cfg.glo_norm))
+        return final_embedding(h_ebp, e_r, np.zeros_like(e_r) if e_c is None else e_c)
 
     # ------------------------------------------------------------------
     # loss

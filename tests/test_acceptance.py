@@ -99,9 +99,9 @@ def test_criterion_02_partition_property():
 
 
 def test_criterion_03_propagation_oracles():
-    # each channel through model.embeddings, on the full graph (inference)
-    # and at a row subset (training: one stacked operator for the local and
-    # relation channels), against a dense reference built from the edges
+    # each channel through model.embeddings (one stacked operator for the
+    # local and relation channels) at every row and at a row subset,
+    # against a dense reference built from the edges
     worst = 0.0
     for seed in range(12):
         rels = ("a", "b", "c") if seed % 2 == 0 else ("a", "b", "c", "d")
@@ -122,7 +122,7 @@ def test_criterion_03_propagation_oracles():
         want = {"h_loc": oracles.local_propagation(dense, logits, base, layers),
                 "h_glo": oracles.propagate_global(sim, base, layers)}
         want.update({r: oracles.relation_propagation(g, r, base, layers) for r in rels})
-        for at, emb in ((slice(None), model.embeddings(p)),
+        for at, emb in ((slice(None), model.embeddings(p, rows=np.arange(g.num_nodes))),
                         (rows, model.embeddings(p, rows=rows))):
             for key, ref in want.items():
                 got = emb["rel"][key] if key in rels else emb[key]

@@ -1,14 +1,20 @@
 """Whole-model checks: the independent dense re-implementation, path
-equality between ndarray and tape forwards, and term switch-off."""
+equality between ndarray and tape forwards, the inference pass's bit
+identity to the row path and its memory peak, and term switch-off."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
+from chainrec import evaluation, patterns, relations
 from chainrec.config import ConfigError, RunConfig
-from chainrec.graph import MultiplexBipartiteGraph, split_train_test, training_graph
+from chainrec.graph import (MultiplexBipartiteGraph, load_interactions, make_schema,
+                            split_train_test, training_graph)
 from chainrec.model import DualChannelModel, TrainBatch, TrainingAbort
 from chainrec.sparse import receptive_fields
+from chainrec.synth import write_synthetic
 from chainrec.training import backward
 
 import oracles
@@ -47,8 +53,9 @@ class TestDualImplementation:
 
     def test_var_and_ndarray_forwards_agree(self, tiny_setup):
         _, _, model, params, batch, _ = tiny_setup
-        emb_nd = model.embeddings(params.tensors)
-        emb_var = model.embeddings(params.as_vars())
+        every = np.arange(model.n)
+        emb_nd = model.embeddings(params.tensors, rows=every)
+        emb_var = model.embeddings(params.as_vars(), rows=every)
         np.testing.assert_allclose(ad.val(emb_var["final"]), emb_nd["final"],
                                    rtol=1e-12, atol=1e-14)
         loss_nd, _ = model.total_loss(params.tensors, batch)
@@ -75,7 +82,9 @@ def _two_component_graph():
 
 
 class TestRowRestrictedEmbeddings:
-    """embeddings(p, rows) against the full tables read at those rows."""
+    """embeddings(p, rows) against the tables at every row read at those
+    rows, and the sparse channels against their one-operator-at-a-time
+    functions, called directly."""
 
     KEYS = ("h_loc", "h_glo", "h_ebp", "e_r", "e_c", "final")
 
@@ -114,22 +123,32 @@ class TestRowRestrictedEmbeddings:
                         **overrides).validate()
         model = DualChannelModel(graph, cfg)
         params = model.init_params(cfg.seed)
-        full = model.embeddings(params.tensors)
-        part = model.embeddings(params.tensors, rows=rows)
+        p = params.tensors
+        full = model.embeddings(p, rows=np.arange(model.n))
+        part = model.embeddings(p, rows=rows)
         for key in self.KEYS:
             np.testing.assert_allclose(part[key], full[key][rows], rtol=1e-13,
                                        atol=1e-15, err_msg=key)
         # every layer of the sparse channels sums the same CSR rows in the
-        # same order as the full product
-        np.testing.assert_array_equal(part["h_loc"], full["h_loc"][rows])
+        # same order as the full one-operator products
+        sep = cfg.separate_base
+        h_loc = patterns.propagate_local(
+            patterns.local_adjacency(model.patterns, p["local_logits"]),
+            p["base_local" if sep else "base"], layers)
+        np.testing.assert_array_equal(part["h_loc"], h_loc[rows])
         for r, table in part["rel"].items():
-            np.testing.assert_array_equal(table, full["rel"][r][rows])
+            rel = relations.lightgcn_propagate(model.rel_adj[r],
+                                               p["base_relation" if sep else "base"],
+                                               layers)
+            np.testing.assert_array_equal(table, rel[rows])
+        np.testing.assert_array_equal(part["final"],
+                                      model.final_embeddings(params)[rows])
 
         coeff = np.random.default_rng(layers).normal(size=(rows.shape[0], cfg.dim))
         grads = []
         for use_rows in (False, True):
             pv = params.as_vars()
-            emb = model.embeddings(pv, rows=rows if use_rows else None)
+            emb = model.embeddings(pv, rows=rows if use_rows else np.arange(model.n))
             final = emb["final"] if use_rows else ad.gather(emb["final"], rows)
             ad.backward(ad.asum(ad.mul(final, coeff)))
             grads.append({k: v.grad for k, v in pv.items()})
@@ -141,6 +160,86 @@ class TestRowRestrictedEmbeddings:
                                        atol=1e-13, err_msg=name)
 
 
+class TestInferencePath:
+    """final_embeddings, the untaped inference pass, is bit-identical to the
+    row path at every row, whatever the schema, dtype and variant."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("rels, overrides", [
+        (("view", "cart", "buy"), {}),
+        (("tips", "neutral", "dislike", "like"), {}),
+        (("buy",), {}),
+        (("view", "cart", "buy"), {"separate_base": True}),
+        (("view", "cart", "buy"), {"glo_norm": "sym", "layers": 3}),
+    ], ids=["three", "four", "single", "separate_base", "sym"])
+    def test_equals_the_row_path_at_every_row(self, rels, overrides, dtype):
+        graph = random_multiplex_graph(9, 14, rels, 0.3, seed=len(rels))
+        cfg = RunConfig(dim=4, seed=1, relations=rels, target=rels[-1],
+                        dtype=dtype, **overrides).validate()
+        model = DualChannelModel(graph, cfg)
+        params = model.init_params(cfg.seed)
+        rng = np.random.default_rng(5)
+        # off the initial logits and biases, so no channel is uniform
+        for name, t in params.tensors.items():
+            params.tensors[name] = (t + rng.normal(0, 0.1, size=t.shape)).astype(t.dtype)
+        got = model.final_embeddings(params)
+        want = model.embeddings(params.tensors, rows=np.arange(model.n))
+        assert got.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(got, want["final"])
+        if len(rels) == 1:  # no chains: e_c is zeros
+            assert not model.chains and not np.any(want["e_c"])
+
+
+@pytest.fixture(scope="module")
+def synth_inference(tmp_path_factory):
+    """A float32 model of d 256 on a synth graph of about 4.9k nodes: one
+    n x d table is 4.8 MiB, as on the retail-like graph well above the
+    pass's fixed scratch (the ranking's (chunk, G) group maxima: 1 MiB)."""
+    cfg = RunConfig(synth_users=600, synth_items=8000, synth_clusters=40,
+                    dim=256, seed=0).validate()
+    data = tmp_path_factory.mktemp("synth") / "synth.tsv"
+    write_synthetic(cfg, data)
+    graph = load_interactions(data, make_schema(cfg.relations, cfg.target))
+    split = split_train_test(graph, cfg.ratio, cfg.seed)
+    model = DualChannelModel(training_graph(graph, split), cfg)
+    return model, model.init_params(cfg.seed), split
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Bytes allocated by ``fn`` at its peak, above what was live before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestInferenceMemory:
+    """The inference pass holds only the tables it still needs: at most 8
+    of n x d in the forward, and one chunk's float32 scores and screen
+    maxima plus 2 tables in the ranking, which upcasts no whole table."""
+
+    def test_forward_peak_is_at_most_8_tables(self, synth_inference):
+        model, params, _ = synth_inference
+        table = model.n * model.cfg.dim * np.dtype(model.dtype).itemsize
+        model.final_embeddings(params)  # warm-up
+        assert _traced_peak(model.final_embeddings, params) <= 8 * table
+
+    def test_ranking_peak_is_one_chunk_and_2_tables(self, synth_inference):
+        # a chunk: its float32 scores and the screen's two float32 (chunk, G)
+        # maxima tables, the bytes the default chunk is sized by
+        model, params, split = synth_inference
+        e_final = model.final_embeddings(params)
+        items = model.graph.num_items
+        per_user = 4 * items + 8 * min(evaluation.SCREEN_GROUPS, items)
+        chunk = evaluation.CHUNK_BYTES // per_user
+        n_users = np.unique(split.test_edges[0]).shape[0]
+        peak = _traced_peak(evaluation.evaluate, e_final, model.graph, split)
+        assert peak <= min(chunk, n_users) * per_user + 2 * e_final.nbytes
+
+
 class TestTermSwitchOff:
     def test_mu_zero_leaves_only_chain_terms(self, tiny_setup):
         graph, split, model, params, batch, cfg = tiny_setup
@@ -150,7 +249,7 @@ class TestTermSwitchOff:
         params.tensors["enc_chain.w"][:] = 0.0
         params.tensors["enc_chain.b"] = np.asarray(2.0)
         total, bd = model_off.total_loss(params.tensors, batch)
-        emb = model_off.embeddings(params.tensors)
+        emb = model_off.embeddings(params.tensors, rows=np.arange(model_off.n))
         by_hand = 0.0
         for i, (cu, cp, cn) in batch.chain_triples.items():
             table = emb["chain_steps"][i][-1]
