@@ -5,9 +5,10 @@ underscores); a flag wins over the config file. Exit codes: 0 success,
 1 usage, config or data error (including a malformed command line, an
 unknown flag, data with no target edges, a split with no test edge or
 no training target edge, a user with no item left to sample as a
-negative, a checkpoint whose parameters are not of the run's dtype, and
-an evaluate flag or config value that changes a key of the checkpoint),
-2 runtime abort.
+negative, a checkpoint whose parameters are not of the run's dtype, a
+config file or checkpoint that sets a retired key to a value this
+version no longer computes, and an evaluate flag or config value that
+changes a key of the checkpoint), 2 runtime abort.
 """
 
 import argparse
@@ -34,16 +35,6 @@ from .training import train as run_training
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
-
-# keys that configs embedded in older checkpoints carry but that no longer
-# exist, each with the one value under which the forward pass is unchanged
-# (None: any value, the key never reached it); evaluate drops them so those
-# checkpoints stay usable, and refuses one that set a key otherwise. A
-# non-empty chain_order sequenced the chains over order, so it is read as
-# order instead.
-RETIRED_KEYS = {"attributes": None, "workers": None, "chain_score": None,
-                "per_user_weights": None, "raw_local_adj": "False",
-                "chain_order": ""}
 
 
 class UsageError(Exception):
@@ -198,17 +189,7 @@ def cmd_evaluate(args) -> int:
     if not pre.checkpoint:
         raise UsageError("evaluate needs --checkpoint")
     ckpt = load_checkpoint(pre.checkpoint)
-    kept, renamed = [], []
-    for line in ckpt["config_text"].splitlines():
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in RETIRED_KEYS:
-            kept.append(line)
-        elif key == "chain_order" and value:
-            renamed.append(f"order = {value}")
-        elif RETIRED_KEYS[key] not in (None, value):
-            raise UsageError(f"checkpoint sets retired key {key!r} to {value}, "
-                             f"a forward pass this version no longer computes")
-    base_values = parse_config_text("\n".join(kept + renamed), origin="<checkpoint>")
+    base_values = parse_config_text(ckpt["config_text"], origin=pre.checkpoint)
     cfg = _make_config(args, base_values=base_values)
     # every key but the evaluation-side ones comes from the checkpoint
     trained = make_config(base_values=base_values)

@@ -4,8 +4,10 @@ output directory before any run so results are reproducible from the run
 directory alone.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 DEFAULT_OUT_ENV = "CHAINREC_OUT"
 
@@ -30,7 +32,6 @@ class RunConfig:
     layers: int = 2
     mu_scale: float = 1.0
     leaky_slope: float = 0.01
-    glo_norm: str = "row"
 
     # optimization
     lr: float = 1e-3
@@ -41,15 +42,11 @@ class RunConfig:
     mu1: float = 0.1
     mu2: float = 0.5
     tau: float = 0.1
-    neg_cap: int = 100
 
     # evaluation
     eval_every: int = 1
     ks: tuple = (5, 10, 20, 40)
     csv: bool = False
-
-    # model variant
-    separate_base: bool = False     # one base table per channel
 
     # runtime
     dtype: str = "float32"
@@ -66,7 +63,17 @@ class RunConfig:
     synth_zipf: float = 0.0        # Zipf exponent of item popularity per cluster
     cascade: float = 1.0
 
+    # retired keys, not fields: perfbench reads them until ROADMAP item 2
+    glo_norm: ClassVar[str] = "row"
+    separate_base: ClassVar[bool] = False
+    neg_cap: ClassVar[int] = 100
+
     def validate(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.layers < 1:
@@ -90,8 +97,6 @@ class RunConfig:
             raise ConfigError(f"ks must all be >= 1, got {','.join(map(str, self.ks))}")
         if not 0 < self.ratio < 1:
             raise ConfigError(f"ratio must be in (0, 1), got {self.ratio}")
-        if self.glo_norm not in ("row", "sym"):
-            raise ConfigError(f"glo_norm must be row|sym, got {self.glo_norm!r}")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64|float32, got {self.dtype!r}")
         if not 0 < self.leaky_slope < 1:
@@ -124,6 +129,15 @@ _TUPLE_INT = {"ks"}
 _TUPLE_STR = {"relations", "order"}
 _BOOLS = {name for name, kind in _FIELD_TYPES.items() if kind is bool}
 
+_FALSE = ("false", "0", "no", "off")
+# keys that older config files and checkpoints carry, each with the spellings
+# of the one value under which a run is unchanged (None: any value, the key
+# never reached the model). That value loads with the key dropped; any other
+# is refused. A non-empty chain_order is read as order, its new name.
+RETIRED_KEYS = {"attributes": None, "workers": None, "chain_score": None,
+                "per_user_weights": None, "neg_cap": None, "raw_local_adj": _FALSE,
+                "separate_base": _FALSE, "glo_norm": ("row",), "chain_order": ("",)}
+
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
@@ -133,7 +147,7 @@ def _parse_value(key: str, raw: str):
         low = raw.lower()
         if low in ("1", "true", "yes", "on"):
             return True
-        if low in ("0", "false", "no", "off"):
+        if low in _FALSE:
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     kind = _FIELD_TYPES[key]
@@ -152,7 +166,8 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+    """Parse ``key = value`` lines; '#' starts a comment. Retired keys are
+    dropped or refused as :data:`RETIRED_KEYS` says."""
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -161,7 +176,15 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
         if "=" not in line:
             raise ConfigError(f"{origin}:{line_no}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key == "chain_order" and raw:
+            key = "order"
+        elif key in RETIRED_KEYS:
+            kept = RETIRED_KEYS[key]
+            if kept is not None and raw.lower() not in kept:
+                raise ConfigError(f"{origin}:{line_no}: retired key {key!r} is {raw}; "
+                                  f"this version computes only {key} = {kept[0]}")
+            continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{origin}:{line_no}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)

@@ -235,7 +235,6 @@ class DatasetSplit:
 
     train_edges: dict
     test_edges: tuple
-    seed: int
 
     def train_pairs(self, relation: str) -> tuple:
         return self.train_edges[relation]
@@ -265,7 +264,7 @@ def split_train_test(graph: MultiplexBipartiteGraph, ratio: float,
     train_edges = {r: graph.edges[r] for r in graph.schema.relations if r != target}
     train_edges[target] = (u[train_idx], v[train_idx])
     return DatasetSplit(train_edges=train_edges,
-                        test_edges=(u[test_idx], v[test_idx]), seed=seed)
+                        test_edges=(u[test_idx], v[test_idx]))
 
 
 def training_graph(graph: MultiplexBipartiteGraph,

@@ -24,10 +24,6 @@ class TrainingAbort(RuntimeError):
     """Non-finite value in a named loss term or gradient; CLI exit code 2."""
 
 
-BASE_KEYS_SHARED = ("base",)
-BASE_KEYS_SEPARATE = ("base_local", "base_global", "base_relation")
-
-
 @dataclass
 class ModelParams:
     """Every learnable tensor, keyed by name; optimizer state mirrors keys."""
@@ -58,9 +54,7 @@ def param_shapes(schema, cfg: RunConfig, n: int) -> dict:
     """Name -> shape of every learnable tensor of a model of ``n`` nodes,
     in the order :meth:`DualChannelModel.init_params` creates them."""
     d, n_pat = cfg.dim, schema.num_patterns
-    keys = BASE_KEYS_SEPARATE if cfg.separate_base else BASE_KEYS_SHARED
-    shapes = {k: (n, d) for k in keys}
-    shapes.update(local_logits=(n_pat,), global_logits=(n_pat,))
+    shapes = {"base": (n, d), "local_logits": (n_pat,), "global_logits": (n_pat,)}
     for i, chain in enumerate(enumerate_chains(schema)):
         for j in range(chain.num_steps):
             shapes[f"chain{i}.user{j}"] = (d, d)
@@ -112,10 +106,9 @@ class DualChannelModel:
     @cached_property
     def stack(self):
         """The row path's union and relation operators as one, built on
-        first use: layer 1 reads [base] or [base_local; base_relation]."""
+        first use: layer 1 of every block reads the one base table."""
         rels = list(self.rel_adj.values())
         return stack_blocks([self.patterns.struct] + [a.struct for a in rels],
-                            [0] + [int(self.cfg.separate_base)] * len(rels),
                             np.concatenate([a.values for a in rels]))
 
     # ------------------------------------------------------------------
@@ -128,7 +121,7 @@ class DualChannelModel:
         rng = stream_rng(seed, "init")
         p = {}
         for name, shape in param_shapes(self.schema, self.cfg, self.n).items():
-            if name.startswith("base"):
+            if name == "base":
                 p[name] = rng.normal(0.0, 0.1, size=shape)
             elif name == "global_logits":
                 p[name] = np.full(shape, np.log(np.e - 1.0))
@@ -137,15 +130,6 @@ class DualChannelModel:
             else:
                 p[name] = xavier(rng, shape)
         return ModelParams({k: v.astype(self.dtype) for k, v in p.items()})
-
-    def _base(self, p, channel: str):
-        if self.cfg.separate_base:
-            return p[f"base_{channel}"]
-        return p["base"]
-
-    def _base_tensors(self, p):
-        keys = BASE_KEYS_SEPARATE if self.cfg.separate_base else BASE_KEYS_SHARED
-        return [p[k] for k in keys]
 
     # ------------------------------------------------------------------
     # forward
@@ -163,17 +147,14 @@ class DualChannelModel:
         which keeps a training step's dense work independent of catalog size."""
         cfg = self.cfg
         adj_loc = patterns.local_adjacency(self.patterns, p["local_logits"])
-        base_loc, base_rel = self._base(p, "local"), self._base(p, "relation")
-        x = ad.concat([base_loc, base_rel], 0) if cfg.separate_base else base_loc
-        loc, *rel = relations.propagate_stack(self.stack, adj_loc.values, x,
+        loc, *rel = relations.propagate_stack(self.stack, adj_loc.values, p["base"],
                                               cfg.layers, rows)
         h_loc = patterns.layer_mean(loc)
-        base_rows = ad.gather(base_rel, rows)
+        base_rows = ad.gather(p["base"], rows)
         rel_tables = {r: ad.add_n([base_rows, *layers])
                       for r, layers in zip(self.rel_adj, rel)}
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
-        h_glo = patterns.propagate_global_factored(b_mat, self._base(p, "global"),
-                                                   cfg.layers, mode=cfg.glo_norm,
+        h_glo = patterns.propagate_global_factored(b_mat, p["base"], cfg.layers,
                                                    rows=rows)
         h_ebp = patterns.ebp_embeddings(h_loc, h_glo)
         e_r = ad.add_n(rel_tables.values())
@@ -203,7 +184,7 @@ class DualChannelModel:
         and drops it once the next is made, and the relation tables go before
         the pattern channel."""
         p, cfg = params.tensors, self.cfg
-        rel = {r: relations.lightgcn_propagate(adj, self._base(p, "relation"), cfg.layers)
+        rel = {r: relations.lightgcn_propagate(adj, p["base"], cfg.layers)
                for r, adj in self.rel_adj.items()}
         e_r, e_c = ad.add_n(rel.values()), None
         for i, chain in enumerate(self.chains):
@@ -217,9 +198,8 @@ class DualChannelModel:
         adj_loc = patterns.local_adjacency(self.patterns, p["local_logits"])
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
         h_ebp = patterns.ebp_embeddings(
-            patterns.propagate_local(adj_loc, self._base(p, "local"), cfg.layers),
-            patterns.propagate_global_factored(b_mat, self._base(p, "global"),
-                                               cfg.layers, mode=cfg.glo_norm))
+            patterns.propagate_local(adj_loc, p["base"], cfg.layers),
+            patterns.propagate_global_factored(b_mat, p["base"], cfg.layers))
         return final_embedding(h_ebp, e_r, np.zeros_like(e_r) if e_c is None else e_c)
 
     # ------------------------------------------------------------------
@@ -229,7 +209,7 @@ class DualChannelModel:
     def _reg(self, p, users, pos, neg, extra=()):
         """lambda * ||theta||^2 over the batch's base rows + extra tensors."""
         idx = np.concatenate([users, pos, neg])
-        terms = [ad.sumsq(ad.gather(base, idx)) for base in self._base_tensors(p)]
+        terms = [ad.sumsq(ad.gather(p["base"], idx))]
         return ad.add_n(terms + [ad.sumsq(t) for t in extra], scale=self.cfg.l2)
 
     def total_loss(self, p: dict, batch: TrainBatch):

@@ -94,7 +94,8 @@ def layer_mean(layers):
 def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
                               rows=None):
     """L rounds of propagation through norm(B B^T), row-normalized
-    (``mode='row'``) or 1/sqrt(rowsum) on both sides (``'sym'``); zero rows
+    (``mode='row'``, the model's) or 1/sqrt(rowsum) on both sides
+    (``'sym'``; perfbench passes ``mode`` until ROADMAP item 2); zero rows
     stay zero and the final layer is returned. With the normalizer folded
     into a scaled copy S of B and R = B (row) or S (sym), the final layer
     is (S R^T)^L base = S (R^T S)^(L-1) R^T base: every round is a product

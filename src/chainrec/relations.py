@@ -37,8 +37,9 @@ def propagate_stack(stack: BlockStack, vals, base, num_layers: int, rows) -> lis
     node indices), as one list per block, each layer bit-identical to the
     rows of that block's full layer. One product per layer serves every
     block: layer l on the stacked receptive field R_l, from layer l-1 on
-    R_{l-1}; layer 1 reads ``base``, the stacked layer-0 tables, in place,
-    so its x-adjoint is one dense table. ``vals`` are block 0's values."""
+    R_{l-1}; layer 1 reads ``base``, the layer-0 table every block shares,
+    in place, so its x-adjoint is one dense table. ``vals`` are block 0's
+    values."""
     n = stack.diag.n // stack.blocks
     stacked = (np.arange(stack.blocks)[:, None] * n + rows).reshape(-1)
     # [R_1, ..., R_L]: R_0 is never built, layer 1 reads all of ``base``

@@ -77,8 +77,9 @@ def receptive_fields(struct: CSRStruct, rows, num_layers: int) -> list:
 class BlockStack:
     """Square operators over the same n nodes, stacked: row b*n + i is row i
     of block b. ``diag`` reads the stacked previous layer (column b*n + j),
-    ``first`` the stacked layer-0 tables; ``const`` holds the values of
-    every edge after block 0's, whose values come with each product."""
+    ``first`` the one layer-0 table that every block shares (column j);
+    ``const`` holds the values of every edge after block 0's, whose values
+    come with each product."""
 
     blocks: int
     first: CSRStruct
@@ -86,16 +87,15 @@ class BlockStack:
     const: object = None
 
 
-def stack_blocks(structs: list, first_block: list, const=None) -> BlockStack:
-    """Block b of ``first`` reads layer-0 table first_block[b]."""
+def stack_blocks(structs: list, const=None) -> BlockStack:
+    """The operators ``structs`` as one :class:`BlockStack`."""
     n, k = structs[0].n, len(structs)
     ends = np.cumsum([0] + [s.nnz for s in structs])
     indptr = np.concatenate([s.indptr[:-1] + e for s, e in zip(structs, ends)] + [ends[-1:]])
     rows = np.concatenate([s.rows + b * n for b, s in enumerate(structs)])
     cols = np.concatenate([s.cols for s in structs])
     block = np.repeat(np.arange(k), np.diff(ends))
-    first = cols + np.asarray(first_block, dtype=np.int64)[block] * n
-    return BlockStack(k, CSRStruct(k * n, indptr, first, rows),
+    return BlockStack(k, CSRStruct(k * n, indptr, cols, rows),
                       CSRStruct(k * n, indptr, cols + block * n, rows), const)
 
 

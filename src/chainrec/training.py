@@ -48,7 +48,7 @@ class TripleSampler:
     """Precomputed positive sets per context; draws per-step triples."""
 
     def __init__(self, model: DualChannelModel, split: DatasetSplit, seed: int,
-                 neg_cap: int = 100):
+                 neg_cap: int = 100):  # perfbench passes it until ROADMAP item 2
         self.model = model
         self.num_users = model.graph.num_users
         self.num_items = model.graph.num_items
@@ -238,7 +238,7 @@ def train(graph: MultiplexBipartiteGraph, split: DatasetSplit, cfg: RunConfig,
         params = model.init_params(cfg.seed)
     if state is None:
         state = AdamState.init(params)
-    sampler = TripleSampler(model, split, cfg.seed, neg_cap=cfg.neg_cap)
+    sampler = TripleSampler(model, split, cfg.seed)
     if sampler_rng_state is not None:
         sampler.set_state(sampler_rng_state)
 

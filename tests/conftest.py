@@ -34,7 +34,7 @@ def buy_graph(nu, ni, test, train):
                                     num_users=nu, num_items=ni,
                                     edges={"view": empty, "buy": edges(test + train)})
     split = DatasetSplit(train_edges={"view": empty, "buy": edges(train)},
-                         test_edges=edges(test), seed=0)
+                         test_edges=edges(test))
     return graph, split
 
 

@@ -141,12 +141,9 @@ def infonce_reference(anchor_rows, other_rows, tau):
 
 
 def oracle_total_loss(train_graph, cfg, tensors, batch):
-    """Full forward + loss from raw parameter tensors, straight-line dense.
-
-    Default settings of the two remaining variants only: a shared base
-    table (``separate_base`` off) and row-normalized global similarity
-    (``glo_norm = row``).
-    """
+    """Full forward + loss from raw parameter tensors, straight-line dense:
+    one base table shared by every channel, and row-normalized global
+    similarity."""
     schema = train_graph.schema
     rels = schema.relations
     n_rel = len(rels)

@@ -42,6 +42,13 @@ def joined(keys):
     return ",".join(sorted(keys))
 
 
+# every retired key at a value under which a run is unchanged
+RETIRED_AT_KEPT_VALUES = (
+    ("attributes", "a.tsv"), ("workers", "4"), ("chain_score", "laststep"),
+    ("per_user_weights", "true"), ("neg_cap", "7"), ("raw_local_adj", "false"),
+    ("separate_base", "False"), ("glo_norm", "row"))
+
+
 class TestSynth:
     def test_writes_parseable_dataset(self, synth_file):
         from chainrec.graph import load_interactions, make_schema
@@ -110,6 +117,9 @@ class TestSynth:
         (["--cascade", "-1"], "cascade"),
         (["--cascade", "1.5"], "cascade"),
         (["--relations", "buy", "--target", "buy"], "two relations"),
+        (["--synth-zipf", "inf"], "synth_zipf"),
+        (["--synth-zipf", "nan"], "synth_zipf"),
+        (["--seed", "-1"], "seed"),
     ])
     def test_bad_generator_input_exits_one(self, tmp_path, capsys, argv, key):
         data = tmp_path / "bad.tsv"
@@ -240,16 +250,25 @@ class TestTrain:
 
     def test_resume_with_other_tensor_names_exits_one(self, synth_file, tmp_path,
                                                       capsys):
-        # a shared-base checkpoint resumed as a separate-base run
+        # a checkpoint that holds its base table under three other names, as
+        # the retired one-base-table-per-channel variant wrote it
         part1 = tmp_path / "part1"
         assert run_cli(*train_args(synth_file, part1)) == 0
         capsys.readouterr()
+        with np.load(part1 / "checkpoint.npz") as data:
+            arrays = dict(data)
+        for kind in ("param", "adam_m", "adam_v"):
+            base = arrays.pop(f"{kind}/base")
+            for name in ("base_global", "base_local", "base_relation"):
+                arrays[f"{kind}/{name}"] = base
+        odd = tmp_path / "odd.npz"
+        np.savez(odd, **arrays)
         part2 = tmp_path / "part2"
-        resume = ["--resume", str(part1 / "checkpoint.npz"), "--epochs", "4",
-                  "--separate-base", "true"]
+        resume = ["--resume", str(odd), "--epochs", "4"]
         assert run_cli(*train_args(synth_file, part2, extra=resume)) == 1
-        assert_one_error_line(capsys, "base (checkpoint (70, 8), model none)",
-                              "base_global", "base_local", "base_relation")
+        assert_one_error_line(capsys, "base (checkpoint none, model (70, 8))",
+                              "base_global (checkpoint (70, 8), model none)",
+                              "base_local", "base_relation")
         assert not part2.exists()
 
     @pytest.mark.parametrize("saved,resumed", [("float64", None), (None, "float64")])
@@ -292,12 +311,15 @@ class TestTrain:
         ("--dim", "abc", "dim"),
         ("--lr", "fast", "lr"),
         ("--csv", "maybe", "csv"),
-        ("--separate-base", "2", "separate_base"),
+        ("--csv", "2", "csv"),
         ("--epochs", "0", "epochs"),
         ("--epochs", "-3", "epochs"),
         ("--l2", "-1", "l2"),
         ("--mu1", "-0.1", "mu1"),
         ("--mu2", "-0.5", "mu2"),
+        ("--seed", "-1", "seed"),
+        ("--tau", "nan", "tau"),
+        ("--lr", "inf", "lr"),
     ])
     def test_bad_value_exits_one_before_training(self, synth_file, tmp_path,
                                                  capsys, flag, value, key):
@@ -315,24 +337,50 @@ class TestTrain:
 
     def test_retired_keys_exit_one_naming_the_key(self, synth_file, tmp_path,
                                                   capsys):
-        cfg_file = tmp_path / "old.cfg"
-        cfg_file.write_text(f"data = {synth_file}\nworkers = 4\n")
-        cases = [("workers", ["--config", str(cfg_file)]),
-                 ("workers", ["--data", str(synth_file), "--workers", "1"]),
-                 ("attributes", ["--data", str(synth_file), "--attributes", "a.tsv"])]
-        for key, value in (("raw_local_adj", "false"), ("chain_score", "laststep"),
-                           ("per_user_weights", "false"),
-                           ("chain_order", "buy,view,cart")):
-            old_flag = tmp_path / f"{key}.cfg"
-            old_flag.write_text(f"data = {synth_file}\n{key} = {value}\n")
+        # no retired key is a flag, whatever its value; a config file may
+        # set one only to the value this version still computes
+        cases = []
+        for key, value in RETIRED_AT_KEPT_VALUES + (("chain_order", "buy,view,cart"),):
             dashed = key.replace("_", "-")
-            cases += [(key, ["--config", str(old_flag)]),
-                      (dashed, ["--data", str(synth_file), f"--{dashed}", value])]
+            cases.append((dashed, ["--data", str(synth_file), f"--{dashed}", value]))
+        for key, value in (("raw_local_adj", "true"), ("separate_base", "1"),
+                           ("glo_norm", "sym")):
+            old = tmp_path / f"{key}.cfg"
+            old.write_text(f"data = {synth_file}\n{key} = {value}\n")
+            cases.append((f"{old}:2: retired key {key!r}", ["--config", str(old)]))
         for key, argv in cases:
             assert run_cli("train", "--out", str(tmp_path / "x"), *argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert key in err
+
+    def test_config_written_before_a_key_retired_trains_unchanged(self, synth_file,
+                                                                  tmp_path, capsys):
+        # config.txt as the last version with glo_norm, neg_cap and
+        # separate_base wrote it, every key listed, plus the keys retired
+        # before them: it trains the same run, and one that set glo_norm to
+        # sym is refused at its line
+        run = tmp_path / "run"
+        assert run_cli(*train_args(synth_file, run)) == 0
+        lines = (run / "config.txt").read_text().splitlines(keepends=True)
+        for after, retired in (("leaky_slope", "glo_norm = row"),
+                               ("tau", "neg_cap = 100"), ("csv", "separate_base = False")):
+            at = next(i for i, line in enumerate(lines) if line.startswith(after + " ="))
+            lines.insert(at + 1, retired + "\n")
+        lines += [f"{key} = {value}\n" for key, value in RETIRED_AT_KEPT_VALUES]
+        old = tmp_path / "old.txt"
+        old.write_text("".join(lines))
+        again = tmp_path / "again"
+        assert run_cli("train", "--config", str(old), "--out", str(again)) == 0
+        for name in ("config.txt", "metrics.jsonl"):
+            assert (again / name).read_bytes() == (run / name).read_bytes().replace(
+                str(run).encode(), str(again).encode())
+        capsys.readouterr()
+        line_no = lines.index("glo_norm = row\n") + 1
+        old.write_text("".join(lines).replace("glo_norm = row", "glo_norm = sym"))
+        assert run_cli("train", "--config", str(old), "--out", str(tmp_path / "x")) == 1
+        assert_one_error_line(capsys, f"{old}:{line_no}: retired key 'glo_norm' is sym")
+        assert not (tmp_path / "x").exists()
 
     def test_output_root_env_var(self, synth_file, tmp_path, monkeypatch):
         monkeypatch.setenv("CHAINREC_OUT", str(tmp_path / "root"))
@@ -699,9 +747,11 @@ class TestEvaluate:
                        "--checkpoint", str(run_dir / "best.npz")) == 0
         current = capsys.readouterr().out
         for retired in (["raw_local_adj = False", "chain_score = laststep",
-                         "per_user_weights = False", "chain_order = "],
+                         "per_user_weights = False", "chain_order = ",
+                         "glo_norm = row", "neg_cap = 100", "separate_base = False"],
                         ["raw_local_adj = False", "chain_score = aggregated",
-                         "per_user_weights = True"]):
+                         "per_user_weights = True", "neg_cap = 7",
+                         "separate_base = no"]):
             old = with_config_lines(run_dir / "best.npz", tmp_path / "old.npz",
                                     ["attributes = ", "workers = 1", *retired])
             assert run_cli("evaluate", "--data", str(synth_file),
@@ -743,6 +793,19 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "raw_local_adj" in captured.err
+
+    @pytest.mark.parametrize("line", ["separate_base = True", "glo_norm = sym"])
+    def test_checkpoint_with_a_retired_variant_exits_one(self, run_dir, synth_file,
+                                                         tmp_path, capsys, line):
+        # one base table per channel and the symmetric global normalization
+        # are no longer computed
+        old = with_config_lines(run_dir / "best.npz", tmp_path / "old.npz", [line])
+        assert run_cli("evaluate", "--data", str(synth_file),
+                       "--checkpoint", str(old)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{old}:" in captured.err and line.split()[0] in captured.err
 
     def test_bad_ks_exits_one(self, run_dir, synth_file, capsys):
         assert run_cli("evaluate", "--data", str(synth_file),

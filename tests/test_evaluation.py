@@ -208,7 +208,7 @@ def tie_heavy_case(seed, dtype, nu=9, ni=40):
     graph = MultiplexBipartiteGraph(schema=schema, num_users=nu, num_items=ni,
                                     edges={"view": empty, "buy": test})
     split = DatasetSplit(train_edges={"view": empty, "buy": (su, sv + nu)},
-                         test_edges=test, seed=0)
+                         test_edges=test)
     e = rng.integers(-2, 3, size=(nu + ni, 3)).astype(dtype)
     return graph, split, e
 
@@ -543,7 +543,7 @@ class TestSparsityGroups:
         split = DatasetSplit(
             train_edges={"view": graph.edges["view"],
                          "buy": (buy_train[:, 0], buy_train[:, 1] + nu)},
-            test_edges=(buy_test[:, 0], buy_test[:, 1] + nu), seed=0)
+            test_edges=(buy_test[:, 0], buy_test[:, 1] + nu))
         e = np.random.default_rng(0).normal(size=(graph.num_nodes, 4))
         result = evaluate(e, graph, split, ks=(10,))
         groups = sparsity_groups(result, graph, split)

@@ -3,6 +3,7 @@ equality between ndarray and tape forwards, the inference pass's bit
 identity to the row path and its memory peak, and term switch-off."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from chainrec import evaluation, patterns, relations
 from chainrec.config import ConfigError, RunConfig
 from chainrec.graph import (MultiplexBipartiteGraph, load_interactions, make_schema,
                             split_train_test, training_graph)
-from chainrec.model import DualChannelModel, TrainBatch, TrainingAbort
+from chainrec.model import DualChannelModel, TrainBatch, TrainingAbort, param_shapes
 from chainrec.sparse import receptive_fields
 from chainrec.synth import write_synthetic
 from chainrec.training import backward
@@ -89,15 +90,13 @@ class TestRowRestrictedEmbeddings:
     KEYS = ("h_loc", "h_glo", "h_ebp", "e_r", "e_c", "final")
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("glo_norm", ["row", "sym"])
-    def test_tables_and_gradients_match_the_full_tables(self, layers, glo_norm):
+    def test_tables_and_gradients_match_the_full_tables(self, layers):
         # connected: the rows' fields cover every node with an edge
         graph = random_multiplex_graph(9, 14, ("view", "cart", "buy"), 0.3, seed=4)
-        self._check(graph, np.asarray([0, 3, 4, 8, 9, 15, 22]), layers, glo_norm)
+        self._check(graph, np.asarray([0, 3, 4, 8, 9, 15, 22]), layers)
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("glo_norm", ["row", "sym"])
-    def test_strict_fields_on_a_two_component_graph(self, layers, glo_norm):
+    def test_strict_fields_on_a_two_component_graph(self, layers):
         # rows in the first component only, so every operator's widest
         # field R_0 leaves out the whole second component
         graph = _two_component_graph()
@@ -107,20 +106,17 @@ class TestRowRestrictedEmbeddings:
         for struct in [model.patterns.struct] + [a.struct for a in model.rel_adj.values()]:
             widest = receptive_fields(struct, rows, layers)[0]
             assert not np.isin(second, widest).any()
-        self._check(graph, rows, layers, glo_norm)
+        self._check(graph, rows, layers)
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("separate_base", [False, True])
-    def test_four_relations(self, layers, separate_base):
+    def test_four_relations(self, layers):
         # five stacked operators: the pattern union and four relations
         graph = random_multiplex_graph(9, 14, ("tips", "neutral", "dislike", "like"),
                                        0.3, seed=6)
-        self._check(graph, np.asarray([0, 2, 5, 8, 9, 16, 22]), layers, "row",
-                    separate_base=separate_base)
+        self._check(graph, np.asarray([0, 2, 5, 8, 9, 16, 22]), layers)
 
-    def _check(self, graph, rows, layers, glo_norm, **overrides):
-        cfg = RunConfig(dim=4, layers=layers, glo_norm=glo_norm, seed=2,
-                        **overrides).validate()
+    def _check(self, graph, rows, layers):
+        cfg = RunConfig(dim=4, layers=layers, seed=2).validate()
         model = DualChannelModel(graph, cfg)
         params = model.init_params(cfg.seed)
         p = params.tensors
@@ -131,15 +127,11 @@ class TestRowRestrictedEmbeddings:
                                        atol=1e-15, err_msg=key)
         # every layer of the sparse channels sums the same CSR rows in the
         # same order as the full one-operator products
-        sep = cfg.separate_base
         h_loc = patterns.propagate_local(
-            patterns.local_adjacency(model.patterns, p["local_logits"]),
-            p["base_local" if sep else "base"], layers)
+            patterns.local_adjacency(model.patterns, p["local_logits"]), p["base"], layers)
         np.testing.assert_array_equal(part["h_loc"], h_loc[rows])
         for r, table in part["rel"].items():
-            rel = relations.lightgcn_propagate(model.rel_adj[r],
-                                               p["base_relation" if sep else "base"],
-                                               layers)
+            rel = relations.lightgcn_propagate(model.rel_adj[r], p["base"], layers)
             np.testing.assert_array_equal(table, rel[rows])
         np.testing.assert_array_equal(part["final"],
                                       model.final_embeddings(params)[rows])
@@ -162,20 +154,18 @@ class TestRowRestrictedEmbeddings:
 
 class TestInferencePath:
     """final_embeddings, the untaped inference pass, is bit-identical to the
-    row path at every row, whatever the schema, dtype and variant."""
+    row path at every row, whatever the schema and dtype."""
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("rels, overrides", [
-        (("view", "cart", "buy"), {}),
-        (("tips", "neutral", "dislike", "like"), {}),
-        (("buy",), {}),
-        (("view", "cart", "buy"), {"separate_base": True}),
-        (("view", "cart", "buy"), {"glo_norm": "sym", "layers": 3}),
-    ], ids=["three", "four", "single", "separate_base", "sym"])
-    def test_equals_the_row_path_at_every_row(self, rels, overrides, dtype):
+    @pytest.mark.parametrize("rels", [
+        ("view", "cart", "buy"),
+        ("tips", "neutral", "dislike", "like"),
+        ("buy",),
+    ], ids=["three", "four", "single"])
+    def test_equals_the_row_path_at_every_row(self, rels, dtype):
         graph = random_multiplex_graph(9, 14, rels, 0.3, seed=len(rels))
         cfg = RunConfig(dim=4, seed=1, relations=rels, target=rels[-1],
-                        dtype=dtype, **overrides).validate()
+                        dtype=dtype).validate()
         model = DualChannelModel(graph, cfg)
         params = model.init_params(cfg.seed)
         rng = np.random.default_rng(5)
@@ -293,24 +283,6 @@ class TestTermSwitchOff:
 
 
 class TestFeatureFlags:
-    def _setup(self, **overrides):
-        graph = random_multiplex_graph(5, 6, ("view", "cart", "buy"), 0.5, seed=4)
-        cfg = RunConfig(dim=3, layers=2, seed=0, **overrides).validate()
-        split = split_train_test(graph, 0.75, seed=0)
-        model = DualChannelModel(training_graph(graph, split), cfg)
-        params = model.init_params(0)
-        batch = make_batch(model, split, np.random.default_rng(8), size=4)
-        return model, params, batch
-
-    def test_separate_base_triples_base_tables(self):
-        model, params, batch = self._setup(separate_base=True)
-        assert {"base_local", "base_global", "base_relation"} <= set(params.tensors)
-        loss, _ = model.total_loss(params.tensors, batch)
-        assert np.isfinite(float(loss))
-        grads, _ = backward(model, params, batch)
-        for key in ("base_local", "base_global", "base_relation"):
-            assert np.any(grads[key] != 0.0), key
-
     def test_chain_order_override_reorders_chains(self):
         # the schema's order may lead with the target; the loss still
         # matches the oracle, which sequences chains by the same order
@@ -334,10 +306,25 @@ class TestConfigBoundary:
     caller that builds a RunConfig directly gets the CLI's ConfigError
     before any numeric code runs, and the channels check nothing again."""
 
-    @pytest.mark.parametrize("overrides", [{"layers": 0}, {"tau": 0.0},
-                                           {"glo_norm": "x"}],
-                             ids=["layers", "tau", "glo_norm"])
+    @pytest.mark.parametrize("overrides", [
+        {"layers": 0}, {"tau": 0.0}, {"seed": -1}, {"tau": float("nan")},
+        {"lr": float("inf")}, {"l2": float("nan")}, {"synth_zipf": float("inf")},
+        {"mu_scale": float("inf")}],
+        ids=["layers", "tau", "seed", "tau-nan", "lr-inf", "l2-nan", "synth_zipf-inf",
+             "mu_scale-inf"])
     def test_bad_value_raises_at_construction(self, overrides):
         graph = random_multiplex_graph(5, 6, ("view", "cart", "buy"), 0.5, seed=4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(overrides))):
             DualChannelModel(graph, RunConfig(**overrides))
+
+    def test_retired_variants_are_constants_not_keys(self):
+        # one base table and row-normalized global similarity are the only
+        # forward pass; the constants hold the values perfbench assumes
+        names = {f.name for f in fields(RunConfig)}
+        assert not names & {"glo_norm", "separate_base", "neg_cap"}
+        assert RunConfig.glo_norm == "row" and RunConfig.separate_base is False
+        assert RunConfig.neg_cap == 100
+        model = DualChannelModel(random_multiplex_graph(5, 6, ("view", "cart", "buy"),
+                                                        0.5, seed=4), RunConfig(dim=3))
+        shapes = param_shapes(model.schema, model.cfg, model.n)
+        assert [k for k in shapes if k.startswith("base")] == ["base"]

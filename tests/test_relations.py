@@ -117,9 +117,8 @@ class TestPropagateStack:
     N = 24
     ROWS = np.asarray([0, 3, 11, 17, 23])
 
-    def _stack(self, structs, vals, first_block=None):
-        return stack_blocks(structs, first_block or [0] * len(structs),
-                            np.concatenate(vals[1:]) if len(vals) > 1 else None)
+    def _stack(self, structs, vals):
+        return stack_blocks(structs, np.concatenate(vals[1:]) if len(vals) > 1 else None)
 
     def _weighted(self, tables, coeff):
         loss = None
@@ -153,17 +152,6 @@ class TestPropagateStack:
         assert x.grad.dtype == dtype
         tol = 1e-12 if dtype == np.float64 else 1e-5
         np.testing.assert_allclose(x.grad, want, rtol=tol, atol=tol)
-
-    def test_first_layer_reads_the_stacked_base_of_each_block(self):
-        # block 0 reads base rows 0..N-1, blocks 1 and 2 rows N..2N-1
-        structs, vals = _random_blocks(3, np.float64)
-        base = np.random.default_rng(1).normal(size=(2 * self.N, 4))
-        got = propagate_stack(self._stack(structs, vals, [0, 1, 1]), vals[0], base,
-                              2, self.ROWS)
-        for b, (struct, v) in enumerate(zip(structs, vals)):
-            own = base[:self.N] if b == 0 else base[self.N:]
-            for h, ref in zip(got[b], propagate_layers(SparseMatrix(struct, v), own, 2)):
-                assert np.array_equal(h, ref[self.ROWS])
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("blocks", [1, 3, 5])
