@@ -74,23 +74,16 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        for key in ("dim", "layers", "batch", "epochs", "eval_every", "patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {self.batch}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         for key in ("l2", "mu1", "mu2"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if not self.ks:
             raise ConfigError("ks must list at least one cutoff")
         if min(self.ks) < 1:

@@ -2,15 +2,15 @@
 
 Node indexing convention used everywhere in this package: users occupy
 rows [0, num_users) and items occupy rows [num_users, num_users+num_items)
-of every embedding table and adjacency matrix.  External string ids are
-kept in side mappings for reporting only.
+of every embedding table and sparse operator.  External string ids are
+kept in side mappings for reporting only.  The graph holds edge lists
+only; the model builds its sparse operators from them (see
+:mod:`chainrec.patterns`).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .sparse import CSRStruct, build_struct
 
 # named RNG substreams so toggling one feature never shifts another's draws
 RNG_STREAMS = {"split": 0, "init": 1, "negatives": 2, "shuffle": 3, "synth": 4}
@@ -88,11 +88,11 @@ def make_schema(relations, target, canonical_order=None) -> RelationSchema:
 
 @dataclass
 class MultiplexBipartiteGraph:
-    """Binary user-item interactions, one symmetric adjacency per relation.
+    """Binary user-item interactions, one edge list per relation.
 
     ``edges[r]`` holds canonical (user, item) pairs with item indices in
     the global range [num_users, num_users+num_items); pairs are unique and
-    sorted. Immutable after construction; adjacency structures are cached.
+    sorted. Immutable after construction.
     """
 
     schema: RelationSchema
@@ -101,7 +101,6 @@ class MultiplexBipartiteGraph:
     edges: dict
     user_ids: list = field(default_factory=list)
     item_ids: list = field(default_factory=list)
-    _adj_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         n = self.num_nodes
@@ -125,13 +124,6 @@ class MultiplexBipartiteGraph:
         """Sorted int64 keys u*N+v of the relation's (user, item) pairs."""
         u, v = self.edges[relation]
         return u * np.int64(self.num_nodes) + v
-
-    def adjacency(self, relation: str) -> CSRStruct:
-        """Symmetric CSR topology of one relation (cached)."""
-        if relation not in self._adj_cache:
-            u, v = self.edges[relation]
-            self._adj_cache[relation] = build_struct(self.num_nodes, u, v)
-        return self._adj_cache[relation]
 
 
 def _empty_edges():

@@ -3,11 +3,12 @@ initialization, the forward pass producing all embedding tables, and the
 joint training objective.
 
 Training runs :meth:`DualChannelModel.embeddings` on tape Vars at a batch's
-rows; inference, :meth:`DualChannelModel.final_embeddings` on ndarrays.
+rows; inference, :meth:`DualChannelModel.final_embeddings` on ndarrays. Both
+propagate the sparse channels through ``DualChannelModel.stack``, the
+model's one sparse operator, built from the behavior-pattern union.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .chains import (chain_embedding, chain_forward, enumerate_chains,
                      final_embedding)
 from .config import RunConfig
 from .graph import MultiplexBipartiteGraph, sorted_unique, stream_rng
-from .sparse import SparseMatrix, stack_blocks, sym_norm_values
+from .sparse import select_edges, stack_blocks, sym_norm_values
 
 
 class TrainingAbort(RuntimeError):
@@ -98,18 +99,13 @@ class DualChannelModel:
         self.patterns = patterns.behavior_patterns(graph)
         self.counts = self.patterns.counts.astype(self.dtype)
         self.chains = enumerate_chains(self.schema)
-        self.rel_adj = {r: SparseMatrix(graph.adjacency(r),
-                                        sym_norm_values(graph.adjacency(r),
-                                                        dtype=self.dtype))
-                        for r in self.schema.relations}
-
-    @cached_property
-    def stack(self):
-        """The row path's union and relation operators as one, built on
-        first use: layer 1 of every block reads the one base table."""
-        rels = list(self.rel_adj.values())
-        return stack_blocks([self.patterns.struct] + [a.struct for a in rels],
-                            np.concatenate([a.values for a in rels]))
+        # the union, then relation r's block: the union's edges whose pattern
+        # has bit r, with constant 1/sqrt(deg_u deg_v) values
+        union, signature = self.patterns.struct, self.patterns.edge_pattern + 1
+        rel = [select_edges(union, (signature >> r & 1).astype(bool))
+               for r in range(len(self.schema.relations))]
+        self.stack = stack_blocks([union] + rel, np.concatenate(
+            [sym_norm_values(s, dtype=self.dtype) for s in rel]))
 
     # ------------------------------------------------------------------
     # parameters
@@ -146,13 +142,12 @@ class DualChannelModel:
         chain channel and the fused tables are computed only at the rows too,
         which keeps a training step's dense work independent of catalog size."""
         cfg = self.cfg
-        adj_loc = patterns.local_adjacency(self.patterns, p["local_logits"])
-        loc, *rel = relations.propagate_stack(self.stack, adj_loc.values, p["base"],
-                                              cfg.layers, rows)
+        vals = patterns.local_adjacency(self.patterns, p["local_logits"])
+        loc, *rel = relations.propagate_stack(self.stack, vals, p["base"], cfg.layers, rows)
         h_loc = patterns.layer_mean(loc)
         base_rows = ad.gather(p["base"], rows)
         rel_tables = {r: ad.add_n([base_rows, *layers])
-                      for r, layers in zip(self.rel_adj, rel)}
+                      for r, layers in zip(self.schema.relations, rel)}
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
         h_glo = patterns.propagate_global_factored(b_mat, p["base"], cfg.layers,
                                                    rows=rows)
@@ -179,13 +174,15 @@ class DualChannelModel:
 
     def final_embeddings(self, params: ModelParams) -> np.ndarray:
         """The final table at every node, untaped, bit-identical to that of
-        :meth:`embeddings` at every row. It holds about 7 n x d tables at its
-        peak: ``e_c`` (zeros with no chains) adds each chain step in that order
-        and drops it once the next is made, and the relation tables go before
-        the pattern channel."""
+        :meth:`embeddings` at every row. The sparse channels propagate
+        ``self.stack`` one block at a time. It holds about |R| + 4 n x d
+        tables at its peak: ``e_c`` (zeros with no chains) adds each chain step
+        in that order and drops it once the next is made, and the relation
+        tables go before the pattern channel."""
         p, cfg = params.tensors, self.cfg
-        rel = {r: relations.lightgcn_propagate(adj, p["base"], cfg.layers)
-               for r, adj in self.rel_adj.items()}
+        rel = {r: ad.add_n([p["base"], *relations.propagate_block(
+                   self.stack, None, p["base"], cfg.layers, b + 1)])
+               for b, r in enumerate(self.schema.relations)}
         e_r, e_c = ad.add_n(rel.values()), None
         for i, chain in enumerate(self.chains):
             step = rel[chain.relations[0]]
@@ -195,10 +192,10 @@ class DualChannelModel:
                                      [p[f"chain{i}.item{j}"]], self.num_users)[-1]
                 e_c += step
         rel = step = None
-        adj_loc = patterns.local_adjacency(self.patterns, p["local_logits"])
+        vals = patterns.local_adjacency(self.patterns, p["local_logits"])
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
         h_ebp = patterns.ebp_embeddings(
-            patterns.propagate_local(adj_loc, p["base"], cfg.layers),
+            patterns.propagate_local(self.stack, vals, p["base"], cfg.layers),
             patterns.propagate_global_factored(b_mat, p["base"], cfg.layers))
         return final_embedding(h_ebp, e_r, np.zeros_like(e_r) if e_c is None else e_c)
 

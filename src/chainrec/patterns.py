@@ -5,10 +5,11 @@ explicit-pattern embeddings.
 
 A pair's pattern is the EXACT set of relations joining it, as a signature
 whose bit r is schema relation r; pattern p has signature p + 1, so the
-2^|R| - 1 patterns partition all interacting pairs. A training step runs
-the local route's union operator as block 0 of the model's stacked
-operator (see :mod:`chainrec.relations`), its learnable edge values the
-only ones on the tape.
+2^|R| - 1 patterns partition all interacting pairs. The union of all
+pairs is the model's one sparse topology: the local route propagates
+through it as block 0 of the model's stacked operator (see
+:mod:`chainrec.relations`), its learnable edge values the only ones on the
+tape, and relation r's block is the union's edges whose pattern has bit r.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import MultiplexBipartiteGraph, RelationSchema, sorted_unique
-from .relations import propagate_layers
-from .sparse import CSRStruct, SparseMatrix, build_struct
+from .relations import propagate_block
+from .sparse import BlockStack, CSRStruct, build_struct
 
 
 def pattern_relations(schema: RelationSchema, p: int) -> tuple:
@@ -68,10 +69,10 @@ def behavior_patterns(graph: MultiplexBipartiteGraph) -> BehaviorPatterns:
                             counts.astype(np.float64))
 
 
-def local_adjacency(union: BehaviorPatterns, logits) -> SparseMatrix:
-    """Per-edge weights softmax(logits)[owning pattern] on the union of
-    all pattern pairs, then symmetric degree normalization. Zero-degree
-    rows stay zero."""
+def local_adjacency(union: BehaviorPatterns, logits):
+    """The values, in ``union.struct`` order, of the local operator: per-edge
+    weights softmax(logits)[owning pattern] on the union of all pattern
+    pairs, then symmetric degree normalization."""
     struct = union.struct
     w = ad.softmax(logits)
     edge_w = ad.gather(w, union.edge_pattern)
@@ -79,12 +80,13 @@ def local_adjacency(union: BehaviorPatterns, logits) -> SparseMatrix:
     inv = ad.rsqrt_safe(deg)
     vals = ad.mul(ad.mul(edge_w, ad.gather(inv, struct.rows)),
                   ad.gather(inv, struct.cols))
-    return SparseMatrix(struct, vals)
+    return vals
 
 
-def propagate_local(adj: SparseMatrix, base, num_layers: int):
-    """Mean of the layer-1..L propagated tables (layer 0 excluded)."""
-    return layer_mean(propagate_layers(adj, base, num_layers))
+def propagate_local(stack: BlockStack, vals, base, num_layers: int):
+    """Mean of the layer-1..L tables (layer 0 excluded) of block 0 of
+    ``stack``, the union, with values ``vals``, at every node."""
+    return layer_mean(propagate_block(stack, vals, base, num_layers, 0))
 
 
 def layer_mean(layers):
@@ -93,20 +95,18 @@ def layer_mean(layers):
 
 def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
                               rows=None):
-    """L rounds of propagation through norm(B B^T), row-normalized
-    (``mode='row'``, the model's) or 1/sqrt(rowsum) on both sides
-    (``'sym'``; perfbench passes ``mode`` until ROADMAP item 2); zero rows
-    stay zero and the final layer is returned. With the normalizer folded
-    into a scaled copy S of B and R = B (row) or S (sym), the final layer
-    is (S R^T)^L base = S (R^T S)^(L-1) R^T base: every round is a product
-    with the p x p Gram matrix R^T S, and no N x N matrix or N x d layer
+    """L rounds of propagation through B B^T with each row divided by its
+    sum; zero rows stay zero and the final layer is returned. ``mode`` is
+    ``'row'``, the only form (perfbench passes it until ROADMAP item 2).
+    With the normalizer folded into a scaled copy S of B, the final layer
+    is (S B^T)^L base = S (B^T S)^(L-1) B^T base: every round is a product
+    with the p x p Gram matrix B^T S, and no N x N matrix or N x d layer
     but the output is formed. With ``rows`` (sorted unique node indices)
     the output is computed, and returned, only at those rows."""
     col_tot = ad.asum(b_matrix, axis=0)
     rowsum = ad.matmul(b_matrix, col_tot)
-    inv = ad.reciprocal_safe(rowsum) if mode == "row" else ad.rsqrt_safe(rowsum)
-    scaled = ad.mul(b_matrix, ad.reshape(inv, (-1, 1)))
-    right_t = ad.transpose(b_matrix if mode == "row" else scaled)
+    scaled = ad.mul(b_matrix, ad.reshape(ad.reciprocal_safe(rowsum), (-1, 1)))
+    right_t = ad.transpose(b_matrix)
     gram = ad.matmul(right_t, scaled)
     t = ad.matmul(right_t, base)
     for _ in range(num_layers - 1):

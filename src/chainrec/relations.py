@@ -1,33 +1,38 @@
-"""Per-relation graph propagation and multi-relation aggregation.
+"""Graph propagation through the model's stacked sparse operator.
 
-Each relation gets its own LightGCN-style propagation: linear neighborhood
-averaging with symmetric degree normalization, no feature transform, no
-nonlinearity. Relation-specific embeddings sum layers 0..L (layer 0
-included), and the multi-relation table is the sum over relations. A
-training step propagates the pattern union and every relation as one
-:class:`~chainrec.sparse.BlockStack`, one product per layer, as MBGCN
-propagates all behaviors over one multi-relation graph.
+The pattern union and every relation propagate the one base table in the
+LightGCN style: linear neighborhood averaging with symmetric degree
+normalization, no feature transform, no nonlinearity. Relation-specific
+embeddings sum layers 0..L (layer 0 included), and the multi-relation table
+is the sum over relations. All of these operators are blocks of one
+:class:`~chainrec.sparse.BlockStack`, as MBGCN propagates all behaviors over
+one multi-relation graph: a training step propagates every block at its
+rows, one product per layer; inference propagates one block at a time at
+every node.
 """
 
 import numpy as np
 
 from . import autodiff as ad
-from .sparse import BlockStack, SparseMatrix, receptive_fields
+from .sparse import BlockStack, CSRStruct, receptive_fields
 
 
-def lightgcn_propagate(adj: SparseMatrix, base, num_layers: int):
-    """Sum of layers 0..L of propagation through ``adj``, one relation's
-    CSR structure with its 1/sqrt(deg_u deg_v) edge values. Isolated nodes
-    keep their layer-0 row."""
-    return ad.add_n([base, *propagate_layers(adj, base, num_layers)])
-
-
-def propagate_layers(adj: SparseMatrix, base, num_layers: int) -> list:
-    """Layers 1..L of propagation through ``adj`` from layer 0 ``base``; a
-    one-block :func:`propagate_stack` computes them at a row subset."""
+def propagate_block(stack: BlockStack, vals, base, num_layers: int, block: int) -> list:
+    """Layers 1..L of block ``block`` of ``stack`` at every node, from layer 0
+    ``base``: that block's rows of ``stack.first``, whose columns are already
+    block-local, one product per layer, so no stacked layer is formed. Each
+    layer is bit-identical to the rows of :func:`propagate_stack`'s. ``vals``
+    are block 0's values; the other blocks read theirs from ``stack.const``.
+    Isolated nodes propagate zeros."""
+    first, n = stack.first, stack.first.n // stack.blocks
+    lo, hi = first.indptr[block * n], first.indptr[(block + 1) * n]
+    struct = CSRStruct(n, first.indptr[block * n:(block + 1) * n + 1] - lo,
+                       first.cols[lo:hi], first.rows[lo:hi] - block * n)
+    if block:
+        vals = stack.const[lo - first.indptr[n]:hi - first.indptr[n]]
     layers, h = [], base
     for _ in range(num_layers):
-        h = ad.spmm(adj.struct, adj.values, h)
+        h = ad.spmm(struct, vals, h)
         layers.append(h)
     return layers
 
@@ -53,4 +58,3 @@ def propagate_stack(stack: BlockStack, vals, base, num_layers: int, rows) -> lis
             layers[b].append(ad.gather(h, idx))
         struct, x_rows = stack.diag, field
     return layers
-

@@ -2,9 +2,10 @@
 
 A :class:`CSRStruct` stores only the constant topology (both edge
 directions, row-sorted).  Values live in a separate array so that the same
-structure can carry binary weights, degree-normalized weights, or learnable
-per-edge weights on the autodiff tape.  A :class:`BlockStack` stacks several
-operators so that one product propagates all of them.
+structure can carry degree-normalized weights or learnable per-edge weights
+on the autodiff tape.  A :class:`BlockStack` stacks several operators so
+that one product propagates all of them; the model's one stack holds the
+pattern union and, selected from its edges, every relation.
 """
 
 from dataclasses import dataclass
@@ -34,11 +35,19 @@ def build_struct(n: int, u: np.ndarray, v: np.ndarray) -> CSRStruct:
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
     order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    counts = np.bincount(rows, minlength=n)
+    return _csr(n, rows[order], cols[order])
+
+
+def select_edges(struct: CSRStruct, keep: np.ndarray) -> CSRStruct:
+    """The entries of ``struct`` where the mask ``keep`` holds, in struct
+    order: :func:`build_struct` of the kept pairs, bit for bit."""
+    return _csr(struct.n, struct.rows[keep], struct.cols[keep])
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> CSRStruct:
+    """The CSR topology of row-sorted entries."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return CSRStruct(n=n, indptr=indptr, cols=cols, rows=rows)
 
 
@@ -103,11 +112,3 @@ def sym_norm_values(struct: CSRStruct, dtype=np.float64) -> np.ndarray:
     """Per-edge 1/sqrt(deg_row * deg_col) for a binary adjacency."""
     deg = np.diff(struct.indptr).astype(dtype)
     return 1.0 / np.sqrt(deg[struct.rows] * deg[struct.cols])
-
-
-@dataclass
-class SparseMatrix:
-    """A CSR topology paired with per-edge values (ndarray or tape Var)."""
-
-    struct: CSRStruct
-    values: object

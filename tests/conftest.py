@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from chainrec import autodiff as ad
 from chainrec.config import RunConfig
 from chainrec.graph import (DatasetSplit, MultiplexBipartiteGraph, make_schema,
                             split_train_test, training_graph)
 from chainrec.model import DualChannelModel, TrainBatch
+from chainrec.relations import propagate_block
 
 
 def random_multiplex_graph(num_users, num_items, relations, edge_prob, seed,
@@ -38,10 +40,14 @@ def buy_graph(nu, ni, test, train):
     return graph, split
 
 
-def relation_matrix(graph, relation):
-    """One relation's propagation matrix, as a float64 DualChannelModel
-    builds it (the dense oracles it is checked against are float64)."""
-    return DualChannelModel(graph, RunConfig(dtype="float64")).rel_adj[relation]
+def relation_table(graph, relation, base, layers):
+    """One relation's table at every node, layers 0..L summed, as a float64
+    DualChannelModel's inference pass computes it from that relation's block
+    of the model's stack (the dense oracles it is checked against are
+    float64)."""
+    stack = DualChannelModel(graph, RunConfig(dtype="float64")).stack
+    block = 1 + graph.schema.relations.index(relation)
+    return ad.add_n([base, *propagate_block(stack, None, base, layers, block)])
 
 
 def make_batch(model, split, rng, size=6):

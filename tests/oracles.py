@@ -3,11 +3,15 @@
 Everything here is dense numpy written directly from the model definition,
 with no imports from the library's numeric modules, so these functions stay
 independent of the code paths they check. The reference loader takes only
-the graph's container and exception classes from the library.
+the graph's container and exception classes from the library. The one
+exception is the per-operator propagation below: it applies the tape's
+``spmm`` to one CSR operator at a time, the reference that the stacked
+paths must match bit for bit.
 """
 
 import numpy as np
 
+from chainrec import autodiff as ad
 from chainrec.graph import MultiplexBipartiteGraph, ParseError, SchemaError
 
 
@@ -27,11 +31,26 @@ def sym_normalize(a):
     return a * inv[:, None] * inv[None, :]
 
 
-def dense_matrix(adj):
-    """Dense copy of a SparseMatrix whose values are an ndarray."""
-    out = np.zeros((adj.struct.n, adj.struct.n))
-    out[adj.struct.rows, adj.struct.cols] = adj.values
+def dense_matrix(struct, values):
+    """Dense copy of a CSR struct with ndarray per-edge values."""
+    out = np.zeros((struct.n, struct.n))
+    out[struct.rows, struct.cols] = values
     return out
+
+
+def propagate_layers(struct, vals, base, num_layers):
+    """Layers 1..L of propagation through one CSR operator with per-edge
+    ``vals`` from layer 0 ``base``, one ``autodiff.spmm`` per layer."""
+    layers, h = [], base
+    for _ in range(num_layers):
+        h = ad.spmm(struct, vals, h)
+        layers.append(h)
+    return layers
+
+
+def lightgcn_propagate(struct, vals, base, num_layers):
+    """Sum of layers 0..L of :func:`propagate_layers`, one ``add_n``."""
+    return ad.add_n([base, *propagate_layers(struct, vals, base, num_layers)])
 
 
 def relation_propagation(graph, relation, base, layers):
@@ -58,22 +77,14 @@ def local_propagation(bbps, logits, base, layers):
     return acc / layers
 
 
-def build_global_similarity(b_matrix, mode="row"):
-    """Dense pattern-similarity matrix norm(B B^T).
-
-    ``mode='row'`` divides each row by its sum, ``mode='sym'`` applies
-    1/sqrt(rowsum) on both sides; rows of zeros stay zero.
-    """
+def build_global_similarity(b_matrix):
+    """Dense pattern-similarity matrix B B^T with each row divided by its
+    sum; rows of zeros stay zero."""
     s = b_matrix @ b_matrix.T
     rowsum = s.sum(axis=1)
     inv = np.zeros_like(rowsum)
-    if mode == "row":
-        inv[rowsum != 0] = 1.0 / rowsum[rowsum != 0]
-        return s * inv[:, None]
-    if mode == "sym":
-        inv[rowsum > 0] = 1.0 / np.sqrt(rowsum[rowsum > 0])
-        return s * inv[:, None] * inv[None, :]
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    inv[rowsum != 0] = 1.0 / rowsum[rowsum != 0]
+    return s * inv[:, None]
 
 
 def propagate_global(sim, base, layers):

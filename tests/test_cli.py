@@ -314,6 +314,8 @@ class TestTrain:
         ("--csv", "2", "csv"),
         ("--epochs", "0", "epochs"),
         ("--epochs", "-3", "epochs"),
+        ("--patience", "0", "patience"),
+        ("--patience", "-3", "patience"),
         ("--l2", "-1", "l2"),
         ("--mu1", "-0.1", "mu1"),
         ("--mu2", "-0.5", "mu2"),

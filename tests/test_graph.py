@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from chainrec.cli import main
+from chainrec.config import RunConfig
 from chainrec.graph import (MultiplexBipartiteGraph, ParseError, SchemaError,
                             load_interactions, make_schema, sorted_unique,
                             split_train_test, training_graph)
+from chainrec.model import DualChannelModel
 
 from conftest import random_multiplex_graph
 from oracles import load_interactions_reference
@@ -249,10 +251,10 @@ class TestInvariantsAndPersistence:
                  "buy": (np.asarray([1]), np.asarray([2]))}
         g = MultiplexBipartiteGraph(schema=make_schema(("view", "buy"), "buy"),
                                     num_users=2, num_items=5, edges=edges)
-        # node degrees are the adjacency's row lengths, which the
-        # relation channel's 1/sqrt(deg_u deg_v) normalization reads
-        view = np.diff(g.adjacency("view").indptr)
-        buy = np.diff(g.adjacency("buy").indptr)
+        # node degrees are the row lengths of the relation's block of the
+        # model's stack, which its 1/sqrt(deg_u deg_v) normalization reads
+        deg = np.diff(DualChannelModel(g, RunConfig()).stack.first.indptr)
+        view, buy = deg[g.num_nodes:2 * g.num_nodes], deg[2 * g.num_nodes:]
         assert view[0] == 5                   # star center
         assert buy[1] == 1
         assert buy[2] == 1                    # item side of a single edge

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
-from chainrec import evaluation, patterns, relations
+from chainrec import evaluation, patterns
 from chainrec.config import ConfigError, RunConfig
 from chainrec.graph import (MultiplexBipartiteGraph, load_interactions, make_schema,
                             split_train_test, training_graph)
 from chainrec.model import DualChannelModel, TrainBatch, TrainingAbort, param_shapes
-from chainrec.sparse import receptive_fields
+from chainrec.sparse import build_struct, receptive_fields, sym_norm_values
 from chainrec.synth import write_synthetic
 from chainrec.training import backward
 
@@ -84,8 +84,8 @@ def _two_component_graph():
 
 class TestRowRestrictedEmbeddings:
     """embeddings(p, rows) against the tables at every row read at those
-    rows, and the sparse channels against their one-operator-at-a-time
-    functions, called directly."""
+    rows, and the sparse channels against one-operator-at-a-time references
+    on the union and on each relation's own CSR structure."""
 
     KEYS = ("h_loc", "h_glo", "h_ebp", "e_r", "e_c", "final")
 
@@ -103,7 +103,8 @@ class TestRowRestrictedEmbeddings:
         rows = np.asarray([0, 3, 4, 8, 15, 22, 28])
         second = np.concatenate([np.arange(9, 15), np.arange(29, 37)])
         model = DualChannelModel(graph, RunConfig(layers=layers).validate())
-        for struct in [model.patterns.struct] + [a.struct for a in model.rel_adj.values()]:
+        for struct in [model.patterns.struct] + [build_struct(model.n, *graph.edges[r])
+                                                 for r in graph.schema.relations]:
             widest = receptive_fields(struct, rows, layers)[0]
             assert not np.isin(second, widest).any()
         self._check(graph, rows, layers)
@@ -127,11 +128,14 @@ class TestRowRestrictedEmbeddings:
                                        atol=1e-15, err_msg=key)
         # every layer of the sparse channels sums the same CSR rows in the
         # same order as the full one-operator products
-        h_loc = patterns.propagate_local(
-            patterns.local_adjacency(model.patterns, p["local_logits"]), p["base"], layers)
+        vals = patterns.local_adjacency(model.patterns, p["local_logits"])
+        h_loc = patterns.layer_mean(oracles.propagate_layers(model.patterns.struct, vals,
+                                                             p["base"], layers))
         np.testing.assert_array_equal(part["h_loc"], h_loc[rows])
         for r, table in part["rel"].items():
-            rel = relations.lightgcn_propagate(model.rel_adj[r], p["base"], layers)
+            struct = build_struct(model.n, *graph.edges[r])
+            rel = oracles.lightgcn_propagate(struct, sym_norm_values(struct, model.dtype),
+                                             p["base"], layers)
             np.testing.assert_array_equal(table, rel[rows])
         np.testing.assert_array_equal(part["final"],
                                       model.final_embeddings(params)[rows])
@@ -180,19 +184,28 @@ class TestInferencePath:
             assert not model.chains and not np.any(want["e_c"])
 
 
-@pytest.fixture(scope="module")
-def synth_inference(tmp_path_factory):
+def _synth_inference(tmp_path_factory, rels):
     """A float32 model of d 256 on a synth graph of about 4.9k nodes: one
     n x d table is 4.8 MiB, as on the retail-like graph well above the
     pass's fixed scratch (the ranking's (chunk, G) group maxima: 1 MiB)."""
     cfg = RunConfig(synth_users=600, synth_items=8000, synth_clusters=40,
-                    dim=256, seed=0).validate()
+                    dim=256, seed=0, relations=rels, target=rels[-1]).validate()
     data = tmp_path_factory.mktemp("synth") / "synth.tsv"
     write_synthetic(cfg, data)
     graph = load_interactions(data, make_schema(cfg.relations, cfg.target))
     split = split_train_test(graph, cfg.ratio, cfg.seed)
     model = DualChannelModel(training_graph(graph, split), cfg)
     return model, model.init_params(cfg.seed), split
+
+
+@pytest.fixture(scope="module")
+def synth_inference(tmp_path_factory):
+    return _synth_inference(tmp_path_factory, ("view", "cart", "buy"))
+
+
+@pytest.fixture(scope="module")
+def synth_inference_four(tmp_path_factory):
+    return _synth_inference(tmp_path_factory, ("tips", "neutral", "dislike", "like"))
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -207,15 +220,19 @@ def _traced_peak(fn, *args, **kwargs):
 
 
 class TestInferenceMemory:
-    """The inference pass holds only the tables it still needs: at most 8
-    of n x d in the forward, and one chunk's float32 scores and screen
-    maxima plus 2 tables in the ranking, which upcasts no whole table."""
+    """The inference pass holds only the tables it still needs: at most
+    |R| + 5 of n x d in the forward (8 on three relations, 9 on four), and
+    one chunk's float32 scores and screen maxima plus 2 tables in the
+    ranking, which upcasts no whole table."""
 
-    def test_forward_peak_is_at_most_8_tables(self, synth_inference):
-        model, params, _ = synth_inference
+    @pytest.mark.parametrize("setup", ["synth_inference", "synth_inference_four"],
+                             ids=["three", "four"])
+    def test_forward_peak_is_at_most_relations_plus_5_tables(self, setup, request):
+        model, params, _ = request.getfixturevalue(setup)
         table = model.n * model.cfg.dim * np.dtype(model.dtype).itemsize
         model.final_embeddings(params)  # warm-up
-        assert _traced_peak(model.final_embeddings, params) <= 8 * table
+        bound = len(model.schema.relations) + 5
+        assert _traced_peak(model.final_embeddings, params) <= bound * table
 
     def test_ranking_peak_is_one_chunk_and_2_tables(self, synth_inference):
         # a chunk: its float32 scores and the screen's two float32 (chunk, G)
@@ -309,9 +326,9 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("overrides", [
         {"layers": 0}, {"tau": 0.0}, {"seed": -1}, {"tau": float("nan")},
         {"lr": float("inf")}, {"l2": float("nan")}, {"synth_zipf": float("inf")},
-        {"mu_scale": float("inf")}],
+        {"mu_scale": float("inf")}, {"patience": 0}, {"patience": -3}],
         ids=["layers", "tau", "seed", "tau-nan", "lr-inf", "l2-nan", "synth_zipf-inf",
-             "mu_scale-inf"])
+             "mu_scale-inf", "patience", "patience-negative"])
     def test_bad_value_raises_at_construction(self, overrides):
         graph = random_multiplex_graph(5, 6, ("view", "cart", "buy"), 0.5, seed=4)
         with pytest.raises(ConfigError, match=next(iter(overrides))):

@@ -1,39 +1,46 @@
-"""Per-relation propagation against dense normalized-matrix-power oracles."""
+"""Relation propagation through the model's stacked operator against dense
+normalized-matrix-power oracles and one-operator-at-a-time references."""
 
 import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
 from chainrec import backend
-from chainrec.relations import lightgcn_propagate, propagate_layers, propagate_stack
-from chainrec.sparse import (BlockStack, SparseMatrix, build_struct, receptive_fields,
-                             stack_blocks)
+from chainrec.config import RunConfig
+from chainrec.graph import MultiplexBipartiteGraph
+from chainrec.model import DualChannelModel
+from chainrec.relations import propagate_block, propagate_stack
+from chainrec.sparse import (build_struct, receptive_fields, stack_blocks,
+                             sym_norm_values)
 
 import oracles
-from conftest import random_multiplex_graph, relation_matrix
+from conftest import random_multiplex_graph, relation_table
+from oracles import propagate_layers
 from test_autodiff import fd_grad
 from test_patterns import graph_from_pairs
 
 
 class TestLightgcnPropagate:
+    """A relation's table, layers 0..L summed, from its block of the stack."""
+
     def test_single_edge_sums_both_rows(self):
         g = graph_from_pairs(1, 1, {"r": [(0, 0)]})
         base = np.asarray([[1.0, 2.0], [10.0, 20.0]])
-        out = lightgcn_propagate(relation_matrix(g, "r"), base, 1)
+        out = relation_table(g, "r", base, 1)
         np.testing.assert_allclose(out[0], base[0] + base[1])
         np.testing.assert_allclose(out[1], base[1] + base[0])
 
     def test_isolated_node_keeps_layer0(self):
         g = graph_from_pairs(2, 2, {"r": [(0, 0)]})
         base = np.random.default_rng(0).normal(size=(4, 3))
-        out = lightgcn_propagate(relation_matrix(g, "r"), base, 3)
+        out = relation_table(g, "r", base, 3)
         np.testing.assert_allclose(out[1], base[1])   # isolated user
         np.testing.assert_allclose(out[3], base[3])   # isolated item
 
     def test_star_normalization(self):
         g = graph_from_pairs(1, 4, {"r": [(0, 0), (0, 1), (0, 2), (0, 3)]})
         base = np.random.default_rng(1).normal(size=(5, 2))
-        out = lightgcn_propagate(relation_matrix(g, "r"), base, 1)
+        out = relation_table(g, "r", base, 1)
         np.testing.assert_allclose(out[0], base[0] + base[1:].sum(axis=0) / 2.0)
 
     @pytest.mark.parametrize("layers", [1, 2, 3, 4])
@@ -41,20 +48,19 @@ class TestLightgcnPropagate:
         g = random_multiplex_graph(20, 25, ("a", "b"), 0.15, seed=layers)
         base = np.random.default_rng(layers).normal(size=(45, 6))
         for r in g.schema.relations:
-            got = lightgcn_propagate(relation_matrix(g, r), base, layers)
+            got = relation_table(g, r, base, layers)
             want = oracles.relation_propagation(g, r, base, layers)
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12)
 
     def test_linear_in_base(self):
         g = random_multiplex_graph(8, 8, ("a", "b"), 0.3, seed=9)
-        adj = relation_matrix(g, "a")
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(16, 4)), rng.normal(size=(16, 4))
-        fx = lightgcn_propagate(adj, x, 2)
-        fy = lightgcn_propagate(adj, y, 2)
-        np.testing.assert_allclose(lightgcn_propagate(adj, 3.0 * x, 2),
+        fx = relation_table(g, "a", x, 2)
+        fy = relation_table(g, "a", y, 2)
+        np.testing.assert_allclose(relation_table(g, "a", 3.0 * x, 2),
                                    3.0 * fx, rtol=1e-9)
-        np.testing.assert_allclose(lightgcn_propagate(adj, x + y, 2),
+        np.testing.assert_allclose(relation_table(g, "a", x + y, 2),
                                    fx + fy, rtol=1e-9, atol=1e-12)
 
 
@@ -69,16 +75,17 @@ class TestPropagateLayersAtRows:
     def test_base_gradient_matches_full_path_and_vanishes_off_the_field(self,
                                                                       layers):
         g = graph_from_pairs(4, 7, self.GRAPH)
-        adj = relation_matrix(g, "r")
+        struct = build_struct(g.num_nodes, *g.edges["r"])
+        vals = sym_norm_values(struct)
+        stack = stack_blocks([struct])
         rng = np.random.default_rng(layers)
         base0 = rng.normal(size=(11, 3))
         coeff = rng.normal(size=(layers, len(self.ROWS), 3))
         grads = []
         for rows in (None, self.ROWS):
             base = ad.Var(base0.copy())
-            hs = (propagate_layers(adj, base, layers) if rows is None else
-                  propagate_stack(BlockStack(1, adj.struct, adj.struct), adj.values,
-                                  base, layers, rows)[0])
+            hs = (propagate_layers(struct, vals, base, layers) if rows is None else
+                  propagate_stack(stack, vals, base, layers, rows)[0])
             loss = None
             for h, c in zip(hs, coeff):
                 at = h if rows is not None else ad.gather(h, self.ROWS)
@@ -87,12 +94,12 @@ class TestPropagateLayersAtRows:
             ad.backward(loss)
             grads.append(base.grad)
             if rows is not None:
-                full = propagate_layers(adj, base0, layers)
+                full = propagate_layers(struct, vals, base0, layers)
                 for h, want in zip(hs, full):
                     np.testing.assert_array_equal(ad.val(h), want[self.ROWS])
         assert grads[1].shape == base0.shape
         np.testing.assert_allclose(grads[1], grads[0], rtol=1e-12, atol=1e-15)
-        read = receptive_fields(adj.struct, self.ROWS, layers)[0]
+        read = receptive_fields(struct, self.ROWS, layers)[0]
         off = np.setdiff1d(np.arange(11), read)
         assert np.isin([2, 3, 7, 8, 9, 10], off).all()
         np.testing.assert_array_equal(grads[1][off], 0.0)
@@ -109,6 +116,36 @@ def _random_blocks(k, dtype, n=24):
         structs.append(struct)
         vals.append(rng.normal(size=struct.nnz).astype(dtype))
     return structs, vals
+
+
+class TestModelStack:
+    """The model's one sparse operator, built from the pattern union alone:
+    relation r's block is the union's edges whose pattern has bit r."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("rels", [("view", "cart", "buy"),
+                                      ("tips", "neutral", "dislike", "like")],
+                             ids=["three", "four"])
+    def test_relation_blocks_equal_build_struct_of_their_edges(self, rels, dtype):
+        g = random_multiplex_graph(9, 14, rels, 0.3, seed=len(rels))
+        empty = (np.empty(0, np.int64), np.empty(0, np.int64))
+        # the second relation has no edges, so its block is empty
+        g = MultiplexBipartiteGraph(schema=g.schema, num_users=9, num_items=14,
+                                    edges={**g.edges, rels[1]: empty})
+        model = DualChannelModel(g, RunConfig(relations=rels, target=rels[-1],
+                                              dtype=dtype).validate())
+        blocks = [build_struct(g.num_nodes, *g.edges[r]) for r in rels]
+        assert blocks[1].nnz == 0 and all(b.nnz for i, b in enumerate(blocks) if i != 1)
+        want = stack_blocks([model.patterns.struct] + blocks, np.concatenate(
+            [sym_norm_values(b, dtype=np.dtype(dtype)) for b in blocks]))
+        got = model.stack
+        assert got.blocks == want.blocks == 1 + len(rels)
+        for part in ("first", "diag"):
+            for key in ("indptr", "cols", "rows"):
+                np.testing.assert_array_equal(getattr(getattr(got, part), key),
+                                              getattr(getattr(want, part), key))
+        assert got.const.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(got.const, want.const)
 
 
 class TestPropagateStack:
@@ -141,17 +178,34 @@ class TestPropagateStack:
                                    coeff.reshape(-1, len(self.ROWS), 4)))
         want = np.zeros_like(base)
         for b, (struct, v) in enumerate(zip(structs, vals)):
-            full = propagate_layers(SparseMatrix(struct, v), base, layers)
+            full = propagate_layers(struct, v, base, layers)
             for h, ref in zip(got[b], full):
                 assert ad.val(h).dtype == dtype
                 assert np.array_equal(ad.val(h), ref[self.ROWS])
             xb = ad.Var(base.copy())
-            hs = propagate_layers(SparseMatrix(struct, v), xb, layers)
+            hs = propagate_layers(struct, v, xb, layers)
             ad.backward(self._weighted([ad.gather(h, self.ROWS) for h in hs], coeff[b]))
             want += xb.grad
         assert x.grad.dtype == dtype
         tol = 1e-12 if dtype == np.float64 else 1e-5
         np.testing.assert_allclose(x.grad, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("blocks", [1, 3, 5])
+    def test_one_block_at_every_node_matches_the_block_alone(self, blocks, dtype,
+                                                           layers):
+        # inference propagates a block from its rows of ``first`` alone,
+        # with block 0's values passed in and the others' read from ``const``
+        structs, vals = _random_blocks(blocks, dtype)
+        stack = self._stack(structs, vals)
+        base = np.random.default_rng(layers).normal(size=(self.N, 4)).astype(dtype)
+        for b, (struct, v) in enumerate(zip(structs, vals)):
+            got = propagate_block(stack, vals[0], base, layers, b)
+            want = propagate_layers(struct, v, base, layers)
+            assert len(got) == layers
+            for h, ref in zip(got, want):
+                assert h.dtype == dtype and np.array_equal(h, ref)
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("blocks", [1, 3, 5])

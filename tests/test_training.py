@@ -311,7 +311,7 @@ class TestStepKernels:
         loss, _ = model.total_loss(params.as_vars(), batch)
         assert len(calls) == layers
         ad.backward(loss)
-        assert model.stack.blocks == 1 + len(model.rel_adj) == 4
+        assert model.stack.blocks == 1 + len(model.schema.relations) == 4
         assert len(calls) == 2 * layers
 
 
