@@ -168,17 +168,18 @@ def add(a, b):
                    lambda g: _unbroadcast(g, np.shape(bv)))
 
 
-def add_n(items, scale=None):
+def add_n(items, scale=None, out=None):
     """Sum of ``items`` times ``scale``, bit-identical to chained :func:`add`
     then :func:`mul`, in one new array: the first sum allocates, the later
     sums and the scale run in place. One tape node; every input gets ``g``
     (or ``g * scale``, computed once). One input and no scale comes back
-    as it is."""
+    as it is. An untaped sum of two or more items may name an ``out``
+    array, one of the items included, instead of allocating."""
     items = list(items)
     if len(items) == 1 and scale is None:
         return items[0]
     vals = [val(x) for x in items]
-    out = np.add(vals[0], vals[1]) if len(vals) > 1 else np.array(vals[0])
+    out = np.add(vals[0], vals[1], out=out) if len(vals) > 1 else np.array(vals[0])
     for v in vals[2:]:
         out = _accumulate(out, v, True)
     if scale is not None:

@@ -63,6 +63,6 @@ def chain_embedding(all_step_tables):
     return ad.add_n([t for steps in all_step_tables for t in steps])
 
 
-def final_embedding(h_ebp, e_rel, e_chain):
-    """Elementwise mean of the three channel tables."""
-    return ad.add_n([h_ebp, e_rel, e_chain], scale=1.0 / 3.0)
+def final_embedding(h_ebp, e_rel, e_chain, out=None):
+    """Elementwise mean of the three channel tables, into ``out`` if given."""
+    return ad.add_n([h_ebp, e_rel, e_chain], scale=1.0 / 3.0, out=out)

@@ -191,8 +191,9 @@ def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(pre.checkpoint)
     base_values = parse_config_text(ckpt["config_text"], origin=pre.checkpoint)
     cfg = _make_config(args, base_values=base_values)
-    # every key but the evaluation-side ones comes from the checkpoint
-    trained = make_config(base_values=base_values)
+    # every key but the evaluation-side ones comes from the checkpoint; its
+    # ks may repeat a cutoff, which validate refuses, so --ks stands in
+    trained = make_config(base_values={**base_values, "ks": cfg.ks})
     for f in fields(RunConfig):
         ours, theirs = getattr(cfg, f.name), getattr(trained, f.name)
         if f.name not in ("ks", "csv", "data", "out", "checkpoint") and ours != theirs:

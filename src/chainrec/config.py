@@ -86,8 +86,8 @@ class RunConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if not self.ks:
             raise ConfigError("ks must list at least one cutoff")
-        if min(self.ks) < 1:
-            raise ConfigError(f"ks must all be >= 1, got {','.join(map(str, self.ks))}")
+        if min(self.ks) < 1 or len(set(self.ks)) < len(self.ks):
+            raise ConfigError(f"ks must be distinct and >= 1, got {','.join(map(str, self.ks))}")
         if not 0 < self.ratio < 1:
             raise ConfigError(f"ratio must be in (0, 1), got {self.ratio}")
         if self.dtype not in ("float64", "float32"):

@@ -9,13 +9,16 @@ break by ascending item id.
 Users are ranked a chunk at a time: a float32 screen keeps every item
 that can reach a row's top k, and only those are scored in float64 and
 sorted. The screen's product and its (chunk, items) buffer are float32,
-half the bytes of float64 in every pass over them.
+half the bytes of float64 in every pass over them. A chunk's training
+positives, one range of the test users' sorted (user, item) keys, are
+set to -inf in that buffer before the screen.
 
 Tables. A chunk's user rows a are scaled by 2^p, one power of two per
 row, and the item table b by 2^q, one for the whole table, so that every
 scaled row norm is below 1 (exact, and nothing can overflow), then cast
-to float32: â, b̂. One sgemm gives s32 = fl32(â·b̂). Let s = fl64(a·b) 2^(p+q)
-be the float64 score in the same units, and u = 2^-24.
+to float32: â, b̂, with b̂ built once per pass as a (d, items) array for
+a plain NN sgemm: s32 = fl32(â·b̂). Let s = fl64(a·b) 2^(p+q) be the
+float64 score in the same units, and u = 2^-24.
 
 Margin. With d the width and γ_n = nu/(1 - nu), every entry of a row
 has |s32 - s| <= δ, where
@@ -46,11 +49,13 @@ the row's k-th best s is at least t - δ, and every top-k item, ties
 included, has s >= t - δ and so s32 >= t - 2δ. The entries of at least
 t - 2δ (one float32 step below it), in groups whose maximum reaches it,
 are rescored in float64 from the unscaled tables and sorted once per
-chunk by (row, -s, id). Exact for finite scores, with respect to that
-float64 score; :func:`rank_items`, the brute force, scores with the same
-kernel, while another float64 kernel (a matrix-vector product, say) may
-round a dot product differently in its last bit and order items within
-an ulp or two differently.
+chunk by (row, -s, id). They are found by flat position: one flatnonzero
+over the (chunk, G) group mask, and one 1-D take from the buffer. Exact
+for finite scores, with respect to that float64 score; :func:`rank_items`,
+the brute force, scores with the same kernel, while another float64
+kernel (a matrix-vector product, say) may round a dot product
+differently in its last bit and order items within an ulp or two
+differently.
 """
 
 from dataclasses import dataclass
@@ -120,9 +125,9 @@ def pow2_exponents(x: np.ndarray, axis=1):
     return -(m.astype(np.int64) + h)
 
 
-def screen_table(x: np.ndarray, e) -> np.ndarray:
+def screen_table(x: np.ndarray, e, out=None) -> np.ndarray:
     """``x`` 2^e in float32, scaled in float64 first so nothing overflows."""
-    out = np.empty(x.shape, np.float32)
+    out = np.empty(x.shape, np.float32) if out is None else out
     # int32 exponents: numpy's int64 ldexp loop was 6x slower
     np.ldexp(x, np.asarray(e, np.intc), out=out)
     return out
@@ -156,13 +161,14 @@ def _screen(scores: np.ndarray, width: int, margin: np.ndarray):
          else np.float32(-np.inf))
     # the float32 step below the rounded float64 floor keeps all it keeps
     floor32 = np.nextafter((t - 2 * margin).astype(np.float32), np.float32(-np.inf))
-    rows, groups = np.nonzero(gmax >= floor32[:, None])
+    rows, groups = np.divmod(np.flatnonzero(gmax >= floor32[:, None]), g)
     cols = groups[:, None] + g * np.arange(q + (r > 0))
     inside = cols < n
-    rows, cols = np.broadcast_to(rows[:, None], cols.shape)[inside], cols[inside]
-    vals = scores[rows, cols]
-    keep = (vals >= floor32[rows]) & (vals > -np.inf)
-    return rows[keep], cols[keep]
+    rows = np.broadcast_to(rows[:, None], cols.shape)[inside]
+    at = rows * n + cols[inside]
+    vals = scores.reshape(-1).take(at)
+    at = at[(vals >= floor32[rows]) & (vals > -np.inf)]
+    return np.divmod(at, n)
 
 
 def _top_lists(rows, cols, vals, c: int, width: int):
@@ -202,7 +208,10 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
     # distinct (user position, item) test edges as sorted integer keys
     test_keys = sorted_unique(np.searchsorted(users, tu) * num_items + (tv - num_users))
     n_test = np.bincount(test_keys // num_items, minlength=len(users))
+    # test users' training positives as sorted (user position, item) keys
     su, sv = split.train_pairs(graph.schema.target)
+    sel = np.isin(su, users)
+    train_keys = sorted_unique(np.searchsorted(users, su[sel]) * num_items + sv[sel] - num_users)
     # gains ln 2 / ln(rank + 1), summed from rank 1 up
     gains = np.array([_LOG2 / np.log(r + 1.0) for r in range(1, width + 1)])
     ideal = np.cumsum(gains)
@@ -212,10 +221,12 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
 
     items = e_final[num_users:]
     item_exp = pow2_exponents(items, axis=None)
-    items32 = np.empty(items.shape, np.float32)
+    # (d, items): each chunk's product is a plain NN sgemm
+    items32 = np.empty(items.shape[::-1], np.float32)
     for i in range(0, num_items, chunk):
-        items32[i:i + chunk] = screen_table(items[i:i + chunk].astype(np.float64), item_exp)
-    item_norm = row_norms(items32).max(initial=0.0)
+        screen_table(items[i:i + chunk].T.astype(np.float64), item_exp,
+                     out=items32[:, i:i + chunk])
+    item_norm = row_norms(items32.T).max(initial=0.0)
     # one float32 score buffer for every chunk, so no two chunks are ever live
     buf = np.empty((min(chunk, len(users)), num_items), np.float32)
     for start in range(0, len(users), chunk):
@@ -224,9 +235,9 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
         u64 = e_final[batch].astype(np.float64, copy=False)
         user_exp = pow2_exponents(u64)
         u32 = screen_table(u64, user_exp[:, None])
-        scores = np.matmul(u32, items32.T, out=buf[:len(batch)])
-        excluded = np.isin(su, batch)
-        scores[np.searchsorted(batch, su[excluded]), sv[excluded] - num_users] = -np.inf
+        scores = np.matmul(u32, items32, out=buf[:len(batch)])
+        lo, hi = np.searchsorted(train_keys, (start * num_items, stop * num_items))
+        scores.reshape(-1)[train_keys[lo:hi] - start * num_items] = -np.inf
         rows, cols = _screen(scores, width, screen_margin(u32, user_exp + item_exp, item_norm))
         vals = backend.spmm_grad_vals(rows, cols, u64, items)
         top, lengths = _top_lists(rows, cols, vals, len(batch), width)

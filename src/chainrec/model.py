@@ -174,16 +174,21 @@ class DualChannelModel:
 
     def final_embeddings(self, params: ModelParams) -> np.ndarray:
         """The final table at every node, untaped, bit-identical to that of
-        :meth:`embeddings` at every row. The sparse channels propagate
-        ``self.stack`` one block at a time. It holds about |R| + 4 n x d
-        tables at its peak: ``e_c`` (zeros with no chains) adds each chain step
-        in that order and drops it once the next is made, and the relation
-        tables go before the pattern channel."""
-        p, cfg = params.tensors, self.cfg
-        rel = {r: ad.add_n([p["base"], *relations.propagate_block(
-                   self.stack, None, p["base"], cfg.layers, b + 1)])
-               for b, r in enumerate(self.schema.relations)}
-        e_r, e_c = ad.add_n(rel.values()), None
+        :meth:`embeddings` at every row: ``self.stack`` propagates one block
+        at a time, and each sum runs in place, in the same order, into a
+        table this pass made. The peak is |R| + 2 n x d tables: the relation
+        tables that start a chain, ``e_c`` and two chain steps. The others
+        follow, one at a time into ``e_r``; the local layer-1 table then
+        holds the layer mean, ``h_ebp`` and the final table in turn."""
+        p, cfg, base = params.tensors, self.cfg, params.tensors["base"]
+
+        def relation(r):
+            layers = relations.propagate_block(self.stack, None, base, cfg.layers,
+                                               self.schema.relations.index(r) + 1)
+            return ad.add_n([base, *layers], out=layers[0])
+
+        rel = {r: relation(r) for r in dict.fromkeys(c.relations[0] for c in self.chains)}
+        e_c = e_r = None
         for i, chain in enumerate(self.chains):
             step = rel[chain.relations[0]]
             e_c = step.copy() if e_c is None else np.add(e_c, step, out=e_c)
@@ -191,13 +196,18 @@ class DualChannelModel:
                 step = chain_forward(chain, step, [p[f"chain{i}.user{j}"]],
                                      [p[f"chain{i}.item{j}"]], self.num_users)[-1]
                 e_c += step
-        rel = step = None
+        step = None
+        for r in self.schema.relations:
+            table = rel.pop(r, None)
+            table = relation(r) if table is None else table
+            e_r = table if e_r is None else np.add(e_r, table, out=e_r)
+        table = None
         vals = patterns.local_adjacency(self.patterns, p["local_logits"])
         b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
-        h_ebp = patterns.ebp_embeddings(
-            patterns.propagate_local(self.stack, vals, p["base"], cfg.layers),
-            patterns.propagate_global_factored(b_mat, p["base"], cfg.layers))
-        return final_embedding(h_ebp, e_r, np.zeros_like(e_r) if e_c is None else e_c)
+        h = patterns.propagate_local(self.stack, vals, base, cfg.layers)
+        h = patterns.ebp_embeddings(
+            h, patterns.propagate_global_factored(b_mat, base, cfg.layers), out=h)
+        return final_embedding(h, e_r, np.zeros_like(e_r) if e_c is None else e_c, out=h)
 
     # ------------------------------------------------------------------
     # loss

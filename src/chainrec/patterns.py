@@ -85,12 +85,14 @@ def local_adjacency(union: BehaviorPatterns, logits):
 
 def propagate_local(stack: BlockStack, vals, base, num_layers: int):
     """Mean of the layer-1..L tables (layer 0 excluded) of block 0 of
-    ``stack``, the union, with values ``vals``, at every node."""
-    return layer_mean(propagate_block(stack, vals, base, num_layers, 0))
+    ``stack``, the union, with values ``vals``, at every node, untaped and
+    written into the layer-1 table."""
+    layers = propagate_block(stack, vals, base, num_layers, 0)
+    return layer_mean(layers, out=layers[0])
 
 
-def layer_mean(layers):
-    return ad.add_n(layers, scale=1.0 / len(layers))
+def layer_mean(layers, out=None):
+    return ad.add_n(layers, scale=1.0 / len(layers), out=out)
 
 
 def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
@@ -115,7 +117,7 @@ def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
     return ad.matmul(left, t)
 
 
-def ebp_embeddings(h_loc, h_glo):
+def ebp_embeddings(h_loc, h_glo, out=None):
     """Average-pool the local and global tables into the explicit-pattern
-    embedding."""
-    return ad.add_n([h_loc, h_glo], scale=0.5)
+    embedding, into ``out`` if given."""
+    return ad.add_n([h_loc, h_glo], scale=0.5, out=out)

@@ -27,7 +27,7 @@ def propagate_block(stack: BlockStack, vals, base, num_layers: int, block: int) 
     first, n = stack.first, stack.first.n // stack.blocks
     lo, hi = first.indptr[block * n], first.indptr[(block + 1) * n]
     struct = CSRStruct(n, first.indptr[block * n:(block + 1) * n + 1] - lo,
-                       first.cols[lo:hi], first.rows[lo:hi] - block * n)
+                       first.cols[lo:hi], None)
     if block:
         vals = stack.const[lo - first.indptr[n]:hi - first.indptr[n]]
     layers, h = [], base

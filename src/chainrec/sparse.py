@@ -9,6 +9,7 @@ pattern union and, selected from its edges, every relation.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +17,8 @@ import numpy as np
 @dataclass(frozen=True)
 class CSRStruct:
     """Row-sorted CSR topology: ``rows[k]`` and ``cols[k]`` are edge k's
-    endpoints, and each row's columns ascend."""
+    endpoints, and each row's columns ascend. A :class:`BlockStack`'s
+    structs and their blocks hold no ``rows`` (None): no product reads them."""
 
     n: int
     indptr: np.ndarray
@@ -85,15 +87,21 @@ def receptive_fields(struct: CSRStruct, rows, num_layers: int) -> list:
 @dataclass(frozen=True)
 class BlockStack:
     """Square operators over the same n nodes, stacked: row b*n + i is row i
-    of block b. ``diag`` reads the stacked previous layer (column b*n + j),
-    ``first`` the one layer-0 table that every block shares (column j);
+    of block b. ``first`` reads the one layer-0 table that every block
+    shares (column j), ``diag`` the stacked previous layer (column b*n + j);
     ``const`` holds the values of every edge after block 0's, whose values
     come with each product."""
 
     blocks: int
     first: CSRStruct
-    diag: CSRStruct
     const: object = None
+
+    @cached_property
+    def diag(self) -> CSRStruct:
+        """Built on first use: only a training step's later layers read it."""
+        first, n = self.first, self.first.n // self.blocks
+        offset = np.repeat(np.arange(self.blocks) * n, np.diff(first.indptr[::n]))
+        return CSRStruct(first.n, first.indptr, first.cols + offset, None)
 
 
 def stack_blocks(structs: list, const=None) -> BlockStack:
@@ -101,11 +109,8 @@ def stack_blocks(structs: list, const=None) -> BlockStack:
     n, k = structs[0].n, len(structs)
     ends = np.cumsum([0] + [s.nnz for s in structs])
     indptr = np.concatenate([s.indptr[:-1] + e for s, e in zip(structs, ends)] + [ends[-1:]])
-    rows = np.concatenate([s.rows + b * n for b, s in enumerate(structs)])
     cols = np.concatenate([s.cols for s in structs])
-    block = np.repeat(np.arange(k), np.diff(ends))
-    return BlockStack(k, CSRStruct(k * n, indptr, cols, rows),
-                      CSRStruct(k * n, indptr, cols + block * n, rows), const)
+    return BlockStack(k, CSRStruct(k * n, indptr, cols, None), const)
 
 
 def sym_norm_values(struct: CSRStruct, dtype=np.float64) -> np.ndarray:

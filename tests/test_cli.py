@@ -308,6 +308,7 @@ class TestTrain:
         ("--ks", "10,-5", "ks"),
         ("--ks", ",", "ks"),
         ("--ks", "a,b", "ks"),
+        ("--ks", "10,10,5", "ks"),
         ("--dim", "abc", "dim"),
         ("--lr", "fast", "lr"),
         ("--csv", "maybe", "csv"),
@@ -618,6 +619,23 @@ class TestEvaluate:
         assert code == 0
         out = capsys.readouterr().out
         assert "R@10 " in out and "R@20" not in out
+
+    def test_checkpoint_with_a_repeated_cutoff_needs_ks(self, run_dir, synth_file,
+                                                        tmp_path, capsys):
+        # an earlier version wrote ks = 10,10,5 and printed R@10 twice
+        from chainrec.checkpoint import load_checkpoint, save_checkpoint
+        ckpt = load_checkpoint(run_dir / "best.npz")
+        text = ckpt["config_text"].replace("ks = 5,10,20,40", "ks = 10,10,5")
+        assert "ks = 10,10,5" in text
+        old = tmp_path / "old.npz"
+        save_checkpoint(old, ckpt["params"], ckpt["state"], text, ckpt["meta"], ckpt["rng"])
+        capsys.readouterr()
+        args = ("evaluate", "--data", str(synth_file), "--checkpoint", str(old))
+        assert run_cli(*args) == 1
+        assert_one_error_line(capsys, "ks", "10,10,5")
+        assert run_cli(*args, "--ks", "10,5") == 0
+        out = capsys.readouterr().out
+        assert out.count("R@10 ") == 1 and "R@5 " in out
 
     def test_group_header_names_the_group_k(self, run_dir, synth_file, capsys):
         code = run_cli("evaluate", "--data", str(synth_file),

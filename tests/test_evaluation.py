@@ -244,6 +244,57 @@ class TestChunkRanking:
         assert_matches_brute_force(*tie_heavy_case(seed, dtype), ks, chunk)
 
 
+def interleaved_case(seed, nu=12, ni=40):
+    """Test users 0, 2, 3, 6, 7 and 10; users 1, 4, 5, 8, 9 and 11 hold
+    training positives but no test edge, so they sit between the test users
+    of one chunk. The training pairs come shuffled, not sorted by user."""
+    rng = np.random.default_rng(seed)
+    tu, tv = [], []
+    for u in (0, 2, 3, 6, 7, 10):
+        items = rng.choice(ni, size=int(rng.integers(1, 6)), replace=False)
+        tu += [u] * len(items)
+        tv += list(items)
+    tu, tv = np.asarray(tu, dtype=np.int64), np.asarray(tv, dtype=np.int64)
+    train = rng.random((nu, ni)) < 0.4
+    train[tu, tv] = False
+    su, sv = np.nonzero(train)
+    shuffle = rng.permutation(len(su))
+    su, sv = su[shuffle], sv[shuffle]
+    test = (tu, tv + nu)
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
+    graph = MultiplexBipartiteGraph(schema=make_schema(("view", "buy"), "buy"),
+                                    num_users=nu, num_items=ni,
+                                    edges={"view": empty, "buy": test})
+    split = DatasetSplit(train_edges={"view": empty, "buy": (su, sv + nu)},
+                         test_edges=test)
+    return graph, split, rng.normal(size=(nu + ni, 3))
+
+
+class TestRangeExclusion:
+    """Each chunk excludes the training positives of its users from one
+    range of the pairs sorted by user: users between its test users, with
+    positives of their own, exclude nothing from it."""
+
+    # 40 items: 8 groups divide the catalog, 7 do not
+    @pytest.mark.parametrize("groups", [8, 7])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, None])
+    def test_matches_brute_force(self, monkeypatch, groups, chunk):
+        monkeypatch.setattr(evaluation, "SCREEN_GROUPS", groups)
+        graph, split, e = interleaved_case(groups + (chunk or 0))
+        su, _ = split.train_pairs("buy")
+        assert np.any(np.diff(su) < 0) and np.isin([1, 4, 5, 8, 9], su).all()
+        ks = (1, 5, 10)
+        users, tops, per_user = brute_force_evaluate(e, graph, split, ks)
+        result = evaluate(e, graph, split, ks=ks, chunk=chunk)
+        np.testing.assert_array_equal(result.users, [0, 2, 3, 6, 7, 10])
+        np.testing.assert_array_equal(result.users, users)
+        for got, want in zip(result.top_items, tops, strict=True):
+            np.testing.assert_array_equal(got, want)
+        for k in ks:
+            for metric in ("recall", "ndcg"):
+                assert result.per_user[k][metric].tolist() == per_user[k][metric]
+
+
 def screen_case(kind, seed, d=4):
     """tie_heavy_case's graph under a table whose float64 dot products are
     exact in any summation order, while float32 rounds them, so the screen

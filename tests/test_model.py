@@ -161,14 +161,21 @@ class TestInferencePath:
     row path at every row, whatever the schema and dtype."""
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("rels", [
-        ("view", "cart", "buy"),
-        ("tips", "neutral", "dislike", "like"),
-        ("buy",),
-    ], ids=["three", "four", "single"])
-    def test_equals_the_row_path_at_every_row(self, rels, dtype):
-        graph = random_multiplex_graph(9, 14, rels, 0.3, seed=len(rels))
-        cfg = RunConfig(dim=4, seed=1, relations=rels, target=rels[-1],
+    @pytest.mark.parametrize("rels,order,layers", [
+        (("view", "cart", "buy"), None, 2),
+        (("tips", "neutral", "dislike", "like"), None, 2),
+        (("buy",), None, 2),
+        # every chain starts at the target, the last relation in schema order
+        (("view", "cart", "buy"), ("buy", "view", "cart"), 2),
+        # chains start at view and at the target
+        (("view", "cart", "buy"), ("view", "buy", "cart"), 2),
+        (("view", "cart", "buy"), None, 1),
+        (("view", "cart", "buy"), None, 3),
+    ], ids=["three", "four", "single", "target-first", "target-second",
+            "one-layer", "three-layers"])
+    def test_equals_the_row_path_at_every_row(self, rels, order, layers, dtype):
+        graph = random_multiplex_graph(9, 14, rels, 0.3, seed=len(rels), order=order)
+        cfg = RunConfig(dim=4, layers=layers, seed=1, relations=rels, target=rels[-1],
                         dtype=dtype).validate()
         model = DualChannelModel(graph, cfg)
         params = model.init_params(cfg.seed)
@@ -176,10 +183,14 @@ class TestInferencePath:
         # off the initial logits and biases, so no channel is uniform
         for name, t in params.tensors.items():
             params.tensors[name] = (t + rng.normal(0, 0.1, size=t.shape)).astype(t.dtype)
+        before = params.copy().tensors
         got = model.final_embeddings(params)
         want = model.embeddings(params.tensors, rows=np.arange(model.n))
         assert got.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(got, want["final"])
+        # the in-place sums write only into tables the pass made
+        for name, t in before.items():
+            np.testing.assert_array_equal(params.tensors[name], t, err_msg=name)
         if len(rels) == 1:  # no chains: e_c is zeros
             assert not model.chains and not np.any(want["e_c"])
 
@@ -221,18 +232,19 @@ def _traced_peak(fn, *args, **kwargs):
 
 class TestInferenceMemory:
     """The inference pass holds only the tables it still needs: at most
-    |R| + 5 of n x d in the forward (8 on three relations, 9 on four), and
-    one chunk's float32 scores and screen maxima plus 2 tables in the
-    ranking, which upcasts no whole table."""
+    |R| + 2 of n x d in the forward (5 on three relations, 6 on four), plus
+    the few KiB of Python objects alive at the peak, and one chunk's float32
+    scores and screen maxima plus 2 tables in the ranking, which upcasts no
+    whole table."""
 
     @pytest.mark.parametrize("setup", ["synth_inference", "synth_inference_four"],
                              ids=["three", "four"])
-    def test_forward_peak_is_at_most_relations_plus_5_tables(self, setup, request):
+    def test_forward_peak_is_at_most_relations_plus_2_tables(self, setup, request):
         model, params, _ = request.getfixturevalue(setup)
         table = model.n * model.cfg.dim * np.dtype(model.dtype).itemsize
         model.final_embeddings(params)  # warm-up
-        bound = len(model.schema.relations) + 5
-        assert _traced_peak(model.final_embeddings, params) <= bound * table
+        bound = len(model.schema.relations) + 2
+        assert _traced_peak(model.final_embeddings, params) <= bound * table + 2**16
 
     def test_ranking_peak_is_one_chunk_and_2_tables(self, synth_inference):
         # a chunk: its float32 scores and the screen's two float32 (chunk, G)
@@ -245,6 +257,24 @@ class TestInferenceMemory:
         n_users = np.unique(split.test_edges[0]).shape[0]
         peak = _traced_peak(evaluation.evaluate, e_final, model.graph, split)
         assert peak <= min(chunk, n_users) * per_user + 2 * e_final.nbytes
+
+
+class TestLazyDiag:
+    """Only a training step's later layers read ``stack.diag``: an
+    evaluation-only run never builds it, and a step builds it on its own."""
+
+    def test_evaluation_leaves_diag_unbuilt_and_training_builds_it(self, tiny_setup):
+        graph, split, model, params, batch, cfg = tiny_setup
+        e_final = model.final_embeddings(params)
+        evaluation.evaluate(e_final, model.graph, split, ks=cfg.ks)
+        assert "diag" not in model.stack.__dict__
+        got, _ = backward(model, params, batch)
+        assert "diag" in model.stack.__dict__
+        fresh = DualChannelModel(model.graph, cfg)
+        fresh.stack.diag  # built before the step this time
+        want, _ = backward(fresh, params, batch)
+        for name, g in want.items():
+            np.testing.assert_array_equal(got[name], g, err_msg=name)
 
 
 class TestTermSwitchOff:
@@ -326,9 +356,10 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("overrides", [
         {"layers": 0}, {"tau": 0.0}, {"seed": -1}, {"tau": float("nan")},
         {"lr": float("inf")}, {"l2": float("nan")}, {"synth_zipf": float("inf")},
-        {"mu_scale": float("inf")}, {"patience": 0}, {"patience": -3}],
+        {"mu_scale": float("inf")}, {"patience": 0}, {"patience": -3},
+        {"ks": (10, 10, 5)}],
         ids=["layers", "tau", "seed", "tau-nan", "lr-inf", "l2-nan", "synth_zipf-inf",
-             "mu_scale-inf", "patience", "patience-negative"])
+             "mu_scale-inf", "patience", "patience-negative", "ks-repeated"])
     def test_bad_value_raises_at_construction(self, overrides):
         graph = random_multiplex_graph(5, 6, ("view", "cart", "buy"), 0.5, seed=4)
         with pytest.raises(ConfigError, match=next(iter(overrides))):

@@ -1,9 +1,18 @@
 """The benchmark's self-test, run with the suite, so that a rename or a
-deletion in chainrec that breaks the benchmark's wrappers fails here."""
+deletion in chainrec that breaks the benchmark's wrappers fails here, and
+a guard that the inference forward still calls the names they wrap."""
 
 import os
 import subprocess
 import sys
+
+import pytest
+
+from chainrec import autodiff, model, patterns
+from chainrec.config import RunConfig
+from chainrec.model import DualChannelModel
+
+from conftest import random_multiplex_graph
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -13,3 +22,32 @@ def test_perfbench_selftest_passes():
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "selftest passed" in proc.stdout
+
+
+# (module, attribute) that perfbench's traced run swaps for a timing
+# wrapper and that the inference forward must call through its module
+INFERENCE_HOOKS = [(patterns, "propagate_local"), (patterns, "propagate_global_factored"),
+                   (model, "chain_forward"), (autodiff, "spmm")]
+
+
+@pytest.mark.parametrize("rels", [("view", "cart", "buy"),
+                                  ("tips", "neutral", "dislike", "like")],
+                         ids=["three", "four"])
+def test_inference_forward_calls_every_wrapped_hook(rels, monkeypatch):
+    # a forward that stops calling one of them leaves its traced span at 0
+    with open(os.path.join(ROOT, "perfbench", "spans.py"), encoding="utf-8") as fh:
+        spans = fh.read()
+    cfg = RunConfig(dim=4, layers=3, relations=rels, target=rels[-1]).validate()
+    net = DualChannelModel(random_multiplex_graph(6, 9, rels, 0.4, seed=3), cfg)
+    calls = {}
+    for owner, name in INFERENCE_HOOKS:
+        assert f'({owner.__name__.rsplit(".", 1)[1]}, "{name}"' in spans, name
+
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    net.final_embeddings(net.init_params(0))
+    assert calls == {"propagate_local": 1, "propagate_global_factored": 1,
+                     "chain_forward": sum(c.num_steps for c in net.chains),
+                     "spmm": cfg.layers * (len(rels) + 1)}

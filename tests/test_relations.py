@@ -141,9 +141,17 @@ class TestModelStack:
         got = model.stack
         assert got.blocks == want.blocks == 1 + len(rels)
         for part in ("first", "diag"):
-            for key in ("indptr", "cols", "rows"):
+            for key in ("indptr", "cols"):
                 np.testing.assert_array_equal(getattr(getattr(got, part), key),
                                               getattr(getattr(want, part), key))
+            assert getattr(got, part).rows is None
+        # first reads block-local columns, diag block b's at offset b * n
+        structs = [model.patterns.struct] + blocks
+        n = g.num_nodes
+        np.testing.assert_array_equal(got.first.cols, np.concatenate([s.cols for s in structs]))
+        np.testing.assert_array_equal(got.diag.cols, np.concatenate(
+            [s.cols + b * n for b, s in enumerate(structs)]))
+        np.testing.assert_array_equal(got.diag.indptr, got.first.indptr)
         assert got.const.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(got.const, want.const)
 
