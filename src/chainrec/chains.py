@@ -43,6 +43,12 @@ def enumerate_chains(schema: RelationSchema):
     return chains
 
 
+def transform_names(i: int, chain: RelationChain) -> tuple:
+    """Chain i's user transform names and its item transform names, one per step."""
+    return tuple([f"chain{i}.{side}{j}" for j in range(chain.num_steps)]
+                 for side in ("user", "item"))
+
+
 def chain_forward(chain: RelationChain, first_relation_table,
                   w_user, w_item, num_users: int):
     """Per-step tables of one chain.

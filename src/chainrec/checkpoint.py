@@ -50,14 +50,9 @@ def load_checkpoint(path) -> dict:
         for key in ("__config__", "__meta__", "__rng__", "__adam_t__"):
             if key not in data:
                 raise CheckpointError(f"{path} lacks {key}")
-        tensors, adam_m, adam_v = {}, {}, {}
-        for key in data.files:
-            if key.startswith("param/"):
-                tensors[key[len("param/"):]] = data[key]
-            elif key.startswith("adam_m/"):
-                adam_m[key[len("adam_m/"):]] = data[key]
-            elif key.startswith("adam_v/"):
-                adam_v[key[len("adam_v/"):]] = data[key]
+        tensors, adam_m, adam_v = ({k[len(prefix):]: data[k] for k in data.files
+                                    if k.startswith(prefix)}
+                                   for prefix in ("param/", "adam_m/", "adam_v/"))
         # the names not under all three prefixes
         odd = (tensors.keys() ^ adam_m.keys()) | (tensors.keys() ^ adam_v.keys())
         if odd:
@@ -91,12 +86,3 @@ def check_tensors(ckpt: dict, shapes: dict) -> None:
         raise CheckpointError("checkpoint parameters hold non-finite values: "
                               + ", ".join(nonfinite))
 
-
-def compatibility_diff(meta: dict, expected: dict) -> list:
-    """Human-readable mismatches between a checkpoint and the current run."""
-    lines = []
-    for key, want in expected.items():
-        have = meta.get(key)
-        if have != want:
-            lines.append(f"{key}: checkpoint={have!r} run={want!r}")
-    return lines

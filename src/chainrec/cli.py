@@ -2,13 +2,8 @@
 
 Every RunConfig key is exposed as a same-named flag (dashes for
 underscores); a flag wins over the config file. Exit codes: 0 success,
-1 usage, config or data error (including a malformed command line, an
-unknown flag, data with no target edges, a split with no test edge or
-no training target edge, a user with no item left to sample as a
-negative, a checkpoint whose parameters are not of the run's dtype, a
-config file or checkpoint that sets a retired key to a value this
-version no longer computes, and an evaluate flag or config value that
-changes a key of the checkpoint), 2 runtime abort.
+1 usage, config, data or checkpoint error (README lists every case), 2
+runtime abort.
 """
 
 import argparse
@@ -18,8 +13,8 @@ import os
 import sys
 from dataclasses import fields
 
-from .checkpoint import (CheckpointError, check_tensors, compatibility_diff,
-                         load_checkpoint, save_checkpoint)
+from .checkpoint import (CheckpointError, check_tensors, load_checkpoint,
+                         save_checkpoint)
 from .chains import enumerate_chains
 from .config import (ConfigError, RunConfig, config_text, make_config,
                      parse_config_text, save_config)
@@ -35,6 +30,10 @@ from .training import train as run_training
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+
+# the keys a command may set apart from the checkpoint it starts from
+EVALUATE_KEYS = ("ks", "csv", "data", "out", "checkpoint")
+RESUME_KEYS = ("epochs", "patience", "eval_every", "ks", "csv", "data", "out", "resume")
 
 
 class UsageError(Exception):
@@ -58,17 +57,11 @@ def _add_common_flags(parser):
                             help=f"override config key '{f.name}'")
 
 
-def _overrides(args) -> dict:
-    out = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f"cfg_{f.name}", None)
-        if value is not None:
-            out[f.name] = value
-    return out
-
-
 def _make_config(args, base_values=None) -> RunConfig:
-    return make_config(args.config, _overrides(args), base_values=base_values)
+    given = vars(args)
+    overrides = {f.name: given[f"cfg_{f.name}"] for f in fields(RunConfig)
+                 if given.get(f"cfg_{f.name}") is not None}
+    return make_config(args.config, overrides, base_values=base_values)
 
 
 def _load_graph(cfg: RunConfig):
@@ -98,25 +91,60 @@ def _split(cfg: RunConfig, graph):
     return split
 
 
-def _checkpoint_meta(cfg: RunConfig, graph, extra=None) -> dict:
-    meta = {"dim": cfg.dim, "relations": list(cfg.relations),
-            "target": cfg.target, "num_users": graph.num_users,
-            "num_items": graph.num_items}
-    meta.update(extra or {})
-    return meta
+def _config_from_checkpoint(args, path, command, free, fresh=()):
+    """The checkpoint at ``path`` and the run's config, built on the
+    checkpoint's embedded config less the keys in ``fresh``. A flag or
+    ``--config`` value may change the keys in ``free``; a change to any
+    other is refused, naming the key."""
+    ckpt = load_checkpoint(path)
+    embedded = parse_config_text(ckpt["config_text"], origin=path)
+    base_values = {k: v for k, v in embedded.items() if k not in fresh}
+    cfg = _make_config(args, base_values=base_values)
+    # the free keys take this run's values; the checkpoint's ks may repeat a
+    # cutoff, which validate refuses
+    trained = make_config(base_values={**base_values,
+                                       **{k: getattr(cfg, k) for k in free}})
+    theirs = vars(trained)
+    changed = [f"{k} is {v!r} here but {theirs[k]!r} in the checkpoint"
+               for k, v in vars(cfg).items() if v != theirs[k]]
+    if changed:
+        raise UsageError(", ".join(changed) + f"; {command} takes every key but "
+                         f"{', '.join(free)} from the checkpoint")
+    return cfg, ckpt
 
 
 def _check_checkpoint(ckpt: dict, cfg: RunConfig, graph) -> None:
-    """Refuses a checkpoint whose metadata or parameter tensors do not fit
-    the model this run builds."""
-    diff = compatibility_diff(ckpt["meta"], _checkpoint_meta(cfg, graph))
-    if diff:
-        raise UsageError("checkpoint does not match this run:\n  " + "\n  ".join(diff))
+    """Refuses a checkpoint trained on another number of users or items, or
+    whose parameter tensors do not fit the model its config builds."""
+    sizes = (ckpt["meta"].get("num_users"), ckpt["meta"].get("num_items"))
+    if sizes != (graph.num_users, graph.num_items):
+        raise UsageError(f"checkpoint was trained on {sizes[0]} users and {sizes[1]} "
+                         f"items but the data has {graph.num_users} and "
+                         f"{graph.num_items}")
     check_tensors(ckpt, param_shapes(graph.schema, cfg, graph.num_nodes))
     held = sorted({str(t.dtype) for t in ckpt["params"].tensors.values()})
     if held != [cfg.dtype]:
-        raise UsageError(f"checkpoint parameters are {'/'.join(held)} but dtype is "
-                         f"{cfg.dtype}; pass --dtype {held[0]}")
+        raise UsageError(f"checkpoint parameters are {'/'.join(held)} but its "
+                         f"config has dtype {cfg.dtype}")
+
+
+def _resume_epoch(ckpt: dict, cfg: RunConfig, split) -> int:
+    """The epoch a resume continues from. Refuses a resume with no epoch left
+    to train, from a checkpoint whose Adam step count is not its epoch's (a
+    best.npz whose best epoch came before the run's last), or into the run
+    directory that holds the checkpoint."""
+    epoch, t = int(ckpt["meta"].get("epoch", 0)), ckpt["state"].t
+    if cfg.epochs <= epoch:
+        raise UsageError(f"epochs is {cfg.epochs} but {cfg.resume} is at epoch "
+                         f"{epoch}: nothing to train; pass --epochs above {epoch}")
+    steps = epoch * -(-split.train_pairs(cfg.target)[0].shape[0] // cfg.batch)
+    if t != steps:
+        raise UsageError(f"{cfg.resume} holds epoch {epoch}'s parameters but the "
+                         f"optimizer state of step {t}, not {steps}; resume from "
+                         f"checkpoint.npz")
+    if os.path.realpath(cfg.out_dir()) == os.path.realpath(os.path.dirname(cfg.resume)):
+        raise UsageError(f"out {cfg.out_dir()} holds {cfg.resume}; pass another --out")
+    return epoch
 
 
 def _write_metrics_csv(history, path):
@@ -139,17 +167,18 @@ def _write_metrics_csv(history, path):
 
 
 def cmd_train(args) -> int:
-    cfg = _make_config(args)
+    cfg, ckpt = _make_config(args), None
+    if cfg.resume:
+        cfg, ckpt = _config_from_checkpoint(args, cfg.resume, "train --resume",
+                                            RESUME_KEYS, fresh=("out",))
     graph = _load_graph(cfg)
     split = _split(cfg, graph)
-    params = state = rng_state = None
-    start_epoch = 0
-    if cfg.resume:
-        ckpt = load_checkpoint(cfg.resume)
+    resume = {}
+    if ckpt:
         _check_checkpoint(ckpt, cfg, graph)
-        params, state = ckpt["params"], ckpt["state"]
-        rng_state = ckpt["rng"]
-        start_epoch = int(ckpt["meta"].get("epoch", 0))
+        resume = {"start_epoch": _resume_epoch(ckpt, cfg, split),
+                  "params": ckpt["params"], "state": ckpt["state"],
+                  "sampler_rng_state": ckpt["rng"]}
 
     out_dir = cfg.out_dir()
     os.makedirs(out_dir, exist_ok=True)
@@ -161,21 +190,15 @@ def cmd_train(args) -> int:
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
             log_fh.flush()
 
-        result = run_training(graph, split, cfg, record_sink=sink,
-                              params=params, state=state,
-                              start_epoch=start_epoch,
-                              sampler_rng_state=rng_state)
+        result = run_training(graph, split, cfg, record_sink=sink, **resume)
 
     cfg_text = config_text(cfg)
-    meta = _checkpoint_meta(cfg, graph, {"epoch": result.last_epoch,
-                                         "best_epoch": result.best_epoch})
-    save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), result.params,
-                    result.state, cfg_text, meta, result.rng_state)
-    save_checkpoint(os.path.join(out_dir, "best.npz"), result.best_params,
-                    result.state, cfg_text,
-                    _checkpoint_meta(cfg, graph, {"epoch": result.best_epoch,
-                                                  "best_epoch": result.best_epoch}),
-                    result.rng_state)
+    for name, params, epoch in (("checkpoint.npz", result.params, result.last_epoch),
+                                ("best.npz", result.best_params, result.best_epoch)):
+        meta = {"num_users": graph.num_users, "num_items": graph.num_items,
+                "epoch": epoch, "best_epoch": result.best_epoch}
+        save_checkpoint(os.path.join(out_dir, name), params, result.state, cfg_text,
+                        meta, result.rng_state)
     if cfg.csv:
         _write_metrics_csv(result.history, os.path.join(out_dir, "metrics.csv"))
     print(f"trained {result.last_epoch} epochs; best R@10-equivalent "
@@ -185,20 +208,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    pre = _make_config(args)
-    if not pre.checkpoint:
+    checkpoint = _make_config(args).checkpoint
+    if not checkpoint:
         raise UsageError("evaluate needs --checkpoint")
-    ckpt = load_checkpoint(pre.checkpoint)
-    base_values = parse_config_text(ckpt["config_text"], origin=pre.checkpoint)
-    cfg = _make_config(args, base_values=base_values)
-    # every key but the evaluation-side ones comes from the checkpoint; its
-    # ks may repeat a cutoff, which validate refuses, so --ks stands in
-    trained = make_config(base_values={**base_values, "ks": cfg.ks})
-    for f in fields(RunConfig):
-        ours, theirs = getattr(cfg, f.name), getattr(trained, f.name)
-        if f.name not in ("ks", "csv", "data", "out", "checkpoint") and ours != theirs:
-            raise UsageError(f"{f.name} is {ours!r} here but {theirs!r} in the "
-                             f"checkpoint; evaluate takes it from the checkpoint")
+    cfg, ckpt = _config_from_checkpoint(args, checkpoint, "evaluate", EVALUATE_KEYS)
     graph = _load_graph(cfg)
     _check_checkpoint(ckpt, cfg, graph)
     split = _split(cfg, graph)
@@ -234,7 +247,7 @@ def cmd_inspect_patterns(args) -> int:
     for p in range(schema.num_patterns):
         present = pattern_relations(schema, p)
         bits = "".join("1" if r in present else "0" for r in schema.relations)
-        print(f"{bits},{(pats.pattern == p).sum()},{int(pats.counts[:, p].sum())}")
+        print(f"{bits},{pats.pairs(p)[0].shape[0]},{int(pats.counts[:, p].sum())}")
     print()
     print("chain_index,relations")
     for i, chain in enumerate(enumerate_chains(schema)):

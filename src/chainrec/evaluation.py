@@ -73,8 +73,8 @@ SPARSITY_BUCKETS = ((0, 4), (4, 5), (5, 6), (6, 7), (7, 10), (10, 60), (60, None
 # 128, ranked in 214 ms against 223 (1024), 235 (4096) and 358 (512).
 SCREEN_GROUPS = 2048
 
-# Bytes of a default chunk's float32 scores and two (chunk, G) maxima: 123
-# users on the retail-like graph (4% slower than 512), all on small catalogs.
+# Bytes of a default chunk's float32 scores and two (chunk, G) maxima: 139
+# users on the retail-like graph's 26k items (4% slower than 512), all on small catalogs.
 CHUNK_BYTES = 16 * 2**20
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import contrastive, patterns, relations
 from .chains import (chain_embedding, chain_forward, enumerate_chains,
-                     final_embedding)
+                     final_embedding, transform_names)
 from .config import RunConfig
 from .graph import MultiplexBipartiteGraph, sorted_unique, stream_rng
 from .sparse import select_edges, stack_blocks, sym_norm_values
@@ -57,9 +57,8 @@ def param_shapes(schema, cfg: RunConfig, n: int) -> dict:
     d, n_pat = cfg.dim, schema.num_patterns
     shapes = {"base": (n, d), "local_logits": (n_pat,), "global_logits": (n_pat,)}
     for i, chain in enumerate(enumerate_chains(schema)):
-        for j in range(chain.num_steps):
-            shapes[f"chain{i}.user{j}"] = (d, d)
-            shapes[f"chain{i}.item{j}"] = (d, d)
+        for user, item in zip(*transform_names(i, chain)):
+            shapes[user] = shapes[item] = (d, d)
     shapes.update({"enc_chain.w": (3 * d,), "enc_chain.b": (),
                    "enc_rel.w": (2 * d,), "enc_rel.b": ()})
     return shapes
@@ -157,8 +156,7 @@ class DualChannelModel:
 
         chain_steps = []
         for i, chain in enumerate(self.chains):
-            w_u = [p[f"chain{i}.user{j}"] for j in range(chain.num_steps)]
-            w_v = [p[f"chain{i}.item{j}"] for j in range(chain.num_steps)]
+            w_u, w_v = ([p[k] for k in ks] for ks in transform_names(i, chain))
             steps = chain_forward(chain, rel_tables[chain.relations[0]],
                                   w_u, w_v, n_user_rows)
             chain_steps.append(steps)
@@ -192,9 +190,9 @@ class DualChannelModel:
         for i, chain in enumerate(self.chains):
             step = rel[chain.relations[0]]
             e_c = step.copy() if e_c is None else np.add(e_c, step, out=e_c)
-            for j in range(chain.num_steps):
-                step = chain_forward(chain, step, [p[f"chain{i}.user{j}"]],
-                                     [p[f"chain{i}.item{j}"]], self.num_users)[-1]
+            for user, item in zip(*transform_names(i, chain)):
+                step = chain_forward(chain, step, [p[user]], [p[item]],
+                                     self.num_users)[-1]
                 e_c += step
         step = None
         for r in self.schema.relations:
@@ -253,8 +251,7 @@ class DualChannelModel:
             chain = self.chains[i]
             cu, cp, cn = batch.chain_triples[i]
             cu_c, cp_c, cn_c = at(cu), at(cp), at(cn)
-            w_u = [p[f"chain{i}.user{j}"] for j in range(chain.num_steps)]
-            w_v = [p[f"chain{i}.item{j}"] for j in range(chain.num_steps)]
+            w_u, w_v = ([p[k] for k in ks] for ks in transform_names(i, chain))
             reg = self._reg(p, cu, cp, cn, extra=w_u + w_v)
             feats = contrastive.chain_knowledge(chain, rcl_losses, e_c_rows,
                                                 e_final_rows, cfg.mu_scale, target)

@@ -29,22 +29,20 @@ def pattern_relations(schema: RelationSchema, p: int) -> tuple:
 
 @dataclass(frozen=True)
 class BehaviorPatterns:
-    """Every interacting (user, item) pair, sorted by key u*N+v, with its
-    pattern index; the union CSR of all pairs with the owning pattern of
-    each directed edge; and column p = per-node neighbor counts under
+    """The union CSR of all interacting (user, item) pairs with the pattern
+    of each directed edge, and column p = per-node neighbor counts under
     pattern p. Constant for a fixed graph, so built once."""
 
-    u: np.ndarray
-    v: np.ndarray
-    pattern: np.ndarray
     struct: CSRStruct
     edge_pattern: np.ndarray
     counts: np.ndarray
 
     def pairs(self, p: int) -> tuple:
-        """(u, v) of the pairs whose relation set is exactly pattern p."""
-        sel = self.pattern == p
-        return self.u[sel], self.v[sel]
+        """(u, v) of the pairs whose relation set is exactly pattern p, in
+        key order u*N+v: the user-row edges of pattern p."""
+        rows, cols = self.struct.rows, self.struct.cols
+        sel = (rows < cols) & (self.edge_pattern == p)
+        return rows[sel], cols[sel]
 
 
 def behavior_patterns(graph: MultiplexBipartiteGraph) -> BehaviorPatterns:
@@ -56,17 +54,14 @@ def behavior_patterns(graph: MultiplexBipartiteGraph) -> BehaviorPatterns:
     signature = np.zeros(keys.shape[0], dtype=np.int64)
     for r, k in enumerate(rel_keys):
         signature[np.searchsorted(keys, k)] |= 1 << r
-    pattern = signature - 1
-    u, v = keys // n, keys % n
-    struct = build_struct(n, u, v)
+    struct = build_struct(n, keys // n, keys % n)
     lo = np.minimum(struct.rows, struct.cols)
     hi = np.maximum(struct.rows, struct.cols)
-    edge_pattern = pattern[np.searchsorted(keys, lo * np.int64(n) + hi)]
+    edge_pattern = signature[np.searchsorted(keys, lo * np.int64(n) + hi)] - 1
     n_pat = graph.schema.num_patterns
-    cells = np.concatenate([u, v]) * n_pat + np.concatenate([pattern, pattern])
+    cells = struct.rows * n_pat + edge_pattern
     counts = np.bincount(cells, minlength=n * n_pat).reshape(n, n_pat)
-    return BehaviorPatterns(u, v, pattern, struct, edge_pattern,
-                            counts.astype(np.float64))
+    return BehaviorPatterns(struct, edge_pattern, counts.astype(np.float64))
 
 
 def local_adjacency(union: BehaviorPatterns, logits):

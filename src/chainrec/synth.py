@@ -91,14 +91,13 @@ def generate_synthetic(cfg: RunConfig) -> tuple:
     return lines, manifest
 
 
-def write_synthetic(cfg: RunConfig, data_path, manifest_path=None) -> str:
+def write_synthetic(cfg: RunConfig, data_path) -> str:
     lines, manifest = generate_synthetic(cfg)
     parent = os.path.dirname(os.path.abspath(data_path))
     os.makedirs(parent, exist_ok=True)
     with open(data_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
-    if manifest_path is None:
-        manifest_path = str(data_path) + ".manifest.json"
+    manifest_path = str(data_path) + ".manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
     return manifest_path

@@ -199,26 +199,149 @@ class TestTrain:
         epochs = [r["epoch"] for r in records if r["type"] == "loss"]
         assert epochs == [3, 4]
 
-    def test_resume_restores_exactly(self, synth_file, tmp_path):
+    @pytest.mark.parametrize("leg", ["repeated_flags", "resume_out_epochs", "older_meta"])
+    def test_resume_restores_exactly(self, synth_file, tmp_path, leg):
         # 2 epochs + resume for 2 must land on the same parameters as an
         # uninterrupted 4-epoch run (params, optimizer and RNG state all
-        # round-trip through the checkpoint)
+        # round-trip through the checkpoint). The second leg may repeat the
+        # first's flags or take every key but out and epochs from the
+        # checkpoint, which may carry the meta keys older versions wrote
         straight = tmp_path / "straight"
         assert run_cli(*train_args(synth_file, straight,
                                    extra=["--epochs", "4"])) == 0
         part1 = tmp_path / "part1"
         assert run_cli(*train_args(synth_file, part1)) == 0  # 2 epochs
+        ckpt = part1 / "checkpoint.npz"
+        if leg == "older_meta":
+            ckpt = with_meta(ckpt, tmp_path / "old.npz",
+                             {"dim": 8, "relations": ["view", "cart", "buy"],
+                              "target": "buy"})
         part2 = tmp_path / "part2"
-        assert run_cli(*train_args(synth_file, part2,
-                                   extra=["--resume", str(part1 / "checkpoint.npz"),
-                                          "--epochs", "4"])) == 0
-        import numpy as np
+        resume = ["--resume", str(ckpt), "--epochs", "4"]
+        if leg == "resume_out_epochs":
+            assert run_cli("train", "--out", str(part2), *resume) == 0
+        else:
+            assert run_cli(*train_args(synth_file, part2, extra=resume)) == 0
         a = np.load(straight / "checkpoint.npz")
         b = np.load(part2 / "checkpoint.npz")
         keys = [k for k in a.files if k.startswith("param/")]
         assert keys
         for k in keys:
             np.testing.assert_array_equal(a[k], b[k])
+        assert ((straight / "config.txt").read_text().replace(str(straight), "")
+                == (part2 / "config.txt").read_text().replace(str(part2), "")
+                .replace(f"resume = {ckpt}", "resume = "))
+
+    def test_checkpoint_meta_holds_sizes_and_epochs(self, synth_file, tmp_path):
+        from chainrec.checkpoint import load_checkpoint
+        out = tmp_path / "run"
+        assert run_cli(*train_args(synth_file, out)) == 0
+        meta = load_checkpoint(out / "checkpoint.npz")["meta"]
+        assert meta == {"num_users": 40, "num_items": meta["num_items"], "epoch": 2,
+                        "best_epoch": meta["best_epoch"]}
+
+    @pytest.mark.parametrize("flag, value", [("--layers", "3"), ("--seed", "0"),
+                                             ("--order", "cart,buy,view"),
+                                             ("--ratio", "0.5"), ("--dim", "16"),
+                                             ("--checkpoint", "x.npz")])
+    def test_resume_flag_changing_a_checkpoint_key_exits_one(self, synth_file, tmp_path,
+                                                             capsys, flag, value):
+        # each of these once trained on under another model or split, where
+        # the first leg's test edges could become training edges, and exited 0
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1)) == 0
+        capsys.readouterr()
+        part2 = tmp_path / "part2"
+        assert run_cli("train", "--out", str(part2), "--resume",
+                       str(part1 / "checkpoint.npz"), "--epochs", "4", flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {flag[2:]} is ")
+        assert not part2.exists()
+
+    def test_resume_config_file_changing_a_checkpoint_key_exits_one(
+            self, synth_file, tmp_path, capsys):
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1)) == 0
+        cfg = tmp_path / "resume.cfg"
+        cfg.write_text("epochs = 4\nlayers = 1\n", encoding="utf-8")
+        capsys.readouterr()
+        part2 = tmp_path / "part2"
+        assert run_cli("train", "--config", str(cfg), "--out", str(part2),
+                       "--resume", str(part1 / "checkpoint.npz")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: layers is 1 here but 2 in the checkpoint")
+        assert captured.err.count("\n") == 1
+        assert not part2.exists()
+
+    def test_resume_under_another_seed_and_split_exits_one(self, synth_file, tmp_path,
+                                                           capsys):
+        # the leaking resume: another seed and ratio would re-split the data,
+        # and layers, not repeated, comes from the checkpoint
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1, extra=["--seed", "0",
+                                                            "--layers", "3"])) == 0
+        capsys.readouterr()
+        part2 = tmp_path / "part2"
+        assert run_cli("train", "--data", str(synth_file), "--out", str(part2),
+                       "--resume", str(part1 / "checkpoint.npz"), "--seed", "4",
+                       "--ratio", "0.5", "--epochs", "3") == 1
+        assert_one_error_line(capsys, "seed is 4 here but 0 in the checkpoint",
+                              "ratio is 0.5 here but 0.75 in the checkpoint")
+        assert not part2.exists()
+        assert run_cli("train", "--out", str(part2), "--resume",
+                       str(part1 / "checkpoint.npz"), "--epochs", "3") == 0
+        saved = (part2 / "config.txt").read_text()
+        assert "layers = 3\n" in saved and "seed = 0\n" in saved
+        assert f"out = {part2}\n" in saved
+
+    @pytest.mark.parametrize("epochs", [None, "1", "2"])
+    def test_resume_with_no_epoch_left_exits_one(self, synth_file, tmp_path, capsys,
+                                                 epochs):
+        # None inherits the checkpoint's epochs, 2, which it has trained
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1)) == 0
+        capsys.readouterr()
+        part2 = tmp_path / "part2"
+        flags = [] if epochs is None else ["--epochs", epochs]
+        assert run_cli("train", "--out", str(part2), "--resume",
+                       str(part1 / "checkpoint.npz"), *flags) == 1
+        assert_one_error_line(capsys, f"epochs is {epochs or 2}", "at epoch 2",
+                              "--epochs above 2")
+        assert not part2.exists()
+
+    def test_resume_from_a_stale_best_checkpoint_exits_one(self, synth_file, tmp_path,
+                                                           capsys):
+        # best.npz holds the best epoch's parameters but the last epoch's Adam
+        # state and sampler RNG: with its best epoch before the last, it
+        # cannot continue the run. When the last epoch is the best, it can
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1)) == 0
+        from chainrec.checkpoint import load_checkpoint
+        best = load_checkpoint(part1 / "best.npz")
+        epoch = best["meta"]["epoch"]
+        stale = with_meta(part1 / "best.npz", tmp_path / "stale.npz",
+                          {"epoch": epoch - 1, "best_epoch": epoch - 1})
+        capsys.readouterr()
+        part2 = tmp_path / "part2"
+        resume = ["train", "--out", str(part2), "--epochs", "4", "--resume"]
+        assert run_cli(*resume, str(stale)) == 1
+        assert_one_error_line(capsys, f"epoch {epoch - 1}'s parameters",
+                              f"step {best['state'].t}", "checkpoint.npz")
+        assert not part2.exists()
+        if epoch == 2:
+            assert run_cli(*resume, str(part1 / "best.npz")) == 0
+
+    def test_resume_into_its_own_run_directory_exits_one(self, synth_file, tmp_path,
+                                                         capsys):
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1)) == 0
+        before = (part1 / "metrics.jsonl").read_bytes()
+        capsys.readouterr()
+        assert run_cli("train", "--out", str(part1), "--epochs", "4", "--resume",
+                       str(part1 / "checkpoint.npz")) == 1
+        assert_one_error_line(capsys, "out", "--out")
+        assert (part1 / "metrics.jsonl").read_bytes() == before
 
     @pytest.mark.parametrize("drop", [{"adam_m/base"}, {"adam_v/base"}, {"__adam_t__"},
                                       {"__rng__"}, ALL_OF_BASE], ids=joined)
@@ -271,27 +394,25 @@ class TestTrain:
                               "base_local", "base_relation")
         assert not part2.exists()
 
-    @pytest.mark.parametrize("saved,resumed", [("float64", None), (None, "float64")])
+    @pytest.mark.parametrize("saved,other", [("float32", "float64"),
+                                             ("float64", "float32")])
     def test_resume_in_another_dtype_exits_one(self, synth_file, tmp_path, capsys,
-                                               saved, resumed):
-        # None is the default, float32; the error names the value to pass
-        def as_flags(dtype):
-            return ["--dtype", dtype] if dtype else []
-
+                                               saved, other):
+        # a resume takes dtype from the checkpoint: it runs in the saved dtype
+        # without --dtype, and a --dtype that differs is refused
         part1 = tmp_path / "part1"
-        assert run_cli(*train_args(synth_file, part1, extra=as_flags(saved))) == 0
-        held = np.load(part1 / "checkpoint.npz")["param/base"].dtype
-        assert held == (saved or "float32")
+        assert run_cli(*train_args(synth_file, part1, extra=["--dtype", saved])) == 0
+        assert np.load(part1 / "checkpoint.npz")["param/base"].dtype == saved
         capsys.readouterr()
         part2 = tmp_path / "part2"
         resume = ["--resume", str(part1 / "checkpoint.npz"), "--epochs", "4"]
         assert run_cli(*train_args(synth_file, part2,
-                                   extra=resume + as_flags(resumed))) == 1
-        assert_one_error_line(capsys, "dtype", f"--dtype {held}")
+                                   extra=resume + ["--dtype", other])) == 1
+        assert_one_error_line(capsys, f"dtype is {other!r} here but {saved!r}")
         assert not part2.exists()
-        assert run_cli(*train_args(synth_file, part2,
-                                   extra=resume + as_flags(saved))) == 0
-        assert f"dtype = {held}\n" in (part2 / "config.txt").read_text()
+        assert run_cli(*train_args(synth_file, part2, extra=resume)) == 0
+        assert f"dtype = {saved}\n" in (part2 / "config.txt").read_text()
+        assert np.load(part2 / "checkpoint.npz")["param/base"].dtype == saved
 
     def test_config_file_plus_flag_override(self, synth_file, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -572,6 +693,16 @@ def with_config_lines(ckpt_path, out_path, extra_lines):
     return out_path
 
 
+def with_meta(ckpt_path, out_path, entries):
+    """Copy of a checkpoint whose metadata also holds, or now holds,
+    ``entries``."""
+    from chainrec.checkpoint import load_checkpoint, save_checkpoint
+    ckpt = load_checkpoint(ckpt_path)
+    save_checkpoint(out_path, ckpt["params"], ckpt["state"], ckpt["config_text"],
+                    {**ckpt["meta"], **entries}, ckpt["rng"])
+    return out_path
+
+
 def without_keys(ckpt_path, out_path, drop):
     """Copy of a checkpoint file without the arrays named in ``drop``."""
     with np.load(ckpt_path) as data:
@@ -698,6 +829,15 @@ class TestEvaluate:
                        "--dim", "16")
         assert code == 1
         assert "dim" in capsys.readouterr().err
+
+    def test_data_of_another_size_exits_one(self, run_dir, tmp_path, capsys):
+        other = tmp_path / "other.tsv"
+        assert run_cli("synth", "--data", str(other), "--synth-users", "41",
+                       "--synth-items", "30", "--seed", "1") == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(other),
+                       "--checkpoint", str(run_dir / "best.npz")) == 1
+        assert_one_error_line(capsys, "trained on 40 users", "the data has 41")
 
     def test_missing_checkpoint_flag_exits_one(self, synth_file):
         assert run_cli("evaluate", "--data", str(synth_file)) == 1

@@ -80,7 +80,8 @@ class TestBBPConstruction:
         g = random_multiplex_graph(7, 9, ("a", "b", "c"), 0.35, seed=6)
         pats = behavior_patterns(g)
         struct = pats.struct
-        assert struct.nnz == 2 * pats.u.shape[0]
+        pairs = {pair for r in g.schema.relations for pair in zip(*g.edges[r])}
+        assert struct.nnz == 2 * len(pairs)
         for r, c, p in zip(struct.rows, struct.cols, pats.edge_pattern):
             u, v = min(r, c), max(r, c)
             assert p == oracles.pair_signature(g, u, v) - 1
