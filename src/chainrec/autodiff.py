@@ -208,20 +208,22 @@ def matmul(a, b):
                    lambda g: np.outer(av, g) if av.ndim == 1 else av.T @ g, fresh=True)
 
 
-def split_rows_matmul(a, split, w_top, w_bottom):
+def split_rows_matmul(a, split, w_top, w_bottom, out=None):
     """Rows ``:split`` of ``a`` times ``w_top``ᵀ over rows ``split:`` times
-    ``w_bottom``ᵀ, written into one new table. The ``a``-adjoint is one
-    :class:`RowGrad` over every row, so ``backward`` adds it after ``a``'s
-    dense gradients, in row-gradient order, as for row gathers."""
+    ``w_bottom``ᵀ, written into one new table, or into ``out`` (not ``a``)
+    if given. The ``a``-adjoint is one :class:`RowGrad` over every row, so
+    ``backward`` adds it after ``a``'s dense gradients, in row-gradient
+    order, as for row gathers."""
     av, wt, wb = val(a), val(w_top), val(w_bottom)
 
-    def stacked(x, top, bottom):
-        out = np.empty((x.shape[0], top.shape[1]), np.result_type(x, top, bottom))
+    def stacked(x, top, bottom, out=None):
+        if out is None:
+            out = np.empty((x.shape[0], top.shape[1]), np.result_type(x, top, bottom))
         np.matmul(x[:split], top, out=out[:split])
         np.matmul(x[split:], bottom, out=out[split:])
         return out
 
-    return _record(stacked(av, wt.T, wb.T), (a, w_top, w_bottom),
+    return _record(stacked(av, wt.T, wb.T, out), (a, w_top, w_bottom),
                    lambda g: RowGrad(np.arange(g.shape[0]), stacked(g, wt, wb)),
                    lambda g: (av[:split].T @ g[:split]).T,
                    lambda g: (av[split:].T @ g[split:]).T, fresh=True)
@@ -328,7 +330,10 @@ def softmax(a):
 def softplus(a):
     av = val(a)
     out = np.logaddexp(0.0, av)
-    return _record(out, (a,), lambda g: g / (1.0 + np.exp(-av)))
+    # exp(-av) overflows to inf below about -88 (float32) or -709 (float64),
+    # and g / inf is 0, the exact limit
+    adjoint = np.errstate(over="ignore")(lambda g: g / (1.0 + np.exp(-av)))
+    return _record(out, (a,), adjoint)
 
 
 def leaky_relu(a, slope):

@@ -4,10 +4,15 @@ of each multi-relation behavior pattern that contains the target.
 A chain starts from the relation-specific embedding of its first relation
 and applies one learnable d x d transform per step, separately for user
 rows and item rows. Step tables across all chains sum into the chain
-embedding table.
+embedding table. Every step is linear, so the chains from one relation add
+its table times one d x d map per side, and a chain's last step is that
+table times the product of its transforms.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from . import autodiff as ad
 from .graph import RelationSchema
@@ -49,26 +54,28 @@ def transform_names(i: int, chain: RelationChain) -> tuple:
                  for side in ("user", "item"))
 
 
-def chain_forward(chain: RelationChain, first_relation_table,
-                  w_user, w_item, num_users: int):
-    """Per-step tables of one chain.
-
-    Step 1 is ``first_relation_table``; step j+1 applies the j-th of the
-    given user/item transforms rowwise. Returns the first table and one
-    per transform pair.
-    """
-    steps = [first_relation_table]
-    for wu, wv in zip(w_user, w_item):
-        # rowwise e_next = W e is E @ W^T on each block
-        steps.append(ad.split_rows_matmul(steps[-1], num_users, wu, wv))
-    return steps
+def chain_forward(w_user, w_item) -> tuple:
+    """One chain's path maps per side: A_j = W_j ... W_1 after each step j,
+    so that its step-j table is its first relation's table times A_jᵀ
+    (rowwise, e_j = W_j e_(j-1)) and its last map is Π, the BPR table's."""
+    return tuple(list(accumulate(ws, lambda a, w: ad.matmul(w, a))) for ws in (w_user, w_item))
 
 
-def chain_embedding(all_step_tables):
-    """Sum of every step table of every chain."""
-    return ad.add_n([t for steps in all_step_tables for t in steps])
+def chain_embedding(table, split, paths, own=1, out=None):
+    """``table`` times Kᵀ, its rows ``:split`` by the user-side K and the rest
+    by the item-side one, into ``out`` if given. K = (own + n) I + Σ_c Σ_j
+    A_cj over the n chains whose :func:`chain_forward` ``paths`` are given,
+    all starting at ``table``'s relation: with ``own`` 0 the sum of their
+    step tables, with 1 the relation's own table added too. A table of user
+    rows only forms no item-side K."""
+    rows, dim = ad.val(table).shape
+    eye = np.eye(dim, dtype=ad.val(table).dtype) * (own + len(paths))
+    maps = [ad.add_n([eye, *(a for path in paths for a in path[side])])
+            for side in ((0, 1) if split < rows else (0,))]
+    return ad.split_rows_matmul(table, split, maps[0], maps[-1], out=out)
 
 
-def final_embedding(h_ebp, e_rel, e_chain, out=None):
-    """Elementwise mean of the three channel tables, into ``out`` if given."""
-    return ad.add_n([h_ebp, e_rel, e_chain], scale=1.0 / 3.0, out=out)
+def final_embedding(tables, out=None):
+    """A third of the sum of ``tables``, in order, into ``out`` if given:
+    the mean of the pattern, relation and chain channels."""
+    return ad.add_n(tables, scale=1.0 / 3.0, out=out)

@@ -1,5 +1,6 @@
 """Versioned checkpoints: every parameter tensor, optimizer state, resolved
-config, RNG states, and the epoch counter, in one .npz file. ``--resume``
+config, RNG states, the epoch counter and, in a run's last checkpoint, its
+best parameters and early-stopping state, in one .npz file. ``--resume``
 restores all of it exactly.
 """
 
@@ -18,7 +19,7 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params: ModelParams, state: AdamState, cfg_text: str,
-                    meta: dict, rng_states: dict) -> None:
+                    meta: dict, rng_states: dict, best: ModelParams = None) -> None:
     arrays = {
         "__version__": np.asarray(SAVE_VERSION),
         "__config__": np.asarray(cfg_text),
@@ -30,6 +31,7 @@ def save_checkpoint(path, params: ModelParams, state: AdamState, cfg_text: str,
         arrays[f"param/{name}"] = tensor
         arrays[f"adam_m/{name}"] = state.m[name]
         arrays[f"adam_v/{name}"] = state.v[name]
+    arrays.update({f"best/{name}": t for name, t in (best.tensors.items() if best else ())})
     np.savez(path, **arrays)
 
 
@@ -50,9 +52,9 @@ def load_checkpoint(path) -> dict:
         for key in ("__config__", "__meta__", "__rng__", "__adam_t__"):
             if key not in data:
                 raise CheckpointError(f"{path} lacks {key}")
-        tensors, adam_m, adam_v = ({k[len(prefix):]: data[k] for k in data.files
-                                    if k.startswith(prefix)}
-                                   for prefix in ("param/", "adam_m/", "adam_v/"))
+        tensors, adam_m, adam_v, best = ({k[len(prefix):]: data[k] for k in data.files
+                                          if k.startswith(prefix)}
+                                         for prefix in ("param/", "adam_m/", "adam_v/", "best/"))
         # the names not under all three prefixes
         odd = (tensors.keys() ^ adam_m.keys()) | (tensors.keys() ^ adam_v.keys())
         if odd:
@@ -61,8 +63,8 @@ def load_checkpoint(path) -> dict:
         params = ModelParams(tensors)
         state = AdamState(m=adam_m, v=adam_v, t=int(data["__adam_t__"]))
         return {
-            "version": version,
             "params": params,
+            "best": ModelParams(best) if best else None,
             "state": state,
             "config_text": str(data["__config__"]),
             "meta": json.loads(str(data["__meta__"])),

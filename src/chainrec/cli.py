@@ -128,11 +128,11 @@ def _check_checkpoint(ckpt: dict, cfg: RunConfig, graph) -> None:
                          f"config has dtype {cfg.dtype}")
 
 
-def _resume_epoch(ckpt: dict, cfg: RunConfig, split) -> int:
-    """The epoch a resume continues from. Refuses a resume with no epoch left
-    to train, from a checkpoint whose Adam step count is not its epoch's (a
-    best.npz whose best epoch came before the run's last), or into the run
-    directory that holds the checkpoint."""
+def _check_resume(ckpt: dict, cfg: RunConfig, split) -> None:
+    """Refuses a resume with no epoch left to train, from a checkpoint whose
+    Adam step count is not its epoch's (a best.npz whose best epoch came
+    before the run's last), or into the run directory that holds the
+    checkpoint."""
     epoch, t = int(ckpt["meta"].get("epoch", 0)), ckpt["state"].t
     if cfg.epochs <= epoch:
         raise UsageError(f"epochs is {cfg.epochs} but {cfg.resume} is at epoch "
@@ -144,7 +144,6 @@ def _resume_epoch(ckpt: dict, cfg: RunConfig, split) -> int:
                          f"checkpoint.npz")
     if os.path.realpath(cfg.out_dir()) == os.path.realpath(os.path.dirname(cfg.resume)):
         raise UsageError(f"out {cfg.out_dir()} holds {cfg.resume}; pass another --out")
-    return epoch
 
 
 def _write_metrics_csv(history, path):
@@ -173,12 +172,9 @@ def cmd_train(args) -> int:
                                             RESUME_KEYS, fresh=("out",))
     graph = _load_graph(cfg)
     split = _split(cfg, graph)
-    resume = {}
     if ckpt:
         _check_checkpoint(ckpt, cfg, graph)
-        resume = {"start_epoch": _resume_epoch(ckpt, cfg, split),
-                  "params": ckpt["params"], "state": ckpt["state"],
-                  "sampler_rng_state": ckpt["rng"]}
+        _check_resume(ckpt, cfg, split)
 
     out_dir = cfg.out_dir()
     os.makedirs(out_dir, exist_ok=True)
@@ -190,15 +186,17 @@ def cmd_train(args) -> int:
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
             log_fh.flush()
 
-        result = run_training(graph, split, cfg, record_sink=sink, **resume)
+        result = run_training(graph, split, cfg, record_sink=sink, resume=ckpt)
 
     cfg_text = config_text(cfg)
-    for name, params, epoch in (("checkpoint.npz", result.params, result.last_epoch),
-                                ("best.npz", result.best_params, result.best_epoch)):
+    for name, params, epoch, best in (
+            ("checkpoint.npz", result.params, result.last_epoch, result.best_params),
+            ("best.npz", result.best_params, result.best_epoch, None)):  # its own best
         meta = {"num_users": graph.num_users, "num_items": graph.num_items,
-                "epoch": epoch, "best_epoch": result.best_epoch}
+                "epoch": epoch, "best_epoch": result.best_epoch,
+                "best_metric": result.best_metric, "bad_rounds": result.bad_rounds}
         save_checkpoint(os.path.join(out_dir, name), params, result.state, cfg_text,
-                        meta, result.rng_state)
+                        meta, result.rng_state, best)
     if cfg.csv:
         _write_metrics_csv(result.history, os.path.join(out_dir, "metrics.csv"))
     print(f"trained {result.last_epoch} epochs; best R@10-equivalent "

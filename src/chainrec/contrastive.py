@@ -26,14 +26,11 @@ def _note_zero_rows(rows) -> None:
                     "(scored as similarity 0)", n_zero)
 
 
-def infonce_terms(anchor_table, other_table, users, tau: float):
-    """Per-user InfoNCE terms over one batch.
-
-    term_u = -log softmax over the batch of cos(anchor_u, other_u') / tau,
-    taken at u' = u. Zero-norm rows contribute similarity 0.
+def infonce_terms(a, b, tau: float):
+    """Per-user InfoNCE terms over one batch, from its users' anchor rows
+    ``a`` and other rows ``b``: term_u = -log softmax over the batch of
+    cos(a_u, b_u') / tau, taken at u' = u. Zero-norm rows score 0.
     """
-    a = ad.gather(anchor_table, users)
-    b = ad.gather(other_table, users)
     _note_zero_rows(a)
     _note_zero_rows(b)
     sims = ad.mul(ad.matmul(ad.row_normalize(a), ad.transpose(ad.row_normalize(b))),

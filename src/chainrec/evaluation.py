@@ -73,9 +73,9 @@ SPARSITY_BUCKETS = ((0, 4), (4, 5), (5, 6), (6, 7), (7, 10), (10, 60), (60, None
 # 128, ranked in 214 ms against 223 (1024), 235 (4096) and 358 (512).
 SCREEN_GROUPS = 2048
 
-# Bytes of a default chunk's float32 scores and two (chunk, G) maxima: 139
-# users on the retail-like graph's 26k items (4% slower than 512), all on small catalogs.
-CHUNK_BYTES = 16 * 2**20
+# Bytes of a default chunk's float32 scores and two (chunk, G) maxima, which
+# set the inference pass's peak: 69 users on the retail-like graph's 26k items.
+CHUNK_BYTES = 8 * 2**20
 
 
 def rank_items(e_final: np.ndarray, num_users: int, user: int,
@@ -221,11 +221,13 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
 
     items = e_final[num_users:]
     item_exp = pow2_exponents(items, axis=None)
-    # (d, items): each chunk's product is a plain NN sgemm
+    # (d, items): each chunk's product is a plain NN sgemm; built from
+    # float64 blocks of at most 1 MiB
     items32 = np.empty(items.shape[::-1], np.float32)
-    for i in range(0, num_items, chunk):
-        screen_table(items[i:i + chunk].T.astype(np.float64), item_exp,
-                     out=items32[:, i:i + chunk])
+    block = max(1, 2**17 // items.shape[1])
+    for i in range(0, num_items, block):
+        screen_table(items[i:i + block].T.astype(np.float64), item_exp,
+                     out=items32[:, i:i + block])
     item_norm = row_norms(items32.T).max(initial=0.0)
     # one float32 score buffer for every chunk, so no two chunks are ever live
     buf = np.empty((min(chunk, len(users)), num_items), np.float32)

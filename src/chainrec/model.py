@@ -130,16 +130,25 @@ class DualChannelModel:
     # forward
     # ------------------------------------------------------------------
 
-    def embeddings(self, p: dict, rows) -> dict:
-        """The training path: every embedding table at ``rows`` (sorted unique
+    def _chain_paths(self, p: dict) -> tuple:
+        """Every chain's :func:`chain_forward` paths, in chain order, and the
+        same paths grouped by the relation their chains start at."""
+        paths = [chain_forward(*([p[k] for k in ks] for ks in transform_names(i, c)))
+                 for i, c in enumerate(self.chains)]
+        return paths, {r: [s for c, s in zip(self.chains, paths) if c.relations[0] == r]
+                       for r in dict.fromkeys(c.relations[0] for c in self.chains)}
+
+    def embeddings(self, p: dict, rows, users) -> dict:
+        """The training path: the embedding tables at ``rows`` (sorted unique
         node indices), indexed by position in ``rows``, from a name->tensor
-        (or name->Var) mapping. The local and relation channels propagate
-        through ``self.stack``, one product per layer, each layer only on its
+        (or name->Var) mapping, and ``e_c`` at the positions ``users`` (user
+        nodes only). The local and relation channels propagate through
+        ``self.stack``, one product per layer, each layer only on its
         receptive field: the last at the rows, each earlier one at the nodes
-        the next one reads. The global channel propagates through its p x p
-        pattern Gram matrix and forms its output only at the rows. The dense
-        chain channel and the fused tables are computed only at the rows too,
-        which keeps a training step's dense work independent of catalog size."""
+        the next one reads. The global channel forms its output only at the
+        rows, through its p x p pattern Gram matrix. The final table sums
+        T_r K_rᵀ over the relations in schema order, then ``h_ebp``. So a
+        training step's dense work is independent of catalog size."""
         cfg = self.cfg
         vals = patterns.local_adjacency(self.patterns, p["local_logits"])
         loc, *rel = relations.propagate_stack(self.stack, vals, p["base"], cfg.layers, rows)
@@ -151,61 +160,44 @@ class DualChannelModel:
         h_glo = patterns.propagate_global_factored(b_mat, p["base"], cfg.layers,
                                                    rows=rows)
         h_ebp = patterns.ebp_embeddings(h_loc, h_glo)
-        e_r = ad.add_n(rel_tables.values())
+        paths, starts = self._chain_paths(p)
         n_user_rows = int(np.searchsorted(rows, self.num_users))
-
-        chain_steps = []
-        for i, chain in enumerate(self.chains):
-            w_u, w_v = ([p[k] for k in ks] for ks in transform_names(i, chain))
-            steps = chain_forward(chain, rel_tables[chain.relations[0]],
-                                  w_u, w_v, n_user_rows)
-            chain_steps.append(steps)
-        if chain_steps:
-            e_c = chain_embedding(chain_steps)
-        else:  # single-relation schema: no chains, channel contributes zeros
-            e_c = np.zeros_like(ad.val(e_r))
-        e_final = final_embedding(h_ebp, e_r, e_c)
-
-        return {"h_loc": h_loc, "h_glo": h_glo, "h_ebp": h_ebp,
-                "rel": rel_tables, "e_r": e_r, "rows": rows,
-                "chain_steps": chain_steps, "e_c": e_c, "final": e_final}
+        e_final = final_embedding(
+            [chain_embedding(t, n_user_rows, starts[r]) if r in starts else t
+             for r, t in rel_tables.items()] + [h_ebp])
+        rel_users = {r: ad.gather(t, users) for r, t in rel_tables.items()}
+        e_c = [chain_embedding(rel_users[r], len(users), s, own=0) for r, s in starts.items()]
+        e_c = ad.add_n(e_c or [np.zeros((len(users), cfg.dim), self.dtype)])
+        return {"h_loc": h_loc, "h_glo": h_glo, "h_ebp": h_ebp, "rel": rel_tables,
+                "rel_users": rel_users, "paths": paths, "e_c": e_c, "final": e_final}
 
     def final_embeddings(self, params: ModelParams) -> np.ndarray:
         """The final table at every node, untaped, bit-identical to that of
-        :meth:`embeddings` at every row: ``self.stack`` propagates one block
-        at a time, and each sum runs in place, in the same order, into a
-        table this pass made. The peak is |R| + 2 n x d tables: the relation
-        tables that start a chain, ``e_c`` and two chain steps. The others
-        follow, one at a time into ``e_r``; the local layer-1 table then
-        holds the layer mean, ``h_ebp`` and the final table in turn."""
+        :meth:`embeddings` at every row. ``self.stack`` propagates one block
+        at a time, and every sum runs in place, in the same order, into a
+        table this pass made: each relation's table, times K_rᵀ into its
+        spent last layer where chains start, adds into one sum, made before
+        any layer table (in the first relation's table instead, the heap kept
+        more pages: retail-eval peak RSS 140-147 MB, not 128-133), and the
+        local layer-1 table holds the layer mean, then ``h_ebp``. So at 2 layers the
+        pass peaks at 3 n x d tables (L + 1 at L): the sum and a block's layers."""
         p, cfg, base = params.tensors, self.cfg, params.tensors["base"]
-
-        def relation(r):
-            layers = relations.propagate_block(self.stack, None, base, cfg.layers,
-                                               self.schema.relations.index(r) + 1)
-            return ad.add_n([base, *layers], out=layers[0])
-
-        rel = {r: relation(r) for r in dict.fromkeys(c.relations[0] for c in self.chains)}
-        e_c = e_r = None
-        for i, chain in enumerate(self.chains):
-            step = rel[chain.relations[0]]
-            e_c = step.copy() if e_c is None else np.add(e_c, step, out=e_c)
-            for user, item in zip(*transform_names(i, chain)):
-                step = chain_forward(chain, step, [p[user]], [p[item]],
-                                     self.num_users)[-1]
-                e_c += step
-        step = None
-        for r in self.schema.relations:
-            table = rel.pop(r, None)
-            table = relation(r) if table is None else table
-            e_r = table if e_r is None else np.add(e_r, table, out=e_r)
-        table = None
+        starts, acc = self._chain_paths(p)[1], np.zeros(base.shape, base.dtype)
+        for block, r in enumerate(self.schema.relations, start=1):
+            layers = relations.propagate_block(self.stack, None, base, cfg.layers, block)
+            table = ad.add_n([base, *layers], out=layers[0])
+            paths = starts.pop(r, None)
+            if paths:
+                table = chain_embedding(table, self.num_users, paths,
+                                        out=layers[-1] if len(layers) > 1 else None)
+            np.add(acc, table, out=acc)
+            layers = table = paths = None
         vals = patterns.local_adjacency(self.patterns, p["local_logits"])
-        b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
         h = patterns.propagate_local(self.stack, vals, base, cfg.layers)
+        b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
         h = patterns.ebp_embeddings(
             h, patterns.propagate_global_factored(b_mat, base, cfg.layers), out=h)
-        return final_embedding(h, e_r, np.zeros_like(e_r) if e_c is None else e_c, out=h)
+        return final_embedding([acc, h], out=acc)
 
     # ------------------------------------------------------------------
     # loss
@@ -225,40 +217,37 @@ class DualChannelModel:
         bu = batch.users
 
         # the dense channels are only evaluated at rows this batch touches
-        touched = [batch.users, batch.pos, batch.neg]
-        for cu, cp, cn in batch.chain_triples.values():
-            touched += [cu, cp, cn]
-        rows = sorted_unique(np.concatenate(touched))
-        emb = self.embeddings(p, rows=rows)
+        rows = sorted_unique(np.concatenate([bu, batch.pos, batch.neg, *(
+            ids for triples in batch.chain_triples.values() for ids in triples)]))
 
         def at(ids):
             return np.searchsorted(rows, ids)
 
         bu_c = at(bu)
+        emb = self.embeddings(p, rows, bu_c)
         # per-(auxiliary, target) contrastive losses over the batch users
-        rcl_losses = {}
-        for r in self.schema.auxiliaries:
-            rcl_losses[r] = ad.asum(contrastive.infonce_terms(
-                emb["rel"][target], emb["rel"][r], bu_c, cfg.tau))
+        rel_users = emb["rel_users"]
+        rcl_losses = {r: ad.asum(contrastive.infonce_terms(rel_users[target], rel_users[r],
+                                                           cfg.tau))
+                      for r in self.schema.auxiliaries}
 
-        e_c_rows = ad.gather(emb["e_c"], bu_c)
         e_final_rows = ad.gather(emb["final"], bu_c)
 
         # chain ranking losses on chains that drew triples this step
-        active = [i for i in range(len(self.chains)) if i in batch.chain_triples]
         chain_losses, chain_raw_w = [], []
-        for i in active:
+        for i, (cu, cp, cn) in sorted(batch.chain_triples.items()):
             chain = self.chains[i]
-            cu, cp, cn = batch.chain_triples[i]
-            cu_c, cp_c, cn_c = at(cu), at(cp), at(cn)
             w_u, w_v = ([p[k] for k in ks] for ks in transform_names(i, chain))
             reg = self._reg(p, cu, cp, cn, extra=w_u + w_v)
-            feats = contrastive.chain_knowledge(chain, rcl_losses, e_c_rows,
+            feats = contrastive.chain_knowledge(chain, rcl_losses, emb["e_c"],
                                                 e_final_rows, cfg.mu_scale, target)
             raw = contrastive.encode_weight(feats, p["enc_chain.w"],
                                             p["enc_chain.b"], cfg.leaky_slope)
             chain_raw_w.append(ad.amean(raw))
-            core = bpr(emb["chain_steps"][i][-1], cu_c, cp_c, cn_c)
+            # the chain's last step T_r Πᵀ, only at its triples' rows
+            trip = ad.gather(emb["rel"][chain.relations[0]], at(np.concatenate([cu, cp, cn])))
+            last = ad.split_rows_matmul(trip, len(cu), *(m[-1] for m in emb["paths"][i]))
+            core = bpr(last, *np.arange(3 * len(cu)).reshape(3, -1))
             chain_losses.append(ad.add(core, reg))
 
         loss_chains = None
@@ -267,14 +256,12 @@ class DualChannelModel:
             loss_chains = ad.asum(ad.mul(w_chain, ad.stack_scalars(chain_losses)))
 
         # weighted contrastive term over auxiliary relations
-        rel_losses, rel_raw_w = [], []
+        rel_losses, rel_raw_w = list(rcl_losses.values()), []
         for r in self.schema.auxiliaries:
-            feats = contrastive.relation_knowledge(rcl_losses[r],
-                                                   ad.gather(emb["rel"][r], bu_c),
+            feats = contrastive.relation_knowledge(rcl_losses[r], rel_users[r],
                                                    e_final_rows)
             raw = contrastive.encode_weight(feats, p["enc_rel.w"],
                                             p["enc_rel.b"], cfg.leaky_slope)
-            rel_losses.append(rcl_losses[r])
             rel_raw_w.append(ad.amean(raw))
 
         loss_rcl = None

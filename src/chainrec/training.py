@@ -201,6 +201,7 @@ class TrainResult:
     history: list
     best_metric: float
     best_epoch: int
+    bad_rounds: int
     last_epoch: int
     rng_state: dict
 
@@ -228,19 +229,20 @@ def _patience_metric(result: evaluation.RankingResult) -> float:
 
 
 def train(graph: MultiplexBipartiteGraph, split: DatasetSplit, cfg: RunConfig,
-          record_sink=None, params: ModelParams = None,
-          state: AdamState = None, start_epoch: int = 0,
-          sampler_rng_state: dict = None) -> TrainResult:
+          record_sink=None, resume: dict = None) -> TrainResult:
     """Run the full optimization; emits one record per epoch (loss
-    breakdown) and per evaluation (metrics) through ``record_sink``."""
+    breakdown) and per evaluation (metrics) through ``record_sink``.
+    ``resume``, a loaded checkpoint, continues its run: parameters, Adam
+    state, sampler RNG and, where it holds them, early stopping's state and
+    the best parameters (older checkpoints restart early stopping)."""
     model = DualChannelModel(training_graph(graph, split), cfg)
-    if params is None:
-        params = model.init_params(cfg.seed)
-    if state is None:
-        state = AdamState.init(params)
     sampler = TripleSampler(model, split, cfg.seed)
-    if sampler_rng_state is not None:
-        sampler.set_state(sampler_rng_state)
+    if resume:
+        params, state, meta = resume["params"], resume["state"], resume["meta"]
+        sampler.set_state(resume["rng"])
+    else:
+        params, meta = model.init_params(cfg.seed), {}
+        state = AdamState.init(params)
 
     history = []
 
@@ -249,13 +251,13 @@ def train(graph: MultiplexBipartiteGraph, split: DatasetSplit, cfg: RunConfig,
         if record_sink is not None:
             record_sink(record)
 
-    best_metric = -np.inf
-    best_epoch = 0
-    best_params = params.copy()
-    bad_rounds = 0
+    best_metric, best_epoch, bad_rounds, start_epoch = (meta.get(k, v) for k, v in (
+        ("best_metric", -np.inf), ("best_epoch", 0), ("bad_rounds", 0), ("epoch", 0)))
+    best_params = ((resume or {}).get("best") or params).copy()
     last_epoch = start_epoch
 
-    for epoch in range(start_epoch + 1, cfg.epochs + 1):
+    # a resumed run that had stopped early trains no further
+    for epoch in range(start_epoch + 1, (cfg.epochs if bad_rounds < cfg.patience else 0) + 1):
         last_epoch = epoch
         sums, n_batches = {}, 0
         for batch in sampler.epoch_batches(cfg.batch):
@@ -286,5 +288,5 @@ def train(graph: MultiplexBipartiteGraph, split: DatasetSplit, cfg: RunConfig,
 
     return TrainResult(params=params, best_params=best_params, state=state,
                        history=history, best_metric=float(best_metric),
-                       best_epoch=best_epoch, last_epoch=last_epoch,
+                       best_epoch=best_epoch, bad_rounds=bad_rounds, last_epoch=last_epoch,
                        rng_state=sampler.get_state())

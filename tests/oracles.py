@@ -151,16 +151,15 @@ def infonce_reference(anchor_rows, other_rows, tau):
     return total
 
 
-def oracle_total_loss(train_graph, cfg, tensors, batch):
-    """Full forward + loss from raw parameter tensors, straight-line dense:
-    one base table shared by every channel, and row-normalized global
-    similarity."""
+def oracle_embeddings(train_graph, cfg, tensors):
+    """Full forward from raw parameter tensors, straight-line dense, chain
+    step by chain step: one base table shared by every channel, and
+    row-normalized global similarity."""
     schema = train_graph.schema
     rels = schema.relations
     n_rel = len(rels)
     n_users = train_graph.num_users
     base = tensors["base"]
-    d = base.shape[1]
     layers = cfg.layers
 
     bbps = dense_bbps(train_graph)
@@ -203,6 +202,20 @@ def oracle_total_loss(train_graph, cfg, tensors, batch):
     e_c = sum(t for steps in chain_steps for t in steps) if chain_steps \
         else np.zeros_like(base)
     final = (h_ebp + e_r + e_c) / 3.0
+    return {"rel": rel_emb, "chains": chains, "chain_steps": chain_steps,
+            "e_c": e_c, "final": final}
+
+
+def oracle_total_loss(train_graph, cfg, tensors, batch):
+    """Full forward (:func:`oracle_embeddings`) + loss from raw parameter
+    tensors, straight-line dense."""
+    schema = train_graph.schema
+    base = tensors["base"]
+    d = base.shape[1]
+    emb = oracle_embeddings(train_graph, cfg, tensors)
+    rel_emb, chains, chain_steps = emb["rel"], emb["chains"], emb["chain_steps"]
+    e_c, final = emb["e_c"], emb["final"]
+    rels = schema.relations
 
     # contrastive losses, target anchored
     target = schema.target

@@ -122,8 +122,9 @@ def test_criterion_03_propagation_oracles():
         want = {"h_loc": oracles.local_propagation(dense, logits, base, layers),
                 "h_glo": oracles.propagate_global(sim, base, layers)}
         want.update({r: oracles.relation_propagation(g, r, base, layers) for r in rels})
-        for at, emb in ((slice(None), model.embeddings(p, rows=np.arange(g.num_nodes))),
-                        (rows, model.embeddings(p, rows=rows))):
+        for at, emb in ((slice(None), model.embeddings(p, np.arange(g.num_nodes),
+                                                       np.arange(0))),
+                        (rows, model.embeddings(p, rows, np.arange(0)))):
             for key, ref in want.items():
                 got = emb["rel"][key] if key in rels else emb[key]
                 err = np.abs(got - ref[at])
@@ -184,7 +185,7 @@ def test_criterion_05_loss_closed_forms(tiny_setup):
     from chainrec.contrastive import infonce_terms
     n = 9
     table = np.tile(np.asarray([0.3, -1.2, 0.8, 2.0]), (n, 1))
-    nce = float(np.sum(infonce_terms(table, table, np.arange(n), tau=0.1)))
+    nce = float(np.sum(infonce_terms(table, table, tau=0.1)))
     ok_nce = abs(nce - n * math.log(n)) < 1e-6
 
     # a one-column table with a unit user row: each triple scores s[t]

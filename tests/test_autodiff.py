@@ -1,6 +1,7 @@
 """Finite-difference checks for every tape op, plus tape mechanics."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,17 @@ class TestElementwise:
     def test_vector_nonlinearities(self, op):
         x = RNG.normal(size=(6,)) + 0.3  # keep clear of the leaky kink
         check_op(lambda v: ad.asum(ad.mul(op(v), np.arange(1.0, 7.0))), x)
+
+    @pytest.mark.parametrize("logit", [np.float32(-100.0), np.float64(-800.0)],
+                             ids=["float32", "float64"])
+    def test_softplus_gradient_at_very_negative_logits_is_exactly_zero(self, logit):
+        # exp(-x) overflows to inf there, and g / inf = 0 is the exact limit
+        v = ad.Var(np.asarray([logit, 0.0], dtype=logit.dtype))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad.backward(ad.asum(ad.softplus(v)))
+        assert v.grad.dtype == logit.dtype
+        np.testing.assert_array_equal(v.grad, [0.0, 0.5])
 
     def test_rsqrt_and_reciprocal_zero_guard(self):
         x = np.asarray([4.0, 0.0, 1.0])
@@ -210,6 +222,13 @@ class TestSplitRowsMatmul:
             results.append([out.value] + [x.grad for x in xs])
         for got, want in zip(*results):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_out_receives_the_product(self):
+        rng = np.random.default_rng(4)
+        a, wt, wb = rng.normal(size=(5, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        out = np.empty((5, 3))
+        assert ad.split_rows_matmul(a, 2, wt, wb, out=out) is out
+        np.testing.assert_array_equal(out, ad.split_rows_matmul(a, 2, wt, wb))
 
     @pytest.mark.parametrize("split", [0, 5])
     def test_split_at_either_end_uses_one_transform(self, split):

@@ -1,4 +1,5 @@
-"""Chain enumeration, staged transforms, and the channel fusion."""
+"""Chain enumeration, the chains' path maps and per-relation maps, and
+the channel fusion."""
 
 import numpy as np
 import pytest
@@ -51,77 +52,77 @@ class TestEnumeration:
 
 
 class TestChainForward:
-    def _chain(self):
-        schema = make_schema(("view", "cart", "buy"), "buy")
-        return enumerate_chains(schema)[2]  # view->cart->buy
+    """A chain's path maps A_j = W_j ... W_1, one per step and side."""
 
-    def test_identity_transforms_repeat_first_table(self):
-        chain = self._chain()
-        table = np.random.default_rng(0).normal(size=(5, 3))
+    def test_identity_transforms_give_identity_maps(self):
         eye = [np.eye(3)] * 2
-        steps = chain_forward(chain, table, eye, eye, num_users=2)
-        assert len(steps) == 3
-        for s in steps:
-            np.testing.assert_allclose(s, table)
+        for maps in chain_forward(eye, eye):
+            assert len(maps) == 2
+            for m in maps:  # Π, the last, included
+                np.testing.assert_array_equal(m, np.eye(3))
 
-    def test_zero_transforms_zero_later_steps(self):
-        chain = self._chain()
-        table = np.ones((4, 2))
+    def test_zero_transforms_zero_every_map(self):
         zeros = [np.zeros((2, 2))] * 2
-        steps = chain_forward(chain, table, zeros, zeros, num_users=2)
-        np.testing.assert_allclose(steps[0], table)
-        np.testing.assert_allclose(steps[1], np.zeros_like(table))
-        np.testing.assert_allclose(steps[2], np.zeros_like(table))
+        for maps in chain_forward(zeros, zeros):
+            for m in maps:
+                np.testing.assert_array_equal(m, np.zeros((2, 2)))
 
-    def test_swap_matrix_swaps_coordinates(self):
-        chain = self._chain()
+    def test_maps_compose_in_step_order(self):
+        rng = np.random.default_rng(2)
+        w = [rng.normal(size=(3, 3)) for _ in range(3)]
+        maps, _ = chain_forward(w, w)
+        np.testing.assert_allclose(maps[2], w[2] @ w[1] @ w[0], rtol=1e-12)
+        # two swaps compose to the identity
         swap = np.asarray([[0.0, 1.0], [1.0, 0.0]])
-        table = np.asarray([[3.0, 5.0], [1.0, 2.0]])
-        steps = chain_forward(chain, table, [swap, swap], [swap, swap],
-                              num_users=1)
-        np.testing.assert_allclose(steps[1], [[5.0, 3.0], [2.0, 1.0]])
+        maps, _ = chain_forward([swap, swap], [swap, swap])
+        np.testing.assert_array_equal(maps[0], swap)
+        np.testing.assert_array_equal(maps[1], np.eye(2))
 
     def test_user_item_transforms_differ(self):
-        chain = self._chain()
-        table = np.ones((3, 2))
-        wu = [2.0 * np.eye(2)] * 2
-        wv = [3.0 * np.eye(2)] * 2
-        steps = chain_forward(chain, table, wu, wv, num_users=1)
-        np.testing.assert_allclose(steps[2][0], [4.0, 4.0])
-        np.testing.assert_allclose(steps[2][1], [9.0, 9.0])
+        # own 0: the step tables alone, 1 + 2 + 4 for users, 1 + 3 + 9 for items
+        paths = chain_forward([2.0 * np.eye(2)] * 2, [3.0 * np.eye(2)] * 2)
+        got = chain_embedding(np.ones((3, 2)), 1, [paths], own=0)
+        np.testing.assert_array_equal(got, [[7.0, 7.0], [13.0, 13.0], [13.0, 13.0]])
 
     def test_linear_in_input(self):
-        chain = self._chain()
         rng = np.random.default_rng(1)
-        wu = [rng.normal(size=(3, 3)) for _ in range(2)]
-        wv = [rng.normal(size=(3, 3)) for _ in range(2)]
+        paths = [chain_forward([rng.normal(size=(3, 3)) for _ in range(k)],
+                               [rng.normal(size=(3, 3)) for _ in range(k)])
+                 for k in (1, 2)]
         x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-        fx = chain_forward(chain, x, wu, wv, 3)[2]
-        fy = chain_forward(chain, y, wu, wv, 3)[2]
-        fxy = chain_forward(chain, x + y, wu, wv, 3)[2]
+        fx, fy, fxy = (chain_embedding(t, 3, paths) for t in (x, y, x + y))
         np.testing.assert_allclose(fxy, fx + fy, rtol=1e-9, atol=1e-12)
 
 
 class TestChannelSums:
-    def test_chain_embedding_counts_terms(self):
-        t = np.ones((2, 2))
-        steps = [[t, t], [t, t], [t, t, t]]  # lengths 2,2,3 -> 7 tables
-        np.testing.assert_allclose(chain_embedding(steps), 7.0 * t)
-        np.testing.assert_allclose(chain_embedding([[0 * t, 0 * t]]),
-                                   np.zeros((2, 2)))
+    """K = (own + n) I + Σ_c Σ_j A_cj over the n chains from one relation,
+    read off by applying it to identity rows: I Kᵀ = Kᵀ."""
 
-    def test_identity_transform_sum_is_length_times_table(self):
-        schema = make_schema(("view", "cart", "buy"), "buy")
-        chain = enumerate_chains(schema)[2]
+    def test_zero_transforms_give_one_plus_n_identities(self):
+        # the relation's own table and each chain's first step
+        steps = [1, 2, 1]
+        paths = [chain_forward([np.zeros((2, 2))] * k, [np.zeros((2, 2))] * k)
+                 for k in steps]
+        for split in (2, 0):  # the user side, then the item side
+            np.testing.assert_array_equal(chain_embedding(np.eye(2), split, paths),
+                                          4.0 * np.eye(2))
+            np.testing.assert_array_equal(
+                chain_embedding(np.eye(2), split, paths, own=0), 3.0 * np.eye(2))
+
+    def test_identity_transforms_count_every_step_table(self):
+        # each chain adds one table per relation on it, the relation's own
+        # table one more: 1 + 2 + 2 + 3 for the three chains of three relations
+        chains = enumerate_chains(make_schema(("view", "cart", "buy"), "buy"))
+        paths = [chain_forward([np.eye(2)] * c.num_steps, [np.eye(2)] * c.num_steps)
+                 for c in chains]
         table = np.random.default_rng(3).normal(size=(4, 2))
-        eye = [np.eye(2)] * 2
-        steps = chain_forward(chain, table, eye, eye, 2)
-        np.testing.assert_allclose(chain_embedding([steps]), len(chain.relations) * table)
+        want = (1 + sum(len(c.relations) for c in chains)) * table
+        np.testing.assert_allclose(chain_embedding(table, 2, paths), want, rtol=1e-12)
 
     def test_final_embedding_mean(self):
         a = np.asarray([[3.0, 0.0]])
         b = np.asarray([[0.0, 3.0]])
         c = np.asarray([[3.0, 3.0]])
-        np.testing.assert_allclose(final_embedding(a, b, c), [[2.0, 2.0]])
-        np.testing.assert_allclose(final_embedding(a, a, a), a)
-        np.testing.assert_allclose(final_embedding(a, -a, 0 * a), [[0.0, 0.0]])
+        np.testing.assert_allclose(final_embedding([a, b, c]), [[2.0, 2.0]])
+        np.testing.assert_allclose(final_embedding([a, a, a]), a)
+        np.testing.assert_allclose(final_embedding([a, -a, 0 * a]), [[0.0, 0.0]])

@@ -232,13 +232,45 @@ class TestTrain:
                 == (part2 / "config.txt").read_text().replace(str(part2), "")
                 .replace(f"resume = {ckpt}", "resume = "))
 
+    @pytest.mark.parametrize("first_leg", ["stops_in_first_leg", "stops_in_second_leg"])
+    def test_resume_keeps_early_stopping_and_the_best_parameters(self, tmp_path,
+                                                                first_leg):
+        # lr 0.05 stops this demo run early, and reaches logits whose softplus
+        # gradient once overflowed. A resume carries the best metric, the
+        # patience count and the best parameters on, so it stops where the
+        # uninterrupted run stops and writes that run's best.npz, whether the
+        # first leg had already stopped (12 epochs) or stops one epoch short
+        data = tmp_path / "demo.tsv"
+        assert run_cli("synth", "--data", str(data), "--seed", "0") == 0
+        flags = ["--data", str(data), "--seed", "3", "--dim", "8", "--lr", "0.05",
+                 "--patience", "2"]
+        straight, part1, part2 = tmp_path / "straight", tmp_path / "part1", tmp_path / "part2"
+        assert run_cli("train", *flags, "--out", str(straight), "--epochs", "14") == 0
+        records = [json.loads(line) for line in
+                   (straight / "metrics.jsonl").read_text().splitlines()]
+        stop = [r["epoch"] for r in records if r["type"] == "early_stop"]
+        assert stop and stop[0] < 14
+        epochs = 12 if first_leg == "stops_in_first_leg" else stop[0] - 1
+        assert run_cli("train", *flags, "--out", str(part1), "--epochs", str(epochs)) == 0
+        assert run_cli("train", "--out", str(part2), "--epochs", "14", "--resume",
+                       str(part1 / "checkpoint.npz")) == 0
+        legs = [json.loads(line) for run in (part1, part2)
+                for line in (run / "metrics.jsonl").read_text().splitlines()]
+        assert legs == records
+        for name in ("checkpoint.npz", "best.npz"):
+            a, b = np.load(straight / name), np.load(part2 / name)
+            assert a.files == b.files
+            for k in set(a.files) - {"__config__"}:  # which names the run directory
+                np.testing.assert_array_equal(a[k], b[k], err_msg=f"{name} {k}")
+
     def test_checkpoint_meta_holds_sizes_and_epochs(self, synth_file, tmp_path):
         from chainrec.checkpoint import load_checkpoint
         out = tmp_path / "run"
         assert run_cli(*train_args(synth_file, out)) == 0
         meta = load_checkpoint(out / "checkpoint.npz")["meta"]
         assert meta == {"num_users": 40, "num_items": meta["num_items"], "epoch": 2,
-                        "best_epoch": meta["best_epoch"]}
+                        "best_epoch": meta["best_epoch"],
+                        "best_metric": meta["best_metric"], "bad_rounds": meta["bad_rounds"]}
 
     @pytest.mark.parametrize("flag, value", [("--layers", "3"), ("--seed", "0"),
                                              ("--order", "cart,buy,view"),
@@ -699,7 +731,7 @@ def with_meta(ckpt_path, out_path, entries):
     from chainrec.checkpoint import load_checkpoint, save_checkpoint
     ckpt = load_checkpoint(ckpt_path)
     save_checkpoint(out_path, ckpt["params"], ckpt["state"], ckpt["config_text"],
-                    {**ckpt["meta"], **entries}, ckpt["rng"])
+                    {**ckpt["meta"], **entries}, ckpt["rng"], ckpt["best"])
     return out_path
 
 

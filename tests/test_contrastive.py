@@ -14,7 +14,7 @@ import oracles
 
 def infonce_loss(anchor_table, other_table, users, tau):
     """Batch-summed InfoNCE, the sum of the per-user terms the model uses."""
-    return np.sum(contrastive.infonce_terms(anchor_table, other_table, users, tau))
+    return np.sum(contrastive.infonce_terms(anchor_table[users], other_table[users], tau))
 
 
 class TestInfoNCE:

@@ -27,7 +27,8 @@ def test_perfbench_selftest_passes():
 # (module, attribute) that perfbench's traced run swaps for a timing
 # wrapper and that the inference forward must call through its module
 INFERENCE_HOOKS = [(patterns, "propagate_local"), (patterns, "propagate_global_factored"),
-                   (model, "chain_forward"), (autodiff, "spmm")]
+                   (model, "chain_forward"), (model, "chain_embedding"),
+                   (model, "final_embedding"), (autodiff, "spmm")]
 
 
 @pytest.mark.parametrize("rels", [("view", "cart", "buy"),
@@ -49,5 +50,8 @@ def test_inference_forward_calls_every_wrapped_hook(rels, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     net.final_embeddings(net.init_params(0))
     assert calls == {"propagate_local": 1, "propagate_global_factored": 1,
-                     "chain_forward": sum(c.num_steps for c in net.chains),
+                     # once per chain, then once per relation that starts one
+                     "chain_forward": len(net.chains),
+                     "chain_embedding": len({c.relations[0] for c in net.chains}),
+                     "final_embedding": 1,
                      "spmm": cfg.layers * (len(rels) + 1)}
