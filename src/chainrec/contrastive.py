@@ -31,11 +31,19 @@ def infonce_terms(a, b, tau: float):
     ``a`` and other rows ``b``: term_u = -log softmax over the batch of
     cos(a_u, b_u') / tau, taken at u' = u. Zero-norm rows score 0.
     """
-    _note_zero_rows(a)
-    _note_zero_rows(b)
     sims = ad.mul(ad.matmul(ad.row_normalize(a), ad.transpose(ad.row_normalize(b))),
                   1.0 / tau)
     return ad.add(ad.logsumexp_rows(sims), ad.mul(ad.take_diag(sims), -1.0))
+
+
+def relation_losses(rows: dict, target: str, tau: float) -> dict:
+    """Each auxiliary relation's batch-summed InfoNCE against the target,
+    from every relation's rows at the batch users (``rows``, in schema
+    order). Each relation's rows are checked for zero norms once."""
+    for r in rows.values():
+        _note_zero_rows(r)
+    return {r: ad.asum(infonce_terms(rows[target], b, tau))
+            for r, b in rows.items() if r != target}
 
 
 def chain_knowledge(chain: RelationChain, rcl_losses: dict, e_c_rows,
@@ -65,3 +73,13 @@ def normalize_weights(raw: list):
     uniform raw weights map to all-ones and the weighted loss keeps its
     scale."""
     return ad.mul(ad.softmax(ad.stack_scalars(raw)), float(len(raw)))
+
+
+def weighted_losses(losses: list, feats: list, weight, bias, leaky_slope: float):
+    """Sum of ``losses`` weighted by one encoder: each loss's feature rows
+    are encoded and averaged, and the means normalized. No losses sum to a
+    zero of the encoder's dtype, so the objective keeps its dtype."""
+    if not losses:
+        return np.zeros((), ad.val(weight).dtype)
+    raw = [ad.amean(encode_weight(f, weight, bias, leaky_slope)) for f in feats]
+    return ad.asum(ad.mul(normalize_weights(raw), ad.stack_scalars(losses)))

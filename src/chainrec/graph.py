@@ -75,10 +75,6 @@ class RelationSchema:
         """Nonempty relation subsets; pattern p has signature p + 1."""
         return 2 ** len(self.relations) - 1
 
-    @property
-    def auxiliaries(self) -> tuple:
-        return tuple(r for r in self.relations if r != self.target)
-
 
 def make_schema(relations, target, canonical_order=None) -> RelationSchema:
     if canonical_order is None:

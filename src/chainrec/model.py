@@ -210,8 +210,10 @@ class DualChannelModel:
         return ad.add_n(terms + [ad.sumsq(t) for t in extra], scale=self.cfg.l2)
 
     def total_loss(self, p: dict, batch: TrainBatch):
-        """Weighted per-chain ranking losses + weighted contrastive losses
-        + final ranking loss; returns (loss, per-term float breakdown)."""
+        """mu2 * the final ranking loss + the encoder-weighted per-chain
+        ranking losses + mu1 * the encoder-weighted contrastive losses;
+        returns (loss, per-term float breakdown). A non-finite term aborts
+        with its name, the terms checked before their sum."""
         cfg = self.cfg
         target = self.schema.target
         bu = batch.users
@@ -225,66 +227,39 @@ class DualChannelModel:
 
         bu_c = at(bu)
         emb = self.embeddings(p, rows, bu_c)
-        # per-(auxiliary, target) contrastive losses over the batch users
         rel_users = emb["rel_users"]
-        rcl_losses = {r: ad.asum(contrastive.infonce_terms(rel_users[target], rel_users[r],
-                                                           cfg.tau))
-                      for r in self.schema.auxiliaries}
-
+        rcl = contrastive.relation_losses(rel_users, target, cfg.tau)
         e_final_rows = ad.gather(emb["final"], bu_c)
 
         # chain ranking losses on chains that drew triples this step
-        chain_losses, chain_raw_w = [], []
+        chain_losses, chain_feats = [], []
         for i, (cu, cp, cn) in sorted(batch.chain_triples.items()):
             chain = self.chains[i]
             w_u, w_v = ([p[k] for k in ks] for ks in transform_names(i, chain))
             reg = self._reg(p, cu, cp, cn, extra=w_u + w_v)
-            feats = contrastive.chain_knowledge(chain, rcl_losses, emb["e_c"],
-                                                e_final_rows, cfg.mu_scale, target)
-            raw = contrastive.encode_weight(feats, p["enc_chain.w"],
-                                            p["enc_chain.b"], cfg.leaky_slope)
-            chain_raw_w.append(ad.amean(raw))
+            chain_feats.append(contrastive.chain_knowledge(
+                chain, rcl, emb["e_c"], e_final_rows, cfg.mu_scale, target))
             # the chain's last step T_r Πᵀ, only at its triples' rows
             trip = ad.gather(emb["rel"][chain.relations[0]], at(np.concatenate([cu, cp, cn])))
             last = ad.split_rows_matmul(trip, len(cu), *(m[-1] for m in emb["paths"][i]))
             core = bpr(last, *np.arange(3 * len(cu)).reshape(3, -1))
             chain_losses.append(ad.add(core, reg))
 
-        loss_chains = None
-        if chain_losses:
-            w_chain = contrastive.normalize_weights(chain_raw_w)
-            loss_chains = ad.asum(ad.mul(w_chain, ad.stack_scalars(chain_losses)))
-
-        # weighted contrastive term over auxiliary relations
-        rel_losses, rel_raw_w = list(rcl_losses.values()), []
-        for r in self.schema.auxiliaries:
-            feats = contrastive.relation_knowledge(rcl_losses[r], rel_users[r],
-                                                   e_final_rows)
-            raw = contrastive.encode_weight(feats, p["enc_rel.w"],
-                                            p["enc_rel.b"], cfg.leaky_slope)
-            rel_raw_w.append(ad.amean(raw))
-
-        loss_rcl = None
-        if rel_losses:
-            w_rel = contrastive.normalize_weights(rel_raw_w)
-            loss_rcl = ad.asum(ad.mul(w_rel, ad.stack_scalars(rel_losses)))
-
-        # final ranking loss on the fused table
-        loss_final = ad.add(bpr(emb["final"], bu_c, at(batch.pos), at(batch.neg)),
-                            self._reg(p, bu, batch.pos, batch.neg))
-
-        total = ad.mul(loss_final, cfg.mu2)
-        if loss_chains is not None:
-            total = ad.add(total, loss_chains)
-        if loss_rcl is not None:
-            total = ad.add(total, ad.mul(loss_rcl, cfg.mu1))
-
-        breakdown = {
-            "total": float(ad.val(total)),
-            "chain_bpr": float(ad.val(loss_chains)) if loss_chains is not None else 0.0,
-            "rcl": float(ad.val(loss_rcl)) if loss_rcl is not None else 0.0,
-            "final_bpr": float(ad.val(loss_final)),
+        terms = {
+            "final_bpr": ad.add(bpr(emb["final"], bu_c, at(batch.pos), at(batch.neg)),
+                                self._reg(p, bu, batch.pos, batch.neg)),
+            "chain_bpr": contrastive.weighted_losses(
+                chain_losses, chain_feats, p["enc_chain.w"], p["enc_chain.b"],
+                cfg.leaky_slope),
+            "rcl": contrastive.weighted_losses(
+                list(rcl.values()),
+                [contrastive.relation_knowledge(loss, rel_users[r], e_final_rows)
+                 for r, loss in rcl.items()],
+                p["enc_rel.w"], p["enc_rel.b"], cfg.leaky_slope),
         }
+        total = ad.add_n([ad.mul(terms["final_bpr"], cfg.mu2), terms["chain_bpr"],
+                          ad.mul(terms["rcl"], cfg.mu1)])
+        breakdown = {name: float(ad.val(t)) for name, t in {**terms, "total": total}.items()}
         for name, value in breakdown.items():
             if not np.isfinite(value):
                 raise TrainingAbort(f"non-finite loss term {name!r}: {value}")

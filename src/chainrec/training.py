@@ -149,10 +149,13 @@ class AdamState:
 # gradient and buffers stay cache-sized across the update's dozen passes,
 # which halves its time on a 28k-row table against whole-table passes.
 ADAM_BLOCK_ROWS = 512
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
     """Standard bias-corrected Adam update, in place. A non-finite gradient
     aborts before any parameter, moment or the step count changes."""
     for name, g in grads.items():
@@ -165,26 +168,26 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float,
         blocks = [...] if m.ndim == 0 else [
             slice(s, s + ADAM_BLOCK_ROWS) for s in range(0, m.shape[0], ADAM_BLOCK_ROWS)]
         for rows in blocks:
-            _adam_rows(p[rows], m[rows], v[rows], g[rows], t, lr, beta1, beta2, eps)
+            _adam_rows(p[rows], m[rows], v[rows], g[rows], t, lr)
     params.check_finite()
     return params
 
 
-def _adam_rows(p, m, v, g, t, lr, beta1, beta2, eps):
+def _adam_rows(p, m, v, g, t, lr):
     """The textbook update of one block, op by op as ``m += (1 - beta1) * g``
     etc. would run, but into buffers; the g terms keep g's dtype and the
     rest m's, so the result is bit-identical to the whole-array expression."""
     g_term = np.empty_like(g)
     m_hat = np.empty_like(m)
     v_hat = np.empty_like(m)
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=g_term)
-    v *= beta2
-    np.multiply(g, 1.0 - beta2, out=g_term)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=g_term)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=g_term)
     v += np.multiply(g_term, g, out=g_term)
-    np.divide(m, 1.0 - beta1 ** t, out=m_hat)
-    np.divide(v, 1.0 - beta2 ** t, out=v_hat)
-    np.add(np.sqrt(v_hat, out=v_hat), eps, out=v_hat)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=m_hat)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=v_hat)
+    np.add(np.sqrt(v_hat, out=v_hat), ADAM_EPS, out=v_hat)
     np.multiply(lr, m_hat, out=m_hat)
     p -= np.divide(m_hat, v_hat, out=m_hat)
 

@@ -59,14 +59,63 @@ class TestInfoNCE:
             a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
             assert float(infonce_loss(a, b, np.arange(5), 0.7)) >= 0
 
+
+
+class TestRelationLosses:
+    def test_each_auxiliary_against_the_target(self):
+        rng = np.random.default_rng(5)
+        rows = {r: rng.normal(size=(4, 3)) for r in ("view", "cart", "buy")}
+        got = contrastive.relation_losses(rows, "buy", 0.3)
+        assert list(got) == ["view", "cart"]
+        for r, loss in got.items():
+            assert float(loss) == float(np.sum(
+                contrastive.infonce_terms(rows["buy"], rows[r], 0.3)))
+
     def test_zero_norm_rows_counted_and_scored_zero(self, caplog):
-        a = np.asarray([[0.0, 0.0], [1.0, 0.0]])
-        b = np.asarray([[1.0, 0.0], [0.0, 1.0]])
+        rows = {"view": np.asarray([[1.0, 0.0], [0.0, 1.0]]),
+                "buy": np.asarray([[0.0, 0.0], [1.0, 0.0]])}
         with caplog.at_level(logging.WARNING, logger="chainrec.contrastive"):
-            loss = infonce_loss(a, b, np.asarray([0, 1]), 1.0)
+            losses = contrastive.relation_losses(rows, "buy", 1.0)
         assert [r.args for r in caplog.records] == [(1,)]
         assert "1 zero-norm embedding rows" in caplog.text
-        assert np.isfinite(float(loss))
+        assert np.isfinite(float(losses["view"]))
+
+    @pytest.mark.parametrize("n_aux", [2, 3])
+    def test_target_rows_checked_once_per_step(self, n_aux, caplog):
+        # one zero-norm target row is one warning, however many auxiliaries
+        # are scored against it
+        rng = np.random.default_rng(6)
+        rows = {f"aux{k}": rng.normal(size=(3, 2)) for k in range(n_aux)}
+        rows["buy"] = np.asarray([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]])
+        with caplog.at_level(logging.WARNING, logger="chainrec.contrastive"):
+            contrastive.relation_losses(rows, "buy", 0.5)
+        assert [r.args for r in caplog.records] == [(1,)]
+
+    def test_infonce_terms_do_not_log(self, caplog):
+        a = np.asarray([[0.0, 0.0], [1.0, 0.0]])
+        with caplog.at_level(logging.WARNING, logger="chainrec.contrastive"):
+            contrastive.infonce_terms(a, a, 1.0)
+        assert caplog.records == []
+
+
+class TestWeightedLosses:
+    def test_weights_from_encoded_feature_means(self):
+        feats = [np.asarray([[1.0, 0.0], [3.0, 0.0]]), np.asarray([[0.0, 2.0]])]
+        w, b = np.asarray([0.5, 1.0]), 0.25
+        got = contrastive.weighted_losses([2.0, 5.0], feats, w, b, 0.01)
+        # LeakyReLU(F . w + b) averaged per loss: (0.75 + 1.75) / 2 and 2.25
+        weights = np.asarray(contrastive.normalize_weights([1.25, 2.25]))
+        assert float(got) == pytest.approx(float(weights @ [2.0, 5.0]), rel=1e-15)
+
+    def test_uniform_raws_give_the_plain_sum(self):
+        feats = [np.ones((2, 3)), np.ones((4, 3)), np.ones((1, 3))]
+        got = contrastive.weighted_losses([1.0, 2.0, 4.0], feats, np.zeros(3), 1.0, 0.01)
+        assert float(got) == pytest.approx(7.0, rel=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_losses_is_a_zero_of_the_encoder_dtype(self, dtype):
+        got = contrastive.weighted_losses([], [], np.zeros(3, dtype), dtype(0.0), 0.01)
+        assert float(got) == 0.0 and got.dtype == dtype
 
 
 class TestChainKnowledge:

@@ -3,6 +3,7 @@ equality between ndarray and tape forwards, the inference pass's bit
 identity to the row path and its memory peak, and term switch-off."""
 
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -16,7 +17,7 @@ from chainrec.graph import (MultiplexBipartiteGraph, load_interactions, make_sch
 from chainrec.model import DualChannelModel, TrainBatch, TrainingAbort, param_shapes
 from chainrec.sparse import build_struct, receptive_fields, sym_norm_values
 from chainrec.synth import write_synthetic
-from chainrec.training import backward
+from chainrec.training import backward, train
 
 import oracles
 from conftest import make_batch, random_multiplex_graph
@@ -354,6 +355,49 @@ class TestTermSwitchOff:
         # the NaN reaches the softplus, which warns before the loss check aborts
         with pytest.warns(RuntimeWarning), pytest.raises(TrainingAbort):
             model.total_loss(params.tensors, batch)
+
+    @pytest.mark.parametrize("name, term", [("enc_rel.w", "rcl"),
+                                            ("enc_chain.w", "chain_bpr"),
+                                            ("base", "final_bpr")])
+    def test_nan_abort_names_the_term_it_reaches(self, tiny_setup, name, term):
+        # the terms are checked before their sum, which every NaN reaches. A
+        # NaN in base reaches every term (the final one is checked first) and
+        # a softplus, which warns
+        _, _, model, params, batch, _ = tiny_setup
+        params.tensors[name][0] = np.nan
+        with (pytest.warns(RuntimeWarning) if name == "base" else nullcontext()), \
+                pytest.raises(TrainingAbort, match=f"non-finite loss term '{term}'"):
+            model.total_loss(params.tensors, batch)
+
+
+class TestSingleRelation:
+    """A one-relation schema has no auxiliary and no chain, so both weighted
+    families are empty: they add nothing and read 0 in the breakdown."""
+
+    @staticmethod
+    def setup_run():
+        graph = random_multiplex_graph(5, 7, ("buy",), 0.5, seed=2)
+        cfg = RunConfig(dim=4, layers=2, mu2=0.5, batch=4, epochs=1,
+                        relations=("buy",), target="buy").validate()
+        return graph, split_train_test(graph, 0.75, seed=0), cfg
+
+    def test_objective_is_mu2_times_the_final_loss(self):
+        graph, split, cfg = self.setup_run()
+        model = DualChannelModel(training_graph(graph, split), cfg)
+        assert model.chains == []
+        batch = make_batch(model, split, np.random.default_rng(1), size=4)
+        total, bd = model.total_loss(model.init_params(cfg.seed).as_vars(), batch)
+        assert bd["chain_bpr"] == bd["rcl"] == 0.0
+        assert bd["final_bpr"] > 0.0 and bd["total"] == 0.5 * bd["final_bpr"]
+        # the empty families' zeros keep the float32 objective float32
+        assert total.value.dtype == np.float32
+
+    def test_one_epoch_trains(self):
+        graph, split, cfg = self.setup_run()
+        result = train(graph, split, cfg)
+        loss, = [r for r in result.history if r["type"] == "loss"]
+        assert loss["chain_bpr"] == loss["rcl"] == 0.0
+        assert np.isfinite(loss["total"]) and result.last_epoch == 1
 
 
 class TestFeatureFlags:

@@ -1,18 +1,21 @@
 """The benchmark's self-test, run with the suite, so that a rename or a
 deletion in chainrec that breaks the benchmark's wrappers fails here, and
-a guard that the inference forward still calls the names they wrap."""
+guards that the inference forward and a training step still call the
+names they wrap."""
 
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from chainrec import autodiff, model, patterns
+from chainrec import autodiff, contrastive, model, patterns
 from chainrec.config import RunConfig
+from chainrec.graph import split_train_test, training_graph
 from chainrec.model import DualChannelModel
 
-from conftest import random_multiplex_graph
+from conftest import make_batch, random_multiplex_graph
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,13 +34,20 @@ INFERENCE_HOOKS = [(patterns, "propagate_local"), (patterns, "propagate_global_f
                    (model, "final_embedding"), (autodiff, "spmm")]
 
 
-@pytest.mark.parametrize("rels", [("view", "cart", "buy"),
-                                  ("tips", "neutral", "dislike", "like")],
-                         ids=["three", "four"])
+SCHEMAS = pytest.mark.parametrize("rels", [("view", "cart", "buy"),
+                                           ("tips", "neutral", "dislike", "like")],
+                                  ids=["three", "four"])
+
+
+def read_spans():
+    with open(os.path.join(ROOT, "perfbench", "spans.py"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@SCHEMAS
 def test_inference_forward_calls_every_wrapped_hook(rels, monkeypatch):
     # a forward that stops calling one of them leaves its traced span at 0
-    with open(os.path.join(ROOT, "perfbench", "spans.py"), encoding="utf-8") as fh:
-        spans = fh.read()
+    spans = read_spans()
     cfg = RunConfig(dim=4, layers=3, relations=rels, target=rels[-1]).validate()
     net = DualChannelModel(random_multiplex_graph(6, 9, rels, 0.4, seed=3), cfg)
     calls = {}
@@ -55,3 +65,34 @@ def test_inference_forward_calls_every_wrapped_hook(rels, monkeypatch):
                      "chain_embedding": len({c.relations[0] for c in net.chains}),
                      "final_embedding": 1,
                      "spmm": cfg.layers * (len(rels) + 1)}
+
+
+# contrastive names that perfbench's traced run wraps and that a training
+# step must call through the module
+TRAINING_HOOKS = ("infonce_terms", "chain_knowledge", "relation_knowledge",
+                  "encode_weight", "normalize_weights")
+
+
+@SCHEMAS
+def test_training_step_calls_every_wrapped_contrastive_name(rels, monkeypatch):
+    # a step that bypasses one of them leaves contrastive.forward short
+    spans = read_spans()
+    cfg = RunConfig(dim=4, layers=2, relations=rels, target=rels[-1]).validate()
+    graph = random_multiplex_graph(6, 9, rels, 0.4, seed=3)
+    split = split_train_test(graph, 0.75, seed=0)
+    net = DualChannelModel(training_graph(graph, split), cfg)
+    batch = make_batch(net, split, np.random.default_rng(5), size=4)
+    calls = dict.fromkeys(TRAINING_HOOKS, 0)
+    for name in TRAINING_HOOKS:
+        assert f'(contrastive, "{name}"' in spans, name
+
+        def counted(*args, _fn=getattr(contrastive, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(contrastive, name, counted)
+    net.total_loss(net.init_params(0).as_vars(), batch)
+    n_aux, n_chains = len(rels) - 1, len(batch.chain_triples)
+    assert n_chains
+    assert calls == {"infonce_terms": n_aux, "relation_knowledge": n_aux,
+                     "chain_knowledge": n_chains,
+                     "encode_weight": n_chains + n_aux, "normalize_weights": 2}
