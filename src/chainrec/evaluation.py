@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .graph import DatasetSplit, MultiplexBipartiteGraph, sorted_unique
+from .graph import DatasetSplit, MultiplexBipartiteGraph, sorted_contains, sorted_unique
 
 SPARSITY_BUCKETS = ((0, 4), (4, 5), (5, 6), (6, 7), (7, 10), (10, 60), (60, None))
 
@@ -244,8 +244,7 @@ def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
         vals = backend.spmm_grad_vals(rows, cols, u64, items)
         top, lengths = _top_lists(rows, cols, vals, len(batch), width)
         keys = np.arange(start, stop)[:, None] * num_items + top
-        found = test_keys[np.minimum(np.searchsorted(test_keys, keys), len(test_keys) - 1)]
-        hits = (found == keys) & (top >= 0)
+        hits = sorted_contains(test_keys, keys) & (top >= 0)
         n_hits = np.cumsum(hits, axis=1)
         dcg = np.cumsum(np.where(hits, gains, 0.0), axis=1)
         n = n_test[start:stop]

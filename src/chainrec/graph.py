@@ -26,6 +26,14 @@ def sorted_unique(a) -> np.ndarray:
     return a[keep]
 
 
+def sorted_contains(keys: np.ndarray, query) -> np.ndarray:
+    """``np.isin(query, keys)`` for sorted 1-D ``keys``, by binary search."""
+    if keys.shape[0] == 0:
+        return np.zeros(np.shape(query), dtype=bool)
+    at = np.searchsorted(keys, query)
+    return keys[np.minimum(at, keys.shape[0] - 1)] == query
+
+
 def stream_rng(seed: int, name: str) -> np.random.Generator:
     """Independent generator for one named substream of the run seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(RNG_STREAMS[name],)))

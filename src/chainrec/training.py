@@ -11,8 +11,8 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation
 from .config import RunConfig
-from .graph import (DatasetSplit, MultiplexBipartiteGraph, stream_rng,
-                    training_graph)
+from .graph import (DatasetSplit, MultiplexBipartiteGraph, sorted_contains,
+                    stream_rng, training_graph)
 from .model import DualChannelModel, ModelParams, TrainBatch, TrainingAbort
 
 log = logging.getLogger(__name__)
@@ -26,71 +26,70 @@ class NegativeSamplingError(ValueError):
     """A user's positives cover every item, so no negative can be drawn."""
 
 
-def _draw_negative(positives: set, num_users: int, num_items: int,
-                   rng: np.random.Generator, cap: int = 100) -> int:
-    """Uniform item with no interaction in the context; rejection sampling
-    with a bounded number of tries, then an exhaustive scan."""
-    if len(positives) >= num_items:
-        raise NegativeSamplingError(
-            f"a user has interacted with all {num_items} items in a training "
-            f"context, so no negative item can be sampled")
-    for _ in range(cap):
-        item = num_users + int(rng.integers(num_items))
-        if item not in positives:
-            return item
-    allowed = np.setdiff1d(np.arange(num_users, num_users + num_items),
-                           np.asarray(sorted(positives), dtype=np.int64),
-                           assume_unique=True)
-    return int(allowed[rng.integers(allowed.shape[0])])
-
-
 class TripleSampler:
-    """Precomputed positive sets per context; draws per-step triples."""
+    """Per-step triples; each context's positives are sorted pair keys u*N+v."""
 
     def __init__(self, model: DualChannelModel, split: DatasetSplit, seed: int,
                  neg_cap: int = 100):  # perfbench passes it until ROADMAP item 2
         self.model = model
-        self.num_users = model.graph.num_users
         self.num_items = model.graph.num_items
         self.neg_cap = neg_cap
         self.rng = stream_rng(seed, "negatives")
         self.shuffle_rng = stream_rng(seed, "shuffle")
 
-        tu, tv = split.train_pairs(model.schema.target)
-        self.target_u = tu
-        self.target_v = tv
-        self.target_pos = _positives_by_user(tu, tv)
+        self.target_u, self.target_v = split.train_pairs(model.schema.target)
+        # a chain's pairs are all target pairs, so no chain context saturates
+        full = np.flatnonzero(np.bincount(self.target_u) >= self.num_items)
+        if full.size:
+            user = model.graph.user_ids[full[0]] if model.graph.user_ids else int(full[0])
+            raise NegativeSamplingError(f"user {user} has {model.schema.target!r} training pairs "
+                                        f"with every item, so no negative item can be sampled")
+        n = np.int64(model.graph.num_nodes)
+        self.target_keys = self.target_u * n + self.target_v
 
-        self.chain_edges = {}
-        self.chain_pos = {}
+        self.chain_keys = {}
         for i, chain in enumerate(model.chains):
             u, v = model.patterns.pairs(chain.pattern)
             if u.size == 0:
                 log.info("chain %s has no exact-pattern training edges; skipped",
                          chain.label())
                 continue
-            self.chain_edges[i] = (u, v)
-            self.chain_pos[i] = _positives_by_user(u, v)
+            self.chain_keys[i] = u * n + v
 
-    def _negatives(self, users, pos_of) -> np.ndarray:
-        out = np.empty(len(users), dtype=np.int64)
-        for t, u in enumerate(users):
-            out[t] = _draw_negative(pos_of[int(u)], self.num_users,
-                                    self.num_items, self.rng, self.neg_cap)
+    def _negatives(self, users: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """A uniform item per user with no pair in the sorted ``keys``, drawn
+        as a per-triple loop would: until a miss, or after ``neg_cap`` hits in
+        a row from the allowed items. The draws for all triples left are made
+        and tested at once; a hit is dropped and the draws after it move one
+        triple on. See README on why the stream is the loop's until a cap pick."""
+        n, base, count = self.model.graph.num_nodes, self.model.graph.num_users, users.shape[0]
+        out = np.empty(count, dtype=np.int64)
+        items = base + self.rng.integers(self.num_items, size=count)
+        done = hits = 0
+        while done < count:
+            hit = sorted_contains(keys, users[done:] * n + items)
+            h = int(hit.argmax()) if hit.any() else hit.shape[0]
+            out[done:done + h] = items[:h]
+            done += h
+            hits = hits + 1 if h == 0 else 1
+            if done < count and hits < self.neg_cap:
+                items = np.append(items[h + 1:], base + self.rng.integers(self.num_items))
+            elif done < count:
+                pool = np.arange(base, n)
+                allowed = pool[~sorted_contains(keys, users[done] * n + pool)]
+                out[done] = allowed[self.rng.integers(allowed.shape[0])]
+                done, hits, items = done + 1, 0, items[h + 1:]
         return out
 
     def batch_for(self, idx: np.ndarray) -> TrainBatch:
         users = self.target_u[idx]
-        pos = self.target_v[idx]
-        neg = self._negatives(users, self.target_pos)
+        neg = self._negatives(users, self.target_keys)
+        n = self.model.graph.num_nodes
         chain_triples = {}
-        size = len(idx)
-        for i, (cu_all, cv_all) in self.chain_edges.items():
-            pick = self.rng.integers(cu_all.shape[0], size=size)
-            cu, cp = cu_all[pick], cv_all[pick]
-            cn = self._negatives(cu, self.chain_pos[i])
-            chain_triples[i] = (cu, cp, cn)
-        return TrainBatch(users=users, pos=pos, neg=neg,
+        for i, keys in self.chain_keys.items():
+            cu, cp = np.divmod(keys[self.rng.integers(keys.shape[0], size=len(idx))], n)
+            chain_triples[i] = (cu, cp, self._negatives(cu, keys))
+        return TrainBatch(users=users, pos=self.target_v[idx], neg=neg,
                           chain_triples=chain_triples)
 
     def epoch_batches(self, batch_size: int):
@@ -105,13 +104,6 @@ class TripleSampler:
     def set_state(self, state: dict) -> None:
         self.rng.bit_generator.state = state["negatives"]
         self.shuffle_rng.bit_generator.state = state["shuffle"]
-
-
-def _positives_by_user(u: np.ndarray, v: np.ndarray) -> dict:
-    table = {}
-    for a, b in zip(u, v):
-        table.setdefault(int(a), set()).add(int(b))
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,19 @@
 Everything here is dense numpy written directly from the model definition,
 with no imports from the library's numeric modules, so these functions stay
 independent of the code paths they check. The reference loader takes only
-the graph's container and exception classes from the library. The one
-exception is the per-operator propagation below: it applies the tape's
-``spmm`` to one CSR operator at a time, the reference that the stacked
-paths must match bit for bit.
+the graph's container and exception classes from the library, and the
+reference sampler only its named generator streams and batch container.
+The one exception is the per-operator propagation below: it applies the
+tape's ``spmm`` to one CSR operator at a time, the reference that the
+stacked paths must match bit for bit.
 """
 
 import numpy as np
 
 from chainrec import autodiff as ad
-from chainrec.graph import MultiplexBipartiteGraph, ParseError, SchemaError
+from chainrec.graph import (MultiplexBipartiteGraph, ParseError, SchemaError,
+                            stream_rng)
+from chainrec.model import TrainBatch
 
 
 def dense_adjacency(graph, relation):
@@ -356,3 +359,78 @@ def load_interactions_reference(path, schema) -> MultiplexBipartiteGraph:
     return MultiplexBipartiteGraph(schema=schema, num_users=num_users,
                                    num_items=num_items, edges=edges,
                                    user_ids=user_ids, item_ids=item_ids)
+
+
+# the per-user-set sampler that training.TripleSampler replaced, which drew
+# each negative in its own loop; the block sampler must give its batches and
+# leave its generator states
+def _draw_negative(positives: set, num_users: int, num_items: int,
+                   rng: np.random.Generator, cap: int = 100) -> int:
+    """Uniform item with no interaction in the context; rejection sampling
+    with a bounded number of tries, then an exhaustive scan."""
+    if len(positives) >= num_items:
+        raise ValueError(f"a user has interacted with all {num_items} items")
+    for _ in range(cap):
+        item = num_users + int(rng.integers(num_items))
+        if item not in positives:
+            return item
+    allowed = np.setdiff1d(np.arange(num_users, num_users + num_items),
+                           np.asarray(sorted(positives), dtype=np.int64),
+                           assume_unique=True)
+    return int(allowed[rng.integers(allowed.shape[0])])
+
+
+def _positives_by_user(u: np.ndarray, v: np.ndarray) -> dict:
+    table = {}
+    for a, b in zip(u, v):
+        table.setdefault(int(a), set()).add(int(b))
+    return table
+
+
+class ReferenceSampler:
+    """Precomputed positive sets per context; draws per-step triples."""
+
+    def __init__(self, model, split, seed: int, neg_cap: int = 100):
+        self.num_users = model.graph.num_users
+        self.num_items = model.graph.num_items
+        self.neg_cap = neg_cap
+        self.rng = stream_rng(seed, "negatives")
+        self.shuffle_rng = stream_rng(seed, "shuffle")
+        tu, tv = split.train_pairs(model.schema.target)
+        self.target_u = tu
+        self.target_v = tv
+        self.target_pos = _positives_by_user(tu, tv)
+        self.chain_edges = {}
+        self.chain_pos = {}
+        for i, chain in enumerate(model.chains):
+            u, v = model.patterns.pairs(chain.pattern)
+            if u.size:
+                self.chain_edges[i] = (u, v)
+                self.chain_pos[i] = _positives_by_user(u, v)
+
+    def negatives(self, users, pos_of) -> np.ndarray:
+        out = np.empty(len(users), dtype=np.int64)
+        for t, u in enumerate(users):
+            out[t] = _draw_negative(pos_of[int(u)], self.num_users,
+                                    self.num_items, self.rng, self.neg_cap)
+        return out
+
+    def batch_for(self, idx: np.ndarray) -> TrainBatch:
+        users = self.target_u[idx]
+        neg = self.negatives(users, self.target_pos)
+        chain_triples = {}
+        for i, (cu_all, cv_all) in self.chain_edges.items():
+            pick = self.rng.integers(cu_all.shape[0], size=len(idx))
+            cu, cp = cu_all[pick], cv_all[pick]
+            chain_triples[i] = (cu, cp, self.negatives(cu, self.chain_pos[i]))
+        return TrainBatch(users=users, pos=self.target_v[idx], neg=neg,
+                          chain_triples=chain_triples)
+
+    def epoch_batches(self, batch_size: int):
+        perm = self.shuffle_rng.permutation(self.target_u.shape[0])
+        for start in range(0, perm.shape[0], batch_size):
+            yield self.batch_for(perm[start:start + batch_size])
+
+    def get_state(self) -> dict:
+        return {"negatives": self.rng.bit_generator.state,
+                "shuffle": self.shuffle_rng.bit_generator.state}

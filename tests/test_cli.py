@@ -591,7 +591,8 @@ class TestDataErrors:
         assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "x"),
                        "--dim", "4", "--epochs", "1", "--ratio", "0.75",
                        "--seed", "0") == 1
-        assert "no negative item" in self.one_line_error(capsys)
+        err = self.one_line_error(capsys)
+        assert "no negative item" in err and "user u0 has 'buy'" in err
 
     def test_split_with_no_test_users_exits_one(self, tmp_path, capsys):
         data = write_tsv(tmp_path / "d.tsv", THREE_BUYS)

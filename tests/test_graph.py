@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chainrec.cli import main
 from chainrec.config import RunConfig
 from chainrec.graph import (MultiplexBipartiteGraph, ParseError, SchemaError,
-                            load_interactions, make_schema, sorted_unique,
-                            split_train_test, training_graph)
+                            load_interactions, make_schema, sorted_contains,
+                            sorted_unique, split_train_test, training_graph)
 from chainrec.model import DualChannelModel
 
 from conftest import random_multiplex_graph
@@ -273,6 +275,29 @@ class TestSortedUnique:
         got, want = sorted_unique(keys), np.unique(keys)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+class TestSortedContains:
+    @given(keys=st.lists(st.integers(-50, 50), max_size=30),
+           query=st.lists(st.integers(-60, 60), max_size=40))
+    @example(keys=[], query=[3, 3, -1])
+    @example(keys=[4], query=[4, 4, 4, 5])
+    def test_equals_np_isin(self, keys, query):
+        keys = sorted_unique(np.asarray(keys, np.int64))
+        query = np.asarray(query, np.int64)
+        got = sorted_contains(keys, query)
+        assert got.dtype == bool and got.shape == query.shape
+        np.testing.assert_array_equal(got, np.isin(query, keys))
+
+    @pytest.mark.parametrize("n_keys", [0, 1, 200])
+    def test_2d_query(self, n_keys):
+        rng = np.random.default_rng(n_keys)
+        keys = sorted_unique(rng.integers(0, 2**40, size=n_keys))
+        query = rng.integers(0, 2**40, size=(30, 20))
+        query[::3] = rng.choice(keys, size=query[::3].shape) if n_keys else 0
+        got = sorted_contains(keys, query)
+        assert got.shape == query.shape
+        np.testing.assert_array_equal(got, np.isin(query, keys))
 
 
 class TestSplit:

@@ -1,20 +1,22 @@
 """Sampling, loss closed forms, Adam, gradient correctness, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
 from chainrec import backend
 from chainrec.config import RunConfig
-from chainrec.graph import (load_interactions, make_schema, split_train_test,
-                            training_graph)
+from chainrec.graph import (DatasetSplit, load_interactions, make_schema,
+                            split_train_test, stream_rng, training_graph)
 from chainrec.model import DualChannelModel, TrainingAbort, bpr
 from chainrec.synth import write_synthetic
 from chainrec.training import (AdamState, NegativeSamplingError, TripleSampler,
-                               _draw_negative, adam_step, backward,
-                               evaluate_model, train)
+                               adam_step, backward, evaluate_model, train)
 
 from conftest import random_multiplex_graph
+from oracles import ReferenceSampler
 from test_patterns import graph_from_pairs
 
 
@@ -63,42 +65,49 @@ class TestBprLoss:
             bpr(table, users[:2], pos, neg)
 
 
-def sampler_for(graph, ratio=0.75, seed=0):
+def sampler_for(graph, ratio=0.75, seed=0, neg_cap=100):
     split = split_train_test(graph, ratio, seed=0)
     model = DualChannelModel(training_graph(graph, split),
                              RunConfig(dim=2, seed=0).validate())
-    return TripleSampler(model, split, seed), model
+    return TripleSampler(model, split, seed, neg_cap=neg_cap), model
+
+
+def assert_same_batch(a, b):
+    for name in ("users", "pos", "neg"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.chain_triples.keys() == b.chain_triples.keys()
+    for i, triple in a.chain_triples.items():
+        for x, y in zip(triple, b.chain_triples[i], strict=True):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestNegativeSampling:
-    def test_two_items_forced_choice(self):
+    @pytest.mark.parametrize("neg_cap", [1, 100])
+    def test_two_items_forced_choice(self, neg_cap):
+        # at cap 1 every hit falls back to the allowed items
         g = graph_from_pairs(1, 2, {"buy": [(0, 0)]}, target="buy")
-        sampler, _ = sampler_for(g, ratio=0.9)  # rounds to the single edge
+        sampler, _ = sampler_for(g, ratio=0.9, neg_cap=neg_cap)  # rounds to the single edge
         batch = sampler.batch_for(np.zeros(25, dtype=np.int64))
         assert np.all(batch.neg == g.num_users + 1)
 
     def test_deterministic_sequence(self):
         g = random_multiplex_graph(4, 30, ("view", "buy"), 0.3, seed=0)
         idx = np.arange(5)
-        a = sampler_for(g, seed=5)[0].batch_for(idx)
-        b = sampler_for(g, seed=5)[0].batch_for(idx)
-        np.testing.assert_array_equal(a.neg, b.neg)
-        assert a.chain_triples.keys() == b.chain_triples.keys()
-        for i, triple in a.chain_triples.items():
-            for x, y in zip(triple, b.chain_triples[i]):
-                np.testing.assert_array_equal(x, y)
+        assert_same_batch(sampler_for(g, seed=5)[0].batch_for(idx),
+                          sampler_for(g, seed=5)[0].batch_for(idx))
 
     def test_never_returns_a_positive(self):
-        # 10k items, ~10 positives, 1e5 draws: zero hits on the positive set
+        # 10k items, 10 positives per user, 1e5 triples in one call
         rng = np.random.default_rng(2)
-        items = 3 + np.asarray(sorted(rng.choice(10_000, size=10, replace=False)))
-        positives = set(items.tolist())
-        draw_rng = np.random.default_rng(5)
-        hits = 0
-        for _ in range(100_000):
-            if _draw_negative(positives, 3, 10_000, draw_rng) in positives:
-                hits += 1
-        assert hits == 0
+        pairs = [(u, int(i)) for u in range(3)
+                 for i in rng.choice(10_000, size=10, replace=False)]
+        g = graph_from_pairs(3, 10_000, {"buy": pairs}, target="buy")
+        sampler, _ = sampler_for(g, ratio=0.5)
+        keys = g.edge_keys("buy")
+        users = rng.integers(3, size=100_000)
+        neg = sampler._negatives(users, keys)
+        assert neg.min() >= 3 and neg.max() < g.num_nodes
+        assert not np.isin(users * g.num_nodes + neg, keys).any()
 
     def test_chain_context_uses_pattern_edges(self):
         # chain triples pair a pattern edge with a negative outside the
@@ -114,11 +123,64 @@ class TestNegativeSampling:
                 assert (u, p) in edges
                 assert (u, n) not in edges
 
-    def test_exhausted_user_errors(self):
-        g = graph_from_pairs(1, 1, {"buy": [(0, 0)]}, target="buy")
-        sampler, _ = sampler_for(g, ratio=0.9)
-        with pytest.raises(NegativeSamplingError):
-            sampler.batch_for(np.zeros(1, dtype=np.int64))
+    @pytest.mark.parametrize("user_ids", [["x", "u0"], []])
+    def test_exhausted_user_errors(self, user_ids):
+        # user 1 holds both items under buy, so no negative exists for it
+        g = graph_from_pairs(2, 2, {"view": [(0, 0)], "buy": [(0, 0), (1, 0), (1, 1)]},
+                             target="buy")
+        g.user_ids = user_ids
+        split = DatasetSplit(train_edges=g.edges, test_edges=g.edges["buy"])
+        model = DualChannelModel(training_graph(g, split), RunConfig(dim=2).validate())
+        with pytest.raises(NegativeSamplingError, match=(
+                f"user {'u0' if user_ids else 1} has 'buy' .* no negative item can be sampled")):
+            TripleSampler(model, split, 0)
+
+    def test_block_draws_equal_single_draws(self):
+        # the premise of the block sampler: one integers(m, size=k) call gives
+        # the k values of k single calls and leaves the same generator state
+        block, single = stream_rng(7, "negatives"), stream_rng(7, "negatives")
+        for m in (1, 2, 3, 500, 30_000, 2**31 - 1):
+            for k in (1, 5, 64):
+                np.testing.assert_array_equal(
+                    block.integers(m, size=k), [single.integers(m) for _ in range(k)])
+                assert block.integers(7) == single.integers(7)  # another bound between
+            assert block.bit_generator.state == single.bit_generator.state
+
+
+class TestMatchesPerTripleSampler:
+    """The block sampler gives the per-triple loop's batches, batch for
+    batch, and leaves its generator states."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @pytest.mark.parametrize("graph_seed", range(6))
+    def test_whole_epoch_equals_reference(self, graph_seed, batch):
+        rels = ("view", "cart", "buy") if graph_seed % 2 else ("a", "b", "c", "buy")
+        g = random_multiplex_graph(5 + graph_seed, 12 + 5 * graph_seed, rels,
+                                   0.15 + 0.05 * graph_seed, seed=graph_seed)
+        split = split_train_test(g, 0.8, seed=graph_seed)
+        model = DualChannelModel(training_graph(g, split), RunConfig(dim=2).validate())
+        got = TripleSampler(model, split, graph_seed)
+        want = ReferenceSampler(model, split, graph_seed)
+        for a, b in zip(got.epoch_batches(batch), want.epoch_batches(batch), strict=True):
+            assert_same_batch(a, b)
+        assert got.get_state() == want.get_state()
+
+    def test_restored_sampler_continues_the_epoch(self):
+        # the state after two batches, through JSON as a checkpoint holds it,
+        # continues that epoch's batches and the next epoch's shuffle
+        g = random_multiplex_graph(8, 30, ("view", "cart", "buy"), 0.3, seed=4)
+        idx = [np.arange(i, i + 4) for i in range(0, 20, 4)]
+        whole, _ = sampler_for(g, seed=3)
+        want = [whole.batch_for(i) for i in idx] + list(whole.epoch_batches(4))
+        first, _ = sampler_for(g, seed=3)
+        for i in idx[:2]:
+            first.batch_for(i)
+        resumed, _ = sampler_for(g, seed=9)
+        resumed.set_state(json.loads(json.dumps(first.get_state())))
+        got = [resumed.batch_for(i) for i in idx[2:]] + list(resumed.epoch_batches(4))
+        for a, b in zip(got, want[2:], strict=True):
+            assert_same_batch(a, b)
+        assert resumed.get_state() == whole.get_state()
 
 
 class TestAdam:
