@@ -30,8 +30,6 @@ class RunConfig:
     # model
     dim: int = 64
     layers: int = 2
-    mu_scale: float = 1.0
-    leaky_slope: float = 0.01
 
     # optimization
     lr: float = 1e-3
@@ -92,8 +90,6 @@ class RunConfig:
             raise ConfigError(f"ratio must be in (0, 1), got {self.ratio}")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64|float32, got {self.dtype!r}")
-        if not 0 < self.leaky_slope < 1:
-            raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
         for key in ("synth_users", "synth_items", "synth_clusters", "synth_views",
                     "synth_carts", "synth_buys", "synth_zipf"):
             if getattr(self, key) < 0:
@@ -129,7 +125,8 @@ _FALSE = ("false", "0", "no", "off")
 # is refused. A non-empty chain_order is read as order, its new name.
 RETIRED_KEYS = {"attributes": None, "workers": None, "chain_score": None,
                 "per_user_weights": None, "neg_cap": None, "raw_local_adj": _FALSE,
-                "separate_base": _FALSE, "glo_norm": ("row",), "chain_order": ("",)}
+                "separate_base": _FALSE, "glo_norm": ("row",), "chain_order": ("",),
+                "mu_scale": ("1.0", "1"), "leaky_slope": ("0.01",)}
 
 
 def _parse_value(key: str, raw: str):

@@ -15,6 +15,8 @@ from .chains import RelationChain
 
 log = logging.getLogger(__name__)
 
+LEAKY_SLOPE = 0.01   # of the encoders' LeakyReLU
+
 
 def _note_zero_rows(rows) -> None:
     """Warn with the count of zero-norm rows, which are scored as
@@ -47,12 +49,12 @@ def relation_losses(rows: dict, target: str, tau: float) -> dict:
 
 
 def chain_knowledge(chain: RelationChain, rcl_losses: dict, e_c_rows,
-                    e_final_rows, mu: float, target: str):
+                    e_final_rows, target: str):
     """Per-user chain feature: the chain's auxiliary contrastive losses
-    (summed, scaled by mu, replicated to d entries) joined with the chain
-    and final embedding rows -> (batch, 3d)."""
+    (summed, replicated to d entries) joined with the chain and final
+    embedding rows -> (batch, 3d)."""
     aux_losses = [rcl_losses[r] for r in chain.relations if r != target]
-    block = ad.fill(ad.add_n(aux_losses, scale=mu), ad.val(e_c_rows).shape)
+    block = ad.fill(ad.add_n(aux_losses), ad.val(e_c_rows).shape)
     return ad.concat([block, e_c_rows, e_final_rows], axis=1)
 
 
@@ -63,9 +65,9 @@ def relation_knowledge(rcl_loss, e_rel_rows, e_final_rows):
     return ad.mul(rcl_loss, ad.concat([e_rel_rows, e_final_rows], axis=1))
 
 
-def encode_weight(features, weight, bias, leaky_slope: float):
+def encode_weight(features, weight, bias):
     """Scalar weight per feature row: LeakyReLU(F . w + b)."""
-    return ad.leaky_relu(ad.add(ad.matmul(features, weight), bias), leaky_slope)
+    return ad.leaky_relu(ad.add(ad.matmul(features, weight), bias), LEAKY_SLOPE)
 
 
 def normalize_weights(raw: list):
@@ -75,11 +77,11 @@ def normalize_weights(raw: list):
     return ad.mul(ad.softmax(ad.stack_scalars(raw)), float(len(raw)))
 
 
-def weighted_losses(losses: list, feats: list, weight, bias, leaky_slope: float):
+def weighted_losses(losses: list, feats: list, weight, bias):
     """Sum of ``losses`` weighted by one encoder: each loss's feature rows
     are encoded and averaged, and the means normalized. No losses sum to a
     zero of the encoder's dtype, so the objective keeps its dtype."""
     if not losses:
         return np.zeros((), ad.val(weight).dtype)
-    raw = [ad.amean(encode_weight(f, weight, bias, leaky_slope)) for f in feats]
+    raw = [ad.amean(encode_weight(f, weight, bias)) for f in feats]
     return ad.asum(ad.mul(normalize_weights(raw), ad.stack_scalars(losses)))

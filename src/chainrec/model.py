@@ -238,7 +238,7 @@ class DualChannelModel:
             w_u, w_v = ([p[k] for k in ks] for ks in transform_names(i, chain))
             reg = self._reg(p, cu, cp, cn, extra=w_u + w_v)
             chain_feats.append(contrastive.chain_knowledge(
-                chain, rcl, emb["e_c"], e_final_rows, cfg.mu_scale, target))
+                chain, rcl, emb["e_c"], e_final_rows, target))
             # the chain's last step T_r Πᵀ, only at its triples' rows
             trip = ad.gather(emb["rel"][chain.relations[0]], at(np.concatenate([cu, cp, cn])))
             last = ad.split_rows_matmul(trip, len(cu), *(m[-1] for m in emb["paths"][i]))
@@ -249,13 +249,12 @@ class DualChannelModel:
             "final_bpr": ad.add(bpr(emb["final"], bu_c, at(batch.pos), at(batch.neg)),
                                 self._reg(p, bu, batch.pos, batch.neg)),
             "chain_bpr": contrastive.weighted_losses(
-                chain_losses, chain_feats, p["enc_chain.w"], p["enc_chain.b"],
-                cfg.leaky_slope),
+                chain_losses, chain_feats, p["enc_chain.w"], p["enc_chain.b"]),
             "rcl": contrastive.weighted_losses(
                 list(rcl.values()),
                 [contrastive.relation_knowledge(loss, rel_users[r], e_final_rows)
                  for r, loss in rcl.items()],
-                p["enc_rel.w"], p["enc_rel.b"], cfg.leaky_slope),
+                p["enc_rel.w"], p["enc_rel.b"]),
         }
         total = ad.add_n([ad.mul(terms["final_bpr"], cfg.mu2), terms["chain_bpr"],
                           ad.mul(terms["rcl"], cfg.mu1)])

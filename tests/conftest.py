@@ -72,7 +72,7 @@ def _tiny(relations, edge_prob, seed):
     # float64: the fixtures feed the straight-line oracle and the
     # finite-difference checks, whose tolerances assume it
     cfg = RunConfig(dim=4, layers=2, l2=1e-3, mu1=0.2, mu2=0.5, tau=0.25,
-                    mu_scale=0.7, seed=3, relations=relations,
+                    seed=3, relations=relations,
                     target=relations[-1], dtype="float64").validate()
     split = split_train_test(graph, 0.75, seed=cfg.seed)
     model = DualChannelModel(training_graph(graph, split), cfg)

@@ -131,8 +131,12 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _leaky(x, slope):
-    return np.where(x > 0, x, slope * x)
+# the weighting encoders' LeakyReLU slope
+LEAKY_SLOPE = 0.01
+
+
+def _leaky(x):
+    return np.where(x > 0, x, LEAKY_SLOPE * x)
 
 
 def _cos(a, b):
@@ -250,10 +254,9 @@ def oracle_total_loss(train_graph, cfg, tensors, batch):
         loss_sum = sum(rcl[rel] for rel in seq if rel != target)
         raws = []
         for u in bu:
-            feat = np.concatenate([np.full(d, loss_sum * cfg.mu_scale),
-                                   e_c[u], final[u]])
+            feat = np.concatenate([np.full(d, loss_sum), e_c[u], final[u]])
             raws.append(float(_leaky(feat @ tensors["enc_chain.w"]
-                                     + tensors["enc_chain.b"], cfg.leaky_slope)))
+                                     + tensors["enc_chain.b"])))
         raw_means.append(np.mean(raws))
     loss_chains = 0.0
     if active:
@@ -270,7 +273,7 @@ def oracle_total_loss(train_graph, cfg, tensors, batch):
             for u in bu:
                 feat = rcl[rel] * np.concatenate([rel_emb[rel][u], final[u]])
                 raws.append(float(_leaky(feat @ tensors["enc_rel.w"]
-                                         + tensors["enc_rel.b"], cfg.leaky_slope)))
+                                         + tensors["enc_rel.b"])))
             means.append(np.mean(raws))
         w_r = _softmax(np.asarray(means)) * len(aux)
         loss_rcl = float(np.dot(w_r, np.asarray([rcl[rel] for rel in aux])))

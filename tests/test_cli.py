@@ -46,7 +46,8 @@ def joined(keys):
 RETIRED_AT_KEPT_VALUES = (
     ("attributes", "a.tsv"), ("workers", "4"), ("chain_score", "laststep"),
     ("per_user_weights", "true"), ("neg_cap", "7"), ("raw_local_adj", "false"),
-    ("separate_base", "False"), ("glo_norm", "row"))
+    ("separate_base", "False"), ("glo_norm", "row"), ("mu_scale", "1"),
+    ("leaky_slope", "0.01"))
 
 
 class TestSynth:
@@ -500,7 +501,8 @@ class TestTrain:
             dashed = key.replace("_", "-")
             cases.append((dashed, ["--data", str(synth_file), f"--{dashed}", value]))
         for key, value in (("raw_local_adj", "true"), ("separate_base", "1"),
-                           ("glo_norm", "sym")):
+                           ("glo_norm", "sym"), ("mu_scale", "1.3"),
+                           ("leaky_slope", "0.2")):
             old = tmp_path / f"{key}.cfg"
             old.write_text(f"data = {synth_file}\n{key} = {value}\n")
             cases.append((f"{old}:2: retired key {key!r}", ["--config", str(old)]))
@@ -512,17 +514,18 @@ class TestTrain:
 
     def test_config_written_before_a_key_retired_trains_unchanged(self, synth_file,
                                                                   tmp_path, capsys):
-        # config.txt as the last version with glo_norm, neg_cap and
-        # separate_base wrote it, every key listed, plus the keys retired
-        # before them: it trains the same run, and one that set glo_norm to
-        # sym is refused at its line
+        # config.txt as the last version with mu_scale, leaky_slope,
+        # glo_norm, neg_cap and separate_base wrote it, every key listed,
+        # plus the keys retired before them: it trains the same run, and
+        # one that set glo_norm to sym is refused at its line
         run = tmp_path / "run"
         assert run_cli(*train_args(synth_file, run)) == 0
         lines = (run / "config.txt").read_text().splitlines(keepends=True)
-        for after, retired in (("leaky_slope", "glo_norm = row"),
-                               ("tau", "neg_cap = 100"), ("csv", "separate_base = False")):
+        for after, *retired in (("layers", "mu_scale = 1.0", "leaky_slope = 0.01",
+                                 "glo_norm = row"),
+                                ("tau", "neg_cap = 100"), ("csv", "separate_base = False")):
             at = next(i for i, line in enumerate(lines) if line.startswith(after + " ="))
-            lines.insert(at + 1, retired + "\n")
+            lines[at + 1:at + 1] = [line + "\n" for line in retired]
         lines += [f"{key} = {value}\n" for key, value in RETIRED_AT_KEPT_VALUES]
         old = tmp_path / "old.txt"
         old.write_text("".join(lines))
@@ -941,7 +944,8 @@ class TestEvaluate:
         current = capsys.readouterr().out
         for retired in (["raw_local_adj = False", "chain_score = laststep",
                          "per_user_weights = False", "chain_order = ",
-                         "glo_norm = row", "neg_cap = 100", "separate_base = False"],
+                         "glo_norm = row", "neg_cap = 100", "separate_base = False",
+                         "mu_scale = 1.0", "leaky_slope = 0.01"],
                         ["raw_local_adj = False", "chain_score = aggregated",
                          "per_user_weights = True", "neg_cap = 7",
                          "separate_base = no"]):
@@ -987,11 +991,13 @@ class TestEvaluate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "raw_local_adj" in captured.err
 
-    @pytest.mark.parametrize("line", ["separate_base = True", "glo_norm = sym"])
+    @pytest.mark.parametrize("line", ["separate_base = True", "glo_norm = sym",
+                                      "mu_scale = 1.3", "leaky_slope = 0.2"])
     def test_checkpoint_with_a_retired_variant_exits_one(self, run_dir, synth_file,
                                                          tmp_path, capsys, line):
-        # one base table per channel and the symmetric global normalization
-        # are no longer computed
+        # one base table per channel, the symmetric global normalization and
+        # any chain-feature scale or encoder slope but 1 and 0.01 are no
+        # longer computed
         old = with_config_lines(run_dir / "best.npz", tmp_path / "old.npz", [line])
         assert run_cli("evaluate", "--data", str(synth_file),
                        "--checkpoint", str(old)) == 1

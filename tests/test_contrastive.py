@@ -102,19 +102,19 @@ class TestWeightedLosses:
     def test_weights_from_encoded_feature_means(self):
         feats = [np.asarray([[1.0, 0.0], [3.0, 0.0]]), np.asarray([[0.0, 2.0]])]
         w, b = np.asarray([0.5, 1.0]), 0.25
-        got = contrastive.weighted_losses([2.0, 5.0], feats, w, b, 0.01)
+        got = contrastive.weighted_losses([2.0, 5.0], feats, w, b)
         # LeakyReLU(F . w + b) averaged per loss: (0.75 + 1.75) / 2 and 2.25
         weights = np.asarray(contrastive.normalize_weights([1.25, 2.25]))
         assert float(got) == pytest.approx(float(weights @ [2.0, 5.0]), rel=1e-15)
 
     def test_uniform_raws_give_the_plain_sum(self):
         feats = [np.ones((2, 3)), np.ones((4, 3)), np.ones((1, 3))]
-        got = contrastive.weighted_losses([1.0, 2.0, 4.0], feats, np.zeros(3), 1.0, 0.01)
+        got = contrastive.weighted_losses([1.0, 2.0, 4.0], feats, np.zeros(3), 1.0)
         assert float(got) == pytest.approx(7.0, rel=1e-15)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_losses_is_a_zero_of_the_encoder_dtype(self, dtype):
-        got = contrastive.weighted_losses([], [], np.zeros(3, dtype), dtype(0.0), 0.01)
+        got = contrastive.weighted_losses([], [], np.zeros(3, dtype), dtype(0.0))
         assert float(got) == 0.0 and got.dtype == dtype
 
 
@@ -125,35 +125,35 @@ class TestChainKnowledge:
         feat = contrastive.chain_knowledge(self.CHAIN,
                                            {"view": 0.0, "cart": 0.0},
                                            np.ones((2, 4)), np.ones((2, 4)),
-                                           mu=0.5, target="buy")
+                                           target="buy")
         np.testing.assert_array_equal(np.asarray(feat)[:, :4], np.zeros((2, 4)))
 
-    def test_scaled_sum_fills_first_block(self):
+    def test_summed_losses_fill_first_block(self):
         feat = contrastive.chain_knowledge(self.CHAIN,
-                                           {"view": 1.5, "cart": 0.5},
+                                           {"view": 1.5, "cart": 0.25},
                                            np.zeros((1, 4)), np.zeros((1, 4)),
-                                           mu=0.5, target="buy")
-        np.testing.assert_allclose(np.asarray(feat)[0, :4], np.full(4, 1.0))
+                                           target="buy")
+        np.testing.assert_array_equal(np.asarray(feat)[0, :4], np.full(4, 1.75))
 
     def test_target_loss_never_consulted(self):
         # only auxiliary losses are summed; a target entry must not be needed
         feat = contrastive.chain_knowledge(self.CHAIN,
                                            {"view": 2.0, "cart": 3.0},
                                            np.zeros((1, 2)), np.zeros((1, 2)),
-                                           mu=1.0, target="buy")
+                                           target="buy")
         np.testing.assert_allclose(np.asarray(feat)[0, :2], [5.0, 5.0])
 
     def test_missing_auxiliary_raises(self):
         with pytest.raises(KeyError):
             contrastive.chain_knowledge(self.CHAIN, {"view": 1.0},
                                         np.zeros((1, 2)), np.zeros((1, 2)),
-                                        mu=1.0, target="buy")
+                                        target="buy")
 
     def test_concat_layout(self):
         e_c = np.asarray([[1.0, 2.0]])
         e_f = np.asarray([[3.0, 4.0]])
         feat = contrastive.chain_knowledge(self.CHAIN, {"view": 0.0, "cart": 0.0},
-                                           e_c, e_f, mu=1.0, target="buy")
+                                           e_c, e_f, target="buy")
         np.testing.assert_allclose(np.asarray(feat), [[0.0, 0.0, 1.0, 2.0, 3.0, 4.0]])
 
 
@@ -175,31 +175,31 @@ class TestRelationKnowledge:
 
 class TestEncodeWeight:
     def test_zero_projection_returns_bias(self):
-        out = contrastive.encode_weight(np.ones((3, 4)), np.zeros(4), 3.0, 0.01)
+        out = contrastive.encode_weight(np.ones((3, 4)), np.zeros(4), 3.0)
         np.testing.assert_allclose(np.asarray(out), [3.0, 3.0, 3.0])
 
     def test_negative_branch_uses_slope(self):
-        out = contrastive.encode_weight(np.ones((1, 2)), np.zeros(2), -2.0, 0.01)
+        out = contrastive.encode_weight(np.ones((1, 2)), np.zeros(2), -2.0)
         np.testing.assert_allclose(np.asarray(out), [-0.02])
 
     def test_unit_dot_product(self):
         d = 4
         feat = np.ones((1, 3 * d))
         w = np.full(3 * d, 1.0 / (3 * d))
-        out = contrastive.encode_weight(feat, w, 0.0, 0.01)
+        out = contrastive.encode_weight(feat, w, 0.0)
         np.testing.assert_allclose(np.asarray(out), [1.0])
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(3)
         feat = np.abs(rng.normal(size=(4, 5))) + 0.1
         w = np.abs(rng.normal(size=5))
-        one = np.asarray(contrastive.encode_weight(feat, w, 0.5, 0.01))
-        two = np.asarray(contrastive.encode_weight(2.0 * feat, w, 1.0, 0.01))
+        one = np.asarray(contrastive.encode_weight(feat, w, 0.5))
+        two = np.asarray(contrastive.encode_weight(2.0 * feat, w, 1.0))
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            contrastive.encode_weight(np.ones((1, 3)), np.zeros(4), 0.0, 0.01)
+            contrastive.encode_weight(np.ones((1, 3)), np.zeros(4), 0.0)
 
 
 class TestNormalizeWeights:

@@ -35,7 +35,7 @@ class TestDualImplementation:
             graph = random_multiplex_graph(5, 7, ("view", "cart", "buy"), 0.45,
                                            seed=seed)
             cfg = RunConfig(dim=3, layers=2, l2=5e-3, mu1=0.3, mu2=0.7,
-                            tau=0.15, mu_scale=1.3, seed=seed,
+                            tau=0.15, seed=seed,
                             dtype="float64").validate()
             split = split_train_test(graph, 0.7, seed=seed)
             model = DualChannelModel(training_graph(graph, split), cfg)
@@ -427,10 +427,9 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("overrides", [
         {"layers": 0}, {"tau": 0.0}, {"seed": -1}, {"tau": float("nan")},
         {"lr": float("inf")}, {"l2": float("nan")}, {"synth_zipf": float("inf")},
-        {"mu_scale": float("inf")}, {"patience": 0}, {"patience": -3},
-        {"ks": (10, 10, 5)}],
+        {"patience": 0}, {"patience": -3}, {"ks": (10, 10, 5)}],
         ids=["layers", "tau", "seed", "tau-nan", "lr-inf", "l2-nan", "synth_zipf-inf",
-             "mu_scale-inf", "patience", "patience-negative", "ks-repeated"])
+             "patience", "patience-negative", "ks-repeated"])
     def test_bad_value_raises_at_construction(self, overrides):
         graph = random_multiplex_graph(5, 6, ("view", "cart", "buy"), 0.5, seed=4)
         with pytest.raises(ConfigError, match=next(iter(overrides))):
@@ -440,7 +439,8 @@ class TestConfigBoundary:
         # one base table and row-normalized global similarity are the only
         # forward pass; the constants hold the values perfbench assumes
         names = {f.name for f in fields(RunConfig)}
-        assert not names & {"glo_norm", "separate_base", "neg_cap"}
+        assert not names & {"glo_norm", "separate_base", "neg_cap", "mu_scale",
+                            "leaky_slope"}
         assert RunConfig.glo_norm == "row" and RunConfig.separate_base is False
         assert RunConfig.neg_cap == 100
         model = DualChannelModel(random_multiplex_graph(5, 6, ("view", "cart", "buy"),
