@@ -211,9 +211,8 @@ def matmul(a, b):
 def split_rows_matmul(a, split, w_top, w_bottom, out=None):
     """Rows ``:split`` of ``a`` times ``w_top``ᵀ over rows ``split:`` times
     ``w_bottom``ᵀ, written into one new table, or into ``out`` (not ``a``)
-    if given. The ``a``-adjoint is one :class:`RowGrad` over every row, so
-    ``backward`` adds it after ``a``'s dense gradients, in row-gradient
-    order, as for row gathers."""
+    if given. The product covers every row, so the ``a``-adjoint is dense,
+    summed with ``a``'s other dense gradients."""
     av, wt, wb = val(a), val(w_top), val(w_bottom)
 
     def stacked(x, top, bottom, out=None):
@@ -224,7 +223,7 @@ def split_rows_matmul(a, split, w_top, w_bottom, out=None):
         return out
 
     return _record(stacked(av, wt.T, wb.T, out), (a, w_top, w_bottom),
-                   lambda g: RowGrad(np.arange(g.shape[0]), stacked(g, wt, wb)),
+                   lambda g: stacked(g, wt, wb),
                    lambda g: (av[:split].T @ g[:split]).T,
                    lambda g: (av[split:].T @ g[split:]).T, fresh=True)
 

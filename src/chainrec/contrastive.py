@@ -18,34 +18,36 @@ log = logging.getLogger(__name__)
 LEAKY_SLOPE = 0.01   # of the encoders' LeakyReLU
 
 
-def _note_zero_rows(rows) -> None:
-    """Warn with the count of zero-norm rows, which are scored as
-    similarity 0, so degenerate embeddings show in the log."""
-    v = ad.val(rows)
-    n_zero = int(np.count_nonzero(np.einsum("ij,ij->i", v, v) == 0.0))
+def _note_zero_rows(unit) -> None:
+    """Warn with the count of all-zero rows among normalized rows ``unit``,
+    which were zero-norm and are scored as similarity 0, so degenerate
+    embeddings show in the log."""
+    n_zero = int(np.count_nonzero(~ad.val(unit).any(axis=1)))
     if n_zero:
         log.warning("contrastive batch contains %d zero-norm embedding rows "
                     "(scored as similarity 0)", n_zero)
 
 
 def infonce_terms(a, b, tau: float):
-    """Per-user InfoNCE terms over one batch, from its users' anchor rows
-    ``a`` and other rows ``b``: term_u = -log softmax over the batch of
-    cos(a_u, b_u') / tau, taken at u' = u. Zero-norm rows score 0.
+    """Per-user InfoNCE terms over one batch, from its users' unit anchor
+    rows ``a`` and unit other rows ``b``: term_u = -log softmax over the
+    batch of a_u . b_u' / tau (a cosine), taken at u' = u. Zero rows
+    score 0.
     """
-    sims = ad.mul(ad.matmul(ad.row_normalize(a), ad.transpose(ad.row_normalize(b))),
-                  1.0 / tau)
+    sims = ad.mul(ad.matmul(a, ad.transpose(b)), 1.0 / tau)
     return ad.add(ad.logsumexp_rows(sims), ad.mul(ad.take_diag(sims), -1.0))
 
 
 def relation_losses(rows: dict, target: str, tau: float) -> dict:
     """Each auxiliary relation's batch-summed InfoNCE against the target,
     from every relation's rows at the batch users (``rows``, in schema
-    order). Each relation's rows are checked for zero norms once."""
-    for r in rows.values():
-        _note_zero_rows(r)
-    return {r: ad.asum(infonce_terms(rows[target], b, tau))
-            for r, b in rows.items() if r != target}
+    order). Each relation's rows are normalized, and checked for zero
+    norms, once."""
+    unit = {r: ad.row_normalize(v) for r, v in rows.items()}
+    for u in unit.values():
+        _note_zero_rows(u)
+    return {r: ad.asum(infonce_terms(unit[target], b, tau))
+            for r, b in unit.items() if r != target}
 
 
 def chain_knowledge(chain: RelationChain, rcl_losses: dict, e_c_rows,

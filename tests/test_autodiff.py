@@ -200,7 +200,8 @@ def _chain_step_by_gathers(a, split, w_top, w_bottom):
 
 class TestSplitRowsMatmul:
     """The chain-step op against the gathers, matmuls and concat it
-    replaces: the same output and the same gradients, bit for bit."""
+    replaces: the same output and weight gradients, bit for bit, and a
+    dense input gradient summed where ``backward`` sums dense gradients."""
 
     @pytest.mark.parametrize("gather_first", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -220,8 +221,18 @@ class TestSplitRowsMatmul:
                      ad.asum(ad.mul(ad.gather(xs[0], idx), row_w))]
             ad.backward(ad.add(*terms[::-1] if gather_first else terms))
             results.append([out.value] + [x.grad for x in xs])
-        for got, want in zip(*results):
+        (out, grad_a, *grad_w), (want_out, gathers_a, *want_w) = results
+        for got, want in zip([out, *grad_w], [want_out, *want_w]):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the step's input gradient joins the add's dense one, and the row
+        # gradient is scattered onto their sum, whichever term comes first;
+        # the gathers' row gradients sum in that order when theirs are
+        # scattered before the other gather's
+        want_a = np.vstack([dense_w[:split] @ wt, dense_w[split:] @ wb]) + dense_w
+        want_a[idx] += row_w
+        assert grad_a.dtype == want_a.dtype and np.array_equal(grad_a, want_a)
+        if not gather_first:
+            assert np.array_equal(gathers_a, want_a)
 
     def test_out_receives_the_product(self):
         rng = np.random.default_rng(4)

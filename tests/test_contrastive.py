@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from chainrec import autodiff as ad
 from chainrec import contrastive
 from chainrec.chains import enumerate_chains
 from chainrec.graph import make_schema
@@ -12,9 +13,17 @@ from chainrec.graph import make_schema
 import oracles
 
 
+def unit(rows):
+    """Rows scaled to unit L2 norm, as relation_losses hands them on."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def infonce_loss(anchor_table, other_table, users, tau):
-    """Batch-summed InfoNCE, the sum of the per-user terms the model uses."""
-    return np.sum(contrastive.infonce_terms(anchor_table[users], other_table[users], tau))
+    """Batch-summed InfoNCE of unit rows, the sum of the per-user terms the
+    model uses."""
+    return np.sum(contrastive.infonce_terms(unit(anchor_table[users]),
+                                            unit(other_table[users]), tau))
 
 
 class TestInfoNCE:
@@ -32,7 +41,7 @@ class TestInfoNCE:
 
     def test_two_user_hand_case(self):
         # d=2 vectors chosen for easy cosines; checked against the literal
-        # per-user softmax evaluation
+        # per-user softmax evaluation of the raw rows
         e_r = np.asarray([[1.0, 0.0], [0.0, 1.0]])
         e_r2 = np.asarray([[1.0, 1.0], [1.0, -1.0]])
         tau = 0.2
@@ -45,20 +54,16 @@ class TestInfoNCE:
         hand += -np.log(np.exp(-c) / (np.exp(c) + np.exp(-c)))
         assert abs(got - hand) < 1e-12
 
-    def test_scale_invariance_of_cosine(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-        users = np.arange(6)
-        base = float(infonce_loss(a, b, users, 0.3))
-        scaled = float(infonce_loss(137.0 * a, 0.02 * b, users, 0.3))
-        assert abs(base - scaled) < 1e-8
+    def test_zero_rows_score_zero(self):
+        # a zero row's similarity to every row is 0, so its term is log n
+        a = np.asarray([[0.0, 0.0], [1.0, 0.0]])
+        assert contrastive.infonce_terms(a, a, 0.5)[0] == np.log(2.0)
 
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
             assert float(infonce_loss(a, b, np.arange(5), 0.7)) >= 0
-
 
 
 class TestRelationLosses:
@@ -68,8 +73,36 @@ class TestRelationLosses:
         got = contrastive.relation_losses(rows, "buy", 0.3)
         assert list(got) == ["view", "cart"]
         for r, loss in got.items():
-            assert float(loss) == float(np.sum(
-                contrastive.infonce_terms(rows["buy"], rows[r], 0.3)))
+            assert float(loss) == float(np.sum(contrastive.infonce_terms(
+                ad.row_normalize(rows["buy"]), ad.row_normalize(rows[r]), 0.3)))
+
+    def test_scaling_any_relation_leaves_every_loss(self):
+        # the terms are cosines: a relation's rows times a positive factor
+        # score as before, the target's included
+        rng = np.random.default_rng(1)
+        rows = {r: rng.normal(size=(6, 4)) for r in ("view", "cart", "buy")}
+        base = contrastive.relation_losses(rows, "buy", 0.3)
+        for r, factor in (("view", 137.0), ("cart", 0.02), ("buy", 9.5)):
+            got = contrastive.relation_losses({**rows, r: factor * rows[r]}, "buy", 0.3)
+            for name, loss in got.items():
+                assert abs(float(loss) - float(base[name])) < 1e-8, (r, name)
+
+    @pytest.mark.parametrize("setup", ["tiny_setup", "tiny_setup_four"],
+                             ids=["three", "four"])
+    def test_each_relation_normalized_once_per_step(self, setup, request,
+                                                    monkeypatch):
+        # the auxiliaries share the target's unit rows: |R| normalizations
+        # in a training step's loss, not two per auxiliary relation
+        _, _, model, params, batch, _ = request.getfixturevalue(setup)
+        calls = []
+
+        def counted(a, _fn=ad.row_normalize):
+            calls.append(a)
+            return _fn(a)
+
+        monkeypatch.setattr(ad, "row_normalize", counted)
+        model.total_loss(params.as_vars(), batch)
+        assert len(calls) == len(model.schema.relations)
 
     def test_zero_norm_rows_counted_and_scored_zero(self, caplog):
         rows = {"view": np.asarray([[1.0, 0.0], [0.0, 1.0]]),
