@@ -19,9 +19,8 @@ LEAKY_SLOPE = 0.01   # of the encoders' LeakyReLU
 
 
 def _note_zero_rows(unit) -> None:
-    """Warn with the count of all-zero rows among normalized rows ``unit``,
-    which were zero-norm and are scored as similarity 0, so degenerate
-    embeddings show in the log."""
+    """Warn with the count of all-zero unit rows (zero-norm before
+    normalizing, scored as similarity 0), so degenerate embeddings show."""
     n_zero = int(np.count_nonzero(~ad.val(unit).any(axis=1)))
     if n_zero:
         log.warning("contrastive batch contains %d zero-norm embedding rows "
@@ -31,9 +30,8 @@ def _note_zero_rows(unit) -> None:
 def infonce_terms(a, b, tau: float):
     """Per-user InfoNCE terms over one batch, from its users' unit anchor
     rows ``a`` and unit other rows ``b``: term_u = -log softmax over the
-    batch of a_u . b_u' / tau (a cosine), taken at u' = u. Zero rows
-    score 0.
-    """
+    batch of cos(a_u, b_u') / tau = a_u . b_u' / tau, taken at u' = u. Zero
+    rows score 0."""
     sims = ad.mul(ad.matmul(a, ad.transpose(b)), 1.0 / tau)
     return ad.add(ad.logsumexp_rows(sims), ad.mul(ad.take_diag(sims), -1.0))
 
