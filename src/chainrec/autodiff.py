@@ -278,13 +278,6 @@ def gather(a, idx):
     return _record(out, (a,), adjoint, fresh=True)
 
 
-def segsum(vals, idx, n):
-    """out[idx[k]] += vals[k] into a length-n vector (weighted node degrees)."""
-    idx = np.asarray(idx)
-    out = backend.segment_sum(idx, val(vals), n)
-    return _record(out, (vals,), lambda g: g[idx])
-
-
 def reshape(a, shape):
     av = val(a)
     out = np.reshape(av, shape)

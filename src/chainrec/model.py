@@ -95,8 +95,8 @@ class DualChannelModel:
         self.schema = graph.schema
         self.n = graph.num_nodes
         self.num_users = graph.num_users
-        self.patterns = patterns.behavior_patterns(graph)
-        self.counts = self.patterns.counts.astype(self.dtype)
+        self.patterns = patterns.behavior_patterns(graph, self.dtype)
+        self.counts = self.patterns.counts
         self.chains = enumerate_chains(self.schema)
         # the union, then relation r's block: the union's edges whose pattern
         # has bit r, with constant 1/sqrt(deg_u deg_v) values
@@ -156,9 +156,9 @@ class DualChannelModel:
         base_rows = ad.gather(p["base"], rows)
         rel_tables = {r: ad.add_n([base_rows, *layers])
                       for r, layers in zip(self.schema.relations, rel)}
-        b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
-        h_glo = patterns.propagate_global_factored(b_mat, p["base"], cfg.layers,
-                                                   rows=rows)
+        h_glo = patterns.propagate_global_factored(
+            self.counts, p["base"], cfg.layers, rows=rows,
+            scale=ad.softplus(p["global_logits"]))
         h_ebp = patterns.ebp_embeddings(h_loc, h_glo)
         paths, starts = self._chain_paths(p)
         n_user_rows = int(np.searchsorted(rows, self.num_users))
@@ -194,9 +194,8 @@ class DualChannelModel:
             layers = table = paths = None
         vals = patterns.local_adjacency(self.patterns, p["local_logits"])
         h = patterns.propagate_local(self.stack, vals, base, cfg.layers)
-        b_mat = ad.mul(self.counts, ad.softplus(p["global_logits"]))
-        h = patterns.ebp_embeddings(
-            h, patterns.propagate_global_factored(b_mat, base, cfg.layers), out=h)
+        h = patterns.ebp_embeddings(h, patterns.propagate_global_factored(
+            self.counts, base, cfg.layers, scale=ad.softplus(p["global_logits"])), out=h)
         return final_embedding([acc, h], out=acc)
 
     # ------------------------------------------------------------------

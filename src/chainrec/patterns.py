@@ -31,7 +31,7 @@ def pattern_relations(schema: RelationSchema, p: int) -> tuple:
 class BehaviorPatterns:
     """The union CSR of all interacting (user, item) pairs with the pattern
     of each directed edge, and column p = per-node neighbor counts under
-    pattern p. Constant for a fixed graph, so built once."""
+    pattern p, in the model's dtype. Constant for a fixed graph: built once."""
 
     struct: CSRStruct
     edge_pattern: np.ndarray
@@ -45,7 +45,7 @@ class BehaviorPatterns:
         return rows[sel], cols[sel]
 
 
-def behavior_patterns(graph: MultiplexBipartiteGraph) -> BehaviorPatterns:
+def behavior_patterns(graph: MultiplexBipartiteGraph, dtype=np.float64) -> BehaviorPatterns:
     """One pass over the pairs: OR the bits of the relations joining each
     pair into its signature."""
     n = graph.num_nodes
@@ -61,21 +61,19 @@ def behavior_patterns(graph: MultiplexBipartiteGraph) -> BehaviorPatterns:
     n_pat = graph.schema.num_patterns
     cells = struct.rows * n_pat + edge_pattern
     counts = np.bincount(cells, minlength=n * n_pat).reshape(n, n_pat)
-    return BehaviorPatterns(struct, edge_pattern, counts.astype(np.float64))
+    return BehaviorPatterns(struct, edge_pattern, counts.astype(dtype))
 
 
 def local_adjacency(union: BehaviorPatterns, logits):
     """The values, in ``union.struct`` order, of the local operator: per-edge
     weights softmax(logits)[owning pattern] on the union of all pattern
-    pairs, then symmetric degree normalization."""
+    pairs, then symmetric normalization by the degrees, counts times weights."""
     struct = union.struct
     w = ad.softmax(logits)
     edge_w = ad.gather(w, union.edge_pattern)
-    deg = ad.segsum(edge_w, struct.rows, struct.n)
-    inv = ad.rsqrt_safe(deg)
-    vals = ad.mul(ad.mul(edge_w, ad.gather(inv, struct.rows)),
+    inv = ad.rsqrt_safe(ad.matmul(union.counts, w))
+    return ad.mul(ad.mul(edge_w, ad.gather(inv, struct.rows)),
                   ad.gather(inv, struct.cols))
-    return vals
 
 
 def propagate_local(stack: BlockStack, vals, base, num_layers: int):
@@ -90,26 +88,26 @@ def layer_mean(layers, out=None):
     return ad.add_n(layers, scale=1.0 / len(layers), out=out)
 
 
-def propagate_global_factored(b_matrix, base, num_layers: int, mode="row",
-                              rows=None):
-    """L rounds of propagation through B B^T with each row divided by its
-    sum; zero rows stay zero and the final layer is returned. ``mode`` is
-    ``'row'``, the only form (perfbench passes it until ROADMAP item 2).
-    With the normalizer folded into a scaled copy S of B, the final layer
-    is (S B^T)^L base = S (B^T S)^(L-1) B^T base: every round is a product
-    with the p x p Gram matrix B^T S, and no N x N matrix or N x d layer
-    but the output is formed. With ``rows`` (sorted unique node indices)
-    the output is computed, and returned, only at those rows."""
-    col_tot = ad.asum(b_matrix, axis=0)
-    rowsum = ad.matmul(b_matrix, col_tot)
-    scaled = ad.mul(b_matrix, ad.reshape(ad.reciprocal_safe(rowsum), (-1, 1)))
-    right_t = ad.transpose(b_matrix)
-    gram = ad.matmul(right_t, scaled)
+def propagate_global_factored(counts, base, num_layers: int, mode="row",
+                              rows=None, scale=None):
+    """L rounds of propagation through B B^T, each row divided by its sum
+    (zero rows stay zero): the final layer, at ``rows`` (sorted unique node
+    indices) only if given. B is ``counts`` C times D = diag(``scale``), or
+    C. ``mode`` is ``'row'``, the only form (perfbench passes it until
+    ROADMAP item 2). The layer is diag(r) C D^2 (G D^2)^(L-1) C^T base, r
+    the reciprocal row sums and G = C^T diag(r) C. Only r, G and C^T base
+    read every row, so a constant ndarray C gets no adjoint, and no N x N
+    matrix or N x d layer but the output is formed."""
+    sq = 1.0 if scale is None else ad.mul(scale, scale)
+    rowsum = ad.matmul(counts, ad.mul(ad.asum(counts, axis=0), sq))
+    scaled = ad.mul(counts, ad.reshape(ad.reciprocal_safe(rowsum), (-1, 1)))
+    right_t = ad.transpose(counts)
+    gram = ad.mul(ad.matmul(right_t, scaled), sq)
     t = ad.matmul(right_t, base)
     for _ in range(num_layers - 1):
         t = ad.matmul(gram, t)
     left = scaled if rows is None else ad.gather(scaled, rows)
-    return ad.matmul(left, t)
+    return ad.matmul(ad.mul(left, sq), t)
 
 
 def ebp_embeddings(h_loc, h_glo, out=None):

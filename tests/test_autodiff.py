@@ -111,12 +111,6 @@ class TestMatmulShaping:
         w = RNG.normal(size=(5,))  # 1-D gather uses the segment-sum adjoint
         check_op(lambda v: ad.asum(ad.mul(ad.gather(v, idx), np.arange(4.0))), w)
 
-    def test_segsum(self):
-        vals = RNG.normal(size=(6,))
-        idx = np.asarray([0, 1, 1, 3, 3, 3])
-        coeff = np.arange(1.0, 5.0)
-        check_op(lambda v: ad.asum(ad.mul(ad.segsum(v, idx, 4), coeff)), vals)
-
     def test_rowdot_sumsq_fill_stack(self):
         a = RNG.normal(size=(4, 3))
         b = RNG.normal(size=(4, 3))
@@ -651,7 +645,6 @@ def _op_cases():
         "rowdot": case(ad.rowdot, m, m2),
         "gather": case(lambda a: ad.gather(a, [3, 0, 3]), m),
         "gather_1d": case(lambda a: ad.gather(a, [2, 2, 0]), v4),
-        "segsum": case(lambda a: ad.segsum(a, [1, 0, 1, 4], 5), v4),
         "reshape": case(lambda a: ad.reshape(a, (3, 4)), m),
         "concat": case(lambda a, b: ad.concat([a, b], axis=1), m, m2),
         "stack_scalars": case(lambda a, b: ad.stack_scalars([a, b]), s, s * 2),

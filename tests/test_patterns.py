@@ -1,11 +1,14 @@
 """Exact-mask pattern construction and the two aggregation channels."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
 from chainrec.config import RunConfig
-from chainrec.graph import MultiplexBipartiteGraph, make_schema
+from chainrec.graph import (MultiplexBipartiteGraph, make_schema, split_train_test,
+                            training_graph)
 from chainrec.model import DualChannelModel, param_shapes
 from chainrec.patterns import (behavior_patterns, ebp_embeddings,
                                local_adjacency, propagate_global_factored,
@@ -13,7 +16,7 @@ from chainrec.patterns import (behavior_patterns, ebp_embeddings,
 from chainrec.sparse import CSRStruct, build_struct, stack_blocks
 
 import oracles
-from conftest import random_multiplex_graph
+from conftest import make_batch, random_multiplex_graph
 from test_autodiff import fd_grad
 
 
@@ -134,6 +137,31 @@ class TestLocalChannel:
         pats = behavior_patterns(g)
         dense = oracles.dense_matrix(pats.struct, local_adjacency(pats, logits))
         np.testing.assert_allclose(dense, dense.T, atol=1e-12)
+
+    @pytest.mark.parametrize("rels", [("a", "b", "c"), ("a", "b", "c", "d")],
+                             ids=["three", "four"])
+    def test_degrees_are_counts_times_pattern_weights(self, rels):
+        # the weighted degree, summed edge by edge, is each node's count row
+        # times softmax(logits)
+        g = random_multiplex_graph(8, 10, rels, 0.35, seed=len(rels))
+        pats = behavior_patterns(g)
+        logits = np.random.default_rng(len(rels)).normal(size=g.schema.num_patterns)
+        struct, w = pats.struct, ad.softmax(logits)
+        edge_w = w[pats.edge_pattern]
+        deg = np.bincount(struct.rows, weights=edge_w, minlength=struct.n)
+        assert struct.nnz > 0
+        np.testing.assert_allclose(pats.counts @ w, deg, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(local_adjacency(pats, logits),
+                                   edge_w / np.sqrt(deg[struct.rows] * deg[struct.cols]),
+                                   rtol=1e-12, atol=0)
+
+    def test_float32_model_weighs_degrees_in_float32(self):
+        g = random_multiplex_graph(6, 6, ("a", "b", "c"), 0.4, seed=0)
+        model = DualChannelModel(g, RunConfig(dtype="float32"))
+        assert model.patterns.counts is model.counts
+        assert model.counts.dtype == np.float32
+        logits = model.init_params(0).tensors["local_logits"]
+        assert local_adjacency(model.patterns, ad.Var(logits)).value.dtype == np.float32
 
     def test_propagate_identity_and_zero(self):
         struct = build_struct(2, np.asarray([0]), np.asarray([1]))
@@ -306,6 +334,115 @@ class TestGlobalChannel:
             ad.backward(ad.asum(out))
             assert base.grad.dtype == np.float32
             assert logits.grad.dtype == np.float32
+
+    @staticmethod
+    def scale_fixture(seed):
+        # integer counts with a zero count row and an empty pattern column,
+        # as a constant ndarray table, and logits of both signs
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 4, size=(9, 4)).astype(float)
+        counts[2] = 0.0
+        counts[:, 1] = 0.0
+        return counts, rng.normal(size=(9, 3)), rng.normal(size=4), rng
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [None, [0, 2, 5, 8]])
+    def test_scale_form_grads_match_finite_differences(self, layers, rows):
+        counts, base, logits, rng = self.scale_fixture(20 + layers)
+        rows = None if rows is None else np.asarray(rows)
+        coeff = rng.normal(size=(9 if rows is None else len(rows), 3))
+
+        def loss(x, z):
+            out = propagate_global_factored(counts, x, layers, rows=rows,
+                                            scale=ad.softplus(z))
+            return ad.asum(ad.mul(out, coeff))
+
+        xv, zv = ad.Var(base.copy()), ad.Var(logits.copy())
+        ad.backward(loss(xv, zv))
+        np.testing.assert_allclose(xv.grad, fd_grad(lambda a: loss(a, logits), base),
+                                   rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(zv.grad, fd_grad(lambda a: loss(base, a), logits),
+                                   rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_scale_form_equals_b_form(self, layers):
+        counts, base, logits, _ = self.scale_fixture(30 + layers)
+        scale = ad.softplus(logits)
+        b_form = propagate_global_factored(counts * scale, base, layers)
+        got = propagate_global_factored(counts, base, layers, scale=scale)
+        np.testing.assert_allclose(got, b_form, rtol=1e-10, atol=0)
+        rows = np.asarray([1, 2, 7])
+        np.testing.assert_allclose(
+            propagate_global_factored(counts, base, layers, rows=rows, scale=scale),
+            b_form[rows], rtol=1e-10, atol=0)
+
+    def test_scale_form_keeps_float32(self):
+        counts, base, logits, _ = self.scale_fixture(40)
+        counts = counts.astype(np.float32)
+        base = ad.Var(base.astype(np.float32))
+        logits = ad.Var(logits.astype(np.float32))
+        for rows in (None, np.asarray([0, 2, 8])):
+            base.grad = logits.grad = None
+            out = propagate_global_factored(counts, base, 3, rows=rows,
+                                            scale=ad.softplus(logits))
+            assert out.value.dtype == np.float32
+            ad.backward(ad.asum(out))
+            assert base.grad.dtype == np.float32
+            assert logits.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("rows", [None, [3, 4, 11]])
+    def test_constant_table_backward_forms_no_pattern_by_node_array(self, rows):
+        # n = 20 nodes, p = 3 patterns, d = 5: of the route's own adjoints,
+        # only base's gradient is n x d, and none is p x n
+        rng = np.random.default_rng(6)
+        counts = rng.integers(0, 3, size=(20, 3)).astype(float)
+        base = ad.Var(rng.normal(size=(20, 5)))
+        logits = ad.Var(rng.normal(size=3))
+        scale = ad.softplus(logits)
+        with adjoint_shapes() as shapes:
+            out = propagate_global_factored(counts, base, 3, scale=scale,
+                                            rows=None if rows is None else np.asarray(rows))
+        ad.backward(ad.asum(out))
+        assert shapes.count((20, 5)) == 1
+        assert (3, 20) not in shapes
+        assert base.grad.shape == (20, 5) and logits.grad.shape == (3,)
+
+    def test_training_step_forms_no_pattern_by_node_array(self):
+        # the model hands the route its constant count table, so a whole
+        # step's backward returns no p x n gradient
+        g = random_multiplex_graph(9, 14, ("view", "cart", "buy"), 0.4, seed=8)
+        split = split_train_test(g, 0.75, seed=2)
+        model = DualChannelModel(training_graph(g, split), RunConfig(dim=4).validate())
+        n_pat = model.schema.num_patterns
+        assert model.counts.shape == (g.num_nodes, n_pat)
+        batch = make_batch(model, split, np.random.default_rng(1))
+        with adjoint_shapes() as shapes:
+            loss, _ = model.total_loss(model.init_params(0).as_vars(), batch)
+        ad.backward(loss)
+        assert shapes and (n_pat, g.num_nodes) not in shapes
+
+
+@contextmanager
+def adjoint_shapes():
+    """Record the shape of every array returned by the adjoints of the ops
+    taped inside the block."""
+    shapes, record = [], ad._record
+
+    def spy(out, inputs, *adjoints, fresh=False):
+        def watched(adj):
+            def run(g):
+                res = adj(g)
+                if isinstance(res, np.ndarray):
+                    shapes.append(res.shape)
+                return res
+            return run
+        return record(out, inputs, *map(watched, adjoints), fresh=fresh)
+
+    ad._record = spy
+    try:
+        yield shapes
+    finally:
+        ad._record = record
 
 
 class TestEbpFusion:
