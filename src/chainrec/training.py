@@ -29,6 +29,11 @@ class NegativeSamplingError(ValueError):
 class TripleSampler:
     """Per-step triples; each context's positives are sorted pair keys u*N+v."""
 
+    # ``_negatives`` searches for all draws first, then for twice the misses
+    # the last search took and at least NEG_WINDOW draws, so a batch costs
+    # O(batch + hits x NEG_WINDOW) key searches, not O(hits x batch)
+    NEG_WINDOW = 64
+
     def __init__(self, model: DualChannelModel, split: DatasetSplit, seed: int,
                  neg_cap: int = 100):  # perfbench passes it until ROADMAP item 2
         self.model = model
@@ -59,22 +64,28 @@ class TripleSampler:
     def _negatives(self, users: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """A uniform item per user with no pair in the sorted ``keys``, drawn
         as a per-triple loop would: until a miss, or after ``neg_cap`` hits in
-        a row from the allowed items. The draws for all triples left are made
-        and tested at once; a hit is dropped and the draws after it move one
-        triple on. See README on why the stream is the loop's until a cap pick."""
+        a row from the allowed items. All triples' draws are made at once and
+        searched for in windows (see ``NEG_WINDOW``). A hit is dropped, the
+        draws after it move one triple on, and one new draw joins the end.
+        See README on why the stream is the loop's until a cap pick."""
         n, base, count = self.model.graph.num_nodes, self.model.graph.num_users, users.shape[0]
         out = np.empty(count, dtype=np.int64)
         items = base + self.rng.integers(self.num_items, size=count)
         done = hits = 0
+        window = count
         while done < count:
-            hit = sorted_contains(keys, users[done:] * n + items)
+            hit = sorted_contains(keys, users[done:done + window] * n + items[:window])
             h = int(hit.argmax()) if hit.any() else hit.shape[0]
             out[done:done + h] = items[:h]
             done += h
+            window = max(2 * h, self.NEG_WINDOW)
+            if h == hit.shape[0]:
+                hits, items = 0, items[h:]
+                continue
             hits = hits + 1 if h == 0 else 1
-            if done < count and hits < self.neg_cap:
+            if hits < self.neg_cap:
                 items = np.append(items[h + 1:], base + self.rng.integers(self.num_items))
-            elif done < count:
+            else:
                 pool = np.arange(base, n)
                 allowed = pool[~sorted_contains(keys, users[done] * n + pool)]
                 out[done] = allowed[self.rng.integers(allowed.shape[0])]
@@ -115,10 +126,8 @@ def backward(model: DualChannelModel, params: ModelParams, batch: TrainBatch):
     pvars = params.as_vars()
     loss, breakdown = model.total_loss(pvars, batch)
     ad.backward(loss)
-    grads = {}
-    for name, var in pvars.items():
-        grads[name] = var.grad if var.grad is not None else np.zeros_like(var.value)
-    return grads, breakdown
+    return {name: var.grad if var.grad is not None else np.zeros_like(var.value)
+            for name, var in pvars.items()}, breakdown
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,30 @@ class TestMatchesPerTripleSampler:
             assert_same_batch(a, b)
         assert got.get_state() == want.get_state()
 
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    @pytest.mark.parametrize("graph_seed", [1, 4])
+    def test_any_search_window_gives_the_reference_epoch(self, graph_seed, window,
+                                                         monkeypatch):
+        # windows shorter than the batch: a hit re-tests only the window
+        # after it, and the next window starts where the last one stopped
+        monkeypatch.setattr(TripleSampler, "NEG_WINDOW", window)
+        self.test_whole_epoch_equals_reference(graph_seed, 64)
+
+    @pytest.mark.parametrize("window", [1, 3, 64])
+    def test_dense_users_draw_past_the_first_block(self, window, monkeypatch):
+        # 8 of 10 items are each user's positives, about 4 hits a triple, so
+        # most triples take draws made after the first block
+        monkeypatch.setattr(TripleSampler, "NEG_WINDOW", window)
+        g = graph_from_pairs(2, 10, {"buy": [(u, i) for u in range(2)
+                                             for i in range(u, u + 8)]}, target="buy")
+        split = DatasetSplit(train_edges=g.edges, test_edges=g.edges["buy"])
+        model = DualChannelModel(training_graph(g, split), RunConfig(dim=2).validate())
+        got, want = TripleSampler(model, split, 4), ReferenceSampler(model, split, 4)
+        users = np.random.default_rng(0).integers(2, size=300)
+        neg = got._negatives(users, got.target_keys)
+        np.testing.assert_array_equal(neg, want.negatives(users, want.target_pos))
+        assert got.get_state() == want.get_state()
+
     def test_restored_sampler_continues_the_epoch(self):
         # the state after two batches, through JSON as a checkpoint holds it,
         # continues that epoch's batches and the next epoch's shuffle
