@@ -3,7 +3,7 @@
     python scripts/step_ab.py --tree parent=../parent --tree change=. \\
         [--graph retail|demo|tiny] [--seed 1200] [--steps 60] [--warmup 5]
 
-Separate runs of one tree can read step medians 20-35% apart on a shared
+Separate runs of one tree can read step medians a third apart on a shared
 machine, so they cannot show a change of a few percent. Here each tree's
 ``chainrec`` is imported from ``PATH/src`` as its own module set, and the
 two trees take training steps in turn, in one process: the same BLAS

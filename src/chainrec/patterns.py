@@ -31,7 +31,7 @@ def pattern_relations(schema: RelationSchema, p: int) -> tuple:
 class BehaviorPatterns:
     """The union CSR of all interacting (user, item) pairs with the pattern
     of each directed edge, and column p = per-node neighbor counts under
-    pattern p, in the model's dtype. Constant for a fixed graph: built once."""
+    pattern p, in the caller's dtype. Constant for a fixed graph: built once."""
 
     struct: CSRStruct
     edge_pattern: np.ndarray
