@@ -61,15 +61,14 @@ def chain_forward(w_user, w_item) -> tuple:
     return tuple(list(accumulate(ws, lambda a, w: ad.matmul(w, a))) for ws in (w_user, w_item))
 
 
-def chain_embedding(table, split, paths, own=1, out=None):
+def chain_embedding(table, split, paths, out=None):
     """``table`` times Kᵀ, its rows ``:split`` by the user-side K and the rest
-    by the item-side one, into ``out`` if given. K = (own + n) I + Σ_c Σ_j
-    A_cj over the n chains whose :func:`chain_forward` ``paths`` are given,
-    all starting at ``table``'s relation: with ``own`` 0 the sum of their
-    step tables, with 1 the relation's own table added too. A table of user
-    rows only forms no item-side K."""
+    by the item-side one, into ``out`` if given. K = n I + Σ_c Σ_j A_cj over
+    the n chains whose :func:`chain_forward` ``paths`` are given, all starting
+    at ``table``'s relation: the sum of their step tables, the relation's
+    chain table. A table of user rows only forms no item-side K."""
     rows, dim = ad.val(table).shape
-    eye = np.eye(dim, dtype=ad.val(table).dtype) * (own + len(paths))
+    eye = np.eye(dim, dtype=ad.val(table).dtype) * len(paths)
     maps = [ad.add_n([eye, *(a for path in paths for a in path[side])])
             for side in ((0, 1) if split < rows else (0,))]
     return ad.split_rows_matmul(table, split, maps[0], maps[-1], out=out)

@@ -140,15 +140,17 @@ class DualChannelModel:
 
     def embeddings(self, p: dict, rows, users) -> dict:
         """The training path: the embedding tables at ``rows`` (sorted unique
-        node indices), indexed by position in ``rows``, from a name->tensor
-        (or name->Var) mapping, and ``e_c`` at the positions ``users`` (user
-        nodes only). The local and relation channels propagate through
-        ``self.stack``, one product per layer, each layer only on its
-        receptive field: the last at the rows, each earlier one at the nodes
-        the next one reads. The global channel forms its output only at the
-        rows, through its p x p pattern Gram matrix. The final table sums
-        T_r K_rᵀ over the relations in schema order, then ``h_ebp``. So a
-        training step's dense work is independent of catalog size."""
+        node indices), indexed by position in ``rows``, from a name->tensor (or
+        name->Var) mapping, and ``e_c`` at the positions ``users`` (user nodes
+        only). The local and relation channels propagate through ``self.stack``,
+        one product per layer, each layer only on its receptive field: the last
+        at the rows, each earlier one at the nodes the next one reads. The
+        global channel forms its output only at the rows, through its p x p
+        pattern Gram matrix. The final table sums each T_r in schema order, then
+        its chain table C_r = T_r K_rᵀ where chains start, then ``h_ebp``;
+        ``e_c`` sums the C_r. Dense tables scale with the rows, the local edge
+        values with the edges, and the global route's row sums, Gram matrix and
+        Cᵀ·base, base's gradient and Adam's update with the n nodes."""
         cfg = self.cfg
         vals = patterns.local_adjacency(self.patterns, p["local_logits"])
         loc, *rel = relations.propagate_stack(self.stack, vals, p["base"], cfg.layers, rows)
@@ -162,36 +164,34 @@ class DualChannelModel:
         h_ebp = patterns.ebp_embeddings(h_loc, h_glo)
         paths, starts = self._chain_paths(p)
         n_user_rows = int(np.searchsorted(rows, self.num_users))
-        e_final = final_embedding(
-            [chain_embedding(t, n_user_rows, starts[r]) if r in starts else t
-             for r, t in rel_tables.items()] + [h_ebp])
+        chain = {r: chain_embedding(rel_tables[r], n_user_rows, s) for r, s in starts.items()}
+        e_final = final_embedding([x for r, t in rel_tables.items()
+                                   for x in (t, chain.get(r)) if x is not None] + [h_ebp])
         rel_users = {r: ad.gather(t, users) for r, t in rel_tables.items()}
-        e_c = [chain_embedding(rel_users[r], len(users), s, own=0) for r, s in starts.items()]
-        e_c = ad.add_n(e_c or [np.zeros((len(users), cfg.dim), self.dtype)])
-        return {"h_loc": h_loc, "h_glo": h_glo, "h_ebp": h_ebp, "rel": rel_tables,
-                "rel_users": rel_users, "paths": paths, "e_c": e_c, "final": e_final}
+        e_c = ad.gather(ad.add_n([*chain.values()] or [np.zeros_like(ad.val(base_rows))]), users)
+        return {"h_loc": h_loc, "h_glo": h_glo, "h_ebp": h_ebp, "rel": rel_tables, "paths": paths,
+                "rel_users": rel_users, "base_rows": base_rows, "e_c": e_c, "final": e_final}
 
     def final_embeddings(self, params: ModelParams) -> np.ndarray:
         """The final table at every node, untaped, bit-identical to that of
         :meth:`embeddings` at every row. ``self.stack`` propagates one block
         at a time, and every sum runs in place, in the same order, into a
-        table this pass made: each relation's table, times K_rᵀ into its
-        spent last layer where chains start, adds into one sum, made before
-        any layer table (in the first relation's table instead, the heap kept
-        more pages: retail-eval peak RSS 140-147 MB, not 128-133), and the
-        local layer-1 table holds the layer mean, then ``h_ebp``. So at 2 layers the
-        pass peaks at 3 n x d tables (L + 1 at L): the sum and a block's layers."""
+        table this pass made: each T_r, then its C_r where chains start, formed
+        in the spent last layer, adds into one sum, made before any layer table
+        (in the first relation's table instead, the heap kept more pages:
+        retail-eval peak RSS 140-147 MB, not 128-133), and the local layer-1
+        table holds the layer mean, then ``h_ebp``. So at 2 layers the pass
+        peaks at 3 n x d tables (L + 1 at L): the sum and a block's layers."""
         p, cfg, base = params.tensors, self.cfg, params.tensors["base"]
         starts, acc = self._chain_paths(p)[1], np.zeros(base.shape, base.dtype)
         for block, r in enumerate(self.schema.relations, start=1):
             layers = relations.propagate_block(self.stack, None, base, cfg.layers, block)
             table = ad.add_n([base, *layers], out=layers[0])
-            paths = starts.pop(r, None)
-            if paths:
-                table = chain_embedding(table, self.num_users, paths,
-                                        out=layers[-1] if len(layers) > 1 else None)
             np.add(acc, table, out=acc)
-            layers = table = paths = None
+            if r in starts:
+                np.add(acc, chain_embedding(table, self.num_users, starts[r], out=layers[-1]
+                                            if len(layers) > 1 else None), out=acc)
+            layers = table = None
         vals = patterns.local_adjacency(self.patterns, p["local_logits"])
         h = patterns.propagate_local(self.stack, vals, base, cfg.layers)
         h = patterns.ebp_embeddings(h, patterns.propagate_global_factored(
@@ -202,10 +202,9 @@ class DualChannelModel:
     # loss
     # ------------------------------------------------------------------
 
-    def _reg(self, p, users, pos, neg, extra=()):
-        """lambda * ||theta||^2 over the batch's base rows + extra tensors."""
-        idx = np.concatenate([users, pos, neg])
-        terms = [ad.sumsq(ad.gather(p["base"], idx))]
+    def _reg(self, base_rows, ids, extra=()):
+        """lambda * ||theta||^2 over rows ``ids`` of ``base_rows`` + extra tensors."""
+        terms = [ad.sumsq(ad.gather(base_rows, ids))]
         return ad.add_n(terms + [ad.sumsq(t) for t in extra], scale=self.cfg.l2)
 
     def total_loss(self, p: dict, batch: TrainBatch):
@@ -215,16 +214,17 @@ class DualChannelModel:
         with its name, the terms checked before their sum."""
         cfg = self.cfg
         target = self.schema.target
-        bu = batch.users
+        final_nodes = np.concatenate([batch.users, batch.pos, batch.neg])
 
         # the dense channels are only evaluated at rows this batch touches
-        rows = sorted_unique(np.concatenate([bu, batch.pos, batch.neg, *(
+        rows = sorted_unique(np.concatenate([final_nodes, *(
             ids for triples in batch.chain_triples.values() for ids in triples)]))
 
         def at(ids):
             return np.searchsorted(rows, ids)
 
-        bu_c = at(bu)
+        final_ids = at(final_nodes)
+        bu_c = final_ids[:len(batch.users)]
         emb = self.embeddings(p, rows, bu_c)
         rel_users = emb["rel_users"]
         rcl = contrastive.relation_losses(rel_users, target, cfg.tau)
@@ -235,18 +235,19 @@ class DualChannelModel:
         for i, (cu, cp, cn) in sorted(batch.chain_triples.items()):
             chain = self.chains[i]
             w_u, w_v = ([p[k] for k in ks] for ks in transform_names(i, chain))
-            reg = self._reg(p, cu, cp, cn, extra=w_u + w_v)
+            ids = at(np.concatenate([cu, cp, cn]))
+            reg = self._reg(emb["base_rows"], ids, extra=w_u + w_v)
             chain_feats.append(contrastive.chain_knowledge(
                 chain, rcl, emb["e_c"], e_final_rows, target))
             # the chain's last step T_r Πᵀ, only at its triples' rows
-            trip = ad.gather(emb["rel"][chain.relations[0]], at(np.concatenate([cu, cp, cn])))
+            trip = ad.gather(emb["rel"][chain.relations[0]], ids)
             last = ad.split_rows_matmul(trip, len(cu), *(m[-1] for m in emb["paths"][i]))
             core = bpr(last, *np.arange(3 * len(cu)).reshape(3, -1))
             chain_losses.append(ad.add(core, reg))
 
         terms = {
-            "final_bpr": ad.add(bpr(emb["final"], bu_c, at(batch.pos), at(batch.neg)),
-                                self._reg(p, bu, batch.pos, batch.neg)),
+            "final_bpr": ad.add(bpr(emb["final"], *final_ids.reshape(3, -1)),
+                                self._reg(emb["base_rows"], final_ids)),
             "chain_bpr": contrastive.weighted_losses(
                 chain_losses, chain_feats, p["enc_chain.w"], p["enc_chain.b"]),
             "rcl": contrastive.weighted_losses(

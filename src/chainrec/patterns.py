@@ -95,11 +95,11 @@ def propagate_global_factored(counts, base, num_layers: int, mode="row",
     indices) only if given. B is ``counts`` C times D = diag(``scale``), or
     C. ``mode`` is ``'row'``, the only form (perfbench passes it until
     ROADMAP item 2). The layer is diag(r) C D^2 (G D^2)^(L-1) C^T base, r
-    the reciprocal row sums and G = C^T diag(r) C. Only r, G and C^T base
-    read every row, so a constant ndarray C gets no adjoint, and no N x N
+    the reciprocal row sums and G = C^T diag(r) C. Only 1^T C, r, G and C^T
+    base read every row, so a constant ndarray C gets no adjoint, and no N x N
     matrix or N x d layer but the output is formed."""
     sq = 1.0 if scale is None else ad.mul(scale, scale)
-    rowsum = ad.matmul(counts, ad.mul(ad.asum(counts, axis=0), sq))
+    rowsum = ad.matmul(counts, ad.mul(ad.matmul(np.ones_like(ad.val(counts)[:, 0]), counts), sq))
     scaled = ad.mul(counts, ad.reshape(ad.reciprocal_safe(rowsum), (-1, 1)))
     right_t = ad.transpose(counts)
     gram = ad.mul(ad.matmul(right_t, scaled), sq)

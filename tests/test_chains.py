@@ -79,9 +79,9 @@ class TestChainForward:
         np.testing.assert_array_equal(maps[1], np.eye(2))
 
     def test_user_item_transforms_differ(self):
-        # own 0: the step tables alone, 1 + 2 + 4 for users, 1 + 3 + 9 for items
+        # the step tables alone, 1 + 2 + 4 for users, 1 + 3 + 9 for items
         paths = chain_forward([2.0 * np.eye(2)] * 2, [3.0 * np.eye(2)] * 2)
-        got = chain_embedding(np.ones((3, 2)), 1, [paths], own=0)
+        got = chain_embedding(np.ones((3, 2)), 1, [paths])
         np.testing.assert_array_equal(got, [[7.0, 7.0], [13.0, 13.0], [13.0, 13.0]])
 
     def test_linear_in_input(self):
@@ -95,28 +95,27 @@ class TestChainForward:
 
 
 class TestChannelSums:
-    """K = (own + n) I + Σ_c Σ_j A_cj over the n chains from one relation,
-    read off by applying it to identity rows: I Kᵀ = Kᵀ."""
+    """K = n I + Σ_c Σ_j A_cj over the n chains from one relation, with no
+    identity for the relation's own table, read off by applying it to
+    identity rows: I Kᵀ = Kᵀ."""
 
-    def test_zero_transforms_give_one_plus_n_identities(self):
-        # the relation's own table and each chain's first step
+    def test_zero_transforms_give_n_identities(self):
+        # each chain's first step alone
         steps = [1, 2, 1]
         paths = [chain_forward([np.zeros((2, 2))] * k, [np.zeros((2, 2))] * k)
                  for k in steps]
         for split in (2, 0):  # the user side, then the item side
             np.testing.assert_array_equal(chain_embedding(np.eye(2), split, paths),
-                                          4.0 * np.eye(2))
-            np.testing.assert_array_equal(
-                chain_embedding(np.eye(2), split, paths, own=0), 3.0 * np.eye(2))
+                                          3.0 * np.eye(2))
 
     def test_identity_transforms_count_every_step_table(self):
-        # each chain adds one table per relation on it, the relation's own
-        # table one more: 1 + 2 + 2 + 3 for the three chains of three relations
+        # each chain adds one table per relation on it, and the relation's
+        # own table none: 2 + 2 + 3 for the three chains of three relations
         chains = enumerate_chains(make_schema(("view", "cart", "buy"), "buy"))
         paths = [chain_forward([np.eye(2)] * c.num_steps, [np.eye(2)] * c.num_steps)
                  for c in chains]
         table = np.random.default_rng(3).normal(size=(4, 2))
-        want = (1 + sum(len(c.relations) for c in chains)) * table
+        want = sum(len(c.relations) for c in chains) * table
         np.testing.assert_allclose(chain_embedding(table, 2, paths), want, rtol=1e-12)
 
     def test_final_embedding_mean(self):

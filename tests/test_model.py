@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
-from chainrec import evaluation, patterns
+from chainrec import backend, evaluation, patterns
+from chainrec import model as model_module
 from chainrec.config import ConfigError, RunConfig
 from chainrec.graph import (MultiplexBipartiteGraph, load_interactions, make_schema,
                             split_train_test, training_graph)
@@ -213,6 +214,51 @@ class TestInferencePath:
             np.testing.assert_array_equal(params.tensors[name], t, err_msg=name)
         if len(rels) == 1:  # no chains: e_c is zeros
             assert not model.chains and not np.any(want["e_c"])
+
+
+class TestOneChainTablePerStep:
+    """A training step forms each starting relation's chain table once, for
+    the final table and for ``e_c`` alike, and gathers base's batch rows
+    once, so its L2 terms add no row scatter into base's gradient."""
+
+    CASES = pytest.mark.parametrize("rels,starts", [
+        (("view", "cart", "buy"), 2), (("tips", "neutral", "dislike", "like"), 3),
+    ], ids=["three", "four"])
+
+    @staticmethod
+    def _step(rels):
+        cfg = RunConfig(dim=4, layers=2, relations=rels, target=rels[-1]).validate()
+        graph = random_multiplex_graph(6, 9, rels, 0.4, seed=3)
+        split = split_train_test(graph, 0.75, seed=0)
+        model = DualChannelModel(training_graph(graph, split), cfg)
+        batch = make_batch(model, split, np.random.default_rng(5), size=4)
+        assert len(batch.chain_triples) >= 2
+        return model, batch, model.init_params(0).as_vars()
+
+    @CASES
+    def test_one_chain_embedding_per_starting_relation(self, rels, starts, monkeypatch):
+        model, batch, p = self._step(rels)
+        calls = []
+
+        def counted(*args, _fn=model_module.chain_embedding, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(model_module, "chain_embedding", counted)
+        model.total_loss(p, batch)
+        assert len({c.relations[0] for c in model.chains}) == starts
+        assert len(calls) == starts
+
+    @CASES
+    def test_base_gradient_takes_one_row_scatter(self, rels, starts, monkeypatch):
+        model, batch, p = self._step(rels)
+        outs = []
+
+        def counted(idx, g, n, out, _fn=backend.scatter_add_rows):
+            outs.append(out)
+            return _fn(idx, g, n, out)
+        monkeypatch.setattr(backend, "scatter_add_rows", counted)
+        ad.backward(model.total_loss(p, batch)[0])
+        assert sum(out is p["base"].grad for out in outs) == 1
 
 
 def _synth_inference(tmp_path_factory, rels):

@@ -43,12 +43,13 @@ class TestBprLoss:
 
     def test_l2_term_and_its_gradient(self, tiny_setup):
         # the model's regularizer: l2 * squared norm of the batch's base rows
-        # (a repeated id counts per occurrence) plus the extra tensors
+        # (a repeated id counts per occurrence) plus the extra tensors; here
+        # the rows are all of base, so the ids are node ids
         _, _, model, params, _, cfg = tiny_setup
         p = params.as_vars()
         users, pos, neg = np.asarray([0, 1]), np.asarray([5, 1]), np.asarray([7, 8])
         w = p["chain0.user0"]
-        reg = model._reg(p, users, pos, neg, extra=(w,))
+        reg = model._reg(p["base"], np.concatenate([users, pos, neg]), extra=(w,))
         ad.backward(reg)
         base = params.tensors["base"]
         hits = np.bincount(np.concatenate([users, pos, neg]),
