@@ -15,10 +15,11 @@ caches would still differ; one process keeps the comparison to the
 code.)
 
 Both trees train on the same graph: the first tree's ``chainrec.synth``
-writes the TSV of the perfbench graph named by ``--graph`` once, with
-``--seed``, and each tree loads it, splits it and builds its model,
-sampler and Adam state with that seed, as a perfbench run does. A step is
-a batch from the sampler, ``training.backward`` and ``adam_step``.
+writes the TSV of the perfbench graph named by ``--graph`` (a key of the
+``GRAPHS`` table in perfbench/workloads.py) once, with ``--seed``, and
+each tree loads it, splits it and builds its model, sampler and Adam
+state with that seed, as a perfbench run does. A step is a batch from the
+sampler, ``training.backward`` and ``adam_step``.
 
 Prints each tree's median step, the median over rounds of the second
 tree's step time over the first's, the share of rounds the second tree
@@ -27,6 +28,7 @@ library reports it).
 """
 
 import argparse
+import ast
 import ctypes
 import gc
 import glob
@@ -39,21 +41,27 @@ from types import SimpleNamespace
 
 import numpy as np
 
-# perfbench's graphs (perfbench/workloads.py GRAPHS): the synth defaults,
-# the retail-like graph, and a tiny one for the self-test
-GRAPHS = {
-    "demo": {},
-    "retail": {"synth_users": 2200, "synth_items": 30000, "synth_clusters": 200,
-               "synth_views": 25, "synth_carts": 12, "synth_buys": 8,
-               "ratio": 0.5},
-    "tiny": {"synth_users": 40, "synth_items": 60, "synth_clusters": 4,
-             "synth_views": 8, "synth_carts": 5, "synth_buys": 4},
-}
+WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "workloads.py")
 MODULES = ("config", "graph", "model", "synth", "training")
 
 
 def _is_chainrec(name: str) -> bool:
     return name == "chainrec" or name.startswith("chainrec.")
+
+
+def perfbench_graphs() -> dict:
+    """The ``GRAPHS`` literal of perfbench/workloads.py, read from its
+    source: importing that module would load a ``chainrec`` before
+    :func:`load_tree` runs."""
+    with open(WORKLOADS, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "GRAPHS" for t in node.targets))
+
+
+GRAPHS = perfbench_graphs()
 
 
 def load_tree(path: str) -> SimpleNamespace:

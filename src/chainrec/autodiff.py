@@ -31,10 +31,6 @@ class Var:
         self.grad = None
         self._fresh = False   # the VJP returns arrays nothing else holds
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 def val(x):
     """Underlying ndarray of a Var, or the input unchanged."""
@@ -233,12 +229,11 @@ def transpose(a):
     return _record(out, (a,), lambda g: g.T)
 
 
-def asum(a, axis=None):
-    """Sum over all entries or along one axis."""
+def asum(a):
+    """Sum over all entries."""
     av = val(a)
-    out = np.sum(av, axis=axis)
-    return _record(out, (a,), lambda g: np.broadcast_to(
-        g if axis is None else np.expand_dims(g, axis), av.shape).copy())
+    out = np.sum(av)
+    return _record(out, (a,), lambda g: np.broadcast_to(g, av.shape).copy())
 
 
 def amean(a):

@@ -66,12 +66,11 @@ def chain_embedding(table, split, paths, out=None):
     by the item-side one, into ``out`` if given. K = n I + Σ_c Σ_j A_cj over
     the n chains whose :func:`chain_forward` ``paths`` are given, all starting
     at ``table``'s relation: the sum of their step tables, the relation's
-    chain table. A table of user rows only forms no item-side K."""
-    rows, dim = ad.val(table).shape
+    chain table."""
+    dim = ad.val(table).shape[1]
     eye = np.eye(dim, dtype=ad.val(table).dtype) * len(paths)
-    maps = [ad.add_n([eye, *(a for path in paths for a in path[side])])
-            for side in ((0, 1) if split < rows else (0,))]
-    return ad.split_rows_matmul(table, split, maps[0], maps[-1], out=out)
+    maps = [ad.add_n([eye, *(a for path in paths for a in path[side])]) for side in (0, 1)]
+    return ad.split_rows_matmul(table, split, *maps, out=out)
 
 
 def final_embedding(tables, out=None):

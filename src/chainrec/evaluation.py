@@ -73,7 +73,7 @@ SPARSITY_BUCKETS = ((0, 4), (4, 5), (5, 6), (6, 7), (7, 10), (10, 60), (60, None
 # 128, ranked in 214 ms against 223 (1024), 235 (4096) and 358 (512).
 SCREEN_GROUPS = 2048
 
-# Bytes of a default chunk's float32 scores and two (chunk, G) maxima, which
+# Bytes of a chunk's float32 scores and two (chunk, G) maxima, which
 # set the inference pass's peak: 69 users on the retail-like graph's 26k items.
 CHUNK_BYTES = 8 * 2**20
 
@@ -190,18 +190,17 @@ def _top_lists(rows, cols, vals, c: int, width: int):
 
 
 def evaluate(e_final: np.ndarray, graph: MultiplexBipartiteGraph,
-             split: DatasetSplit, ks=(5, 10, 20, 40),
-             chunk=None) -> RankingResult:
+             split: DatasetSplit, ks=(5, 10, 20, 40)) -> RankingResult:
     """Rank the full catalog for every user with test interactions.
 
     Training positives of the target relation are excluded from each
     user's candidate list; users without test items are skipped. Metrics
     are bit-identical to the scalar references in ``tests/oracles.py``.
-    By default a chunk of users fills ``CHUNK_BYTES``.
+    A chunk of users fills ``CHUNK_BYTES``.
     """
     ks = tuple(sorted(ks))
     num_users, num_items = graph.num_users, graph.num_items
-    chunk = chunk or max(1, CHUNK_BYTES // (4 * num_items + 8 * min(SCREEN_GROUPS, num_items)))
+    chunk = max(1, CHUNK_BYTES // (4 * num_items + 8 * min(SCREEN_GROUPS, num_items)))
     width = min(ks[-1], num_items)
     tu, tv = split.test_edges
     users = sorted_unique(tu).astype(np.int64)

@@ -639,7 +639,6 @@ def _op_cases():
         "vecmat": case(ad.matmul, v4, m),
         "transpose": case(ad.transpose, m),
         "asum": case(ad.asum, m),
-        "asum_axis": case(lambda a: ad.asum(a, axis=1), m),
         "amean": case(ad.amean, m),
         "sumsq": case(ad.sumsq, m),
         "rowdot": case(ad.rowdot, m, m2),

@@ -213,10 +213,19 @@ def tie_heavy_case(seed, dtype, nu=9, ni=40):
     return graph, split, e
 
 
-def assert_matches_brute_force(graph, split, e, ks, chunk):
+def set_chunk(monkeypatch, chunk, num_items):
+    """Size ``evaluation.CHUNK_BYTES`` so that ``evaluate`` ranks ``chunk``
+    users at a time over ``num_items`` items, with ``SCREEN_GROUPS`` as
+    already set."""
+    per_user = 4 * num_items + 8 * min(evaluation.SCREEN_GROUPS, num_items)
+    monkeypatch.setattr(evaluation, "CHUNK_BYTES", chunk * per_user)
+
+
+def assert_matches_brute_force(monkeypatch, graph, split, e, ks, chunk):
     """``evaluate`` equals the brute force on a tie_heavy_case graph."""
     users, tops, per_user = brute_force_evaluate(e, graph, split, ks)
-    result = evaluate(e, graph, split, ks=ks, chunk=chunk)
+    set_chunk(monkeypatch, chunk, graph.num_items)
+    result = evaluate(e, graph, split, ks=ks)
     np.testing.assert_array_equal(result.users, users)
     assert len(result.top_items) == len(tops)
     for got, want in zip(result.top_items, tops):
@@ -241,7 +250,7 @@ class TestChunkRanking:
     def test_matches_brute_force(self, monkeypatch, groups, chunk, dtype, ks):
         monkeypatch.setattr(evaluation, "SCREEN_GROUPS", groups)
         seed = groups + 10 * chunk + len(ks) + (dtype == np.float32)
-        assert_matches_brute_force(*tie_heavy_case(seed, dtype), ks, chunk)
+        assert_matches_brute_force(monkeypatch, *tie_heavy_case(seed, dtype), ks, chunk)
 
 
 def interleaved_case(seed, nu=12, ni=40):
@@ -285,7 +294,9 @@ class TestRangeExclusion:
         assert np.any(np.diff(su) < 0) and np.isin([1, 4, 5, 8, 9], su).all()
         ks = (1, 5, 10)
         users, tops, per_user = brute_force_evaluate(e, graph, split, ks)
-        result = evaluate(e, graph, split, ks=ks, chunk=chunk)
+        if chunk:
+            set_chunk(monkeypatch, chunk, graph.num_items)
+        result = evaluate(e, graph, split, ks=ks)
         np.testing.assert_array_equal(result.users, [0, 2, 3, 6, 7, 10])
         np.testing.assert_array_equal(result.users, users)
         for got, want in zip(result.top_items, tops, strict=True):
@@ -353,7 +364,7 @@ class TestFloat32Screen:
     def test_matches_brute_force(self, monkeypatch, groups, chunk, kind, ks):
         monkeypatch.setattr(evaluation, "SCREEN_GROUPS", groups)
         seed = groups + 7 * chunk + len(ks)
-        assert_matches_brute_force(*screen_case(kind, seed), ks, chunk)
+        assert_matches_brute_force(monkeypatch, *screen_case(kind, seed), ks, chunk)
 
     @pytest.mark.parametrize("kind", ["one-ulp", "near-duplicates"])
     def test_float32_scores_misorder_the_case(self, kind):
@@ -453,7 +464,7 @@ class TestScreenMargin:
 class TestScoreBuffer:
     """``evaluate`` writes every chunk's scores into one buffer."""
 
-    def test_exclusions_do_not_carry_over_between_chunks(self):
+    def test_exclusions_do_not_carry_over_between_chunks(self, monkeypatch):
         # user 0 (row 0 of chunk 1) has item 0 as a training positive, and
         # item 0 is the best item of user 2 (row 0 of the shorter chunk 2)
         nu, ni = 3, 6
@@ -462,7 +473,8 @@ class TestScoreBuffer:
         e = np.zeros((nu + ni, 2))
         e[:nu] = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.1]]
         e[nu:] = [[3.0, 0.0], [2.0, 0.5], [0.5, 2.0], [1.0, 1.0], [0.2, 0.1], [0.1, 0.3]]
-        result = evaluate(e, graph, split, ks=(1, 3), chunk=2)
+        set_chunk(monkeypatch, 2, ni)
+        result = evaluate(e, graph, split, ks=(1, 3))
         su, sv = split.train_pairs("buy")
         for u, top in zip(result.users, result.top_items):
             full = rank_items(e, nu, u, exclude=sv[su == u])
@@ -470,7 +482,7 @@ class TestScoreBuffer:
         assert result.top_items[2][0] == nu + 0
         assert result.per_user[1]["recall"].tolist() == [1.0, 1.0, 1.0]
 
-    def test_peak_allocation_is_one_score_chunk(self):
+    def test_peak_allocation_is_one_score_chunk(self, monkeypatch):
         # 20k items: a 64-user chunk of scores (10 MB) dominates the pass
         nu, ni, chunk = 150, 20_000, 64
         rng = np.random.default_rng(0)
@@ -480,19 +492,20 @@ class TestScoreBuffer:
             train=[(u, int(v)) for u in range(nu) for v in np.unique(items[u, 1:])
                    if v != items[u, 0]])
         e = rng.normal(size=(nu + ni, 8))
+        set_chunk(monkeypatch, chunk, ni)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            evaluate(e, graph, split, chunk=chunk)
+            evaluate(e, graph, split)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * chunk * ni * e.itemsize
 
 
-    def test_peak_allocation_is_the_float32_score_buffer(self):
-        # 600 users x 20k items: two chunks at the default 512 share one
-        # float32 buffer (41 MB). The slack is the (chunk, G) float32 group
+    def test_peak_allocation_is_the_float32_score_buffer(self, monkeypatch):
+        # 600 users x 20k items: two chunks of 512 share one float32
+        # buffer (41 MB). The slack is the (chunk, G) float32 group
         # maxima and their partition (4.2 MB each) plus 4 MB for the float32
         # item table and the survivors; a float64 buffer (82 MB) cannot fit.
         nu, ni, chunk = 600, 20_000, 512
@@ -505,10 +518,11 @@ class TestScoreBuffer:
         e = rng.normal(size=(nu + ni, 8))
         buffer = chunk * ni * 4
         slack = 2 * chunk * evaluation.SCREEN_GROUPS * 4 + 4 * 2**20
+        set_chunk(monkeypatch, chunk, ni)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            evaluate(e, graph, split, chunk=chunk)
+            evaluate(e, graph, split)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

@@ -316,7 +316,7 @@ class TestGlobalChannel:
         monkeypatch.setattr(ad, "matmul", spy)
         out = propagate_global_factored(ad.Var(b), ad.Var(base), 3,
                                         rows=np.asarray([2, 9]))
-        assert out.shape == (2, 5)
+        assert ad.val(out).shape == (2, 5)
         assert (20, 5) not in shapes and (3, 3) in shapes
 
     @pytest.mark.parametrize("mode", ["row"])

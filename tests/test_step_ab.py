@@ -1,5 +1,6 @@
 """scripts/step_ab.py: two trees' training steps interleaved in one process."""
 
+import importlib
 import os
 import sys
 
@@ -38,3 +39,21 @@ def test_two_named_trees_are_required(argv):
     with pytest.raises(SystemExit) as exc:
         step_ab.main(argv)
     assert exc.value.code == 2
+
+
+def test_graphs_are_perfbench_graphs(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    held = {k: sys.modules.pop(k) for k in ("workloads", "spans") if k in sys.modules}
+    try:
+        assert step_ab.GRAPHS == importlib.import_module("workloads").GRAPHS
+    finally:
+        for k in ("workloads", "spans"):
+            sys.modules.pop(k, None)
+        sys.modules.update(held)
+
+
+def test_an_unknown_graph_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        step_ab.main(["--tree", "a=.", "--tree", "b=.", "--graph", "huge"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'huge'" in capsys.readouterr().err
