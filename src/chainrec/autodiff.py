@@ -414,7 +414,7 @@ def spmm_rows(struct, vals, x, rows, x_rows=None, const=None):
     indptr, edges = row_slice(struct, rows)
     cols = struct.cols[edges]
     if x_rows is not None:
-        pos = np.full(struct.n, -1, dtype=np.int64)
+        pos = np.full(struct.n, -1, dtype=cols.dtype)
         pos[x_rows] = np.arange(len(x_rows))
         cols = pos[cols]
         # scipy does not bounds-check column indices

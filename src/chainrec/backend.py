@@ -8,6 +8,8 @@ reproducible run to run.
 import numpy as np
 import scipy.sparse as sp
 
+from .sparse import index_dtype
+
 
 def numba_enabled() -> bool:
     """False: chainrec has no compiled kernel path."""
@@ -55,8 +57,9 @@ def scatter_add_rows(idx, g, n, out):
     order = np.argsort(idx, kind="stable")
     ids = idx[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    sel = sp.csr_matrix((np.ones(order.shape[0], dtype=g.dtype), order,
-                         np.append(starts, order.shape[0])))
+    dtype = index_dtype(order.shape[0], order.shape[0])
+    sel = sp.csr_matrix((np.ones(order.shape[0], dtype=g.dtype), order.astype(dtype),
+                         np.append(starts, order.shape[0]).astype(dtype)))
     out[ids[starts]] += sel @ g
     return out
 

@@ -53,14 +53,20 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> CSRStruct:
     return CSRStruct(n=n, indptr=indptr, cols=cols, rows=rows)
 
 
+def index_dtype(rows: int, entries: int) -> np.dtype:
+    """The dtype of a CSR matrix's indptr and columns: int32, which scipy
+    takes without a copy, below 2^31 rows (and columns) and entries."""
+    return np.dtype(np.int32 if max(rows, entries) < 2**31 else np.int64)
+
+
 def row_slice(struct: CSRStruct, rows: np.ndarray) -> tuple:
-    """(indptr, edges) of the CSR rows ``rows``: ``edges`` lists the
-    positions of their entries in struct order, row by row."""
+    """(indptr, edges) of the CSR rows ``rows``, indptr in the struct's
+    dtype: ``edges`` lists their entries' positions (intp), row by row."""
     starts = struct.indptr[rows]
     counts = struct.indptr[rows + 1] - starts
-    indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    indptr = np.zeros(rows.shape[0] + 1, dtype=struct.indptr.dtype)
     np.cumsum(counts, out=indptr[1:])
-    edges = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    edges = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1], dtype=np.intp)
     return indptr, edges
 
 
@@ -101,7 +107,8 @@ class BlockStack:
         """Built on first use: only a training step's later layers read it."""
         first, n = self.first, self.first.n // self.blocks
         offset = np.repeat(np.arange(self.blocks) * n, np.diff(first.indptr[::n]))
-        return CSRStruct(first.n, first.indptr, first.cols + offset, None)
+        cols = np.add(first.cols, offset, dtype=first.cols.dtype)
+        return CSRStruct(first.n, first.indptr, cols, None)
 
 
 def stack_blocks(structs: list, const=None) -> BlockStack:
@@ -109,8 +116,8 @@ def stack_blocks(structs: list, const=None) -> BlockStack:
     n, k = structs[0].n, len(structs)
     ends = np.cumsum([0] + [s.nnz for s in structs])
     indptr = np.concatenate([s.indptr[:-1] + e for s, e in zip(structs, ends)] + [ends[-1:]])
-    cols = np.concatenate([s.cols for s in structs])
-    return BlockStack(k, CSRStruct(k * n, indptr, cols, None), const)
+    cols = np.concatenate([s.cols for s in structs], dtype=index_dtype(k * n, ends[-1]))
+    return BlockStack(k, CSRStruct(k * n, indptr.astype(cols.dtype), cols, None), const)
 
 
 def sym_norm_values(struct: CSRStruct, dtype=np.float64) -> np.ndarray:

@@ -5,9 +5,11 @@ identity to the row path and its memory peak, and term switch-off."""
 import tracemalloc
 from contextlib import nullcontext
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from chainrec import autodiff as ad
 from chainrec import backend, evaluation, patterns
@@ -345,6 +347,37 @@ class TestLazyDiag:
         want, _ = backward(fresh, params, batch)
         for name, g in want.items():
             np.testing.assert_array_equal(got[name], g, err_msg=name)
+
+
+class TestScipyIndexDtype:
+    """Every index array a training step and an inference pass hand scipy
+    is int32, which scipy reads without the copy it makes of int64 ones."""
+
+    def test_step_and_inference_hand_scipy_int32_indices(self, tiny_setup, monkeypatch):
+        graph, split, model, params, batch, cfg = tiny_setup
+        seen = {"spmm": [], "selection": [], "adjoint slice": []}
+        spmm = backend.spmm
+
+        def recording_spmm(indptr, cols, vals, x):
+            seen["spmm"].append((indptr.dtype, cols.dtype))
+            return spmm(indptr, cols, vals, x)
+
+        def recording_csr(kind):
+            def build(arg, *args, **kwargs):
+                seen[kind].append((arg[2].dtype, arg[1].dtype))
+                return sp.csr_matrix(arg, *args, **kwargs)
+            return SimpleNamespace(csr_matrix=build)
+
+        monkeypatch.setattr(backend, "spmm", recording_spmm)
+        monkeypatch.setattr(backend, "sp", recording_csr("selection"))
+        monkeypatch.setattr(ad, "sp", recording_csr("adjoint slice"))
+        backward(model, params, batch)
+        assert all(seen.values())
+        products = len(seen["spmm"])
+        model.final_embeddings(params)
+        assert len(seen["spmm"]) > products
+        for kind, dtypes in seen.items():
+            assert set(dtypes) == {(np.dtype(np.int32), np.dtype(np.int32))}, kind
 
 
 class TestTermSwitchOff:

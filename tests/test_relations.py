@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
-from chainrec import backend
+from chainrec import backend, sparse
 from chainrec.config import RunConfig
 from chainrec.graph import MultiplexBipartiteGraph
 from chainrec.model import DualChannelModel
 from chainrec.relations import propagate_block, propagate_stack
-from chainrec.sparse import (build_struct, receptive_fields, stack_blocks,
+from chainrec.sparse import (build_struct, receptive_fields, row_slice, stack_blocks,
                              sym_norm_values)
 
 import oracles
@@ -154,6 +154,31 @@ class TestModelStack:
         np.testing.assert_array_equal(got.diag.indptr, got.first.indptr)
         assert got.const.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(got.const, want.const)
+
+
+class TestIndexDtype:
+    """scipy takes int32 index arrays without a copy, so the stack's are
+    int32 while they fit; numpy indexes with intp, so positions stay intp."""
+
+    @pytest.mark.parametrize("rows, entries, want", [
+        (2**31 - 1, 2**31 - 1, np.int32), (0, 0, np.int32),
+        (2**31, 10, np.int64), (10, 2**31, np.int64), (2**40, 2**40, np.int64)])
+    def test_int32_below_2_31_rows_and_entries(self, rows, entries, want):
+        # sizes only: nothing of that size is allocated
+        assert sparse.index_dtype(rows, entries) == np.dtype(want)
+
+    def test_stack_holds_int32_indices_and_intp_positions(self, tiny_setup_four):
+        model = tiny_setup_four[2]
+        stack = model.stack
+        for part in (stack.first, stack.diag):
+            assert part.indptr.dtype == part.cols.dtype == np.int32
+        rows = np.asarray([0, 3, 7])
+        indptr, edges = row_slice(stack.diag, rows)
+        assert indptr.dtype == np.int32 and edges.dtype == np.intp
+        fields = receptive_fields(stack.diag, rows, 2)
+        assert all(f.dtype == np.intp for f in fields)
+        # the local adjacency gathers over the union's edges every step
+        assert model.patterns.struct.cols.dtype == np.int64
 
 
 class TestPropagateStack:
