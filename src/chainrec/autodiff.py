@@ -391,24 +391,22 @@ def take_diag(a):
 # ---------------------------------------------------------------------------
 
 def spmm(struct, vals, x):
-    """Sparse (CSR struct + per-edge vals) times dense x: :func:`spmm_rows`
-    at every row. Differentiable in vals and x."""
+    """Sparse (CSR struct + constant per-edge vals) times dense x:
+    :func:`spmm_rows` at every row. Differentiable in x only."""
     return spmm_rows(struct, vals, x, np.arange(struct.n))
 
 
-def spmm_rows(struct, vals, x, rows, x_rows=None, const=None):
-    """Rows ``rows`` of the sparse (CSR struct + per-edge vals) times dense
-    x product, computed from those CSR rows only.
+def spmm_rows(struct, vals, x, rows, x_rows=None):
+    """Rows ``rows`` of the sparse (CSR struct + constant per-edge vals)
+    times dense x product, computed from those CSR rows only.
+    Differentiable in x only.
 
     ``rows`` are sorted unique row indices. With ``x_rows`` (sorted unique,
     covering every column of those rows) ``x`` is compact, row k holding
-    node ``x_rows[k]``, and so is the x-adjoint. With ``const``, ``vals``
-    holds the values of the first ``len(vals)`` edges only and ``const``
-    those of the rest, which get no gradient. Each output row sums its
+    node ``x_rows[k]``, and so is the x-adjoint. Each output row sums its
     edges in CSR order, so a row is bit-identical whichever ``rows`` hold
     it. The x-adjoint is a product with the transposed slice, whose rows
-    keep their entries in ascending source order; the vals-gradient is
-    zero off the slice's edges.
+    keep their entries in ascending source order.
     """
     rows = np.asarray(rows, dtype=np.int64)
     indptr, edges = row_slice(struct, rows)
@@ -420,18 +418,8 @@ def spmm_rows(struct, vals, x, rows, x_rows=None, const=None):
         # scipy does not bounds-check column indices
         if cols.size and cols.min() < 0:
             raise ValueError("x_rows must cover every column of the rows")
-    vv, xv = val(vals), val(x)
-    lead = np.searchsorted(edges, vv.shape[0])   # edges ascend: vals' lead
-    ev = vv[edges] if const is None else np.concatenate(
-        [vv[edges[:lead]], const[edges[lead:] - vv.shape[0]]])
+    ev, xv = vals[edges], val(x)
     out = backend.spmm(indptr, cols, ev, xv)
-
-    def vals_adjoint(g):
-        local = np.repeat(np.arange(rows.shape[0]), np.diff(indptr))[:lead]
-        gv = backend.spmm_grad_vals(local, cols[:lead], np.ascontiguousarray(g), xv)
-        full = np.zeros(vv.shape[0], dtype=gv.dtype)
-        full[edges[:lead]] = gv
-        return full
 
     def x_adjoint(g):
         # scipy's O(nnz) CSR -> CSC pass gives the transposed slice
@@ -439,4 +427,4 @@ def spmm_rows(struct, vals, x, rows, x_rows=None, const=None):
                           shape=(rows.shape[0], xv.shape[0])).tocsc()
         return backend.spmm(t.indptr, t.indices, t.data, np.ascontiguousarray(g))
 
-    return _record(out, (vals, x), vals_adjoint, x_adjoint, fresh=True)
+    return _record(out, (x,), x_adjoint, fresh=True)

@@ -23,16 +23,18 @@ def spmm(indptr, cols, vals, x):
     return (a @ x).astype(x.dtype, copy=False)
 
 
-# Edges per spmm_grad_vals block. The two gathered (block, d) copies stay
-# cache-sized; gathering all nnz rows at once streams two nnz x d copies
-# through memory (2.6x slower at 600k edges and d = 64). At d = 64 blocks
-# of 1024 edges or more page-faulted anew per block: 35 ms for 50k edges.
+# Pairs per spmm_grad_vals block. The two gathered (block, d) copies stay
+# cache-sized; gathering all pairs' rows at once streams two pairs x d copies
+# through memory (2.6x slower at 600k pairs and d = 64). At d = 64 blocks
+# of 1024 pairs or more page-faulted anew per block: 35 ms for 50k pairs.
 GRAD_VALS_BLOCK = 512
 
 
 def spmm_grad_vals(rows, cols, g, x):
-    """Per-edge gradient of spmm w.r.t. vals: dot(g[rows[k]], x[cols[k]]),
-    in the wider dtype, to which each gathered block is upcast."""
+    """Pairwise row dot products dot(g[rows[k]], x[cols[k]]), in the wider
+    dtype, to which each gathered block is upcast: the ranking's float64
+    scores of (user, item) pairs. It keeps the name of the spmm
+    vals-gradient it once computed, by which perfbench wraps it."""
     out = np.empty(rows.shape[0], dtype=np.result_type(g, x))
     for start in range(0, rows.shape[0], GRAD_VALS_BLOCK):
         block = slice(start, start + GRAD_VALS_BLOCK)

@@ -55,7 +55,7 @@ def param_shapes(schema, cfg: RunConfig, n: int) -> dict:
     """Name -> shape of every learnable tensor of a model of ``n`` nodes,
     in the order :meth:`DualChannelModel.init_params` creates them."""
     d, n_pat = cfg.dim, schema.num_patterns
-    shapes = {"base": (n, d), "local_logits": (n_pat,), "global_logits": (n_pat,)}
+    shapes = {"base": (n, d), "global_logits": (n_pat,)}
     for i, chain in enumerate(enumerate_chains(schema)):
         for user, item in zip(*transform_names(i, chain)):
             shapes[user] = shapes[item] = (d, d)
@@ -98,21 +98,23 @@ class DualChannelModel:
         self.patterns = patterns.behavior_patterns(graph, self.dtype)
         self.counts = self.patterns.counts
         self.chains = enumerate_chains(self.schema)
-        # the union, then relation r's block: the union's edges whose pattern
-        # has bit r, with constant 1/sqrt(deg_u deg_v) values
+        # the union, every pattern weighted alike, then relation r's block: the
+        # union's edges whose pattern has bit r; every block holds constant
+        # 1/sqrt(deg_u deg_v) values
         union, signature = self.patterns.struct, self.patterns.edge_pattern + 1
         rel = [select_edges(union, (signature >> r & 1).astype(bool))
                for r in range(len(self.schema.relations))]
         self.stack = stack_blocks([union] + rel, np.concatenate(
-            [sym_norm_values(s, dtype=self.dtype) for s in rel]))
+            [patterns.local_adjacency(self.patterns)]
+            + [sym_norm_values(s, dtype=self.dtype) for s in rel]))
 
     # ------------------------------------------------------------------
     # parameters
     # ------------------------------------------------------------------
 
     def init_params(self, seed: int) -> ModelParams:
-        """N(0, 0.1) base tables, Glorot weights, zero logits and biases, but
-        global logits at softplus(x) = 1: pattern-count scaling starts at 1."""
+        """N(0, 0.1) base tables, Glorot weights, zero biases, and global
+        logits at softplus(x) = 1: pattern-count scaling starts at 1."""
         rng = stream_rng(seed, "init")
         p = {}
         for name, shape in param_shapes(self.schema, self.cfg, self.n).items():
@@ -120,7 +122,7 @@ class DualChannelModel:
                 p[name] = rng.normal(0.0, 0.1, size=shape)
             elif name == "global_logits":
                 p[name] = np.full(shape, np.log(np.e - 1.0))
-            elif name == "local_logits" or name.endswith(".b"):
+            elif name.endswith(".b"):
                 p[name] = np.zeros(shape)
             else:
                 p[name] = xavier(rng, shape)
@@ -148,12 +150,11 @@ class DualChannelModel:
         global channel forms its output only at the rows, through its p x p
         pattern Gram matrix. The final table sums each T_r in schema order, then
         its chain table C_r = T_r K_rᵀ where chains start, then ``h_ebp``;
-        ``e_c`` sums the C_r. Dense tables scale with the rows, the local edge
-        values with the edges, and the global route's row sums, Gram matrix and
-        Cᵀ·base, base's gradient and Adam's update with the n nodes."""
+        ``e_c`` sums the C_r. Dense tables scale with the rows, and the global
+        route's row sums, Gram matrix and Cᵀ·base, base's gradient and Adam's
+        update with the n nodes."""
         cfg = self.cfg
-        vals = patterns.local_adjacency(self.patterns, p["local_logits"])
-        loc, *rel = relations.propagate_stack(self.stack, vals, p["base"], cfg.layers, rows)
+        loc, *rel = relations.propagate_stack(self.stack, p["base"], cfg.layers, rows)
         h_loc = patterns.layer_mean(loc)
         base_rows = ad.gather(p["base"], rows)
         rel_tables = {r: ad.add_n([base_rows, *layers])
@@ -185,15 +186,14 @@ class DualChannelModel:
         p, cfg, base = params.tensors, self.cfg, params.tensors["base"]
         starts, acc = self._chain_paths(p)[1], np.zeros(base.shape, base.dtype)
         for block, r in enumerate(self.schema.relations, start=1):
-            layers = relations.propagate_block(self.stack, None, base, cfg.layers, block)
+            layers = relations.propagate_block(self.stack, base, cfg.layers, block)
             table = ad.add_n([base, *layers], out=layers[0])
             np.add(acc, table, out=acc)
             if r in starts:
                 np.add(acc, chain_embedding(table, self.num_users, starts[r], out=layers[-1]
                                             if len(layers) > 1 else None), out=acc)
             layers = table = None
-        vals = patterns.local_adjacency(self.patterns, p["local_logits"])
-        h = patterns.propagate_local(self.stack, vals, base, cfg.layers)
+        h = patterns.propagate_local(self.stack, base, cfg.layers)
         h = patterns.ebp_embeddings(h, patterns.propagate_global_factored(
             self.counts, base, cfg.layers, scale=ad.softplus(p["global_logits"])), out=h)
         return final_embedding([acc, h], out=acc)

@@ -1,15 +1,16 @@
 """Behavior-pattern channel: the pattern of every user-item pair and the
-two aggregation routes (local edge-weighted propagation, global
-pattern-count similarity propagation) that combine into the
-explicit-pattern embeddings.
+two aggregation routes (local propagation through the union of all
+patterns, global pattern-count similarity propagation) that combine into
+the explicit-pattern embeddings.
 
 A pair's pattern is the EXACT set of relations joining it, as a signature
 whose bit r is schema relation r; pattern p has signature p + 1, so the
 2^|R| - 1 patterns partition all interacting pairs. The union of all
 pairs is the model's one sparse topology: the local route propagates
 through it as block 0 of the model's stacked operator (see
-:mod:`chainrec.relations`), its learnable edge values the only ones on the
-tape, and relation r's block is the union's edges whose pattern has bit r.
+:mod:`chainrec.relations`), and relation r's block is the union's edges
+whose pattern has bit r. Every block's edge values are constants of the
+stack, so no edge value is on the tape.
 """
 
 from dataclasses import dataclass
@@ -64,23 +65,22 @@ def behavior_patterns(graph: MultiplexBipartiteGraph, dtype=np.float64) -> Behav
     return BehaviorPatterns(struct, edge_pattern, counts.astype(dtype))
 
 
-def local_adjacency(union: BehaviorPatterns, logits):
-    """The values, in ``union.struct`` order, of the local operator: per-edge
-    weights softmax(logits)[owning pattern] on the union of all pattern
-    pairs, then symmetric normalization by the degrees, counts times weights."""
+def local_adjacency(union: BehaviorPatterns) -> np.ndarray:
+    """The constant values, in ``union.struct`` order, of the local operator:
+    every pattern weighted alike, softmax of zeros, on the union of all
+    pattern pairs, then symmetric normalization by the degrees, counts times
+    weights."""
     struct = union.struct
-    w = ad.softmax(logits)
-    edge_w = ad.gather(w, union.edge_pattern)
-    inv = ad.rsqrt_safe(ad.matmul(union.counts, w))
-    return ad.mul(ad.mul(edge_w, ad.gather(inv, struct.rows)),
-                  ad.gather(inv, struct.cols))
+    w = ad.softmax(np.zeros(union.counts.shape[1], dtype=union.counts.dtype))
+    inv = ad.rsqrt_safe(union.counts @ w)
+    return w[union.edge_pattern] * inv[struct.rows] * inv[struct.cols]
 
 
-def propagate_local(stack: BlockStack, vals, base, num_layers: int):
+def propagate_local(stack: BlockStack, base, num_layers: int):
     """Mean of the layer-1..L tables (layer 0 excluded) of block 0 of
-    ``stack``, the union, with values ``vals``, at every node, untaped and
-    written into the layer-1 table."""
-    layers = propagate_block(stack, vals, base, num_layers, 0)
+    ``stack``, the union, at every node, untaped and written into the
+    layer-1 table."""
+    layers = propagate_block(stack, base, num_layers, 0)
     return layer_mean(layers, out=layers[0])
 
 

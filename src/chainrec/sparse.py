@@ -1,10 +1,10 @@
 """Compressed sparse row structure for symmetric bipartite adjacency.
 
 A :class:`CSRStruct` stores only the constant topology (both edge
-directions, row-sorted).  Values live in a separate array so that the same
-structure can carry degree-normalized weights or learnable per-edge weights
-on the autodiff tape.  A :class:`BlockStack` stacks several operators so
-that one product propagates all of them; the model's one stack holds the
+directions, row-sorted).  Values live in a separate array, so the same
+structure can carry different degree-normalized weights; no edge value is
+ever on the autodiff tape.  A :class:`BlockStack` stacks several operators
+so that one product propagates all of them; the model's one stack holds the
 pattern union and, selected from its edges, every relation.
 """
 
@@ -95,12 +95,11 @@ class BlockStack:
     """Square operators over the same n nodes, stacked: row b*n + i is row i
     of block b. ``first`` reads the one layer-0 table that every block
     shares (column j), ``diag`` the stacked previous layer (column b*n + j);
-    ``const`` holds the values of every edge after block 0's, whose values
-    come with each product."""
+    ``vals`` holds every block's constant edge values, in ``first`` order."""
 
     blocks: int
     first: CSRStruct
-    const: object = None
+    vals: np.ndarray
 
     @cached_property
     def diag(self) -> CSRStruct:
@@ -111,13 +110,14 @@ class BlockStack:
         return CSRStruct(first.n, first.indptr, cols, None)
 
 
-def stack_blocks(structs: list, const=None) -> BlockStack:
-    """The operators ``structs`` as one :class:`BlockStack`."""
+def stack_blocks(structs: list, vals: np.ndarray) -> BlockStack:
+    """The operators ``structs``, with edge values ``vals`` (every block's,
+    concatenated in block order), as one :class:`BlockStack`."""
     n, k = structs[0].n, len(structs)
     ends = np.cumsum([0] + [s.nnz for s in structs])
     indptr = np.concatenate([s.indptr[:-1] + e for s, e in zip(structs, ends)] + [ends[-1:]])
     cols = np.concatenate([s.cols for s in structs], dtype=index_dtype(k * n, ends[-1]))
-    return BlockStack(k, CSRStruct(k * n, indptr.astype(cols.dtype), cols, None), const)
+    return BlockStack(k, CSRStruct(k * n, indptr.astype(cols.dtype), cols, None), vals)
 
 
 def sym_norm_values(struct: CSRStruct, dtype=np.float64) -> np.ndarray:

@@ -67,11 +67,11 @@ def relation_propagation(graph, relation, base, layers):
     return acc
 
 
-def local_propagation(bbps, logits, base, layers):
-    """Mean of layers 1..L through the sym-normalized softmax-weighted sum
-    of the dense pattern matrices."""
-    w = _softmax(logits)
-    m_loc = sym_normalize(sum(w[p] * bbps[p] for p in range(len(bbps))))
+def local_propagation(bbps, base, layers):
+    """Mean of layers 1..L through the sym-normalized sum of the dense
+    pattern matrices: every pattern weighted alike, a weight that the
+    normalization cancels."""
+    m_loc = sym_normalize(sum(bbps))
     h = base.copy()
     acc = np.zeros_like(base)
     for _ in range(layers):
@@ -172,7 +172,7 @@ def oracle_embeddings(train_graph, cfg, tensors):
     bbps = dense_bbps(train_graph)
 
     # local channel
-    h_loc = local_propagation(bbps, tensors["local_logits"], base, layers)
+    h_loc = local_propagation(bbps, base, layers)
 
     # global channel
     counts = np.stack([bbps[p].sum(axis=1) for p in range(len(bbps))], axis=1)

@@ -113,13 +113,12 @@ def test_criterion_03_propagation_oracles():
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(g.num_nodes, 5))
         logits = np.random.default_rng(seed + 1).normal(size=g.schema.num_patterns)
-        p = {**model.init_params(seed).tensors, "base": base,
-             "local_logits": logits, "global_logits": logits}
+        p = {**model.init_params(seed).tensors, "base": base, "global_logits": logits}
         rows = np.sort(rng.choice(g.num_nodes, size=9, replace=False))
         dense = oracles.dense_bbps(g)
         counts = np.stack([m.sum(axis=1) for m in dense], axis=1)
         sim = oracles.build_global_similarity(counts * np.logaddexp(0.0, logits))
-        want = {"h_loc": oracles.local_propagation(dense, logits, base, layers),
+        want = {"h_loc": oracles.local_propagation(dense, base, layers),
                 "h_glo": oracles.propagate_global(sim, base, layers)}
         want.update({r: oracles.relation_propagation(g, r, base, layers) for r in rels})
         for at, emb in ((slice(None), model.embeddings(p, np.arange(g.num_nodes),

@@ -427,6 +427,25 @@ class TestTrain:
                               "base_local", "base_relation")
         assert not part2.exists()
 
+    def test_resume_from_a_checkpoint_with_local_logits_exits_one(self, synth_file,
+                                                                  tmp_path, capsys):
+        # a checkpoint written while the local pattern weights were learned
+        # holds their logits and Adam moments
+        part1 = tmp_path / "part1"
+        assert run_cli(*train_args(synth_file, part1)) == 0
+        capsys.readouterr()
+        with np.load(part1 / "checkpoint.npz") as data:
+            arrays = dict(data)
+        for kind in ("param", "adam_m", "adam_v"):
+            arrays[f"{kind}/local_logits"] = np.zeros_like(arrays[f"{kind}/global_logits"])
+        old = tmp_path / "old.npz"
+        np.savez(old, **arrays)
+        part2 = tmp_path / "part2"
+        resume = ["--resume", str(old), "--epochs", "4"]
+        assert run_cli(*train_args(synth_file, part2, extra=resume)) == 1
+        assert_one_error_line(capsys, "local_logits (checkpoint (7,), model none)")
+        assert not part2.exists()
+
     @pytest.mark.parametrize("saved,other", [("float32", "float64"),
                                              ("float64", "float32")])
     def test_resume_in_another_dtype_exits_one(self, synth_file, tmp_path, capsys,
@@ -696,26 +715,6 @@ class TestUnreadableConfig:
         assert_one_error_line(capsys, "cannot read config file", str(bad_config))
 
 
-FLOAT64_DEFAULT_STDOUT = """\
-R@5 0.533333
-R@10 0.750000
-R@20 0.966667
-R@40 1.000000
-N@5 0.361915
-N@10 0.436345
-N@20 0.493250
-N@40 0.500520
-group,users,recall@10,ndcg@10
-[0,4),0,,
-[4,5),0,,
-[5,6),0,,
-[6,7),0,,
-[7,10),0,,
-[10,60),30,0.750000,0.436345
-[60,inf),0,,
-"""
-
-
 def with_config_lines(ckpt_path, out_path, extra_lines):
     """Copy of a checkpoint whose embedded config also holds ``extra_lines``
     (placed before ``dtype``, as an older version wrote them)."""
@@ -811,14 +810,18 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "group,users,recall@5,ndcg@5" in out and "@10" not in out
 
-    def test_checkpoint_from_the_float64_default_evaluates_unchanged(self, synth_file,
-                                                                     capsys):
+    def test_checkpoint_with_local_logits_exits_one(self, synth_file, capsys):
         # best.npz of a train_args run written by ede8f01, the last commit
-        # whose default dtype was float64, and the stdout its evaluate printed
+        # whose default dtype was float64: it holds learned local pattern
+        # logits, which the model no longer has (every pattern weighs alike),
+        # so it cannot be scored as it was trained
         ckpt = os.path.join(os.path.dirname(__file__), "data",
                             "float64_default_best.npz")
-        assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint", ckpt) == 0
-        assert capsys.readouterr().out == FLOAT64_DEFAULT_STDOUT
+        assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint", ckpt) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "local_logits (checkpoint (7,), model none)" in captured.err
 
     def test_corrupted_checkpoint_exits_one(self, synth_file, tmp_path):
         bad = tmp_path / "bad.npz"

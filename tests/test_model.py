@@ -150,7 +150,7 @@ class TestRowRestrictedEmbeddings:
                                        atol=1e-15, err_msg=key)
         # every layer of the sparse channels sums the same CSR rows in the
         # same order as the full one-operator products
-        vals = patterns.local_adjacency(model.patterns, p["local_logits"])
+        vals = patterns.local_adjacency(model.patterns)
         h_loc = patterns.layer_mean(oracles.propagate_layers(model.patterns.struct, vals,
                                                              p["base"], layers))
         np.testing.assert_array_equal(part["h_loc"], h_loc[rows])

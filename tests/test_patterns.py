@@ -39,7 +39,7 @@ class TestEnumeration:
     def test_counts(self, n_rel, expected):
         schema = make_schema(tuple(f"r{i}" for i in range(n_rel)), f"r{n_rel-1}")
         assert schema.num_patterns == expected
-        assert param_shapes(schema, RunConfig(dim=2), 4)["local_logits"] == (expected,)
+        assert param_shapes(schema, RunConfig(dim=2), 4)["global_logits"] == (expected,)
 
 
 def pair_set(pats, p):
@@ -109,7 +109,7 @@ class TestLocalChannel:
         # union graph's 1/sqrt(deg_u deg_v) on every edge
         g = random_multiplex_graph(6, 6, ("a", "b", "c"), 0.4, seed=0)
         pats = behavior_patterns(g)
-        vals = local_adjacency(pats, np.zeros(7))
+        vals = local_adjacency(pats)
         struct = pats.struct
         deg = np.bincount(struct.rows, minlength=struct.n)
         assert struct.nnz > 0
@@ -120,70 +120,52 @@ class TestLocalChannel:
         g = graph_from_pairs(2, 2, {"a": [], "b": []}, target="b")
         pats = behavior_patterns(g)
         assert pats.struct.nnz == 0
-        assert local_adjacency(pats, np.zeros(3)).shape == (0,)
+        assert local_adjacency(pats).shape == (0,)
 
     def test_two_node_single_edge_normalizes_to_one(self):
         g = graph_from_pairs(1, 1, {"a": [(0, 0)]})
         pats = behavior_patterns(g)
-        vals = local_adjacency(pats, np.zeros(1))
+        vals = local_adjacency(pats)
         # one pattern, weight softmax=1, degrees 1 -> normalized entry 1
         np.testing.assert_allclose(oracles.dense_matrix(pats.struct, vals),
                                    [[0, 1], [1, 0]], atol=1e-12)
 
-    def test_symmetry_and_weight_sum(self):
+    def test_symmetry(self):
         g = random_multiplex_graph(7, 9, ("a", "b"), 0.4, seed=2)
-        logits = np.random.default_rng(0).normal(size=3)
-        assert np.isclose(ad.softmax(logits).sum(), 1.0)
         pats = behavior_patterns(g)
-        dense = oracles.dense_matrix(pats.struct, local_adjacency(pats, logits))
+        dense = oracles.dense_matrix(pats.struct, local_adjacency(pats))
         np.testing.assert_allclose(dense, dense.T, atol=1e-12)
-
-    @pytest.mark.parametrize("rels", [("a", "b", "c"), ("a", "b", "c", "d")],
-                             ids=["three", "four"])
-    def test_degrees_are_counts_times_pattern_weights(self, rels):
-        # the weighted degree, summed edge by edge, is each node's count row
-        # times softmax(logits)
-        g = random_multiplex_graph(8, 10, rels, 0.35, seed=len(rels))
-        pats = behavior_patterns(g)
-        logits = np.random.default_rng(len(rels)).normal(size=g.schema.num_patterns)
-        struct, w = pats.struct, ad.softmax(logits)
-        edge_w = w[pats.edge_pattern]
-        deg = np.bincount(struct.rows, weights=edge_w, minlength=struct.n)
-        assert struct.nnz > 0
-        np.testing.assert_allclose(pats.counts @ w, deg, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(local_adjacency(pats, logits),
-                                   edge_w / np.sqrt(deg[struct.rows] * deg[struct.cols]),
-                                   rtol=1e-12, atol=0)
 
     def test_float32_model_weighs_degrees_in_float32(self):
         g = random_multiplex_graph(6, 6, ("a", "b", "c"), 0.4, seed=0)
         model = DualChannelModel(g, RunConfig(dtype="float32"))
         assert model.patterns.counts is model.counts
         assert model.counts.dtype == np.float32
-        logits = model.init_params(0).tensors["local_logits"]
-        assert local_adjacency(model.patterns, ad.Var(logits)).value.dtype == np.float32
+        assert local_adjacency(model.patterns).dtype == np.float32
+        np.testing.assert_array_equal(model.stack.vals[:model.patterns.struct.nnz],
+                                      local_adjacency(model.patterns))
 
     def test_propagate_identity_and_zero(self):
         struct = build_struct(2, np.asarray([0]), np.asarray([1]))
         base = np.asarray([[1.0, 2.0], [3.0, 4.0]])
         empty = build_struct(2, np.empty(0, np.int64), np.empty(0, np.int64))
         # zero adjacency propagates zeros
-        np.testing.assert_allclose(propagate_local(stack_blocks([empty]), np.empty(0),
+        np.testing.assert_allclose(propagate_local(stack_blocks([empty], np.empty(0)),
                                                    base, 3), np.zeros((2, 2)))
         # identity adjacency is a fixed point: every layer equals layer 0
         eye_struct = CSRStruct(n=2, indptr=np.asarray([0, 1, 2]),
                                cols=np.asarray([0, 1]), rows=np.asarray([0, 1]))
         np.testing.assert_allclose(
-            propagate_local(stack_blocks([eye_struct]), np.ones(2), base, 3), base)
+            propagate_local(stack_blocks([eye_struct], np.ones(2)), base, 3), base)
         # normalized single edge swaps rows each hop; mean of swap+original
-        out = propagate_local(stack_blocks([struct]), np.ones(2), base, 2)
+        out = propagate_local(stack_blocks([struct], np.ones(2)), base, 2)
         np.testing.assert_allclose(out, (base[::-1] + base) / 2)
 
     def test_star_edges_scale_by_inverse_sqrt_degrees(self):
         # user of degree 2, items of degree 1: each edge is 1/sqrt(2 * 1)
         g = graph_from_pairs(1, 2, {"a": [(0, 0), (0, 1)]})
         pats = behavior_patterns(g)
-        norm = oracles.dense_matrix(pats.struct, local_adjacency(pats, np.zeros(1)))
+        norm = oracles.dense_matrix(pats.struct, local_adjacency(pats))
         np.testing.assert_allclose(norm, [[0, 1 / np.sqrt(2), 1 / np.sqrt(2)],
                                           [1 / np.sqrt(2), 0, 0],
                                           [1 / np.sqrt(2), 0, 0]], atol=1e-12)
@@ -458,14 +440,13 @@ class TestLinearity:
     def test_propagation_linear_in_base(self):
         g = random_multiplex_graph(6, 7, ("a", "b"), 0.4, seed=5)
         pats = behavior_patterns(g)
-        stack = stack_blocks([pats.struct])
-        vals = local_adjacency(pats, np.random.default_rng(3).normal(size=3))
+        stack = stack_blocks([pats.struct], local_adjacency(pats))
         rng = np.random.default_rng(4)
         x = rng.normal(size=(13, 4))
         y = rng.normal(size=(13, 4))
-        fx = propagate_local(stack, vals, x, 2)
-        fy = propagate_local(stack, vals, y, 2)
-        np.testing.assert_allclose(propagate_local(stack, vals, 2.5 * x, 2), 2.5 * fx,
+        fx = propagate_local(stack, x, 2)
+        fy = propagate_local(stack, y, 2)
+        np.testing.assert_allclose(propagate_local(stack, 2.5 * x, 2), 2.5 * fx,
                                    rtol=1e-9)
-        np.testing.assert_allclose(propagate_local(stack, vals, x + y, 2), fx + fy,
+        np.testing.assert_allclose(propagate_local(stack, x + y, 2), fx + fy,
                                    rtol=1e-9, atol=1e-12)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
-from chainrec import backend, sparse
+from chainrec import sparse
 from chainrec.config import RunConfig
 from chainrec.graph import MultiplexBipartiteGraph
 from chainrec.model import DualChannelModel
@@ -16,7 +16,6 @@ from chainrec.sparse import (build_struct, receptive_fields, row_slice, stack_bl
 import oracles
 from conftest import random_multiplex_graph, relation_table
 from oracles import propagate_layers
-from test_autodiff import fd_grad
 from test_patterns import graph_from_pairs
 
 
@@ -77,7 +76,7 @@ class TestPropagateLayersAtRows:
         g = graph_from_pairs(4, 7, self.GRAPH)
         struct = build_struct(g.num_nodes, *g.edges["r"])
         vals = sym_norm_values(struct)
-        stack = stack_blocks([struct])
+        stack = stack_blocks([struct], vals)
         rng = np.random.default_rng(layers)
         base0 = rng.normal(size=(11, 3))
         coeff = rng.normal(size=(layers, len(self.ROWS), 3))
@@ -85,7 +84,7 @@ class TestPropagateLayersAtRows:
         for rows in (None, self.ROWS):
             base = ad.Var(base0.copy())
             hs = (propagate_layers(struct, vals, base, layers) if rows is None else
-                  propagate_stack(stack, vals, base, layers, rows)[0])
+                  propagate_stack(stack, base, layers, rows)[0])
             loss = None
             for h, c in zip(hs, coeff):
                 at = h if rows is not None else ad.gather(h, self.ROWS)
@@ -136,8 +135,8 @@ class TestModelStack:
                                               dtype=dtype).validate())
         blocks = [build_struct(g.num_nodes, *g.edges[r]) for r in rels]
         assert blocks[1].nnz == 0 and all(b.nnz for i, b in enumerate(blocks) if i != 1)
-        want = stack_blocks([model.patterns.struct] + blocks, np.concatenate(
-            [sym_norm_values(b, dtype=np.dtype(dtype)) for b in blocks]))
+        rel_vals = [sym_norm_values(b, dtype=np.dtype(dtype)) for b in blocks]
+        want = stack_blocks([model.patterns.struct] + blocks, np.concatenate(rel_vals))
         got = model.stack
         assert got.blocks == want.blocks == 1 + len(rels)
         for part in ("first", "diag"):
@@ -152,8 +151,16 @@ class TestModelStack:
         np.testing.assert_array_equal(got.diag.cols, np.concatenate(
             [s.cols + b * n for b, s in enumerate(structs)]))
         np.testing.assert_array_equal(got.diag.indptr, got.first.indptr)
-        assert got.const.dtype == np.dtype(dtype)
-        np.testing.assert_array_equal(got.const, want.const)
+        # every block's values are constants of the stack: the union's, with
+        # every pattern weighted alike, are its plain 1/sqrt(deg_u deg_v)
+        # within rounding, and the relation blocks' follow them exactly
+        union_nnz = model.patterns.struct.nnz
+        assert got.vals.dtype == np.dtype(dtype)
+        assert got.vals.shape == (got.first.nnz,)
+        np.testing.assert_allclose(
+            got.vals[:union_nnz], sym_norm_values(model.patterns.struct),
+            rtol=1e-6 if dtype == "float32" else 1e-14)
+        np.testing.assert_array_equal(got.vals[union_nnz:], np.concatenate(rel_vals))
 
 
 class TestIndexDtype:
@@ -188,7 +195,7 @@ class TestPropagateStack:
     ROWS = np.asarray([0, 3, 11, 17, 23])
 
     def _stack(self, structs, vals):
-        return stack_blocks(structs, np.concatenate(vals[1:]) if len(vals) > 1 else None)
+        return stack_blocks(structs, np.concatenate(vals))
 
     def _weighted(self, tables, coeff):
         loss = None
@@ -206,7 +213,7 @@ class TestPropagateStack:
         base = rng.normal(size=(self.N, 4)).astype(dtype)
         coeff = rng.normal(size=(blocks, layers, len(self.ROWS), 4)).astype(dtype)
         x = ad.Var(base.copy())
-        got = propagate_stack(self._stack(structs, vals), vals[0], x, layers, self.ROWS)
+        got = propagate_stack(self._stack(structs, vals), x, layers, self.ROWS)
         ad.backward(self._weighted([h for hs in got for h in hs],
                                    coeff.reshape(-1, len(self.ROWS), 4)))
         want = np.zeros_like(base)
@@ -229,47 +236,13 @@ class TestPropagateStack:
     def test_one_block_at_every_node_matches_the_block_alone(self, blocks, dtype,
                                                            layers):
         # inference propagates a block from its rows of ``first`` alone,
-        # with block 0's values passed in and the others' read from ``const``
+        # with its values read from ``vals``
         structs, vals = _random_blocks(blocks, dtype)
         stack = self._stack(structs, vals)
         base = np.random.default_rng(layers).normal(size=(self.N, 4)).astype(dtype)
         for b, (struct, v) in enumerate(zip(structs, vals)):
-            got = propagate_block(stack, vals[0], base, layers, b)
+            got = propagate_block(stack, base, layers, b)
             want = propagate_layers(struct, v, base, layers)
             assert len(got) == layers
             for h, ref in zip(got, want):
                 assert h.dtype == dtype and np.array_equal(h, ref)
-
-    @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("blocks", [1, 3, 5])
-    def test_vals_gradient_covers_the_first_block_only(self, blocks, layers,
-                                                       monkeypatch):
-        structs, vals = _random_blocks(blocks, np.float64)
-        stack = self._stack(structs, vals)
-        rng = np.random.default_rng(blocks)
-        base = rng.normal(size=(self.N, 4))
-        coeff = rng.normal(size=(blocks * layers, len(self.ROWS), 4))
-
-        def loss(v):
-            got = propagate_stack(stack, v, base, layers, self.ROWS)
-            return self._weighted([h for hs in got for h in hs], coeff)
-
-        seen = []
-
-        def spy(rows, cols, g, x, _fn=backend.spmm_grad_vals):
-            seen.append(rows.shape[0])
-            return _fn(rows, cols, g, x)
-
-        monkeypatch.setattr(backend, "spmm_grad_vals", spy)
-        v = ad.Var(vals[0].copy())
-        ad.backward(loss(v))
-        np.testing.assert_allclose(v.grad, fd_grad(lambda a: float(loss(a)), vals[0].copy()),
-                                   rtol=1e-6, atol=1e-8)
-        # block 0's fields: its edges outside them get an exact zero, and
-        # only its edges reach spmm_grad_vals, once per layer
-        fields = receptive_fields(stack.diag, self.ROWS, layers - 1)
-        first = structs[0]
-        per_layer = [np.isin(first.rows, f).sum() for f in fields]
-        assert seen == per_layer[::-1]
-        np.testing.assert_array_equal(v.grad[~np.isin(first.rows, fields[0])], 0.0)
-
