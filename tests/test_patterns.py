@@ -136,6 +136,23 @@ class TestLocalChannel:
         dense = oracles.dense_matrix(pats.struct, local_adjacency(pats))
         np.testing.assert_allclose(dense, dense.T, atol=1e-12)
 
+    @pytest.mark.parametrize("rels", [("a", "b", "c"), ("a", "b", "c", "d")],
+                             ids=["three", "four"])
+    def test_degrees_are_counts_times_pattern_weights(self, rels):
+        # the weighted degree, summed edge by edge, is each node's count row
+        # times the pattern weights, every pattern weighing 1/P
+        g = random_multiplex_graph(8, 10, rels, 0.35, seed=len(rels))
+        pats = behavior_patterns(g)
+        struct = pats.struct
+        w = np.full(g.schema.num_patterns, 1.0 / g.schema.num_patterns)
+        edge_w = w[pats.edge_pattern]
+        deg = np.bincount(struct.rows, weights=edge_w, minlength=struct.n)
+        assert struct.nnz > 0 and len(np.unique(pats.edge_pattern)) > 1
+        np.testing.assert_allclose(pats.counts @ w, deg, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(local_adjacency(pats),
+                                   edge_w / np.sqrt(deg[struct.rows] * deg[struct.cols]),
+                                   rtol=1e-12, atol=0)
+
     def test_float32_model_weighs_degrees_in_float32(self):
         g = random_multiplex_graph(6, 6, ("a", "b", "c"), 0.4, seed=0)
         model = DualChannelModel(g, RunConfig(dtype="float32"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chainrec import autodiff as ad
-from chainrec import sparse
+from chainrec import backend, sparse
 from chainrec.config import RunConfig
 from chainrec.graph import MultiplexBipartiteGraph
 from chainrec.model import DualChannelModel
@@ -16,6 +16,7 @@ from chainrec.sparse import (build_struct, receptive_fields, row_slice, stack_bl
 import oracles
 from conftest import random_multiplex_graph, relation_table
 from oracles import propagate_layers
+from test_autodiff import fd_grad
 from test_patterns import graph_from_pairs
 
 
@@ -246,3 +247,39 @@ class TestPropagateStack:
             assert len(got) == layers
             for h, ref in zip(got, want):
                 assert h.dtype == dtype and np.array_equal(h, ref)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("blocks", [1, 3, 5])
+    def test_x_gradient_stays_in_the_receptive_fields(self, blocks, layers,
+                                                      monkeypatch):
+        # every block's values are constants of the stack, so backward forms
+        # the x-adjoint alone: it matches finite differences, is an exact zero
+        # at every node no block reaches from ``ROWS`` in ``layers`` hops, and
+        # never calls the per-edge values kernel
+        structs, vals = _random_blocks(blocks, np.float64)
+        stack = self._stack(structs, vals)
+        rng = np.random.default_rng(blocks)
+        base = rng.normal(size=(self.N, 4))
+        coeff = rng.normal(size=(blocks * layers, len(self.ROWS), 4))
+
+        def loss(x):
+            got = propagate_stack(stack, x, layers, self.ROWS)
+            return self._weighted([h for hs in got for h in hs], coeff)
+
+        calls = []
+
+        def spy(*args, _fn=backend.spmm_grad_vals):
+            calls.append(args[0].shape[0])
+            return _fn(*args)
+
+        monkeypatch.setattr(backend, "spmm_grad_vals", spy)
+        x = ad.Var(base.copy())
+        ad.backward(loss(x))
+        assert calls == []
+        np.testing.assert_allclose(x.grad, fd_grad(lambda a: float(loss(a)), base.copy()),
+                                   rtol=1e-6, atol=1e-8)
+        reach = np.unique(np.concatenate(
+            [receptive_fields(s, self.ROWS, layers)[0] for s in structs]))
+        outside = np.setdiff1d(np.arange(self.N), reach)
+        assert outside.size > 0
+        np.testing.assert_array_equal(x.grad[outside], 0.0)
