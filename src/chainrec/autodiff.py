@@ -236,11 +236,6 @@ def asum(a):
     return _record(out, (a,), lambda g: np.broadcast_to(g, av.shape).copy())
 
 
-def amean(a):
-    n = val(a).size
-    return mul(asum(a), 1.0 / n)
-
-
 def sumsq(a):
     """Sum of squared entries (L2 regularization term)."""
     av = val(a)

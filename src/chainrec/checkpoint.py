@@ -11,7 +11,9 @@ import numpy as np
 from .model import ModelParams
 from .training import AdamState
 
-SAVE_VERSION = 1
+# format 2 dropped the weighting encoders' tensors and made the six meta keys
+# that ``chainrec train`` writes required
+SAVE_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -49,6 +51,11 @@ def load_checkpoint(path) -> dict:
         if version > SAVE_VERSION:
             raise CheckpointError(f"checkpoint version {version} is newer than "
                                   f"supported {SAVE_VERSION}")
+        if version < SAVE_VERSION:
+            raise CheckpointError(f"{path} is a format-{version} checkpoint, which "
+                                  f"predates format {SAVE_VERSION}: its parameters "
+                                  f"include the retired weighting encoders, so no "
+                                  f"model of this version can load it; train anew")
         for key in ("__config__", "__meta__", "__rng__", "__adam_t__"):
             if key not in data:
                 raise CheckpointError(f"{path} lacks {key}")

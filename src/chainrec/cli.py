@@ -34,6 +34,8 @@ EXIT_RUNTIME = 2
 # the keys a command may set apart from the checkpoint it starts from
 EVALUATE_KEYS = ("ks", "csv", "data", "out", "checkpoint")
 RESUME_KEYS = ("epochs", "patience", "eval_every", "ks", "csv", "data", "out", "resume")
+# the run state every checkpoint's meta holds
+META_KEYS = ("num_users", "num_items", "epoch", "best_epoch", "best_metric", "bad_rounds")
 
 
 class UsageError(Exception):
@@ -95,8 +97,12 @@ def _config_from_checkpoint(args, path, command, free, fresh=()):
     """The checkpoint at ``path`` and the run's config, built on the
     checkpoint's embedded config less the keys in ``fresh``. A flag or
     ``--config`` value may change the keys in ``free``; a change to any
-    other is refused, naming the key."""
+    other is refused, naming the key. A checkpoint whose meta lacks one of
+    :data:`META_KEYS` is refused, naming it."""
     ckpt = load_checkpoint(path)
+    missing = [k for k in META_KEYS if k not in ckpt["meta"]]
+    if missing:
+        raise CheckpointError(f"{path} lacks meta key {', '.join(missing)}")
     embedded = parse_config_text(ckpt["config_text"], origin=path)
     base_values = {k: v for k, v in embedded.items() if k not in fresh}
     cfg = _make_config(args, base_values=base_values)
@@ -116,7 +122,7 @@ def _config_from_checkpoint(args, path, command, free, fresh=()):
 def _check_checkpoint(ckpt: dict, cfg: RunConfig, graph) -> None:
     """Refuses a checkpoint trained on another number of users or items, or
     whose parameter tensors do not fit the model its config builds."""
-    sizes = (ckpt["meta"].get("num_users"), ckpt["meta"].get("num_items"))
+    sizes = (ckpt["meta"]["num_users"], ckpt["meta"]["num_items"])
     if sizes != (graph.num_users, graph.num_items):
         raise UsageError(f"checkpoint was trained on {sizes[0]} users and {sizes[1]} "
                          f"items but the data has {graph.num_users} and "
@@ -133,7 +139,7 @@ def _check_resume(ckpt: dict, cfg: RunConfig, split) -> None:
     Adam step count is not its epoch's (a best.npz whose best epoch came
     before the run's last), or into the run directory that holds the
     checkpoint."""
-    epoch, t = int(ckpt["meta"].get("epoch", 0)), ckpt["state"].t
+    epoch, t = int(ckpt["meta"]["epoch"]), ckpt["state"].t
     if cfg.epochs <= epoch:
         raise UsageError(f"epochs is {cfg.epochs} but {cfg.resume} is at epoch "
                          f"{epoch}: nothing to train; pass --epochs above {epoch}")
@@ -231,7 +237,7 @@ def cmd_evaluate(args) -> int:
     if cfg.csv:
         out_dir = cfg.out_dir()
         os.makedirs(out_dir, exist_ok=True)
-        rec = eval_record(ckpt["meta"].get("epoch", 0), result, groups)
+        rec = eval_record(ckpt["meta"]["epoch"], result, groups)
         _write_metrics_csv([rec], os.path.join(out_dir, "eval_metrics.csv"))
     return EXIT_OK
 

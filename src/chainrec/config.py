@@ -119,14 +119,6 @@ _TUPLE_STR = {"relations", "order"}
 _BOOLS = {name for name, kind in _FIELD_TYPES.items() if kind is bool}
 
 _FALSE = ("false", "0", "no", "off")
-# keys that older config files and checkpoints carry, each with the spellings
-# of the one value under which a run is unchanged (None: any value, the key
-# never reached the model). That value loads with the key dropped; any other
-# is refused. A non-empty chain_order is read as order, its new name.
-RETIRED_KEYS = {"attributes": None, "workers": None, "chain_score": None,
-                "per_user_weights": None, "neg_cap": None, "raw_local_adj": _FALSE,
-                "separate_base": _FALSE, "glo_norm": ("row",), "chain_order": ("",),
-                "mu_scale": ("1.0", "1"), "leaky_slope": ("0.01",)}
 
 
 def _parse_value(key: str, raw: str):
@@ -156,8 +148,8 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment. Retired keys are
-    dropped or refused as :data:`RETIRED_KEYS` says."""
+    """Parse ``key = value`` lines; '#' starts a comment. A key that is not
+    a :class:`RunConfig` field is refused, naming its line."""
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -167,14 +159,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
             raise ConfigError(f"{origin}:{line_no}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip().replace("-", "_"), raw.strip()
-        if key == "chain_order" and raw:
-            key = "order"
-        elif key in RETIRED_KEYS:
-            kept = RETIRED_KEYS[key]
-            if kept is not None and raw.lower() not in kept:
-                raise ConfigError(f"{origin}:{line_no}: retired key {key!r} is {raw}; "
-                                  f"this version computes only {key} = {kept[0]}")
-            continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{origin}:{line_no}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)

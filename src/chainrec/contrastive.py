@@ -1,9 +1,14 @@
-"""Relation-based InfoNCE and the chain-aware weighting encoders.
+"""Relation-based InfoNCE, and the paper's chain-aware weighting encoders.
 
 The contrastive loss pulls one user's embeddings under two relations
-together against the rest of the batch. Encoder features concatenate loss
-scalars with embedding rows; a learned projection turns them into scalar
-weights for the per-chain ranking and per-relation contrastive terms.
+together against the rest of the batch. The objective sums the per-chain
+ranking losses and the per-relation contrastive losses unweighted: the
+paper's encoders, which weight them by a learned LeakyReLU projection of
+loss-and-embedding features, saturated to weights 0 and 2 within the first
+epoch on the retail-like graph, where they have no gradient, and constant
+weights trained as well or better (STUDY.md). ``chain_knowledge``,
+``relation_knowledge``, ``encode_weight`` and ``normalize_weights`` remain
+only because perfbench wraps them by name; no training step calls them.
 """
 
 import logging
@@ -76,12 +81,3 @@ def normalize_weights(raw: list):
     scale."""
     return ad.mul(ad.softmax(ad.stack_scalars(raw)), float(len(raw)))
 
-
-def weighted_losses(losses: list, feats: list, weight, bias):
-    """Sum of ``losses`` weighted by one encoder: each loss's feature rows
-    are encoded and averaged, and the means normalized. No losses sum to a
-    zero of the encoder's dtype, so the objective keeps its dtype."""
-    if not losses:
-        return np.zeros((), ad.val(weight).dtype)
-    raw = [ad.amean(encode_weight(f, weight, bias)) for f in feats]
-    return ad.asum(ad.mul(normalize_weights(raw), ad.stack_scalars(losses)))

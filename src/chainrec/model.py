@@ -59,8 +59,6 @@ def param_shapes(schema, cfg: RunConfig, n: int) -> dict:
     for i, chain in enumerate(enumerate_chains(schema)):
         for user, item in zip(*transform_names(i, chain)):
             shapes[user] = shapes[item] = (d, d)
-    shapes.update({"enc_chain.w": (3 * d,), "enc_chain.b": (),
-                   "enc_rel.w": (2 * d,), "enc_rel.b": ()})
     return shapes
 
 
@@ -113,8 +111,8 @@ class DualChannelModel:
     # ------------------------------------------------------------------
 
     def init_params(self, seed: int) -> ModelParams:
-        """N(0, 0.1) base tables, Glorot weights, zero biases, and global
-        logits at softplus(x) = 1: pattern-count scaling starts at 1."""
+        """N(0, 0.1) base tables, Glorot weights, and global logits at
+        softplus(x) = 1: pattern-count scaling starts at 1."""
         rng = stream_rng(seed, "init")
         p = {}
         for name, shape in param_shapes(self.schema, self.cfg, self.n).items():
@@ -122,8 +120,6 @@ class DualChannelModel:
                 p[name] = rng.normal(0.0, 0.1, size=shape)
             elif name == "global_logits":
                 p[name] = np.full(shape, np.log(np.e - 1.0))
-            elif name.endswith(".b"):
-                p[name] = np.zeros(shape)
             else:
                 p[name] = xavier(rng, shape)
         return ModelParams({k: v.astype(self.dtype) for k, v in p.items()})
@@ -143,14 +139,14 @@ class DualChannelModel:
     def embeddings(self, p: dict, rows, users) -> dict:
         """The training path: the embedding tables at ``rows`` (sorted unique
         node indices), indexed by position in ``rows``, from a name->tensor (or
-        name->Var) mapping, and ``e_c`` at the positions ``users`` (user nodes
-        only). The local and relation channels propagate through ``self.stack``,
-        one product per layer, each layer only on its receptive field: the last
-        at the rows, each earlier one at the nodes the next one reads. The
-        global channel forms its output only at the rows, through its p x p
-        pattern Gram matrix. The final table sums each T_r in schema order, then
-        its chain table C_r = T_r K_rᵀ where chains start, then ``h_ebp``;
-        ``e_c`` sums the C_r. Dense tables scale with the rows, and the global
+        name->Var) mapping, and each relation's table at the positions
+        ``users`` (user nodes only). The local and relation channels propagate
+        through ``self.stack``, one product per layer, each layer only on its
+        receptive field: the last at the rows, each earlier one at the nodes
+        the next one reads. The global channel forms its output only at the
+        rows, through its p x p pattern Gram matrix. The final table sums each
+        T_r in schema order, then its chain table C_r = T_r K_rᵀ where chains
+        start, then ``h_ebp``. Dense tables scale with the rows, and the global
         route's row sums, Gram matrix and Cᵀ·base, base's gradient and Adam's
         update with the n nodes."""
         cfg = self.cfg
@@ -169,9 +165,8 @@ class DualChannelModel:
         e_final = final_embedding([x for r, t in rel_tables.items()
                                    for x in (t, chain.get(r)) if x is not None] + [h_ebp])
         rel_users = {r: ad.gather(t, users) for r, t in rel_tables.items()}
-        e_c = ad.gather(ad.add_n([*chain.values()] or [np.zeros_like(ad.val(base_rows))]), users)
         return {"h_loc": h_loc, "h_glo": h_glo, "h_ebp": h_ebp, "rel": rel_tables, "paths": paths,
-                "rel_users": rel_users, "base_rows": base_rows, "e_c": e_c, "final": e_final}
+                "rel_users": rel_users, "base_rows": base_rows, "final": e_final}
 
     def final_embeddings(self, params: ModelParams) -> np.ndarray:
         """The final table at every node, untaped, bit-identical to that of
@@ -208,12 +203,13 @@ class DualChannelModel:
         return ad.add_n(terms + [ad.sumsq(t) for t in extra], scale=self.cfg.l2)
 
     def total_loss(self, p: dict, batch: TrainBatch):
-        """mu2 * the final ranking loss + the encoder-weighted per-chain
-        ranking losses + mu1 * the encoder-weighted contrastive losses;
-        returns (loss, per-term float breakdown). A non-finite term aborts
-        with its name, the terms checked before their sum."""
+        """mu2 * the final ranking loss + the sum of the per-chain ranking
+        losses, in chain order + mu1 * the sum of the auxiliary relations'
+        contrastive losses, in schema order; returns (loss, per-term float
+        breakdown). A family with no loss (no chain drew triples, or no
+        auxiliary relation) reads a zero of the model's dtype. A non-finite
+        term aborts with its name, the terms checked before their sum."""
         cfg = self.cfg
-        target = self.schema.target
         final_nodes = np.concatenate([batch.users, batch.pos, batch.neg])
 
         # the dense channels are only evaluated at rows this batch touches
@@ -226,35 +222,29 @@ class DualChannelModel:
         final_ids = at(final_nodes)
         bu_c = final_ids[:len(batch.users)]
         emb = self.embeddings(p, rows, bu_c)
-        rel_users = emb["rel_users"]
-        rcl = contrastive.relation_losses(rel_users, target, cfg.tau)
-        e_final_rows = ad.gather(emb["final"], bu_c)
+        rcl = contrastive.relation_losses(emb["rel_users"], self.schema.target, cfg.tau)
 
         # chain ranking losses on chains that drew triples this step
-        chain_losses, chain_feats = [], []
+        chain_losses = []
         for i, (cu, cp, cn) in sorted(batch.chain_triples.items()):
             chain = self.chains[i]
             w_u, w_v = ([p[k] for k in ks] for ks in transform_names(i, chain))
             ids = at(np.concatenate([cu, cp, cn]))
             reg = self._reg(emb["base_rows"], ids, extra=w_u + w_v)
-            chain_feats.append(contrastive.chain_knowledge(
-                chain, rcl, emb["e_c"], e_final_rows, target))
             # the chain's last step T_r Πᵀ, only at its triples' rows
             trip = ad.gather(emb["rel"][chain.relations[0]], ids)
             last = ad.split_rows_matmul(trip, len(cu), *(m[-1] for m in emb["paths"][i]))
             core = bpr(last, *np.arange(3 * len(cu)).reshape(3, -1))
             chain_losses.append(ad.add(core, reg))
 
+        def plain_sum(losses):
+            return ad.add_n(losses) if losses else np.zeros((), self.dtype)
+
         terms = {
             "final_bpr": ad.add(bpr(emb["final"], *final_ids.reshape(3, -1)),
                                 self._reg(emb["base_rows"], final_ids)),
-            "chain_bpr": contrastive.weighted_losses(
-                chain_losses, chain_feats, p["enc_chain.w"], p["enc_chain.b"]),
-            "rcl": contrastive.weighted_losses(
-                list(rcl.values()),
-                [contrastive.relation_knowledge(loss, rel_users[r], e_final_rows)
-                 for r, loss in rcl.items()],
-                p["enc_rel.w"], p["enc_rel.b"]),
+            "chain_bpr": plain_sum(chain_losses),
+            "rcl": plain_sum(list(rcl.values())),
         }
         total = ad.add_n([ad.mul(terms["final_bpr"], cfg.mu2), terms["chain_bpr"],
                           ad.mul(terms["rcl"], cfg.mu1)])

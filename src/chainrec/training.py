@@ -166,9 +166,8 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
     t = state.t
     for name, g in grads.items():
         p, m, v = params.tensors[name], state.m[name], state.v[name]
-        blocks = [...] if m.ndim == 0 else [
-            slice(s, s + ADAM_BLOCK_ROWS) for s in range(0, m.shape[0], ADAM_BLOCK_ROWS)]
-        for rows in blocks:
+        for rows in (slice(s, s + ADAM_BLOCK_ROWS)
+                     for s in range(0, m.shape[0], ADAM_BLOCK_ROWS)):
             _adam_rows(p[rows], m[rows], v[rows], g[rows], t, lr)
     params.check_finite()
     return params
@@ -237,15 +236,16 @@ def train(graph: MultiplexBipartiteGraph, split: DatasetSplit, cfg: RunConfig,
     """Run the full optimization; emits one record per epoch (loss
     breakdown) and per evaluation (metrics) through ``record_sink``.
     ``resume``, a loaded checkpoint, continues its run: parameters, Adam
-    state, sampler RNG and, where it holds them, early stopping's state and
-    the best parameters (older checkpoints restart early stopping)."""
+    state, sampler RNG, early stopping's state and, where it holds them, the
+    best parameters."""
     model = DualChannelModel(training_graph(graph, split), cfg)
     sampler = TripleSampler(model, split, cfg.seed)
     if resume:
         params, state, meta = resume["params"], resume["state"], resume["meta"]
         sampler.set_state(resume["rng"])
     else:
-        params, meta = model.init_params(cfg.seed), {}
+        params, meta = model.init_params(cfg.seed), {
+            "best_metric": -np.inf, "best_epoch": 0, "bad_rounds": 0, "epoch": 0}
         state = AdamState.init(params)
 
     history = []
@@ -255,8 +255,8 @@ def train(graph: MultiplexBipartiteGraph, split: DatasetSplit, cfg: RunConfig,
         if record_sink is not None:
             record_sink(record)
 
-    best_metric, best_epoch, bad_rounds, start_epoch = (meta.get(k, v) for k, v in (
-        ("best_metric", -np.inf), ("best_epoch", 0), ("bad_rounds", 0), ("epoch", 0)))
+    best_metric, best_epoch, bad_rounds, start_epoch = (
+        meta[k] for k in ("best_metric", "best_epoch", "bad_rounds", "epoch"))
     best_params = ((resume or {}).get("best") or params).copy()
     last_epoch = start_epoch
 

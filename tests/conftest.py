@@ -91,9 +91,9 @@ def tiny_setup():
 @pytest.fixture
 def tiny_setup_four():
     """As tiny_setup with four relations: 7 chains, every one drawing
-    triples, and 30 parameter tensors; five stacked sparse operators."""
+    triples, and 26 parameter tensors; five stacked sparse operators."""
     setup = _tiny(("tips", "neutral", "dislike", "like"), 0.6, seed=2)
     model, params, batch = setup[2], setup[3], setup[4]
-    assert len(params.tensors) == 30 and model.stack.blocks == 5
+    assert len(params.tensors) == 26 and model.stack.blocks == 5
     assert sorted(batch.chain_triples) == list(range(len(model.chains))) == list(range(7))
     return setup

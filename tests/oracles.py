@@ -122,21 +122,8 @@ def dense_bbps(graph):
     return mats
 
 
-def _softmax(x):
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
-
-
 def _softplus(x):
     return np.logaddexp(0.0, x)
-
-
-# the weighting encoders' LeakyReLU slope
-LEAKY_SLOPE = 0.01
-
-
-def _leaky(x):
-    return np.where(x > 0, x, LEAKY_SLOPE * x)
 
 
 def _cos(a, b):
@@ -210,7 +197,7 @@ def oracle_embeddings(train_graph, cfg, tensors):
         else np.zeros_like(base)
     final = (h_ebp + e_r + e_c) / 3.0
     return {"rel": rel_emb, "chains": chains, "chain_steps": chain_steps,
-            "e_c": e_c, "final": final}
+            "final": final}
 
 
 def oracle_total_loss(train_graph, cfg, tensors, batch):
@@ -218,10 +205,9 @@ def oracle_total_loss(train_graph, cfg, tensors, batch):
     tensors, straight-line dense."""
     schema = train_graph.schema
     base = tensors["base"]
-    d = base.shape[1]
     emb = oracle_embeddings(train_graph, cfg, tensors)
     rel_emb, chains, chain_steps = emb["rel"], emb["chains"], emb["chain_steps"]
-    e_c, final = emb["e_c"], emb["final"]
+    final = emb["final"]
     rels = schema.relations
 
     # contrastive losses, target anchored
@@ -243,40 +229,16 @@ def oracle_total_loss(train_graph, cfg, tensors, batch):
         reg += sum(float((t * t).sum()) for t in extra_reg)
         return core + cfg.l2 * reg
 
-    # per-chain ranking losses and encoder weights
-    active = [i for i in range(len(chains)) if i in batch.chain_triples]
-    chain_losses, raw_means = [], []
-    for i in active:
-        sig, seq = chains[i]
+    # per-chain ranking losses and the contrastive losses, each family
+    # summed unweighted
+    loss_chains = 0.0
+    for i, (sig, seq) in enumerate(chains):
+        if i not in batch.chain_triples:
+            continue
         extra = [tensors[f"chain{i}.user{j}"] for j in range(len(seq) - 1)]
         extra += [tensors[f"chain{i}.item{j}"] for j in range(len(seq) - 1)]
-        chain_losses.append(bpr(chain_steps[i][-1], batch.chain_triples[i], extra))
-        loss_sum = sum(rcl[rel] for rel in seq if rel != target)
-        raws = []
-        for u in bu:
-            feat = np.concatenate([np.full(d, loss_sum), e_c[u], final[u]])
-            raws.append(float(_leaky(feat @ tensors["enc_chain.w"]
-                                     + tensors["enc_chain.b"])))
-        raw_means.append(np.mean(raws))
-    loss_chains = 0.0
-    if active:
-        w_c = _softmax(np.asarray(raw_means)) * len(active)
-        loss_chains = float(np.dot(w_c, np.asarray(chain_losses)))
-
-    # weighted contrastive term
-    aux = [r for r in rels if r != target]
-    loss_rcl = 0.0
-    if aux:
-        means = []
-        for rel in aux:
-            raws = []
-            for u in bu:
-                feat = rcl[rel] * np.concatenate([rel_emb[rel][u], final[u]])
-                raws.append(float(_leaky(feat @ tensors["enc_rel.w"]
-                                         + tensors["enc_rel.b"])))
-            means.append(np.mean(raws))
-        w_r = _softmax(np.asarray(means)) * len(aux)
-        loss_rcl = float(np.dot(w_r, np.asarray([rcl[rel] for rel in aux])))
+        loss_chains += bpr(chain_steps[i][-1], batch.chain_triples[i], extra)
+    loss_rcl = sum(rcl.values())
 
     loss_final = bpr(final, (batch.users, batch.pos, batch.neg), [])
     return loss_chains + cfg.mu1 * loss_rcl + cfg.mu2 * loss_final

@@ -628,7 +628,6 @@ def _op_cases():
         "vecmat": case(ad.matmul, v4, m),
         "transpose": case(ad.transpose, m),
         "asum": case(ad.asum, m),
-        "amean": case(ad.amean, m),
         "sumsq": case(ad.sumsq, m),
         "rowdot": case(ad.rowdot, m, m2),
         "gather": case(lambda a: ad.gather(a, [3, 0, 3]), m),

@@ -42,12 +42,16 @@ def joined(keys):
     return ",".join(sorted(keys))
 
 
-# every retired key at a value under which a run is unchanged
+# every retired key at a value under which an earlier version dropped it
+# and ran unchanged
 RETIRED_AT_KEPT_VALUES = (
     ("attributes", "a.tsv"), ("workers", "4"), ("chain_score", "laststep"),
     ("per_user_weights", "true"), ("neg_cap", "7"), ("raw_local_adj", "false"),
     ("separate_base", "False"), ("glo_norm", "row"), ("mu_scale", "1"),
-    ("leaky_slope", "0.01"))
+    ("leaky_slope", "0.01"), ("chain_order", "buy,view,cart"))
+
+# the run state that every checkpoint's meta must hold
+META_KEYS = ("num_users", "num_items", "epoch", "best_epoch", "best_metric", "bad_rounds")
 
 
 class TestSynth:
@@ -200,23 +204,19 @@ class TestTrain:
         epochs = [r["epoch"] for r in records if r["type"] == "loss"]
         assert epochs == [3, 4]
 
-    @pytest.mark.parametrize("leg", ["repeated_flags", "resume_out_epochs", "older_meta"])
+    @pytest.mark.parametrize("leg", ["repeated_flags", "resume_out_epochs"])
     def test_resume_restores_exactly(self, synth_file, tmp_path, leg):
         # 2 epochs + resume for 2 must land on the same parameters as an
         # uninterrupted 4-epoch run (params, optimizer and RNG state all
         # round-trip through the checkpoint). The second leg may repeat the
         # first's flags or take every key but out and epochs from the
-        # checkpoint, which may carry the meta keys older versions wrote
+        # checkpoint
         straight = tmp_path / "straight"
         assert run_cli(*train_args(synth_file, straight,
                                    extra=["--epochs", "4"])) == 0
         part1 = tmp_path / "part1"
         assert run_cli(*train_args(synth_file, part1)) == 0  # 2 epochs
         ckpt = part1 / "checkpoint.npz"
-        if leg == "older_meta":
-            ckpt = with_meta(ckpt, tmp_path / "old.npz",
-                             {"dim": 8, "relations": ["view", "cart", "buy"],
-                              "target": "buy"})
         part2 = tmp_path / "part2"
         resume = ["--resume", str(ckpt), "--epochs", "4"]
         if leg == "resume_out_epochs":
@@ -513,51 +513,16 @@ class TestTrain:
 
     def test_retired_keys_exit_one_naming_the_key(self, synth_file, tmp_path,
                                                   capsys):
-        # no retired key is a flag, whatever its value; a config file may
-        # set one only to the value this version still computes
-        cases = []
-        for key, value in RETIRED_AT_KEPT_VALUES + (("chain_order", "buy,view,cart"),):
+        # a retired key is no key at any value, even the one an earlier
+        # version dropped it at: no flag, and unknown at its config line
+        for key, value in RETIRED_AT_KEPT_VALUES:
             dashed = key.replace("_", "-")
-            cases.append((dashed, ["--data", str(synth_file), f"--{dashed}", value]))
-        for key, value in (("raw_local_adj", "true"), ("separate_base", "1"),
-                           ("glo_norm", "sym"), ("mu_scale", "1.3"),
-                           ("leaky_slope", "0.2")):
             old = tmp_path / f"{key}.cfg"
             old.write_text(f"data = {synth_file}\n{key} = {value}\n")
-            cases.append((f"{old}:2: retired key {key!r}", ["--config", str(old)]))
-        for key, argv in cases:
-            assert run_cli("train", "--out", str(tmp_path / "x"), *argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert key in err
-
-    def test_config_written_before_a_key_retired_trains_unchanged(self, synth_file,
-                                                                  tmp_path, capsys):
-        # config.txt as the last version with mu_scale, leaky_slope,
-        # glo_norm, neg_cap and separate_base wrote it, every key listed,
-        # plus the keys retired before them: it trains the same run, and
-        # one that set glo_norm to sym is refused at its line
-        run = tmp_path / "run"
-        assert run_cli(*train_args(synth_file, run)) == 0
-        lines = (run / "config.txt").read_text().splitlines(keepends=True)
-        for after, *retired in (("layers", "mu_scale = 1.0", "leaky_slope = 0.01",
-                                 "glo_norm = row"),
-                                ("tau", "neg_cap = 100"), ("csv", "separate_base = False")):
-            at = next(i for i, line in enumerate(lines) if line.startswith(after + " ="))
-            lines[at + 1:at + 1] = [line + "\n" for line in retired]
-        lines += [f"{key} = {value}\n" for key, value in RETIRED_AT_KEPT_VALUES]
-        old = tmp_path / "old.txt"
-        old.write_text("".join(lines))
-        again = tmp_path / "again"
-        assert run_cli("train", "--config", str(old), "--out", str(again)) == 0
-        for name in ("config.txt", "metrics.jsonl"):
-            assert (again / name).read_bytes() == (run / name).read_bytes().replace(
-                str(run).encode(), str(again).encode())
-        capsys.readouterr()
-        line_no = lines.index("glo_norm = row\n") + 1
-        old.write_text("".join(lines).replace("glo_norm = row", "glo_norm = sym"))
-        assert run_cli("train", "--config", str(old), "--out", str(tmp_path / "x")) == 1
-        assert_one_error_line(capsys, f"{old}:{line_no}: retired key 'glo_norm' is sym")
+            for want, argv in ((f"--{dashed}", ["--data", str(synth_file), f"--{dashed}", value]),
+                               (f"{old}:2: unknown key {key!r}", ["--config", str(old)])):
+                assert run_cli("train", "--out", str(tmp_path / "x"), *argv) == 1
+                assert_one_error_line(capsys, want)
         assert not (tmp_path / "x").exists()
 
     def test_output_root_env_var(self, synth_file, tmp_path, monkeypatch):
@@ -715,19 +680,6 @@ class TestUnreadableConfig:
         assert_one_error_line(capsys, "cannot read config file", str(bad_config))
 
 
-def with_config_lines(ckpt_path, out_path, extra_lines):
-    """Copy of a checkpoint whose embedded config also holds ``extra_lines``
-    (placed before ``dtype``, as an older version wrote them)."""
-    from chainrec.checkpoint import load_checkpoint, save_checkpoint
-    ckpt = load_checkpoint(ckpt_path)
-    lines = ckpt["config_text"].splitlines()
-    at = next(i for i, line in enumerate(lines) if line.startswith("dtype = "))
-    lines[at:at] = extra_lines
-    save_checkpoint(out_path, ckpt["params"], ckpt["state"], "\n".join(lines) + "\n",
-                    ckpt["meta"], ckpt["rng"])
-    return out_path
-
-
 def with_meta(ckpt_path, out_path, entries):
     """Copy of a checkpoint whose metadata also holds, or now holds,
     ``entries``."""
@@ -753,6 +705,14 @@ def with_nan(ckpt_path, out_path, name):
     arrays[f"param/{name}"].flat[0] = np.nan
     np.savez(out_path, **arrays)
     return out_path
+
+
+def from_checkpoint(command, data, ckpt, out):
+    """The command line that evaluates ``ckpt`` on ``data``, or resumes it
+    into ``out`` for 4 epochs."""
+    if command == "evaluate":
+        return ["evaluate", "--data", str(data), "--checkpoint", str(ckpt)]
+    return ["train", "--out", str(out), "--epochs", "4", "--resume", str(ckpt)]
 
 
 def assert_one_error_line(capsys, *words):
@@ -812,16 +772,52 @@ class TestEvaluate:
 
     def test_checkpoint_with_local_logits_exits_one(self, synth_file, capsys):
         # best.npz of a train_args run written by ede8f01, the last commit
-        # whose default dtype was float64: it holds learned local pattern
-        # logits, which the model no longer has (every pattern weighs alike),
-        # so it cannot be scored as it was trained
+        # whose default dtype was float64: a format-1 checkpoint, which holds
+        # learned local pattern logits and the weighting encoders, neither of
+        # which the model has any more, so it cannot be scored as it was
+        # trained
         ckpt = os.path.join(os.path.dirname(__file__), "data",
                             "float64_default_best.npz")
         assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint", ckpt) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "local_logits (checkpoint (7,), model none)" in captured.err
+        assert "format-1 checkpoint, which predates format 2" in captured.err
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    @pytest.mark.parametrize("key", META_KEYS)
+    def test_checkpoint_missing_a_meta_key_exits_one(self, run_dir, synth_file, tmp_path,
+                                                     capsys, key, command):
+        from chainrec.checkpoint import load_checkpoint, save_checkpoint
+        ckpt = load_checkpoint(run_dir / "checkpoint.npz")
+        assert sorted(ckpt["meta"]) == sorted(META_KEYS)
+        bad = tmp_path / "bad.npz"
+        save_checkpoint(bad, ckpt["params"], ckpt["state"], ckpt["config_text"],
+                        {k: v for k, v in ckpt["meta"].items() if k != key}, ckpt["rng"],
+                        ckpt["best"])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(*from_checkpoint(command, synth_file, bad, out)) == 1
+        assert_one_error_line(capsys, f"lacks meta key {key}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    @pytest.mark.parametrize("version, words", [
+        (1, "format-1 checkpoint, which predates format 2"),
+        (3, "checkpoint version 3 is newer than supported 2")], ids=["older", "newer"])
+    def test_checkpoint_of_another_format_exits_one(self, run_dir, synth_file, tmp_path,
+                                                    capsys, version, words, command):
+        # the version alone decides: the tensors and meta are this format's
+        with np.load(run_dir / "checkpoint.npz") as data:
+            arrays = dict(data)
+        arrays["__version__"] = np.asarray(version)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(*from_checkpoint(command, synth_file, bad, out)) == 1
+        assert_one_error_line(capsys, words)
+        assert not out.exists()
 
     def test_corrupted_checkpoint_exits_one(self, synth_file, tmp_path):
         bad = tmp_path / "bad.npz"
@@ -844,22 +840,22 @@ class TestEvaluate:
                                                           tmp_path, capsys):
         with np.load(run_dir / "best.npz") as data:
             arrays = dict(data)
-        arrays["param/enc_rel.w"] = arrays["param/enc_rel.w"][:-1]
+        arrays["param/chain0.user0"] = arrays["param/chain0.user0"][:-1]
         np.savez(tmp_path / "bad.npz", **arrays)
         capsys.readouterr()
         assert run_cli("evaluate", "--data", str(synth_file),
                        "--checkpoint", str(tmp_path / "bad.npz")) == 1
-        assert_one_error_line(capsys, "enc_rel.w (checkpoint (15,), model (16,))")
+        assert_one_error_line(capsys, "chain0.user0 (checkpoint (7, 8), model (8, 8))")
 
     def test_checkpoint_with_a_nonfinite_parameter_exits_one(self, run_dir,
                                                              synth_file, tmp_path,
                                                              capsys):
-        bad = with_nan(run_dir / "best.npz", tmp_path / "bad.npz", "enc_rel.w")
+        bad = with_nan(run_dir / "best.npz", tmp_path / "bad.npz", "chain0.user0")
         capsys.readouterr()
         out = tmp_path / "eval_run"
         assert run_cli("evaluate", "--data", str(synth_file), "--checkpoint",
                        str(bad), "--csv", "true", "--out", str(out)) == 1
-        assert_one_error_line(capsys, "non-finite", "enc_rel.w")
+        assert_one_error_line(capsys, "non-finite", "chain0.user0")
         assert not out.exists()
 
     def test_dimension_mismatch_reports_diff(self, run_dir, synth_file, capsys):
@@ -936,78 +932,6 @@ class TestEvaluate:
         assert (out / "metrics.csv").read_bytes() == trained
         rows = (out / "eval_metrics.csv").read_text().splitlines()
         assert rows[0] == "epoch,metric,k,value,group" and len(rows) > 1
-
-    def test_checkpoint_with_retired_keys_still_evaluates(self, run_dir, synth_file,
-                                                          tmp_path, capsys):
-        # checkpoints written before a key was removed embed it; evaluate
-        # drops it and scores as before. The loss-only keys go whatever
-        # their value; raw_local_adj only at the value the forward pass kept
-        assert run_cli("evaluate", "--data", str(synth_file),
-                       "--checkpoint", str(run_dir / "best.npz")) == 0
-        current = capsys.readouterr().out
-        for retired in (["raw_local_adj = False", "chain_score = laststep",
-                         "per_user_weights = False", "chain_order = ",
-                         "glo_norm = row", "neg_cap = 100", "separate_base = False",
-                         "mu_scale = 1.0", "leaky_slope = 0.01"],
-                        ["raw_local_adj = False", "chain_score = aggregated",
-                         "per_user_weights = True", "neg_cap = 7",
-                         "separate_base = no"]):
-            old = with_config_lines(run_dir / "best.npz", tmp_path / "old.npz",
-                                    ["attributes = ", "workers = 1", *retired])
-            assert run_cli("evaluate", "--data", str(synth_file),
-                           "--checkpoint", str(old)) == 0
-            assert capsys.readouterr().out == current
-
-    def test_checkpoint_with_chain_order_evaluates_as_order(self, synth_file,
-                                                            tmp_path, capsys):
-        # chain_order once sequenced the chains in place of order, so an
-        # older checkpoint that set it scores as a run with that order
-        run = tmp_path / "ordered"
-        assert run_cli(*train_args(synth_file, run,
-                                   extra=["--order", "buy,view,cart"])) == 0
-        capsys.readouterr()
-        assert run_cli("evaluate", "--data", str(synth_file),
-                       "--checkpoint", str(run / "best.npz")) == 0
-        current = capsys.readouterr().out
-        from chainrec.checkpoint import load_checkpoint, save_checkpoint
-        ckpt = load_checkpoint(run / "best.npz")
-        text = ckpt["config_text"].replace("order = buy,view,cart",
-                                           "order = view,cart,buy")
-        old = tmp_path / "old.npz"
-        save_checkpoint(old, ckpt["params"], ckpt["state"],
-                        text + "chain_order = buy,view,cart\n",
-                        ckpt["meta"], ckpt["rng"])
-        assert run_cli("evaluate", "--data", str(synth_file),
-                       "--checkpoint", str(old)) == 0
-        assert capsys.readouterr().out == current
-
-    def test_checkpoint_with_raw_local_adj_exits_one(self, run_dir, synth_file,
-                                                    tmp_path, capsys):
-        # the unnormalized local adjacency is no longer computed, so such a
-        # checkpoint cannot be scored as it was trained
-        old = with_config_lines(run_dir / "best.npz", tmp_path / "old.npz",
-                                ["raw_local_adj = True"])
-        assert run_cli("evaluate", "--data", str(synth_file),
-                       "--checkpoint", str(old)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "raw_local_adj" in captured.err
-
-    @pytest.mark.parametrize("line", ["separate_base = True", "glo_norm = sym",
-                                      "mu_scale = 1.3", "leaky_slope = 0.2"])
-    def test_checkpoint_with_a_retired_variant_exits_one(self, run_dir, synth_file,
-                                                         tmp_path, capsys, line):
-        # one base table per channel, the symmetric global normalization and
-        # any chain-feature scale or encoder slope but 1 and 0.01 are no
-        # longer computed
-        old = with_config_lines(run_dir / "best.npz", tmp_path / "old.npz", [line])
-        assert run_cli("evaluate", "--data", str(synth_file),
-                       "--checkpoint", str(old)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert f"{old}:" in captured.err and line.split()[0] in captured.err
 
     def test_bad_ks_exits_one(self, run_dir, synth_file, capsys):
         assert run_cli("evaluate", "--data", str(synth_file),

@@ -1,4 +1,5 @@
-"""Contrastive loss closed forms and the weighting encoder pieces."""
+"""Contrastive loss closed forms and the weighting encoder pieces that
+perfbench still wraps."""
 
 import logging
 
@@ -129,26 +130,6 @@ class TestRelationLosses:
         with caplog.at_level(logging.WARNING, logger="chainrec.contrastive"):
             contrastive.infonce_terms(a, a, 1.0)
         assert caplog.records == []
-
-
-class TestWeightedLosses:
-    def test_weights_from_encoded_feature_means(self):
-        feats = [np.asarray([[1.0, 0.0], [3.0, 0.0]]), np.asarray([[0.0, 2.0]])]
-        w, b = np.asarray([0.5, 1.0]), 0.25
-        got = contrastive.weighted_losses([2.0, 5.0], feats, w, b)
-        # LeakyReLU(F . w + b) averaged per loss: (0.75 + 1.75) / 2 and 2.25
-        weights = np.asarray(contrastive.normalize_weights([1.25, 2.25]))
-        assert float(got) == pytest.approx(float(weights @ [2.0, 5.0]), rel=1e-15)
-
-    def test_uniform_raws_give_the_plain_sum(self):
-        feats = [np.ones((2, 3)), np.ones((4, 3)), np.ones((1, 3))]
-        got = contrastive.weighted_losses([1.0, 2.0, 4.0], feats, np.zeros(3), 1.0)
-        assert float(got) == pytest.approx(7.0, rel=1e-15)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_no_losses_is_a_zero_of_the_encoder_dtype(self, dtype):
-        got = contrastive.weighted_losses([], [], np.zeros(3, dtype), dtype(0.0))
-        assert float(got) == 0.0 and got.dtype == dtype
 
 
 class TestChainKnowledge:

@@ -4,7 +4,7 @@ identity to the row path and its memory peak, and term switch-off."""
 
 import tracemalloc
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from chainrec import autodiff as ad
-from chainrec import backend, evaluation, patterns
+from chainrec import backend, contrastive, evaluation, patterns
 from chainrec import model as model_module
 from chainrec.config import ConfigError, RunConfig
 from chainrec.graph import (MultiplexBipartiteGraph, load_interactions, make_schema,
@@ -60,24 +60,22 @@ class TestDualImplementation:
                              ids=["three", "four"])
     def test_collapsed_chain_channel_matches_the_step_by_step_oracle(self, setup,
                                                                      request):
-        # e_c and the final table from one d x d map per side and starting
-        # relation, against the oracle's sum of every chain's step tables
+        # the final table from one d x d map per side and starting relation,
+        # against the oracle's sum of every chain's step tables
         _, _, model, params, _, cfg = request.getfixturevalue(setup)
         users = np.arange(model.num_users)
         got = model.embeddings(params.tensors, np.arange(model.n), users)
         want = oracles.oracle_embeddings(model.graph, cfg, params.tensors)
-        for key, at in (("e_c", users), ("final", slice(None))):
-            err = np.abs(got[key] - want[key][at]).max()
-            assert err <= 1e-10 * np.abs(want[key]).max(), key
+        err = np.abs(got["final"] - want["final"]).max()
+        assert err <= 1e-10 * np.abs(want["final"]).max()
 
     def test_var_and_ndarray_forwards_agree(self, tiny_setup):
         _, _, model, params, batch, _ = tiny_setup
         every, users = np.arange(model.n), np.arange(model.num_users)
         emb_nd = model.embeddings(params.tensors, every, users)
         emb_var = model.embeddings(params.as_vars(), every, users)
-        for key in ("e_c", "final"):
-            np.testing.assert_allclose(ad.val(emb_var[key]), emb_nd[key],
-                                       rtol=1e-12, atol=1e-14, err_msg=key)
+        np.testing.assert_allclose(ad.val(emb_var["final"]), emb_nd["final"],
+                                   rtol=1e-12, atol=1e-14)
         loss_nd, _ = model.total_loss(params.tensors, batch)
         loss_var, _ = model.total_loss(params.as_vars(), batch)
         assert float(loss_nd) == pytest.approx(float(ad.val(loss_var)), abs=1e-12)
@@ -106,7 +104,7 @@ class TestRowRestrictedEmbeddings:
     rows, and the sparse channels against one-operator-at-a-time references
     on the union and on each relation's own CSR structure."""
 
-    KEYS = ("h_loc", "h_glo", "h_ebp", "e_c", "final")
+    KEYS = ("h_loc", "h_glo", "h_ebp", "final")
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_tables_and_gradients_match_the_full_tables(self, layers):
@@ -140,14 +138,16 @@ class TestRowRestrictedEmbeddings:
         model = DualChannelModel(graph, cfg)
         params = model.init_params(cfg.seed)
         p = params.tensors
-        # e_c is formed at the user rows only
+        # the relation tables are gathered at the user rows only
         users = rows[rows < model.num_users]
         full = model.embeddings(p, np.arange(model.n), users)
         part = model.embeddings(p, rows, np.searchsorted(rows, users))
         for key in self.KEYS:
-            want = full[key] if key == "e_c" else full[key][rows]
-            np.testing.assert_allclose(part[key], want, rtol=1e-13,
+            np.testing.assert_allclose(part[key], full[key][rows], rtol=1e-13,
                                        atol=1e-15, err_msg=key)
+        for r, want in full["rel_users"].items():
+            np.testing.assert_allclose(part["rel_users"][r], want, rtol=1e-13,
+                                       atol=1e-15, err_msg=r)
         # every layer of the sparse channels sums the same CSR rows in the
         # same order as the full one-operator products
         vals = patterns.local_adjacency(model.patterns)
@@ -171,9 +171,6 @@ class TestRowRestrictedEmbeddings:
             ad.backward(ad.asum(ad.mul(final, coeff)))
             grads.append({k: v.grad for k, v in pv.items()})
         for name, want in grads[0].items():
-            if want is None:  # the encoders sit outside the embeddings
-                assert grads[1][name] is None, name
-                continue
             np.testing.assert_allclose(grads[1][name], want, rtol=1e-10,
                                        atol=1e-13, err_msg=name)
 
@@ -214,14 +211,14 @@ class TestInferencePath:
         # the in-place sums write only into tables the pass made
         for name, t in before.items():
             np.testing.assert_array_equal(params.tensors[name], t, err_msg=name)
-        if len(rels) == 1:  # no chains: e_c is zeros
-            assert not model.chains and not np.any(want["e_c"])
+        if len(rels) == 1:
+            assert not model.chains
 
 
 class TestOneChainTablePerStep:
     """A training step forms each starting relation's chain table once, for
-    the final table and for ``e_c`` alike, and gathers base's batch rows
-    once, so its L2 terms add no row scatter into base's gradient."""
+    the final table, and gathers base's batch rows once, so its L2 terms add
+    no row scatter into base's gradient."""
 
     CASES = pytest.mark.parametrize("rels,starts", [
         (("view", "cart", "buy"), 2), (("tips", "neutral", "dislike", "like"), 3),
@@ -385,9 +382,6 @@ class TestTermSwitchOff:
         graph, split, model, params, batch, cfg = tiny_setup
         cfg_off = RunConfig(**{**cfg.__dict__, "mu1": 0.0, "mu2": 0.0}).validate()
         model_off = DualChannelModel(model.graph, cfg_off)
-        # uniform encoder outputs -> normalized weights are exactly 1
-        params.tensors["enc_chain.w"][:] = 0.0
-        params.tensors["enc_chain.b"] = np.asarray(2.0)
         total, bd = model_off.total_loss(params.tensors, batch)
         emb = model_off.embeddings(params.tensors, np.arange(model_off.n), np.arange(0))
         nu = model_off.num_users
@@ -418,16 +412,6 @@ class TestTermSwitchOff:
         total, _ = model_off.total_loss(params.tensors, empty)
         assert float(total) == 0.0
 
-    def test_mu1_zero_kills_relation_encoder_gradient(self, tiny_setup):
-        graph, split, model, params, batch, cfg = tiny_setup
-        cfg_off = RunConfig(**{**cfg.__dict__, "mu1": 0.0}).validate()
-        model_off = DualChannelModel(model.graph, cfg_off)
-        grads, _ = backward(model_off, params, batch)
-        np.testing.assert_array_equal(grads["enc_rel.w"], 0.0)
-        np.testing.assert_array_equal(grads["enc_rel.b"], 0.0)
-        # the chain encoder still learns (its weights gate the chain losses)
-        assert np.any(grads["enc_chain.w"] != 0.0)
-
     def test_nan_parameter_aborts_with_term_name(self, tiny_setup):
         _, _, model, params, batch, _ = tiny_setup
         params.tensors["base"][0, 0] = np.nan
@@ -435,41 +419,65 @@ class TestTermSwitchOff:
         with pytest.warns(RuntimeWarning), pytest.raises(TrainingAbort):
             model.total_loss(params.tensors, batch)
 
-    @pytest.mark.parametrize("name, term", [("enc_rel.w", "rcl"),
-                                            ("enc_chain.w", "chain_bpr"),
-                                            ("base", "final_bpr")])
-    def test_nan_abort_names_the_term_it_reaches(self, tiny_setup, name, term):
+    @pytest.mark.parametrize("term", ["rcl", "final_bpr"])
+    def test_nan_abort_names_the_term_it_reaches(self, tiny_setup, term, monkeypatch):
         # the terms are checked before their sum, which every NaN reaches. A
         # NaN in base reaches every term (the final one is checked first) and
-        # a softplus, which warns
+        # a softplus, which warns; NaN contrastive terms reach rcl alone
         _, _, model, params, batch, _ = tiny_setup
-        params.tensors[name][0] = np.nan
-        with (pytest.warns(RuntimeWarning) if name == "base" else nullcontext()), \
+        if term == "rcl":
+            monkeypatch.setattr(contrastive, "infonce_terms",
+                                lambda *args, _fn=contrastive.infonce_terms:
+                                ad.mul(_fn(*args), np.nan))
+        else:
+            params.tensors["base"][0] = np.nan
+        with (pytest.warns(RuntimeWarning) if term == "final_bpr" else nullcontext()), \
                 pytest.raises(TrainingAbort, match=f"non-finite loss term '{term}'"):
             model.total_loss(params.tensors, batch)
 
 
+class TestPlainSums:
+    """The objective sums the per-chain ranking losses and the auxiliary
+    relations' contrastive losses as they are, unweighted."""
+
+    @pytest.mark.parametrize("setup", ["tiny_setup", "tiny_setup_four"],
+                             ids=["three", "four"])
+    def test_chain_bpr_and_rcl_are_the_plain_sums(self, setup, request):
+        _, _, model, params, batch, cfg = request.getfixturevalue(setup)
+        p = params.tensors
+        _, bd = model.total_loss(p, batch)
+        # each chain's loss alone, from a batch that holds only its triples
+        per_chain = [model.total_loss(p, replace(batch, chain_triples={i: t}))[1]["chain_bpr"]
+                     for i, t in batch.chain_triples.items()]
+        emb = model.embeddings(p, np.arange(model.n), batch.users)
+        per_rel = contrastive.relation_losses(emb["rel_users"], model.schema.target, cfg.tau)
+        assert len(per_chain) >= 2 and len(per_rel) >= 2
+        assert bd["chain_bpr"] == pytest.approx(sum(per_chain), rel=1e-12)
+        assert bd["rcl"] == pytest.approx(float(sum(per_rel.values())), rel=1e-12)
+
+
 class TestSingleRelation:
-    """A one-relation schema has no auxiliary and no chain, so both weighted
+    """A one-relation schema has no auxiliary and no chain, so both summed
     families are empty: they add nothing and read 0 in the breakdown."""
 
     @staticmethod
-    def setup_run():
+    def setup_run(dtype="float32"):
         graph = random_multiplex_graph(5, 7, ("buy",), 0.5, seed=2)
         cfg = RunConfig(dim=4, layers=2, mu2=0.5, batch=4, epochs=1,
-                        relations=("buy",), target="buy").validate()
+                        relations=("buy",), target="buy", dtype=dtype).validate()
         return graph, split_train_test(graph, 0.75, seed=0), cfg
 
-    def test_objective_is_mu2_times_the_final_loss(self):
-        graph, split, cfg = self.setup_run()
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_objective_is_mu2_times_the_final_loss(self, dtype):
+        graph, split, cfg = self.setup_run(dtype)
         model = DualChannelModel(training_graph(graph, split), cfg)
         assert model.chains == []
         batch = make_batch(model, split, np.random.default_rng(1), size=4)
         total, bd = model.total_loss(model.init_params(cfg.seed).as_vars(), batch)
         assert bd["chain_bpr"] == bd["rcl"] == 0.0
         assert bd["final_bpr"] > 0.0 and bd["total"] == 0.5 * bd["final_bpr"]
-        # the empty families' zeros keep the float32 objective float32
-        assert total.value.dtype == np.float32
+        # the empty families' zeros keep the objective in the model's dtype
+        assert total.value.dtype == np.dtype(dtype)
 
     def test_one_epoch_trains(self):
         graph, split, cfg = self.setup_run()

@@ -241,13 +241,13 @@ class TestAdam:
 
     def test_matches_textbook_update_bitwise(self):
         # every step equals Adam written out in the order of its formulas,
-        # for a matrix spanning several row blocks, a 0-d parameter (like
-        # enc_chain.b) and a float32 parameter whose gradient is float64
+        # for a matrix spanning several row blocks, a vector, and a float32
+        # parameter whose gradient is float64
         from chainrec.model import ModelParams
         from chainrec.training import ADAM_BLOCK_ROWS
         rng = np.random.default_rng(11)
         rows = 2 * ADAM_BLOCK_ROWS + 3
-        start = {"w": rng.normal(size=(rows, 3)), "b": np.asarray(0.4),
+        start = {"w": rng.normal(size=(rows, 3)), "b": np.asarray([0.4, -0.2]),
                  "h": rng.normal(size=(4,)).astype(np.float32)}
         params = ModelParams({k: v.copy() for k, v in start.items()})
         state = AdamState.init(params)
@@ -257,7 +257,7 @@ class TestAdam:
         v = {k: np.zeros_like(x) for k, x in start.items()}
         for t in range(1, 5):
             grads = {"w": rng.normal(size=(rows, 3)),
-                     "b": np.asarray(rng.normal()) if t % 2 else np.float64(rng.normal()),
+                     "b": rng.normal(size=(2,)),
                      "h": rng.normal(size=(4,))}
             adam_step(params, grads, state, lr)
             for k, g in grads.items():
