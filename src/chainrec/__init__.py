@@ -2,8 +2,8 @@
 
 Learns user/item embeddings from explicit behavior patterns (exact relation
 subsets per user-item pair) and implicit relation chains (staged transforms
-along the relation order), trains them jointly with weighted ranking and
-contrastive losses, and evaluates full-catalog top-K recommendation.
+along the relation order), trains them jointly with ranking and contrastive
+losses summed unweighted, and evaluates full-catalog top-K recommendation.
 """
 
 from .config import RunConfig, make_config

@@ -324,15 +324,6 @@ def leaky_relu(a, slope):
     return _record(out, (a,), lambda g: np.where(av > 0, g, g * slope))
 
 
-def rsqrt_safe(a):
-    """1/sqrt(x) where x > 0, exactly 0 elsewhere (zero-degree guard)."""
-    av = val(a)
-    pos = av > 0
-    out = np.zeros_like(av)
-    out[pos] = 1.0 / np.sqrt(av[pos])
-    return _record(out, (a,), lambda g: g * np.where(pos, -0.5 * out**3, 0.0))
-
-
 def reciprocal_safe(a):
     """1/x where x != 0, exactly 0 elsewhere (zero-row guard)."""
     av = val(a)

@@ -97,8 +97,8 @@ class DualChannelModel:
         self.counts = self.patterns.counts
         self.chains = enumerate_chains(self.schema)
         # the union, every pattern weighted alike, then relation r's block: the
-        # union's edges whose pattern has bit r; every block holds constant
-        # 1/sqrt(deg_u deg_v) values
+        # union's edges whose pattern has bit r; every block, the union's
+        # included, holds the constant 1/sqrt(deg_u deg_v) of sym_norm_values
         union, signature = self.patterns.struct, self.patterns.edge_pattern + 1
         rel = [select_edges(union, (signature >> r & 1).astype(bool))
                for r in range(len(self.schema.relations))]

@@ -9,8 +9,8 @@ whose bit r is schema relation r; pattern p has signature p + 1, so the
 pairs is the model's one sparse topology: the local route propagates
 through it as block 0 of the model's stacked operator (see
 :mod:`chainrec.relations`), and relation r's block is the union's edges
-whose pattern has bit r. Every block's edge values are constants of the
-stack, so no edge value is on the tape.
+whose pattern has bit r. Every block holds the plain 1/sqrt(deg_u deg_v)
+of its edges, constants of the stack, so no edge value is on the tape.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .graph import MultiplexBipartiteGraph, RelationSchema, sorted_unique
 from .relations import propagate_block
-from .sparse import BlockStack, CSRStruct, build_struct
+from .sparse import BlockStack, CSRStruct, build_struct, sym_norm_values
 
 
 def pattern_relations(schema: RelationSchema, p: int) -> tuple:
@@ -67,13 +67,9 @@ def behavior_patterns(graph: MultiplexBipartiteGraph, dtype=np.float64) -> Behav
 
 def local_adjacency(union: BehaviorPatterns) -> np.ndarray:
     """The constant values, in ``union.struct`` order, of the local operator:
-    every pattern weighted alike, softmax of zeros, on the union of all
-    pattern pairs, then symmetric normalization by the degrees, counts times
-    weights."""
-    struct = union.struct
-    w = ad.softmax(np.zeros(union.counts.shape[1], dtype=union.counts.dtype))
-    inv = ad.rsqrt_safe(union.counts @ w)
-    return w[union.edge_pattern] * inv[struct.rows] * inv[struct.cols]
+    the union's plain 1/sqrt(deg_u deg_v), which is every pattern weighted
+    alike (the 1/P of each weight cancels in the normalization)."""
+    return sym_norm_values(union.struct, dtype=union.counts.dtype)
 
 
 def propagate_local(stack: BlockStack, base, num_layers: int):

@@ -13,7 +13,7 @@ from chainrec.model import DualChannelModel, param_shapes
 from chainrec.patterns import (behavior_patterns, ebp_embeddings,
                                local_adjacency, propagate_global_factored,
                                propagate_local)
-from chainrec.sparse import CSRStruct, build_struct, stack_blocks
+from chainrec.sparse import CSRStruct, build_struct, stack_blocks, sym_norm_values
 
 import oracles
 from conftest import make_batch, random_multiplex_graph
@@ -138,20 +138,23 @@ class TestLocalChannel:
 
     @pytest.mark.parametrize("rels", [("a", "b", "c"), ("a", "b", "c", "d")],
                              ids=["three", "four"])
-    def test_degrees_are_counts_times_pattern_weights(self, rels):
-        # the weighted degree, summed edge by edge, is each node's count row
-        # times the pattern weights, every pattern weighing 1/P
+    def test_local_degrees_are_the_union_degrees(self, rels):
+        # a node's count row sums to its union degree, so with every pattern
+        # weighing 1/P its weighted degree is deg/P; the 1/P cancels, and the
+        # local values are exactly the union's plain normalization
         g = random_multiplex_graph(8, 10, rels, 0.35, seed=len(rels))
         pats = behavior_patterns(g)
         struct = pats.struct
-        w = np.full(g.schema.num_patterns, 1.0 / g.schema.num_patterns)
-        edge_w = w[pats.edge_pattern]
-        deg = np.bincount(struct.rows, weights=edge_w, minlength=struct.n)
+        deg = np.diff(struct.indptr)
         assert struct.nnz > 0 and len(np.unique(pats.edge_pattern)) > 1
-        np.testing.assert_allclose(pats.counts @ w, deg, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(local_adjacency(pats),
-                                   edge_w / np.sqrt(deg[struct.rows] * deg[struct.cols]),
-                                   rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(pats.counts.sum(axis=1), deg)
+        p = g.schema.num_patterns
+        np.testing.assert_allclose(
+            local_adjacency(pats),
+            (1.0 / p) / np.sqrt(deg[struct.rows] / p * (deg[struct.cols] / p)),
+            rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(local_adjacency(pats), sym_norm_values(struct),
+                                      strict=True)
 
     def test_float32_model_weighs_degrees_in_float32(self):
         g = random_multiplex_graph(6, 6, ("a", "b", "c"), 0.4, seed=0)

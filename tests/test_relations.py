@@ -152,16 +152,17 @@ class TestModelStack:
         np.testing.assert_array_equal(got.diag.cols, np.concatenate(
             [s.cols + b * n for b, s in enumerate(structs)]))
         np.testing.assert_array_equal(got.diag.indptr, got.first.indptr)
-        # every block's values are constants of the stack: the union's, with
-        # every pattern weighted alike, are its plain 1/sqrt(deg_u deg_v)
-        # within rounding, and the relation blocks' follow them exactly
+        # every block's values are constants of the stack, and every block,
+        # the union's with every pattern weighted alike included, holds
+        # exactly the plain 1/sqrt(deg_u deg_v) of its edges (the values are
+        # positive and finite, so equal arrays of one dtype are equal bytes)
         union_nnz = model.patterns.struct.nnz
         assert got.vals.dtype == np.dtype(dtype)
         assert got.vals.shape == (got.first.nnz,)
-        np.testing.assert_allclose(
-            got.vals[:union_nnz], sym_norm_values(model.patterns.struct),
-            rtol=1e-6 if dtype == "float32" else 1e-14)
-        np.testing.assert_array_equal(got.vals[union_nnz:], np.concatenate(rel_vals))
+        np.testing.assert_array_equal(got.vals[:union_nnz], sym_norm_values(
+            model.patterns.struct, dtype=np.dtype(dtype)), strict=True)
+        np.testing.assert_array_equal(got.vals[union_nnz:], np.concatenate(rel_vals),
+                                      strict=True)
 
 
 class TestIndexDtype:
