@@ -29,14 +29,16 @@ own schema, on the same split, so the relation-order study is six arms.
 
 Writes out_dir/paired_study.json and out_dir/paired_study.md. Per run the
 JSON holds R@10, N@10, wall seconds per epoch (the one evaluation pass
-included), the epoch-4 ``final_bpr`` (a retail-like run above 2.0 is in
-the slow mode of STUDY.md), the schema order, the arm's overrides as the
-tree's config read them, the ``chainrec`` it imported, and a sha256 of the
-split's train edges and of its test edges. The Markdown table gives the
-median per tree and arm, the paired differences against the reference with
-quartiles, wins, losses and ties, the worst pair as a share of the
-reference's value, and a two-sided sign-test p. If two runs built
-different splits, the script says which trees did and exits 1.
+included), the training seed as the run's config read it, the epoch-4
+``final_bpr`` (a retail-like run above 2.0 is in the slow mode of
+STUDY.md), the schema order, the arm's overrides as the tree's config read
+them, the ``chainrec`` it imported, and a sha256 of the split's train edges
+and of its test edges. The Markdown table gives the median per tree and
+arm, the paired differences against the reference with quartiles, wins,
+losses and ties, the worst pair as a share of the reference's value, and a
+two-sided sign-test p. If two runs built different splits, the script says
+which trees did and exits 1. If a run fails, the runs not yet started are
+cancelled, nothing is written, and the script exits 1.
 """
 
 import argparse
@@ -48,7 +50,7 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -109,7 +111,8 @@ def run_one(spec: dict) -> dict:
     last = [r for r in result.history if r["type"] == "eval"][-1]
     epoch4 = [r["final_bpr"] for r in result.history
               if r["type"] == "loss" and r["epoch"] == 4]
-    return {"epoch": last["epoch"], "recall_at_10": float(last["recall"]["10"]),
+    return {"train_seed": cfg.seed, "epoch": last["epoch"],
+            "recall_at_10": float(last["recall"]["10"]),
             "ndcg_at_10": float(last["ndcg"]["10"]), "s_per_epoch": seconds / cfg.epochs,
             "final_bpr_epoch4": float(epoch4[0]) if epoch4 else None,
             "order": list(schema.canonical_order),
@@ -279,12 +282,18 @@ def main(argv=None) -> int:
               f"N@10 {run['ndcg_at_10']:.6f} {run['s_per_epoch']:.2f} s/epoch", flush=True)
         return run
 
-    try:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            runs = list(pool.map(one, keys))
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        futures = [pool.submit(one, key) for key in keys]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        failed = next((f for f in futures if f.done() and f.exception()), None)
+        if failed is not None:
+            # runs not yet started never start; the running ones finish
+            pool.shutdown(cancel_futures=True)
+            if not isinstance(failed.exception(), RuntimeError):
+                failed.result()
+            print(f"error: {failed.exception()}", file=sys.stderr)
+            return 1
+        runs = [f.result() for f in futures]
 
     groups = [(tree, arm) for tree in trees for arm in arms]
     summary = summarize(runs, groups, seeds)

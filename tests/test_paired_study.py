@@ -3,6 +3,7 @@ shape, the markdown table and the sign test."""
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ def test_two_arms_two_seeds_share_one_split(tmp_path, capsys):
     runs = {(r["arm"], r["seed"]): r for r in report["runs"]}
     assert sorted(runs) == [("f32", 1), ("f32", 2), ("f64", 1), ("f64", 2)]
     for (arm, seed), run in runs.items():
+        assert run["train_seed"] == seed
         assert {k: run[k] for k in want} == want
         assert run["applied"] == {"dtype": {"f32": "float32", "f64": "float64"}[arm]}
         assert run["epoch"] == 2 and run["final_bpr_epoch4"] is None
@@ -58,15 +60,16 @@ def test_two_arms_two_seeds_share_one_split(tmp_path, capsys):
 
 
 def test_order_arms_train_under_their_own_schema_on_one_split(tmp_path):
-    assert paired_study.main([str(tmp_path), "--set", *TINY, "--seeds", "1",
+    assert paired_study.main([str(tmp_path), "--set", *TINY, "--seeds", "1,2",
                               "--epochs", "1", "--jobs", "2", "--arm", "C6",
                               "--arm", "C1", "order=buy,view,cart",
                               "--arm", "C3", "order=view,buy,cart"]) == 0
     runs = json.loads((tmp_path / "paired_study.json").read_text())["runs"]
-    # C6 keeps the default order; every run trains on the one split
-    assert [(r["arm"], r["order"]) for r in runs] == [
-        ("C6", ["view", "cart", "buy"]), ("C1", ["buy", "view", "cart"]),
-        ("C3", ["view", "buy", "cart"])]
+    # C6 keeps the default order; every run of both seeds trains on the one split
+    assert [(r["arm"], r["order"], r["seed"], r["train_seed"]) for r in runs] == [
+        (arm, order, seed, seed) for seed in (1, 2) for arm, order in (
+            ("C6", ["view", "cart", "buy"]), ("C1", ["buy", "view", "cart"]),
+            ("C3", ["view", "buy", "cart"]))]
     assert len({(r["train_sha256"], r["test_sha256"]) for r in runs}) == 1
 
 
@@ -81,6 +84,32 @@ def test_order_arm_that_is_no_permutation_exits_before_training(tmp_path, monkey
                            "--arm", "b", f"order={order}"])
     assert exc.value.code == 2 and calls == [] and not out.exists()
     assert "not a permutation" in capsys.readouterr().err
+
+
+def test_a_failed_run_cancels_the_runs_not_yet_started(tmp_path, monkeypatch, capsys):
+    started = []
+
+    def launch(tree, spec):
+        key = (spec["overrides"]["dtype"], spec["overrides"]["seed"])
+        started.append(key)
+        if key == ("float64", 1):
+            raise RuntimeError("a run failed: boom")
+        # the reference's first run is still going when the second one fails
+        time.sleep(0.6 if key == ("float32", 1) else 0.2)
+        return {"recall_at_10": 0.0, "ndcg_at_10": 0.0, "s_per_epoch": 1.0}
+
+    monkeypatch.setattr(paired_study, "launch", launch)
+    out = tmp_path / "study"
+    assert paired_study.main([str(out), "--set", *TINY, "--seeds", "1,2,3,4,5",
+                              "--jobs", "2", "--arm", "a", "dtype=float32",
+                              "--arm", "b", "dtype=float64"]) == 1
+    # of the ten runs, the two first and at most the one a free worker took
+    # before the failure was seen; none waits for the first run to end
+    assert started[:2] in ([("float32", 1), ("float64", 1)],
+                           [("float64", 1), ("float32", 1)])
+    assert len(started) <= 3
+    assert "boom" in capsys.readouterr().err
+    assert not (out / "paired_study.json").exists()
 
 
 def test_arm_may_not_change_the_split(tmp_path, capsys):
